@@ -64,42 +64,26 @@ SQLEQ_BENCHMARK(BM_CandB_Bag)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 SQLEQ_BENCHMARK(BM_CandB_BagSet)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 SQLEQ_BENCHMARK(BM_CandB_Bag_NoFastPath)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 
-/// The Σ-slicing ablation (docs/compiled_chase.md): Example 4.1's Σ padded
-/// with range(0) irrelevant island clusters (3 dependencies each). With
-/// slicing on, ChasePlan::SliceFor prunes every island dependency before
-/// any candidate is chased; with slicing off, each fixpoint pass of every
-/// candidate chase evaluates the island kernels just to find no match.
-/// Outputs are identical by construction (the sliced ≡ full property test).
-void RunCandBSlicing(benchmark::State& state, bool sliced) {
+/// The Σ-slicing workload (docs/compiled_chase.md): Example 4.1's Σ padded
+/// with range(0) irrelevant island clusters (3 dependencies each).
+/// ChasePlan::SliceFor prunes every island dependency before any candidate
+/// is chased, so the cost should stay flat as the islands grow.
+void BM_CandB_Set_SlicedSigma(benchmark::State& state) {
   int clusters = static_cast<int>(state.range(0));
   ConjunctiveQuery q = WidenedQ1(3);
   Schema schema = Example41Schema();
   DependencySet sigma = Example41Sigma();
   bench::AddIrrelevantIslands(&schema, &sigma, clusters);
-  CandBOptions options;
-  options.chase.use_sigma_slicing = sliced;
   size_t outputs = 0;
   for (auto _ : state) {
-    CandBResult result = Must(
-        ChaseAndBackchase(q, sigma, Semantics::kSet, schema, options));
+    CandBResult result = Must(ChaseAndBackchase(q, sigma, Semantics::kSet, schema));
     outputs = result.reformulations.size();
     benchmark::DoNotOptimize(result);
   }
   state.counters["sigma"] = static_cast<double>(sigma.size());
-  state.counters["sliced"] = sliced ? 1 : 0;
   state.counters["outputs"] = static_cast<double>(outputs);
 }
-
-void BM_CandB_Set_SlicedSigma(benchmark::State& state) {
-  RunCandBSlicing(state, true);
-}
-void BM_CandB_Set_FullSigma(benchmark::State& state) {
-  RunCandBSlicing(state, false);
-}
 SQLEQ_BENCHMARK(BM_CandB_Set_SlicedSigma)
-    ->Arg(0)->Arg(4)->Arg(16)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-SQLEQ_BENCHMARK(BM_CandB_Set_FullSigma)
     ->Arg(0)->Arg(4)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 

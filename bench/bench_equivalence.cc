@@ -77,11 +77,11 @@ void BM_BagEquivalence_ChainNegative(benchmark::State& state) {
 SQLEQ_BENCHMARK(BM_SetEquivalence_ChainNegative)->DenseRange(2, 14, 2);
 SQLEQ_BENCHMARK(BM_BagEquivalence_ChainNegative)->DenseRange(2, 14, 2);
 
-// Σ-slicing ablation: a Σ-equivalence decision over Example 4.1's Σ padded
+// Σ-slicing workload: a Σ-equivalence decision over Example 4.1's Σ padded
 // with range(0) irrelevant island clusters. A fresh engine per iteration
 // keeps the memo from hiding the chase cost; the island dependencies never
-// fire, so the two variants agree on the verdict — the full-Σ run just pays
-// for probing them on every fixpoint pass of both chases.
+// fire and the slice prunes them, so the cost should stay flat as the
+// islands grow.
 /// One engine (one compiled plan) answering a batch of equivalence calls —
 /// the engine-context-reuse shape the docs promise slicing pays off in.
 /// The pairs are p-chains of distinct widths, so they canonicalize to
@@ -90,7 +90,7 @@ SQLEQ_BENCHMARK(BM_BagEquivalence_ChainNegative)->DenseRange(2, 14, 2);
 /// subsets amortize across the batch.
 constexpr int kEquivBatch = 8;
 
-void RunSigmaEquivalence(benchmark::State& state, bool sliced) {
+void BM_SigmaEquivalence_Sliced(benchmark::State& state) {
   int clusters = static_cast<int>(state.range(0));
   Schema schema = bench::Example41Schema();
   DependencySet sigma = bench::Example41Sigma();
@@ -111,7 +111,6 @@ void RunSigmaEquivalence(benchmark::State& state, bool sliced) {
   for (auto _ : state) {
     EquivalenceEngine engine;
     EquivRequest request(Semantics::kSet, sigma, schema);
-    request.chase.use_sigma_slicing = sliced;
     for (const auto& [q1, q2] : pairs) {
       EquivVerdict v = bench::Must(engine.Equivalent(q1, q2, request));
       verdict = v.equivalent;
@@ -119,18 +118,9 @@ void RunSigmaEquivalence(benchmark::State& state, bool sliced) {
     }
   }
   state.counters["sigma"] = static_cast<double>(sigma.size());
-  state.counters["sliced"] = sliced ? 1 : 0;
   state.counters["equivalent"] = verdict ? 1 : 0;
 }
-
-void BM_SigmaEquivalence_Sliced(benchmark::State& state) {
-  RunSigmaEquivalence(state, true);
-}
-void BM_SigmaEquivalence_FullSigma(benchmark::State& state) {
-  RunSigmaEquivalence(state, false);
-}
 SQLEQ_BENCHMARK(BM_SigmaEquivalence_Sliced)->Arg(0)->Arg(4)->Arg(16)->Arg(64);
-SQLEQ_BENCHMARK(BM_SigmaEquivalence_FullSigma)->Arg(0)->Arg(4)->Arg(16)->Arg(64);
 
 }  // namespace
 }  // namespace sqleq

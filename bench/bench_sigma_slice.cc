@@ -3,8 +3,8 @@
 //   * analysis cost — SigmaGraph::Build, SliceFor, and DeriveCertificate on
 //     Σ padded with irrelevant island clusters, so the overhead the static
 //     analysis adds to a compiled plan is visible on its own;
-//   * chase ablation — ChasePlan::Run on the same padded Σ with
-//     use_sigma_slicing on vs off. The island dependencies can never fire,
+//   * chase ablation — ChasePlan::Run (sliced) vs ChasePlan::RunFull (the
+//     whole Σ) on the same padded Σ. The island dependencies can never fire,
 //     so both variants produce identical traces (the sliced ≡ full property
 //     test); the full-Σ run just probes every island kernel on every
 //     fixpoint pass.
@@ -78,12 +78,11 @@ SQLEQ_BENCHMARK(BM_SigmaGraph_DeriveCertificate)->Arg(0)->Arg(4)->Arg(16)->Arg(6
 /// EquivalenceEngine and C&B hold a plan per context.
 void RunPlanChase(benchmark::State& state, bool sliced) {
   PaddedSetting setting = MakePadded(static_cast<int>(state.range(0)));
-  ChaseOptions options;
-  options.use_sigma_slicing = sliced;
-  ChasePlan plan(setting.sigma, Semantics::kSet, setting.schema, options);
+  ChasePlan plan(setting.sigma, Semantics::kSet, setting.schema);
   size_t steps = 0;
   for (auto _ : state) {
-    ChaseOutcome outcome = Must(plan.Run(setting.query));
+    ChaseOutcome outcome = Must(sliced ? plan.Run(setting.query)
+                                       : plan.RunFull(setting.query));
     steps = outcome.trace.size();
     benchmark::DoNotOptimize(outcome);
   }

@@ -318,7 +318,7 @@ AnalysisReport AnalyzeSigmaSlicing(const Schema& schema, const DependencySet& si
                " matches neither the query's atoms nor anything a reachable "
                "dependency writes",
            "no action needed; the engines skip it automatically "
-           "(ChaseOptions::use_sigma_slicing)");
+           "(ChasePlan::Run chases only the query's Σ-slice)");
     }
   }
   return report;

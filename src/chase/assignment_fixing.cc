@@ -5,6 +5,8 @@
 
 #include "chase/chase_internal.h"
 #include "chase/chase_step.h"
+#include "chase/flat_db.h"
+#include "chase/sigma_plan.h"
 #include "constraints/keys.h"
 
 namespace sqleq {
@@ -39,14 +41,13 @@ AssociatedTestQuery BuildAssociatedTestQuery(const ConjunctiveQuery& q, const Tg
 
 Result<bool> IsAssignmentFixing(const ConjunctiveQuery& q, const Tgd& tgd,
                                 const TermMap& h, const DependencySet& sigma,
-                                const ChaseOptions& options, const SigmaPlan* plan) {
+                                const SigmaPlan& plan, const ChaseOptions& options) {
   if (tgd.IsFull()) return true;  // Prop 4.3.
   AssociatedTestQuery test = BuildAssociatedTestQuery(q, tgd, h);
-  SQLEQ_ASSIGN_OR_RETURN(
-      ChaseOutcome chased,
-      plan != nullptr
-          ? chase_internal::SetChaseWithPlan(test.query, sigma, plan, options, {})
-          : SetChase(test.query, sigma, options));
+  SQLEQ_ASSIGN_OR_RETURN(ChaseOutcome chased,
+                         chase_internal::RunChase(test.query, sigma, plan,
+                                                  Semantics::kSet, Schema(), options,
+                                                  ChaseRuntime()));
   if (chased.failed) {
     // Chase failure: Q^{σ,h,θ} is unsatisfiable under Σ; no database can
     // witness a multiplicity blow-up, so the step fixes assignments
@@ -64,12 +65,15 @@ Result<bool> IsAssignmentFixing(const ConjunctiveQuery& q, const Tgd& tgd,
 Result<bool> IsAssignmentFixingForQuery(const ConjunctiveQuery& q, const Tgd& tgd,
                                         const DependencySet& sigma,
                                         const ChaseOptions& options) {
-  std::vector<TermMap> hs = FindApplicableTgdHomomorphisms(q, tgd);
-  for (const TermMap& h : hs) {
-    SQLEQ_ASSIGN_OR_RETURN(bool fixing, IsAssignmentFixing(q, tgd, h, sigma, options));
-    if (fixing) return true;
-  }
-  return false;
+  SigmaPlan plan = SigmaPlan::Compile(sigma);
+  SigmaPlan trigger = SigmaPlan::Compile({Dependency::FromTgd(tgd)});
+  FlatConjunction flat(q.body());
+  Result<bool> fixing = false;
+  trigger.ForEachApplicableTgdHomomorphism(0, flat, [&](const TermMap& h) {
+    fixing = IsAssignmentFixing(q, tgd, h, sigma, plan, options);
+    return fixing.ok() && !*fixing;
+  });
+  return fixing;
 }
 
 bool IsKeyBased(const Tgd& tgd, const DependencySet& sigma, const Schema& schema,

@@ -37,17 +37,17 @@ AssociatedTestQuery BuildAssociatedTestQuery(const ConjunctiveQuery& q, const Tg
 /// Q^{σ,h,θ} under Σ with set semantics; σ is assignment-fixing iff the
 /// terminal result retains at most one variable of each existential pair.
 /// Full tgds are assignment-fixing by Prop 4.3. Requires (set-)chase
-/// termination; ResourceExhausted otherwise. `plan`, when non-null, must be
-/// a SigmaPlan compiled from exactly `sigma` and lets the inner test-query
-/// chase reuse its kernels instead of recompiling per call.
+/// termination; ResourceExhausted otherwise. `plan` must be the SigmaPlan
+/// compiled from exactly `sigma`; the test-query chase runs on its kernels.
 Result<bool> IsAssignmentFixing(const ConjunctiveQuery& q, const Tgd& tgd,
                                 const TermMap& h, const DependencySet& sigma,
-                                const ChaseOptions& options = {},
-                                const SigmaPlan* plan = nullptr);
+                                const SigmaPlan& plan,
+                                const ChaseOptions& options = {});
 
 /// σ is assignment-fixing w.r.t. Q if it is assignment-fixing w.r.t. Q and
 /// *some* homomorphism under which the chase is applicable (Def 4.3).
 /// Returns false when the chase with σ is not applicable to Q at all.
+/// Compiles kernels for σ and Σ per call.
 Result<bool> IsAssignmentFixingForQuery(const ConjunctiveQuery& q, const Tgd& tgd,
                                         const DependencySet& sigma,
                                         const ChaseOptions& options = {});

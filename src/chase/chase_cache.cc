@@ -329,7 +329,6 @@ std::pair<std::shared_ptr<const ChaseOutcome>, bool> ChaseMemo::InsertLocked(
 }
 
 void ChaseMemo::PinEnvelope(const ConjunctiveQuery& envelope) {
-  if (!plan_->options().use_sigma_slicing) return;
   pinned_slice_ = &plan_->SliceFor(envelope);
   pinned_suffix_ = "|slice:";
   pinned_suffix_ += pinned_slice_->Signature();
@@ -341,23 +340,20 @@ Result<std::shared_ptr<const ChaseOutcome>> ChaseMemo::LookupOrChase(
   ConjunctiveQuery canonical = q;  // overwritten by CanonicalQueryKey
   const std::string subject = CanonicalQueryKey(q, &canonical, from_canonical);
   std::string key = subject;
-  const SigmaSlice* slice = nullptr;
-  if (plan_->options().use_sigma_slicing) {
-    // Two body shapes that slice Σ differently must never share an entry;
-    // shapes that slice identically still can (the slice is a function of
-    // the shape, so this is a refinement, not a correctness need — but it
-    // keeps cache keys self-describing in stats). The
-    // slice is handed back to Run() below so each candidate is sliced once.
-    // A pinned envelope slice (PinEnvelope) short-circuits even that: one
-    // slice, one kernel subset, for the whole backchase sweep.
-    if (pinned_slice_ != nullptr) {
-      slice = pinned_slice_;
-      key += pinned_suffix_;
-    } else {
-      slice = &plan_->SliceFor(canonical);
-      key += "|slice:";
-      key += slice->Signature();
-    }
+  // Two body shapes that slice Σ differently must never share an entry;
+  // shapes that slice identically still can (the slice is a function of the
+  // shape, so this is a refinement, not a correctness need — but it keeps
+  // cache keys self-describing in stats). The slice is handed back to Run()
+  // below so each candidate is sliced once. A pinned envelope slice
+  // (PinEnvelope) short-circuits even that: one slice, one kernel subset,
+  // for the whole backchase sweep.
+  const SigmaSlice* slice = pinned_slice_;
+  if (slice != nullptr) {
+    key += pinned_suffix_;
+  } else {
+    slice = &plan_->SliceFor(canonical);
+    key += "|slice:";
+    key += slice->Signature();
   }
   if (out_key != nullptr) *out_key = key;
   std::shared_ptr<const ChaseOutcome> cached;
@@ -452,12 +448,10 @@ Result<std::shared_ptr<const ChaseOutcome>> ChaseMemo::LookupOrChase(
   // miss) may be chased in parallel; the first insert wins.
   // Checkpoint subjects use the plain canonical key, not the slice-suffixed
   // memo key: the slice is a function of the canonical body (and slicing is
-  // trace-invariant), so a checkpoint resumes correctly across slicing
-  // configurations while still never replaying into a different query.
+  // trace-invariant), so a checkpoint resumes correctly under any slice
+  // while still never replaying into a different query.
   ChaseRuntime inner = RuntimeForKey(runtime, subject);
-  Result<ChaseOutcome> outcome = slice != nullptr
-                                     ? plan_->Run(canonical, inner, *slice)
-                                     : plan_->Run(canonical, inner);
+  Result<ChaseOutcome> outcome = plan_->Run(canonical, inner, *slice);
   if (!outcome.ok()) {
     StampSubject(inner, subject);
     return outcome.status();

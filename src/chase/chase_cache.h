@@ -130,7 +130,7 @@ class ChaseMemo {
   /// monotone in the body, so the envelope's slice is a sound slice for
   /// every candidate, and the whole lattice sweep shares one compiled
   /// kernel subset instead of slicing each candidate shape separately.
-  /// Call before the first chase; no-op when the plan does not slice.
+  /// Call before the first chase.
   void PinEnvelope(const ConjunctiveQuery& envelope);
 
   /// Memoized SoundChase of `q`, returned in canonical variable space (NOT

@@ -1,6 +1,6 @@
-// Internal chase loop entry points shared by the free-function adapters
-// (SetChase/SoundChase) and the compiled ChasePlan API. Not part of the
-// public surface — include chase/chase_plan.h instead.
+// The chase step loop, shared by the public entry points (ChasePlan, and
+// the SetChase/SoundChase adapters over it). Not part of the public
+// surface — include chase/chase_plan.h instead.
 #ifndef SQLEQ_CHASE_CHASE_INTERNAL_H_
 #define SQLEQ_CHASE_CHASE_INTERNAL_H_
 
@@ -11,25 +11,18 @@
 namespace sqleq {
 namespace chase_internal {
 
-/// The set-chase loop. `plan`, when non-null, must be compiled from exactly
-/// `sigma` (kernels are positional) and switches the loop onto the compiled
-/// kernels; null runs the generic chase_step path. Both produce identical
-/// outcomes and traces.
-Result<ChaseOutcome> SetChaseWithPlan(const ConjunctiveQuery& q,
-                                      const DependencySet& sigma,
-                                      const SigmaPlan* plan,
-                                      const ChaseOptions& options,
-                                      const ChaseRuntime& runtime);
-
-/// The sound-chase loop over an already-regularized Σ (kSet dispatches to
-/// the set-chase loop). `plan`, when non-null, must be compiled from exactly
-/// `regular`.
-Result<ChaseOutcome> SoundChaseRegular(const ConjunctiveQuery& q,
-                                       const DependencySet& regular,
-                                       const SigmaPlan* plan, Semantics semantics,
-                                       const Schema& schema,
-                                       const ChaseOptions& options,
-                                       const ChaseRuntime& runtime);
+/// The one chase loop: chases `q` with `sigma` to termination under
+/// `semantics`. `plan` must be compiled from exactly `sigma` (kernels are
+/// positional). The semantics picks how each step normalizes (S and BS:
+/// CanonicalRepresentation; B: NormalizeForBag) and which tgd steps are
+/// admitted (S: the first applicable h; B and BS: the first h that passes
+/// the Thm 4.1/4.3 duplicate and set-valued checks and is assignment-fixing,
+/// Def 5.1/4.3). Under B and BS the loop first runs itself under S as the
+/// termination probe the theorems presuppose.
+Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& sigma,
+                              const SigmaPlan& plan, Semantics semantics,
+                              const Schema& schema, const ChaseOptions& options,
+                              const ChaseRuntime& runtime);
 
 }  // namespace chase_internal
 }  // namespace sqleq

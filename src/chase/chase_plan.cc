@@ -98,42 +98,28 @@ std::shared_ptr<const ChasePlan::SlicedSigma> ChasePlan::SlicedFor(
 
 Result<ChaseOutcome> ChasePlan::Run(const ConjunctiveQuery& q,
                                     const ChaseRuntime& runtime) const {
-  if (options_.use_sigma_slicing) return Run(q, runtime, SliceFor(q));
-  return RunFull(q, runtime);
+  return Run(q, runtime, SliceFor(q));
 }
 
 Result<ChaseOutcome> ChasePlan::Run(const ConjunctiveQuery& q,
                                     const ChaseRuntime& runtime,
                                     const SigmaSlice& slice) const {
-  if (options_.use_sigma_slicing) {
-    if (runtime.metrics != nullptr) {
-      runtime.metrics->counter(metric::kSliceKept).Add(slice.kept.size());
-      runtime.metrics->counter(metric::kSlicePruned).Add(slice.pruned.size());
-    }
-    if (!slice.IsFull()) {
-      std::shared_ptr<const SlicedSigma> sub = SlicedFor(slice);
-      const SigmaPlan* plan =
-          options_.use_compiled_kernels ? &sub->kernels : nullptr;
-      return chase_internal::SoundChaseRegular(q, sub->deps, plan, semantics_,
-                                               schema_, options_, runtime);
-    }
+  if (runtime.metrics != nullptr) {
+    runtime.metrics->counter(metric::kSliceKept).Add(slice.kept.size());
+    runtime.metrics->counter(metric::kSlicePruned).Add(slice.pruned.size());
   }
-  return RunFull(q, runtime);
+  if (slice.IsFull()) return RunFull(q, runtime);
+  std::shared_ptr<const SlicedSigma> sub = SlicedFor(slice);
+  return chase_internal::RunChase(q, sub->deps, sub->kernels, semantics_, schema_,
+                                  options_, runtime);
 }
 
 Result<ChaseOutcome> ChasePlan::RunFull(const ConjunctiveQuery& q,
                                         const ChaseRuntime& runtime) const {
-  const SigmaPlan* plan = options_.use_compiled_kernels ? &plan_ : nullptr;
-  return chase_internal::SoundChaseRegular(q, regular_, plan, semantics_, schema_,
-                                           options_, runtime);
+  return chase_internal::RunChase(q, regular_, plan_, semantics_, schema_, options_,
+                                  runtime);
 }
 
-ChasePlan::Stats ChasePlan::stats() const {
-  Stats s;
-  s.kernels = plan_.stats();
-  s.compiled_path = options_.use_compiled_kernels;
-  s.sliced_path = options_.use_sigma_slicing;
-  return s;
-}
+ChasePlan::Stats ChasePlan::stats() const { return Stats{plan_.stats()}; }
 
 }  // namespace sqleq

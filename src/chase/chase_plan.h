@@ -7,14 +7,18 @@
 // the Thm 5.2 amortization made concrete: construction is the per-catalog
 // cost, Run() the per-query cost. EquivalenceEngine, chase-and-backchase,
 // view rewriting, and sqleqd all chase through a ChasePlan; the free
-// functions SetChase/SoundChase remain as thin per-call adapters for one
-// release (they compile a throwaway plan internally).
+// function SoundChase is ChasePlan(...).Run(q, runtime) on a throwaway plan.
+//
+// Run() always chases the query's Σ-slice; RunFull() chases the whole
+// regularized Σ and is the unsliced reference the conservativity tests and
+// the slicing benchmarks compare against. Both go through the one chase
+// loop (chase/chase_internal.h) on the plan's compiled kernels.
 //
 // A ChasePlan is immutable after construction and safe to share across
 // threads. Run() honors the full ChaseRuntime contract — fault sites,
-// cancellation, checkpoint capture/resume — and, because compiled kernels
-// are trace-identical to the generic path, checkpoints taken under either
-// path resume under the other.
+// cancellation, checkpoint capture/resume — and, because slicing never
+// changes a trace, a checkpoint taken by Run() resumes under RunFull() and
+// vice versa.
 #ifndef SQLEQ_CHASE_CHASE_PLAN_H_
 #define SQLEQ_CHASE_CHASE_PLAN_H_
 
@@ -42,11 +46,9 @@ class ChasePlan {
   ChasePlan(DependencySet sigma, Semantics semantics, Schema schema = {},
             ChaseOptions options = {});
 
-  /// Computes (Q)Σ,X for the plan's semantics — same contract and identical
-  /// outcome/trace as SoundChase(q, sigma(), semantics(), schema(),
-  /// options(), runtime), minus the per-call regularization and kernel
-  /// compilation. `options().use_compiled_kernels` selects the compiled or
-  /// generic loop; both are trace-identical.
+  /// Computes (Q)Σ,X for the plan's semantics by chasing SliceFor(q): the
+  /// contract of SoundChase (chase/sound_chase.h), minus the per-call
+  /// regularization and kernel compilation.
   Result<ChaseOutcome> Run(const ConjunctiveQuery& q,
                            const ChaseRuntime& runtime = {}) const;
 
@@ -57,15 +59,21 @@ class ChasePlan {
   Result<ChaseOutcome> Run(const ConjunctiveQuery& q, const ChaseRuntime& runtime,
                            const SigmaSlice& slice) const;
 
+  /// Run() over the whole regularized Σ, without slicing. Identical
+  /// outcome and trace to Run() (slicing only drops dependencies that can
+  /// never fire); the reference for conservativity tests and benchmarks.
+  Result<ChaseOutcome> RunFull(const ConjunctiveQuery& q,
+                               const ChaseRuntime& runtime = {}) const;
+
   /// The sound Σ-slice for `q` over the plan's *regularized* Σ: the
   /// dependencies the static may-match analysis (analysis/sigma_graph.h)
   /// cannot rule out from firing while chasing q's canonical database.
-  /// Run() chases exactly this subset when options().use_sigma_slicing is
-  /// on; ChaseMemo folds Signature() into its keys. Cached per body shape
-  /// (atoms up to variable renaming), so repeat calls are a lookup; the
-  /// returned reference is stable for the plan's lifetime (entries are
-  /// never evicted). Pruned diagnostics are not rendered here — use
-  /// SigmaGraph::SliceFor directly for EXPLAIN SLICE-style output.
+  /// Run() chases exactly this subset; ChaseMemo folds Signature() into its
+  /// keys. Cached per body shape (atoms up to variable renaming), so repeat
+  /// calls are a lookup; the returned reference is stable for the plan's
+  /// lifetime (entries are never evicted). Pruned diagnostics are not
+  /// rendered here — use SigmaGraph::SliceFor directly for EXPLAIN
+  /// SLICE-style output.
   const SigmaSlice& SliceFor(const ConjunctiveQuery& q) const;
 
   /// The termination certificate of the regularized Σ, derived on first
@@ -82,8 +90,6 @@ class ChasePlan {
 
   struct Stats {
     SigmaPlan::Stats kernels;
-    bool compiled_path = false;  ///< options().use_compiled_kernels
-    bool sliced_path = false;    ///< options().use_sigma_slicing
   };
   Stats stats() const;
 
@@ -97,10 +103,6 @@ class ChasePlan {
     SigmaPlan kernels;
   };
   std::shared_ptr<const SlicedSigma> SlicedFor(const SigmaSlice& slice) const;
-
-  /// The unsliced compiled chase — shared tail of both Run overloads.
-  Result<ChaseOutcome> RunFull(const ConjunctiveQuery& q,
-                               const ChaseRuntime& runtime) const;
 
   DependencySet sigma_;
   DependencySet regular_;

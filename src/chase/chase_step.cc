@@ -1,32 +1,6 @@
 #include "chase/chase_step.h"
 
-#include "chase/homomorphism.h"
-
 namespace sqleq {
-
-std::vector<TermMap> FindApplicableTgdHomomorphisms(const ConjunctiveQuery& q,
-                                                    const Tgd& tgd) {
-  std::vector<TermMap> out;
-  ForEachHomomorphismGeneric(tgd.body(), q.body(), TermMap(), [&](const TermMap& h) {
-    // Applicable iff h does not extend to the head (restricted chase).
-    if (!HomomorphismExistsGeneric(tgd.head(), q.body(), h)) out.push_back(h);
-    return true;
-  });
-  return out;
-}
-
-std::optional<TermMap> FindApplicableTgdHomomorphism(const ConjunctiveQuery& q,
-                                                     const Tgd& tgd) {
-  std::optional<TermMap> found;
-  ForEachHomomorphismGeneric(tgd.body(), q.body(), TermMap(), [&](const TermMap& h) {
-    if (!HomomorphismExistsGeneric(tgd.head(), q.body(), h)) {
-      found = h;
-      return false;
-    }
-    return true;
-  });
-  return found;
-}
 
 std::vector<Atom> InstantiateTgdHead(const Tgd& tgd, const TermMap& h,
                                      TermMap* out_fresh) {
@@ -48,46 +22,9 @@ ConjunctiveQuery ApplyTgdStep(const ConjunctiveQuery& q, const Tgd& tgd,
   return q.WithBody(std::move(body));
 }
 
-std::optional<EgdApplication> FindEgdApplication(const ConjunctiveQuery& q,
-                                                 const Egd& egd) {
-  std::optional<EgdApplication> failing;
-  std::optional<EgdApplication> found;
-  ForEachHomomorphismGeneric(egd.body(), q.body(), TermMap(), [&](const TermMap& h) {
-    Term l = ApplyTermMap(h, egd.left());
-    Term r = ApplyTermMap(h, egd.right());
-    if (l == r) return true;
-    EgdApplication app;
-    app.h = h;
-    if (l.IsVariable()) {
-      app.from = l;
-      app.to = r;
-    } else if (r.IsVariable()) {
-      app.from = r;
-      app.to = l;
-    } else {
-      app.failure = true;
-      app.from = l;
-      app.to = r;
-      if (!failing.has_value()) failing = app;
-      return true;  // keep searching for a non-failing application
-    }
-    found = app;
-    return false;
-  });
-  if (found.has_value()) return found;
-  return failing;
-}
-
 ConjunctiveQuery ApplyEgdStep(const ConjunctiveQuery& q, const EgdApplication& app) {
   TermMap replace{{app.from, app.to}};
   return q.Substitute(replace);
-}
-
-bool IsApplicable(const ConjunctiveQuery& q, const Dependency& dep) {
-  if (dep.IsTgd()) {
-    return FindApplicableTgdHomomorphism(q, dep.tgd()).has_value();
-  }
-  return FindEgdApplication(q, dep.egd()).has_value();
 }
 
 }  // namespace sqleq

@@ -9,14 +9,12 @@
 // Two distinct constants make the chase FAIL (Q is unsatisfiable on
 // databases satisfying the egd).
 //
-// These free functions run on the generic backtracking matcher — the
-// executable-spec path behind ChaseOptions::use_compiled_kernels = false.
-// The compiled equivalents (same homomorphisms, same order) live in
-// chase/sigma_plan.h.
+// This header holds the step *application* half. Finding an applicable h
+// is the job of the compiled per-Σ kernels in chase/sigma_plan.h, the one
+// matcher the chase runs.
 #ifndef SQLEQ_CHASE_CHASE_STEP_H_
 #define SQLEQ_CHASE_CHASE_STEP_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,16 +23,6 @@
 #include "util/status.h"
 
 namespace sqleq {
-
-/// Enumerates the homomorphisms h: body(σ) → body(q) under which the tgd
-/// chase is applicable, i.e. h does not extend to the head. Deterministic
-/// order.
-std::vector<TermMap> FindApplicableTgdHomomorphisms(const ConjunctiveQuery& q,
-                                                    const Tgd& tgd);
-
-/// First applicable homomorphism, or nullopt.
-std::optional<TermMap> FindApplicableTgdHomomorphism(const ConjunctiveQuery& q,
-                                                     const Tgd& tgd);
 
 /// The atoms a tgd step with homomorphism `h` conjoins to the body: head
 /// atoms under h with existential variables freshly renamed. The fresh
@@ -55,18 +43,9 @@ struct EgdApplication {
   bool failure = false;  ///< h equates two distinct constants
 };
 
-/// Finds an h making the egd applicable (h(U1) ≠ h(U2)). If every such h
-/// equates two distinct constants, the first failing application is returned
-/// with failure=true. Returns nullopt when the egd is satisfied.
-std::optional<EgdApplication> FindEgdApplication(const ConjunctiveQuery& q, const Egd& egd);
-
 /// Performs the egd chase step: replaces `app.from` by `app.to` everywhere
 /// in Q (head and body). Requires !app.failure.
 ConjunctiveQuery ApplyEgdStep(const ConjunctiveQuery& q, const EgdApplication& app);
-
-/// True iff some chase step with `dep` applies to `q` (for an egd, a failing
-/// application counts as applicable).
-bool IsApplicable(const ConjunctiveQuery& q, const Dependency& dep);
 
 }  // namespace sqleq
 

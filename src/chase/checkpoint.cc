@@ -1,5 +1,6 @@
 #include "chase/checkpoint.h"
 
+#include <charconv>
 #include <variant>
 
 namespace sqleq {
@@ -17,6 +18,15 @@ std::vector<std::string_view> SplitTabs(std::string_view line) {
     fields.push_back(line.substr(start, tab - start));
     start = tab + 1;
   }
+}
+
+/// Parses all of `text` as a decimal integer of T's range: false on empty
+/// input, stray characters, or overflow.
+template <typename T>
+bool ParseDecimal(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 std::string SerializeTerm(Term t) {
@@ -41,19 +51,11 @@ Result<Term> DeserializeTerm(std::string_view token) {
     }
     case 'I': {
       int64_t value = 0;
-      bool negative = !payload.empty() && payload[0] == '-';
-      std::string_view digits = negative ? payload.substr(1) : payload;
-      if (digits.empty()) {
-        return Status::InvalidArgument("checkpoint: empty integer token");
+      if (!ParseDecimal(payload, &value)) {
+        return Status::InvalidArgument("checkpoint: bad integer token '" +
+                                       std::string(token) + "'");
       }
-      for (char c : digits) {
-        if (c < '0' || c > '9') {
-          return Status::InvalidArgument("checkpoint: bad integer token '" +
-                                         std::string(token) + "'");
-        }
-        value = value * 10 + (c - '0');
-      }
-      return Term::Int(negative ? -value : value);
+      return Term::Int(value);
     }
     case 'S': {
       SQLEQ_ASSIGN_OR_RETURN(std::string s, UnescapeField(payload));
@@ -192,62 +194,77 @@ std::string ChaseCheckpoint::Serialize() const {
   return out;
 }
 
-Result<ChaseCheckpoint> ChaseCheckpoint::Deserialize(std::string_view text) {
-  std::vector<std::string_view> lines;
+Status ReadKeyedLines(std::string_view text, std::string_view what,
+                      std::initializer_list<KeyedField> fields) {
+  auto error = [&](std::string detail) {
+    return Status::InvalidArgument(std::string(what) + ": " + detail);
+  };
   size_t start = 0;
   while (start < text.size()) {
     size_t nl = text.find('\n', start);
     if (nl == std::string_view::npos) nl = text.size();
-    lines.push_back(text.substr(start, nl - start));
+    std::string_view line = text.substr(start, nl - start);
     start = nl + 1;
+    if (line.empty()) continue;
+    if (line == "end") return Status::OK();
+    size_t space = line.find(' ');
+    if (space == std::string_view::npos) {
+      return error("malformed line '" + std::string(line) + "'");
+    }
+    std::string_view key = line.substr(0, space);
+    const KeyedField* field = nullptr;
+    for (const KeyedField& f : fields) {
+      if (f.key == key) field = &f;
+    }
+    if (field == nullptr) return error("unknown key '" + std::string(key) + "'");
+    SQLEQ_RETURN_IF_ERROR(field->parse(line.substr(space + 1)));
   }
-  if (lines.empty() || lines[0] != "sqleq-chase-checkpoint v1") {
+  return error("truncated");
+}
+
+Result<ChaseCheckpoint> ChaseCheckpoint::Deserialize(std::string_view text) {
+  constexpr std::string_view kHeader = "sqleq-chase-checkpoint v1";
+  size_t nl = text.find('\n');
+  if (text.substr(0, nl) != kHeader) {
     return Status::InvalidArgument("checkpoint: bad header");
   }
+  std::string_view rest =
+      nl == std::string_view::npos ? std::string_view() : text.substr(nl + 1);
   std::string phase;
   std::string subject;
   size_t steps = 0;
   std::optional<ConjunctiveQuery> state;
   std::vector<ChaseStepRecord> trace;
-  bool saw_end = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    std::string_view line = lines[i];
-    if (line.empty()) continue;
-    if (line == "end") {
-      saw_end = true;
-      break;
-    }
-    size_t space = line.find(' ');
-    if (space == std::string_view::npos) {
-      return Status::InvalidArgument("checkpoint: malformed line '" +
-                                     std::string(line) + "'");
-    }
-    std::string_view key = line.substr(0, space);
-    std::string_view value = line.substr(space + 1);
-    if (key == "phase") {
-      phase = std::string(value);
-    } else if (key == "subject") {
-      SQLEQ_ASSIGN_OR_RETURN(subject, UnescapeField(value));
-    } else if (key == "steps") {
-      steps = 0;
-      for (char c : value) {
-        if (c < '0' || c > '9') {
-          return Status::InvalidArgument("checkpoint: bad step count");
-        }
-        steps = steps * 10 + static_cast<size_t>(c - '0');
-      }
-    } else if (key == "state") {
-      SQLEQ_ASSIGN_OR_RETURN(ConjunctiveQuery q, DeserializeQuery(value));
-      state = std::move(q);
-    } else if (key == "trace") {
-      SQLEQ_ASSIGN_OR_RETURN(ChaseStepRecord record, DeserializeStepRecord(value));
-      trace.push_back(std::move(record));
-    } else {
-      return Status::InvalidArgument("checkpoint: unknown key '" +
-                                     std::string(key) + "'");
-    }
-  }
-  if (!saw_end || !state.has_value() || phase.empty()) {
+  SQLEQ_RETURN_IF_ERROR(ReadKeyedLines(
+      rest, "checkpoint",
+      {{"phase",
+        [&](std::string_view value) {
+          phase = std::string(value);
+          return Status::OK();
+        }},
+       {"subject",
+        [&](std::string_view value) -> Status {
+          SQLEQ_ASSIGN_OR_RETURN(subject, UnescapeField(value));
+          return Status::OK();
+        }},
+       {"steps",
+        [&](std::string_view value) {
+          return ParseDecimal(value, &steps)
+                     ? Status::OK()
+                     : Status::InvalidArgument("checkpoint: bad step count");
+        }},
+       {"state",
+        [&](std::string_view value) -> Status {
+          SQLEQ_ASSIGN_OR_RETURN(ConjunctiveQuery q, DeserializeQuery(value));
+          state = std::move(q);
+          return Status::OK();
+        }},
+       {"trace", [&](std::string_view value) -> Status {
+          SQLEQ_ASSIGN_OR_RETURN(ChaseStepRecord record, DeserializeStepRecord(value));
+          trace.push_back(std::move(record));
+          return Status::OK();
+        }}}));
+  if (!state.has_value() || phase.empty()) {
     return Status::InvalidArgument("checkpoint: truncated");
   }
   return ChaseCheckpoint{std::move(phase), std::move(subject),

@@ -16,12 +16,14 @@
 #define SQLEQ_CHASE_CHECKPOINT_H_
 
 #include <cstddef>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "chase/set_chase.h"
 #include "ir/query.h"
+#include "util/function_ref.h"
 #include "util/status.h"
 
 namespace sqleq {
@@ -67,6 +69,21 @@ Result<ConjunctiveQuery> DeserializeQuery(std::string_view line);
 
 std::string SerializeStepRecord(const ChaseStepRecord& record);
 Result<ChaseStepRecord> DeserializeStepRecord(std::string_view line);
+
+/// One key of a line-keyed record and the parser for its value.
+struct KeyedField {
+  std::string_view key;
+  FunctionRef<Status(std::string_view value)> parse;
+};
+
+/// The reader under ChaseCheckpoint::Deserialize and ParseChaseOutcomeBody
+/// (chase/memo_store.h): `text` is "<key> <value>" lines closed by an "end"
+/// line. Blank lines are skipped and nothing after "end" is read. Each line
+/// goes to the parser of its key. Errors are InvalidArgument prefixed with
+/// `what`: a line without a space, an unknown key, a failing parser, or a
+/// missing "end" ("<what>: truncated").
+Status ReadKeyedLines(std::string_view text, std::string_view what,
+                      std::initializer_list<KeyedField> fields);
 
 }  // namespace sqleq
 

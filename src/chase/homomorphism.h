@@ -2,14 +2,10 @@
 // between CQ queries (§2.1) — the engine under chase steps, applicability
 // tests, and the Chandra–Merlin containment test.
 //
-// Two implementations share one enumeration order:
-//   * the default entry points compile the `from` conjunction to a
-//     CompiledPattern, index `to` as a FlatConjunction, and hash-join
-//     (chase/pattern.h) — the fast path;
-//   * the *Generic entry points run the original backtracking search — kept
-//     as the executable specification the compiled matcher is property-tested
-//     against, and as the `ChaseOptions::use_compiled_kernels = false` path.
-// Both emit the same homomorphisms in the same order.
+// Every entry point compiles the `from` conjunction to a CompiledPattern,
+// indexes `to` as a FlatConjunction, and hash-joins (chase/pattern.h). The
+// original backtracking search survives only in the test suite, as the
+// differential oracle the compiled matcher is checked against.
 #ifndef SQLEQ_CHASE_HOMOMORPHISM_H_
 #define SQLEQ_CHASE_HOMOMORPHISM_H_
 
@@ -44,19 +40,6 @@ std::optional<TermMap> FindContainmentMapping(const ConjunctiveQuery& from,
                                               const ConjunctiveQuery& to);
 
 bool ContainmentMappingExists(const ConjunctiveQuery& from, const ConjunctiveQuery& to);
-
-/// The original backtracking enumerator — same homomorphisms, same order as
-/// ForEachHomomorphism, without pattern compilation or indexing.
-void ForEachHomomorphismGeneric(std::span<const Atom> from, std::span<const Atom> to,
-                                const TermMap& fixed,
-                                FunctionRef<bool(const TermMap&)> fn);
-
-std::optional<TermMap> FindHomomorphismGeneric(std::span<const Atom> from,
-                                               std::span<const Atom> to,
-                                               const TermMap& fixed = {});
-
-bool HomomorphismExistsGeneric(std::span<const Atom> from, std::span<const Atom> to,
-                               const TermMap& fixed = {});
 
 }  // namespace sqleq
 

@@ -480,36 +480,29 @@ Result<ChaseOutcome> ParseChaseOutcomeBody(std::string_view body) {
   std::optional<bool> failed;
   std::optional<ConjunctiveQuery> result;
   std::vector<ChaseStepRecord> trace;
-  bool saw_end = false;
-  size_t pos = 0;
-  while (pos < body.size()) {
-    size_t nl = body.find('\n', pos);
-    std::string_view line = nl == std::string_view::npos
-                                ? body.substr(pos)
-                                : body.substr(pos, nl - pos);
-    pos = nl == std::string_view::npos ? body.size() : nl + 1;
-    if (line.empty()) continue;
-    if (line == "end") {
-      saw_end = true;
-      break;
-    }
-    if (line.starts_with("failed ")) {
-      failed = line.substr(7) == "1";
-    } else if (line.starts_with("result ")) {
-      SQLEQ_ASSIGN_OR_RETURN(ConjunctiveQuery q,
-                             DeserializeQuery(line.substr(7)));
-      result = std::move(q);
-    } else if (line.starts_with("trace ")) {
-      SQLEQ_ASSIGN_OR_RETURN(ChaseStepRecord record,
-                             DeserializeStepRecord(line.substr(6)));
-      trace.push_back(std::move(record));
-    } else {
-      return Status::InvalidArgument(
-          "memo record: unrecognized line: " +
-          std::string(line.substr(0, std::min<size_t>(line.size(), 32))));
-    }
-  }
-  if (!saw_end || !failed.has_value() || !result.has_value()) {
+  SQLEQ_RETURN_IF_ERROR(ReadKeyedLines(
+      body, "memo record",
+      {{"failed",
+        [&](std::string_view value) {
+          if (value != "0" && value != "1") {
+            return Status::InvalidArgument("memo record: bad failed flag '" +
+                                           std::string(value) + "'");
+          }
+          failed = value == "1";
+          return Status::OK();
+        }},
+       {"result",
+        [&](std::string_view value) -> Status {
+          SQLEQ_ASSIGN_OR_RETURN(ConjunctiveQuery q, DeserializeQuery(value));
+          result = std::move(q);
+          return Status::OK();
+        }},
+       {"trace", [&](std::string_view value) -> Status {
+          SQLEQ_ASSIGN_OR_RETURN(ChaseStepRecord record, DeserializeStepRecord(value));
+          trace.push_back(std::move(record));
+          return Status::OK();
+        }}}));
+  if (!failed.has_value() || !result.has_value()) {
     return Status::InvalidArgument("memo record: truncated chase outcome body");
   }
   return ChaseOutcome{std::move(*result), std::move(trace), *failed};

@@ -8,10 +8,11 @@
 // hash-join probes on the per-column indexes.
 //
 // Enumeration contract: MatchPattern emits exactly the homomorphisms the
-// legacy backtracking search (ForEachHomomorphismGeneric) emits, in exactly
-// the same order. That makes compiled chase runs trace-identical to generic
-// ones — checkpoints interoperate and the property suite can assert
-// step-for-step equality. The emulated order is: atoms matched
+// original backtracking search emits, in exactly the same order. That search
+// now lives only in the test suite (tests/matcher_oracle.h), where the
+// property tests check the compiled matcher against it on every state the
+// chase visits. The order is also what fixes chase traces, fresh-variable
+// names and checkpoints, so it is part of the contract. It is: atoms matched
 // most-constrained-first under the score `n_same_predicate_targets * 64 -
 // bound_args` (lower wins, first-lowest ties), candidate targets visited in
 // conjunction order, complete assignments de-duplicated on their restriction

@@ -1,181 +1,18 @@
 #include "chase/set_chase.h"
 
 #include "chase/chase_internal.h"
-#include "chase/chase_step.h"
-#include "chase/chase_telemetry.h"
-#include "chase/checkpoint.h"
-#include "chase/flat_db.h"
 #include "chase/sigma_plan.h"
-#include "constraints/weak_acyclicity.h"
-#include "util/fault.h"
 
 namespace sqleq {
-namespace {
-
-/// Appends only head-instance atoms not already present: under set
-/// semantics duplicate atoms are redundant, and eager de-duplication keeps
-/// chase results small. `flat`, when non-null, indexes q's body and replaces
-/// the linear presence scan; atoms appended earlier in this same step are
-/// checked separately so both paths see the same growing body.
-ConjunctiveQuery ApplyTgdStepDeduped(const ConjunctiveQuery& q, const Tgd& tgd,
-                                     const TermMap& h,
-                                     const FlatConjunction* flat) {
-  std::vector<Atom> body = q.body();
-  size_t old_size = body.size();
-  for (Atom& a : InstantiateTgdHead(tgd, h)) {
-    bool present = false;
-    if (flat != nullptr) {
-      present = flat->ContainsAtom(a);
-      for (size_t i = old_size; !present && i < body.size(); ++i) {
-        present = body[i] == a;
-      }
-    } else {
-      for (const Atom& existing : body) {
-        if (existing == a) {
-          present = true;
-          break;
-        }
-      }
-    }
-    if (!present) body.push_back(std::move(a));
-  }
-  return q.WithBody(std::move(body));
-}
-
-/// Captures the loop state into `runtime.checkpoint_out` (when requested and
-/// the stop is resumable) and propagates `status`.
-Status StopChase(Status status, const ChaseOutcome& out, size_t steps_done,
-                 const char* phase, const ChaseRuntime& runtime) {
-  if (runtime.checkpoint_out != nullptr && IsAnytimeStop(status)) {
-    *runtime.checkpoint_out =
-        ChaseCheckpoint{phase, /*subject=*/"", out.result, out.trace, steps_done};
-  }
-  return status;
-}
-
-}  // namespace
-
-namespace chase_internal {
-
-Result<ChaseOutcome> SetChaseWithPlan(const ConjunctiveQuery& q,
-                                      const DependencySet& sigma,
-                                      const SigmaPlan* plan,
-                                      const ChaseOptions& options,
-                                      const ChaseRuntime& runtime) {
-  ChaseCounters counters(runtime.metrics);
-  TraceSpan span(runtime.trace, "chase.set");
-  ChaseOutcome out{q.CanonicalRepresentation(), {}, false};
-  size_t start = 0;
-  if (runtime.resume != nullptr &&
-      runtime.resume->phase == ChaseCheckpoint::kSetChasePhase) {
-    out.result = runtime.resume->state;
-    out.trace = runtime.resume->trace;
-    start = runtime.resume->steps_done;
-  }
-  const ResourceBudget& budget =
-      runtime.budget != nullptr ? *runtime.budget : options.budget;
-  FlatConjunction flat;
-  for (size_t step = start; step < budget.max_chase_steps; ++step) {
-    Status guard = budget.CheckDeadline("set chase");
-    if (guard.ok()) {
-      guard = ProbeSite(runtime.faults, runtime.cancel, fault_sites::kChaseStep);
-    }
-    if (!guard.ok()) {
-      return StopChase(std::move(guard), out, step,
-                       ChaseCheckpoint::kSetChasePhase, runtime);
-    }
-    if (plan != nullptr) flat.Rebuild(out.result.body());
-    bool applied = false;
-    // Egd pass.
-    if (options.egds_first) {
-      for (size_t di = 0; di < sigma.size(); ++di) {
-        const Dependency& dep = sigma[di];
-        if (!dep.IsEgd()) continue;
-        std::optional<EgdApplication> app =
-            plan != nullptr ? plan->FindEgdApplication(di, flat)
-                            : FindEgdApplication(out.result, dep.egd());
-        if (!app.has_value()) {
-          counters.Satisfied();
-          continue;
-        }
-        if (app->failure) {
-          out.failed = true;
-          out.trace.push_back({dep.label(), false, "FAIL: " + app->from.ToString() +
-                                                       " = " + app->to.ToString()});
-          return out;
-        }
-        out.result = ApplyEgdStep(out.result, *app).CanonicalRepresentation();
-        out.trace.push_back({dep.label(), false, out.result.ToString()});
-        counters.Fired(dep.label(), /*is_tgd=*/false);
-        applied = true;
-        break;
-      }
-      if (applied) continue;
-    }
-    for (size_t di = 0; di < sigma.size(); ++di) {
-      const Dependency& dep = sigma[di];
-      if (dep.IsTgd()) {
-        std::optional<TermMap> h =
-            plan != nullptr ? plan->FindApplicableTgdHomomorphism(di, flat)
-                            : FindApplicableTgdHomomorphism(out.result, dep.tgd());
-        if (!h.has_value()) {
-          counters.Satisfied();
-          continue;
-        }
-        out.result = ApplyTgdStepDeduped(out.result, dep.tgd(), *h,
-                                         plan != nullptr ? &flat : nullptr);
-        out.trace.push_back({dep.label(), true, out.result.ToString()});
-        counters.Fired(dep.label(), /*is_tgd=*/true);
-        applied = true;
-        break;
-      }
-      if (!options.egds_first) {
-        std::optional<EgdApplication> app =
-            plan != nullptr ? plan->FindEgdApplication(di, flat)
-                            : FindEgdApplication(out.result, dep.egd());
-        if (!app.has_value()) {
-          counters.Satisfied();
-          continue;
-        }
-        if (app->failure) {
-          out.failed = true;
-          out.trace.push_back({dep.label(), false, "FAIL: " + app->from.ToString() +
-                                                       " = " + app->to.ToString()});
-          return out;
-        }
-        out.result = ApplyEgdStep(out.result, *app).CanonicalRepresentation();
-        out.trace.push_back({dep.label(), false, out.result.ToString()});
-        counters.Fired(dep.label(), /*is_tgd=*/false);
-        applied = true;
-        break;
-      }
-    }
-    if (!applied) return out;  // D(result) |= Σ — terminal.
-  }
-  std::string message = "set chase exceeded " +
-                        std::to_string(budget.max_chase_steps) +
-                        " steps (ResourceBudget::max_chase_steps); ";
-  message += IsWeaklyAcyclic(sigma)
-                 ? "Σ is weakly acyclic, so raising the budget will "
-                   "terminate (Thm H.1)"
-                 : "Σ is NOT weakly acyclic — the chase may diverge";
-  return StopChase(Status::ResourceExhausted(std::move(message)), out,
-                   budget.max_chase_steps,
-                   ChaseCheckpoint::kSetChasePhase, runtime);
-}
-
-}  // namespace chase_internal
 
 Result<ChaseOutcome> SetChase(const ConjunctiveQuery& q, const DependencySet& sigma,
                               const ChaseOptions& options,
                               const ChaseRuntime& runtime) {
-  if (options.use_compiled_kernels) {
-    // Per-call adapter: compile a throwaway plan. Callers with a fixed Σ
-    // should hold a ChasePlan instead and pay this once.
-    SigmaPlan plan = SigmaPlan::Compile(sigma);
-    return chase_internal::SetChaseWithPlan(q, sigma, &plan, options, runtime);
-  }
-  return chase_internal::SetChaseWithPlan(q, sigma, nullptr, options, runtime);
+  // Per-call adapter: compile a throwaway plan. Callers with a fixed Σ
+  // should hold a ChasePlan instead and pay this once.
+  SigmaPlan plan = SigmaPlan::Compile(sigma);
+  return chase_internal::RunChase(q, sigma, plan, Semantics::kSet, Schema(), options,
+                                  runtime);
 }
 
 Result<bool> SetChaseTerminates(const ConjunctiveQuery& q, const DependencySet& sigma,

@@ -1,7 +1,10 @@
 // Set-semantics chase to termination (§2.4): repeatedly apply chase steps
 // until the canonical database of the current query satisfies Σ (no step is
 // applicable). Terminates for weakly acyclic Σ; a step budget guards
-// non-terminating inputs.
+// non-terminating inputs. This header also holds the option, runtime and
+// outcome types every chase entry point shares. SetChase chases exactly the
+// Σ it is given (no regularization, no Σ-slicing) through the same step
+// loop and compiled kernels as ChasePlan (chase/chase_plan.h).
 #ifndef SQLEQ_CHASE_SET_CHASE_H_
 #define SQLEQ_CHASE_SET_CHASE_H_
 
@@ -53,34 +56,19 @@ struct ChaseRuntime {
   const ResourceBudget* budget = nullptr;
 };
 
-/// Knobs shared by set chase and sound chase.
+/// Knobs shared by set chase and sound chase. Every step applies egds
+/// before tgds (the conventional strategy; chase results are equivalent
+/// either way, Thm 5.1 / [10]).
 struct ChaseOptions {
   /// Resource limits. The chase consults budget.max_chase_steps (hard cap on
   /// chase steps; exceeded → ResourceExhausted) and budget.deadline (checked
   /// once per step). See util/resource_budget.h.
   ResourceBudget budget;
-  /// Apply egds before tgds at each step (the conventional strategy; chase
-  /// results are equivalent either way, Thm 5.1 / [10]).
-  bool egds_first = true;
   /// Sound chase only: decide assignment-fixing via the cheap key-based test
   /// (Def 5.1) first and run the full Def 4.3 associated-test-query chase
   /// only when that fails. Key-based ⇒ assignment-fixing (§5.1), so this is
   /// a pure fast path; disable to ablate (bench_candb measures the cost).
   bool key_based_fast_path = true;
-  /// Run chase steps through per-Σ compiled kernels (chase/sigma_plan.h)
-  /// over indexed flat storage instead of the generic backtracking path.
-  /// The two paths are trace-identical by construction (the property suite
-  /// asserts it); disable to run the executable-spec path, e.g. as a
-  /// differential oracle.
-  bool use_compiled_kernels = true;
-  /// Chase only the sound Σ-slice for the query (analysis/sigma_graph.h):
-  /// dependencies the static may-match analysis proves can never fire on
-  /// the query's canonical database are dropped before the loop starts.
-  /// Provably conservative — sliced and full runs are trace-identical (the
-  /// property suite asserts it) — so this is a pure perf knob. Honored by
-  /// ChasePlan::Run and the free SoundChase; the free SetChase always
-  /// chases the full Σ (it is the executable specification).
-  bool use_sigma_slicing = true;
 };
 
 /// One entry of a chase trace.

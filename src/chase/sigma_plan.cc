@@ -51,30 +51,24 @@ SigmaPlan::Stats SigmaPlan::stats() const {
   return s;
 }
 
-std::optional<TermMap> SigmaPlan::FindApplicableTgdHomomorphism(
-    size_t dep_index, const FlatConjunction& to) const {
+bool SigmaPlan::ForEachApplicableTgdHomomorphism(
+    size_t dep_index, const FlatConjunction& to,
+    FunctionRef<bool(const TermMap&)> fn) const {
   const DepKernel& k = kernels_[dep_index];
-  std::optional<TermMap> found;
-  MatchPattern(k.body, to, TermMap(), [&](const TermMap& h) {
+  return MatchPattern(k.body, to, TermMap(), [&](const TermMap& h) {
     // Applicable iff h does not extend to the head (restricted chase).
-    if (!PatternMatchExists(k.head, to, h)) {
-      found = h;
-      return false;
-    }
-    return true;
+    return PatternMatchExists(k.head, to, h) || fn(h);
   });
-  return found;
 }
 
-std::vector<TermMap> SigmaPlan::FindApplicableTgdHomomorphisms(
+std::optional<TermMap> SigmaPlan::FindApplicableTgdHomomorphism(
     size_t dep_index, const FlatConjunction& to) const {
-  const DepKernel& k = kernels_[dep_index];
-  std::vector<TermMap> out;
-  MatchPattern(k.body, to, TermMap(), [&](const TermMap& h) {
-    if (!PatternMatchExists(k.head, to, h)) out.push_back(h);
-    return true;
+  std::optional<TermMap> found;
+  ForEachApplicableTgdHomomorphism(dep_index, to, [&](const TermMap& h) {
+    found = h;
+    return false;
   });
-  return out;
+  return found;
 }
 
 std::optional<EgdApplication> SigmaPlan::FindEgdApplication(

@@ -5,15 +5,15 @@
 // it across every query: trigger join patterns for tgd bodies, firing-check
 // probes for tgd heads, egd merge schedules (body pattern + equation sides),
 // and the key-based classification of each tgd (Def 5.1), which the sound
-// chase otherwise re-derives per step. A SigmaPlan is immutable after
+// chase consults on every tgd step. A SigmaPlan is immutable after
 // Compile() and safe to share across threads; sqleqd caches one per catalog
 // next to the shared ChaseMemo.
 //
 // Kernels are positional: kernel i corresponds to sigma[i] of the
-// DependencySet handed to Compile(), and every invocation is the exact-order
-// equivalent of the matching chase_step.h generic (same homomorphisms, same
-// order — see the enumeration contract in chase/pattern.h), so compiled and
-// generic chase runs are trace-identical.
+// DependencySet handed to Compile(). They are the only matcher the chase
+// runs: every chase step, applicability check and assignment-fixing test
+// goes through them (chase/pattern.h fixes their enumeration order, which
+// is what makes chase traces deterministic).
 #ifndef SQLEQ_CHASE_SIGMA_PLAN_H_
 #define SQLEQ_CHASE_SIGMA_PLAN_H_
 
@@ -25,6 +25,7 @@
 #include "chase/pattern.h"
 #include "constraints/dependency.h"
 #include "ir/schema.h"
+#include "util/function_ref.h"
 
 namespace sqleq {
 
@@ -63,13 +64,23 @@ class SigmaPlan {
   const DepKernel& kernel(size_t dep_index) const { return kernels_[dep_index]; }
   Stats stats() const;
 
-  /// Exact-order equivalents of the chase_step.h generics, against an
-  /// indexed conjunction. `dep_index` is the dependency's position in the
-  /// compiled Σ.
+  /// Chase-step finders against an indexed conjunction. `dep_index` is the
+  /// dependency's position in the compiled Σ.
+  ///
+  /// ForEachApplicableTgdHomomorphism enumerates, in the pattern.h order,
+  /// the homomorphisms h: body(σ) → `to` under which the tgd chase applies
+  /// (h does not extend to the head); `fn` returning false stops it, which
+  /// lets the sound chase stop at the first admitted step. Returns true iff
+  /// the enumeration ran to exhaustion.
+  bool ForEachApplicableTgdHomomorphism(
+      size_t dep_index, const FlatConjunction& to,
+      FunctionRef<bool(const TermMap&)> fn) const;
+  /// The first applicable homomorphism, or nullopt.
   std::optional<TermMap> FindApplicableTgdHomomorphism(
       size_t dep_index, const FlatConjunction& to) const;
-  std::vector<TermMap> FindApplicableTgdHomomorphisms(
-      size_t dep_index, const FlatConjunction& to) const;
+  /// An h making the egd applicable (h(U1) ≠ h(U2)). If every such h
+  /// equates two distinct constants, the first failing application is
+  /// returned with failure=true. nullopt when the egd is satisfied.
   std::optional<EgdApplication> FindEgdApplication(size_t dep_index,
                                                    const FlatConjunction& to) const;
 

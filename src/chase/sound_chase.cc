@@ -1,17 +1,20 @@
 #include "chase/sound_chase.h"
 
+#include <algorithm>
+#include <iterator>
 #include <optional>
 #include <unordered_set>
 
-#include "analysis/sigma_graph.h"
 #include "chase/assignment_fixing.h"
 #include "chase/chase_internal.h"
+#include "chase/chase_plan.h"
 #include "chase/chase_step.h"
 #include "chase/chase_telemetry.h"
 #include "chase/checkpoint.h"
 #include "chase/flat_db.h"
 #include "chase/sigma_plan.h"
 #include "constraints/regularize.h"
+#include "constraints/weak_acyclicity.h"
 #include "util/fault.h"
 
 namespace sqleq {
@@ -30,35 +33,101 @@ ConjunctiveQuery DropDuplicates(const ConjunctiveQuery& q, Pred droppable) {
   return q.WithBody(std::move(body));
 }
 
-/// The atoms a tgd step with homomorphism `h` would genuinely add to `q`:
-/// instantiated head atoms minus exact duplicates of existing body atoms
-/// (re-adding an existing atom is a no-op under S/BS and is the Thm 4.1(2)
-/// duplicate-drop under B when the relation is set valued). `flat`, when
-/// non-null, indexes q's body and replaces the hash-set presence probe.
-std::vector<Atom> GenuinelyAddedAtoms(const ConjunctiveQuery& q, const Tgd& tgd,
-                                      const TermMap& h, Semantics semantics,
-                                      const Schema& schema, bool* out_unsound_dup,
-                                      const FlatConjunction* flat) {
-  *out_unsound_dup = false;
-  std::unordered_set<Atom, AtomHash> existing;
-  if (flat == nullptr) {
-    existing.insert(q.body().begin(), q.body().end());
-  }
+/// What decides whether a tgd step is taken: the semantics, and the Σ (with
+/// its kernels) the Def 4.3 assignment-fixing test chases under.
+struct StepRules {
+  Semantics semantics;
+  const Schema& schema;
+  const DependencySet& sigma;
+  const SigmaPlan& plan;
+  const ChaseOptions& options;
+};
+
+using AddedAtoms = std::optional<std::vector<Atom>>;
+
+/// The atoms a tgd step with homomorphism `h` adds to `q` (`flat` indexes
+/// its body), or nullopt when the semantics does not admit the step. The
+/// added atoms are the instantiated head minus atoms already in the body
+/// and repeats within the head; re-adding an existing atom is a no-op under
+/// S/BS and the Thm 4.1(2) duplicate drop under B, which is sound only for
+/// set-valued relations. Under S every applicable step is admitted. Under B
+/// every added atom must be set valued (Thm 4.1(1)), and under B and BS the
+/// step must be assignment-fixing (Thms 4.1/4.3, Def 4.3); `key_based`
+/// (Def 5.1) implies that without the test chase.
+Result<AddedAtoms> AdmitTgdStep(const ConjunctiveQuery& q, const FlatConjunction& flat,
+                                const Tgd& tgd, const TermMap& h, bool key_based,
+                                const StepRules& rules) {
+  const bool bag = rules.semantics == Semantics::kBag;
   std::vector<Atom> added;
   for (Atom& a : InstantiateTgdHead(tgd, h)) {
-    bool present =
-        flat != nullptr ? flat->ContainsAtom(a) : existing.count(a) > 0;
-    if (present) {
-      // Exact duplicate. Dropping it is sound under S/BS always and under B
-      // only for set-valued relations.
-      if (semantics == Semantics::kBag && !schema.IsSetValued(a.predicate())) {
-        *out_unsound_dup = true;
-      }
+    if (flat.ContainsAtom(a)) {
+      if (bag && !rules.schema.IsSetValued(a.predicate())) return AddedAtoms();
       continue;
     }
-    added.push_back(std::move(a));
+    if (std::find(added.begin(), added.end(), a) == added.end()) {
+      added.push_back(std::move(a));
+    }
   }
-  return added;
+  if (added.empty()) return AddedAtoms();  // cannot happen for applicable h
+  if (rules.semantics == Semantics::kSet) return AddedAtoms(std::move(added));
+  if (bag) {
+    for (const Atom& a : added) {
+      if (!rules.schema.IsSetValued(a.predicate())) return AddedAtoms();
+    }
+  }
+  if (!key_based) {
+    SQLEQ_ASSIGN_OR_RETURN(bool fixing, IsAssignmentFixing(q, tgd, h, rules.sigma,
+                                                           rules.plan, rules.options));
+    if (!fixing) return AddedAtoms();
+  }
+  return AddedAtoms(std::move(added));
+}
+
+/// The atoms of the first admitted step with kernel `di` of `kernels`
+/// (enumerated lazily, so later homomorphisms are never looked at), or
+/// nullopt when none is admitted. `*any_applicable`, when non-null, records
+/// whether some step applied at all.
+Result<AddedAtoms> FirstAdmittedTgdStep(const ConjunctiveQuery& q,
+                                        const FlatConjunction& flat,
+                                        const SigmaPlan& kernels, size_t di,
+                                        const Tgd& tgd, bool key_based,
+                                        const StepRules& rules,
+                                        bool* any_applicable = nullptr) {
+  Result<AddedAtoms> admitted = AddedAtoms();
+  kernels.ForEachApplicableTgdHomomorphism(di, flat, [&](const TermMap& h) {
+    if (any_applicable != nullptr) *any_applicable = true;
+    admitted = AdmitTgdStep(q, flat, tgd, h, key_based, rules);
+    return admitted.ok() && !admitted->has_value();
+  });
+  return admitted;
+}
+
+/// Runs the set-chase precondition of Thms 4.1/4.3 and Def 4.3 ((Q)Σ,S
+/// exists) for a B/BS chase. A probe checkpoint in `runtime.resume` resumes
+/// inside it (rewritten to the set-chase phase the inner loop understands,
+/// and back on capture).
+Status ProbeSetChase(const ConjunctiveQuery& q, const DependencySet& sigma,
+                     const SigmaPlan& plan, const Schema& schema,
+                     const ChaseOptions& options, const ChaseRuntime& runtime) {
+  ChaseRuntime probe_runtime = runtime;
+  probe_runtime.resume = nullptr;
+  std::optional<ChaseCheckpoint> probe_resume;
+  if (runtime.resume != nullptr &&
+      runtime.resume->phase == ChaseCheckpoint::kSetChaseProbePhase) {
+    probe_resume = *runtime.resume;
+    probe_resume->phase = ChaseCheckpoint::kSetChasePhase;
+    probe_runtime.resume = &*probe_resume;
+  }
+  std::optional<ChaseCheckpoint> probe_checkpoint;
+  probe_runtime.checkpoint_out = &probe_checkpoint;
+  Result<ChaseOutcome> probe = chase_internal::RunChase(
+      q, sigma, plan, Semantics::kSet, schema, options, probe_runtime);
+  if (probe.ok()) return Status::OK();
+  if (probe_checkpoint.has_value() && runtime.checkpoint_out != nullptr) {
+    probe_checkpoint->phase = ChaseCheckpoint::kSetChaseProbePhase;
+    *runtime.checkpoint_out = std::move(probe_checkpoint);
+  }
+  return probe.status();
 }
 
 }  // namespace
@@ -70,72 +139,41 @@ ConjunctiveQuery NormalizeForBag(const ConjunctiveQuery& q, const Schema& schema
 
 namespace chase_internal {
 
-Result<ChaseOutcome> SoundChaseRegular(const ConjunctiveQuery& q,
-                                       const DependencySet& regular,
-                                       const SigmaPlan* plan, Semantics semantics,
-                                       const Schema& schema,
-                                       const ChaseOptions& options,
-                                       const ChaseRuntime& runtime) {
-  if (semantics == Semantics::kSet) {
-    return SetChaseWithPlan(q, regular, plan, options, runtime);
-  }
-
-  const ChaseCheckpoint* resume = runtime.resume;
-  const bool resume_sound =
-      resume != nullptr && resume->phase == ChaseCheckpoint::kSoundChasePhase;
-
-  // Precondition of Thms 4.1/4.3 and Def 4.3: (Q)Σ,S exists. Fail fast. A
-  // sound-chase checkpoint implies the probe already passed; a probe
-  // checkpoint resumes inside it (rewritten to the set-chase phase the inner
-  // loop understands, and back on capture).
+Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& sigma,
+                              const SigmaPlan& plan, Semantics semantics,
+                              const Schema& schema, const ChaseOptions& options,
+                              const ChaseRuntime& runtime) {
+  const bool set = semantics == Semantics::kSet;
+  const char* phase =
+      set ? ChaseCheckpoint::kSetChasePhase : ChaseCheckpoint::kSoundChasePhase;
   ChaseCounters counters(runtime.metrics);
-  TraceSpan span(runtime.trace, "chase.sound");
+  TraceSpan span(runtime.trace, set ? "chase.set" : "chase.sound");
 
-  if (!resume_sound) {
-    ChaseRuntime probe_runtime;
-    probe_runtime.faults = runtime.faults;
-    probe_runtime.cancel = runtime.cancel;
-    probe_runtime.metrics = runtime.metrics;
-    probe_runtime.trace = runtime.trace;
-    probe_runtime.budget = runtime.budget;
-    std::optional<ChaseCheckpoint> probe_resume;
-    if (resume != nullptr &&
-        resume->phase == ChaseCheckpoint::kSetChaseProbePhase) {
-      probe_resume = *resume;
-      probe_resume->phase = ChaseCheckpoint::kSetChasePhase;
-      probe_runtime.resume = &*probe_resume;
-    }
-    std::optional<ChaseCheckpoint> probe_checkpoint;
-    probe_runtime.checkpoint_out = &probe_checkpoint;
-    Result<ChaseOutcome> probe = SetChaseWithPlan(q, regular, plan, options,
-                                                  probe_runtime);
-    if (!probe.ok()) {
-      if (probe_checkpoint.has_value() && runtime.checkpoint_out != nullptr) {
-        probe_checkpoint->phase = ChaseCheckpoint::kSetChaseProbePhase;
-        *runtime.checkpoint_out = std::move(probe_checkpoint);
-      }
-      return probe.status();
-    }
+  const ChaseCheckpoint* resume =
+      runtime.resume != nullptr && runtime.resume->phase == phase ? runtime.resume
+                                                                  : nullptr;
+  // A sound-chase checkpoint implies the probe already passed.
+  if (!set && resume == nullptr) {
+    SQLEQ_RETURN_IF_ERROR(ProbeSetChase(q, sigma, plan, schema, options, runtime));
   }
 
   auto normalize = [&](const ConjunctiveQuery& query) {
     if (semantics == Semantics::kBag) return NormalizeForBag(query, schema);
-    // Under BS duplicate atoms never affect semantics (Thm 2.1(2)).
+    // Under S and BS duplicate atoms never affect semantics (Thm 2.1(2)).
     return query.CanonicalRepresentation();
   };
 
   ChaseOutcome out{normalize(q), {}, false};
   size_t start = 0;
-  if (resume_sound) {
+  if (resume != nullptr) {
     out.result = resume->state;
     out.trace = resume->trace;
     start = resume->steps_done;
   }
   auto stop = [&](Status status, size_t steps_done) -> Status {
     if (runtime.checkpoint_out != nullptr && IsAnytimeStop(status)) {
-      *runtime.checkpoint_out =
-          ChaseCheckpoint{ChaseCheckpoint::kSoundChasePhase, /*subject=*/"",
-                          out.result, out.trace, steps_done};
+      *runtime.checkpoint_out = ChaseCheckpoint{phase, /*subject=*/"", out.result,
+                                                out.trace, steps_done};
     }
     return status;
   };
@@ -144,23 +182,22 @@ Result<ChaseOutcome> SoundChaseRegular(const ConjunctiveQuery& q,
   ChaseOptions effective = options;
   if (runtime.budget != nullptr) effective.budget = *runtime.budget;
   const ResourceBudget& budget = effective.budget;
+  const StepRules rules{semantics, schema, sigma, plan, effective};
   FlatConjunction flat;
   for (size_t step = start; step < budget.max_chase_steps; ++step) {
-    Status guard = budget.CheckDeadline("sound chase");
+    Status guard = budget.CheckDeadline(set ? "set chase" : "sound chase");
     if (guard.ok()) {
       guard = ProbeSite(runtime.faults, runtime.cancel, fault_sites::kChaseStep);
     }
     if (!guard.ok()) return stop(std::move(guard), step);
-    if (plan != nullptr) flat.Rebuild(out.result.body());
+    flat.Rebuild(out.result.body());
     bool applied = false;
 
     // Egd pass: egd steps are always sound (Thm 4.1(2) / 4.3(2)).
-    for (size_t di = 0; di < regular.size(); ++di) {
-      const Dependency& dep = regular[di];
+    for (size_t di = 0; di < sigma.size() && !applied; ++di) {
+      const Dependency& dep = sigma[di];
       if (!dep.IsEgd()) continue;
-      std::optional<EgdApplication> app =
-          plan != nullptr ? plan->FindEgdApplication(di, flat)
-                          : FindEgdApplication(out.result, dep.egd());
+      std::optional<EgdApplication> app = plan.FindEgdApplication(di, flat);
       if (!app.has_value()) {
         counters.Satisfied();
         continue;
@@ -175,66 +212,44 @@ Result<ChaseOutcome> SoundChaseRegular(const ConjunctiveQuery& q,
       out.trace.push_back({dep.label(), false, out.result.ToString()});
       counters.Fired(dep.label(), /*is_tgd=*/false);
       applied = true;
-      break;
     }
-    if (applied) continue;
 
-    // Tgd pass: only sound steps (Thm 4.1(1) / 4.3(1)).
-    for (size_t di = 0; di < regular.size(); ++di) {
-      const Dependency& dep = regular[di];
+    // Tgd pass: the first admitted step in Σ order.
+    for (size_t di = 0; di < sigma.size() && !applied; ++di) {
+      const Dependency& dep = sigma[di];
       if (!dep.IsTgd()) continue;
-      const Tgd& tgd = dep.tgd();
-      std::vector<TermMap> hs =
-          plan != nullptr ? plan->FindApplicableTgdHomomorphisms(di, flat)
-                          : FindApplicableTgdHomomorphisms(out.result, tgd);
-      for (const TermMap& h : hs) {
-        bool unsound_dup = false;
-        std::vector<Atom> added =
-            GenuinelyAddedAtoms(out.result, tgd, h, semantics, schema, &unsound_dup,
-                                plan != nullptr ? &flat : nullptr);
-        if (unsound_dup) continue;
-        if (added.empty()) continue;  // cannot happen for applicable h; guard anyway
-        if (semantics == Semantics::kBag) {
-          bool all_set_valued = true;
-          for (const Atom& a : added) {
-            if (!schema.IsSetValued(a.predicate())) {
-              all_set_valued = false;
-              break;
-            }
-          }
-          if (!all_set_valued) continue;
-        }
-        // Key-based ⇒ assignment-fixing (§5.1): try the cheap test first.
-        // The plan caches the per-tgd Def 5.1 classification.
-        bool require_set_valued = semantics == Semantics::kBag;
-        bool fixing = effective.key_based_fast_path &&
-                      (plan != nullptr
-                           ? plan->KeyBased(di, require_set_valued)
-                           : IsKeyBased(tgd, regular, schema, require_set_valued));
-        if (!fixing) {
-          SQLEQ_ASSIGN_OR_RETURN(
-              fixing,
-              IsAssignmentFixing(out.result, tgd, h, regular, effective, plan));
-        }
-        if (!fixing) continue;
-        std::vector<Atom> body = out.result.body();
-        for (Atom& a : added) body.push_back(std::move(a));
-        out.result = normalize(out.result.WithBody(std::move(body)));
-        out.trace.push_back({dep.label(), true, out.result.ToString()});
-        counters.Fired(dep.label(), /*is_tgd=*/true);
-        applied = true;
-        break;
+      // Key-based ⇒ assignment-fixing (§5.1); the plan caches Def 5.1.
+      const bool key_based =
+          effective.key_based_fast_path && plan.KeyBased(di, semantics == Semantics::kBag);
+      SQLEQ_ASSIGN_OR_RETURN(
+          AddedAtoms added,
+          FirstAdmittedTgdStep(out.result, flat, plan, di, dep.tgd(), key_based, rules));
+      if (!added.has_value()) {
+        counters.Satisfied();
+        continue;
       }
-      if (applied) break;
-      counters.Satisfied();
+      // Admitted atoms are new and pairwise distinct, so the result stays
+      // normalized without another pass.
+      std::vector<Atom> body = out.result.body();
+      body.insert(body.end(), std::make_move_iterator(added->begin()),
+                  std::make_move_iterator(added->end()));
+      out.result = out.result.WithBody(std::move(body));
+      out.trace.push_back({dep.label(), true, out.result.ToString()});
+      counters.Fired(dep.label(), /*is_tgd=*/true);
+      applied = true;
     }
-    if (!applied) return out;  // no sound step applies — terminal.
+    if (!applied) return out;  // no admitted step applies — terminal.
   }
-  return stop(Status::ResourceExhausted(
-                  "sound chase exceeded " +
-                  std::to_string(budget.max_chase_steps) +
-                  " steps (ResourceBudget::max_chase_steps)"),
-              budget.max_chase_steps);
+  std::string message = std::string(set ? "set" : "sound") + " chase exceeded " +
+                        std::to_string(budget.max_chase_steps) +
+                        " steps (ResourceBudget::max_chase_steps)";
+  if (set) {
+    message += IsWeaklyAcyclic(sigma)
+                   ? "; Σ is weakly acyclic, so raising the budget will "
+                     "terminate (Thm H.1)"
+                   : "; Σ is NOT weakly acyclic — the chase may diverge";
+  }
+  return stop(Status::ResourceExhausted(std::move(message)), budget.max_chase_steps);
 }
 
 }  // namespace chase_internal
@@ -243,83 +258,49 @@ Result<ChaseOutcome> SoundChase(const ConjunctiveQuery& q, const DependencySet& 
                                 Semantics semantics, const Schema& schema,
                                 const ChaseOptions& options,
                                 const ChaseRuntime& runtime) {
-  DependencySet regular = RegularizeSigma(sigma);
-  if (options.use_sigma_slicing) {
-    // Per-call slicing mirrors ChasePlan::Run so the two surfaces stay
-    // trace-identical under identical options. SigmaGraph::Build is cheap
-    // (certificate derivation is the expensive part and is not needed here).
-    SigmaGraph graph = SigmaGraph::Build(regular, schema);
-    SigmaSlice slice = graph.SliceFor(q.body());
-    if (runtime.metrics != nullptr) {
-      runtime.metrics->counter(metric::kSliceKept).Add(slice.kept.size());
-      runtime.metrics->counter(metric::kSlicePruned).Add(slice.pruned.size());
-    }
-    if (!slice.IsFull()) {
-      DependencySet sliced;
-      sliced.reserve(slice.kept.size());
-      for (size_t i : slice.kept) sliced.push_back(regular[i]);
-      if (options.use_compiled_kernels) {
-        // Subset of the full compile, not a fresh compile of the subset:
-        // keeps the cached key-based flags bit-identical to the full path.
-        SigmaPlan plan = SigmaPlan::Compile(regular, schema).Subset(slice.kept);
-        return chase_internal::SoundChaseRegular(q, sliced, &plan, semantics,
-                                                 schema, options, runtime);
-      }
-      return chase_internal::SoundChaseRegular(q, sliced, nullptr, semantics,
-                                               schema, options, runtime);
-    }
-  }
-  if (options.use_compiled_kernels) {
-    // Per-call adapter: compile a throwaway plan. Callers with a fixed Σ
-    // should hold a ChasePlan instead and pay regularization + kernel
-    // compilation once.
-    SigmaPlan plan = SigmaPlan::Compile(regular, schema);
-    return chase_internal::SoundChaseRegular(q, regular, &plan, semantics, schema,
-                                             options, runtime);
-  }
-  return chase_internal::SoundChaseRegular(q, regular, nullptr, semantics, schema,
-                                           options, runtime);
+  return ChasePlan(sigma, semantics, schema, options).Run(q, runtime);
 }
 
 Result<StepAvailability> ClassifyStep(const ConjunctiveQuery& q, const Dependency& dep,
                                       const DependencySet& sigma, Semantics semantics,
                                       const Schema& schema, const ChaseOptions& options) {
   DependencySet regular = RegularizeSigma(sigma);
+  FlatConjunction flat(q.body());
   if (dep.IsEgd()) {
-    std::optional<EgdApplication> app = FindEgdApplication(q, dep.egd());
-    if (!app.has_value()) return StepAvailability::kNotApplicable;
+    SigmaPlan kernel = SigmaPlan::Compile({dep});
+    if (!kernel.FindEgdApplication(0, flat).has_value()) {
+      return StepAvailability::kNotApplicable;
+    }
     return StepAvailability::kSoundApplicable;  // egd steps are always sound
   }
   // A non-regularized tgd is classified through its regularized set: it is
   // (un)soundly applicable when some piece is.
-  std::vector<Tgd> pieces = RegularizeTgd(dep.tgd());
-  bool any_applicable = false;
-  for (const Tgd& tgd : pieces) {
-    for (const TermMap& h : FindApplicableTgdHomomorphisms(q, tgd)) {
-      any_applicable = true;
-      if (semantics == Semantics::kSet) return StepAvailability::kSoundApplicable;
-      bool unsound_dup = false;
-      std::vector<Atom> added = GenuinelyAddedAtoms(q, tgd, h, semantics, schema,
-                                                    &unsound_dup, /*flat=*/nullptr);
-      if (unsound_dup || added.empty()) continue;
-      if (semantics == Semantics::kBag) {
-        bool all_set_valued = true;
-        for (const Atom& a : added) {
-          if (!schema.IsSetValued(a.predicate())) {
-            all_set_valued = false;
-            break;
-          }
-        }
-        if (!all_set_valued) continue;
+  DependencySet pieces;
+  for (Tgd& piece : RegularizeTgd(dep.tgd())) {
+    pieces.push_back(Dependency::FromTgd(std::move(piece)));
+  }
+  SigmaPlan piece_kernels = SigmaPlan::Compile(pieces);
+  if (semantics == Semantics::kSet) {
+    for (size_t i = 0; i < pieces.size(); ++i) {
+      if (piece_kernels.FindApplicableTgdHomomorphism(i, flat).has_value()) {
+        return StepAvailability::kSoundApplicable;
       }
-      bool fixing = options.key_based_fast_path &&
-                    IsKeyBased(tgd, regular, schema,
-                               /*require_set_valued=*/semantics == Semantics::kBag);
-      if (!fixing) {
-        SQLEQ_ASSIGN_OR_RETURN(fixing, IsAssignmentFixing(q, tgd, h, regular, options));
-      }
-      if (fixing) return StepAvailability::kSoundApplicable;
     }
+    return StepAvailability::kNotApplicable;
+  }
+  SigmaPlan plan = SigmaPlan::Compile(regular, schema);
+  const StepRules rules{semantics, schema, regular, plan, options};
+  bool any_applicable = false;
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    const Tgd& tgd = pieces[i].tgd();
+    const bool key_based =
+        options.key_based_fast_path &&
+        IsKeyBased(tgd, regular, schema,
+                   /*require_set_valued=*/semantics == Semantics::kBag);
+    SQLEQ_ASSIGN_OR_RETURN(AddedAtoms added,
+                           FirstAdmittedTgdStep(q, flat, piece_kernels, i, tgd,
+                                                key_based, rules, &any_applicable));
+    if (added.has_value()) return StepAvailability::kSoundApplicable;
   }
   return any_applicable ? StepAvailability::kUnsoundOnly
                         : StepAvailability::kNotApplicable;

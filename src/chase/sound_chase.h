@@ -11,6 +11,10 @@
 // The result exists, is reached in finite time whenever set chase of Q
 // terminates (Prop 5.1), and is unique up to the semantics' equivalence
 // (Thm 5.1 / G.1).
+//
+// sound_chase.cc holds the one chase step loop of the library
+// (chase/chase_internal.h), which runs set chase too: under S every
+// applicable step is sound.
 #ifndef SQLEQ_CHASE_SOUND_CHASE_H_
 #define SQLEQ_CHASE_SOUND_CHASE_H_
 
@@ -28,9 +32,10 @@ namespace sqleq {
 /// kept — they carry multiplicity.
 ConjunctiveQuery NormalizeForBag(const ConjunctiveQuery& q, const Schema& schema);
 
-/// Computes the sound chase result (Q)Σ,X for X ∈ {S, B, BS}. Σ is
-/// regularized internally (Prop 4.1 makes this lossless); kSet dispatches to
-/// SetChase. `schema` supplies the set-valued flags consulted under kBag
+/// Computes the sound chase result (Q)Σ,X for X ∈ {S, B, BS}: exactly
+/// ChasePlan(sigma, semantics, schema, options).Run(q, runtime), so Σ is
+/// regularized (Prop 4.1 makes this lossless) and Σ-sliced for q per call.
+/// `schema` supplies the set-valued flags consulted under kBag
 /// (ignored under kSet/kBagSet). Fails with ResourceExhausted when set
 /// chase does not terminate within the step budget — the precondition of
 /// every theorem this implements. `runtime` carries the per-call anytime
@@ -50,8 +55,9 @@ enum class StepAvailability {
   kUnsoundOnly,      ///< applicable, but every applicable step is unsound.
 };
 
-/// Classifies σ against `q` under `semantics` (Thms 4.1/4.3). Under kSet
-/// every applicable step is sound.
+/// Classifies σ against `q` under `semantics` (Thms 4.1/4.3), with the same
+/// admission rules as the chase loop. Under kSet every applicable step is
+/// sound.
 Result<StepAvailability> ClassifyStep(const ConjunctiveQuery& q, const Dependency& dep,
                                       const DependencySet& sigma, Semantics semantics,
                                       const Schema& schema,

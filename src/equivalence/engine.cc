@@ -23,10 +23,10 @@ std::string ContextKey(const EquivRequest& request, const ChaseOptions& chase) {
   key += '\n';
   key += request.schema.ToString();
   key += '\n';
-  key += chase.egds_first ? "E" : "e";
-  key += chase.key_based_fast_path ? "K" : "k";
-  key += chase.use_compiled_kernels ? "C" : "c";
-  key += chase.use_sigma_slicing ? "S" : "s";
+  // E, C, S: removed always-on chase flags, kept so older memo keys still hit.
+  key += 'E';
+  key += chase.key_based_fast_path ? 'K' : 'k';
+  key += "CS";
   return key;
 }
 
@@ -279,11 +279,9 @@ EquivalenceEngine::CacheStats EquivalenceEngine::cache_stats() const {
     out.hits += s.hits;
     out.misses += s.misses;
     out.entries += s.entries;
-    ChasePlan::Stats plan = memo->plan().stats();
-    if (plan.compiled_path) {
-      out.compiled_kernels += plan.kernels.tgd_kernels + plan.kernels.egd_kernels;
-      out.pattern_atoms += plan.kernels.pattern_atoms;
-    }
+    SigmaPlan::Stats kernels = memo->plan().stats().kernels;
+    out.compiled_kernels += kernels.tgd_kernels + kernels.egd_kernels;
+    out.pattern_atoms += kernels.pattern_atoms;
   }
   return out;
 }

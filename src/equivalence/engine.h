@@ -155,8 +155,7 @@ class EquivalenceEngine {
     size_t entries = 0;
     size_t contexts = 0;
     /// Compiled step kernels (tgd + egd) across the contexts' ChasePlans,
-    /// and the pattern atoms they precompiled — zero when every context runs
-    /// with use_compiled_kernels = false.
+    /// and the pattern atoms they precompiled.
     size_t compiled_kernels = 0;
     size_t pattern_atoms = 0;
   };

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "chase/chase_step.h"
+#include "chase/sigma_plan.h"
+#include "matcher_oracle.h"
 #include "test_util.h"
 
 namespace sqleq {
@@ -103,7 +105,8 @@ TEST(AssignmentFixing, FullTgdAlwaysFixing) {
   ConjunctiveQuery q = Q("Q(X) :- p(X, Y).");
   std::optional<TermMap> h = FindApplicableTgdHomomorphism(q, sigma[0].tgd());
   ASSERT_TRUE(h.has_value());
-  EXPECT_TRUE(Unwrap(IsAssignmentFixing(q, sigma[0].tgd(), *h, sigma)));
+  EXPECT_TRUE(Unwrap(
+      IsAssignmentFixing(q, sigma[0].tgd(), *h, sigma, SigmaPlan::Compile(sigma))));
 }
 
 TEST(AssignmentFixing, KeyOnHeadRelationMakesFixing) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "matcher_oracle.h"
 #include "test_util.h"
 
 namespace sqleq {

@@ -7,6 +7,8 @@
 // from it finishes the interrupted run exactly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -185,6 +187,69 @@ TEST(ChaseCheckpointTest, DeserializeRejectsMalformedInput) {
   std::string text = cp->Serialize();
   text.insert(text.rfind("end\n"), "bogus keyline\n");
   EXPECT_FALSE(ChaseCheckpoint::Deserialize(text).ok());
+}
+
+TEST(ChaseCheckpointTest, GoldenBytesDecodeAndReencodeIdentically) {
+  // Fixed bytes of the v1 format, one line per key: a sound-chase phase, an
+  // escaped subject, fresh variables, integer and string constants at the
+  // int64 edges, and one tgd plus one failing egd trace line.
+  const std::string golden =
+      "sqleq-chase-checkpoint v1\n"
+      "phase sound-chase\n"
+      "subject H?0;|p(?0,?1)\\tx\n"
+      "steps 3\n"
+      "state Q:P\tH\tV:X\tA:p\tV:X\tV:Y\tA:s\tV:X\tV:v#7"
+      "\tA:t\tV:X\tI:9223372036854775807\tS:a\\tb\n"
+      "trace sigma1\t1\tP(X) :- p(X, Y), s(X, v#7).\n"
+      "trace sigma7\t0\tFAIL: 1 = 2\n"
+      "end\n";
+  ChaseCheckpoint cp = Unwrap(ChaseCheckpoint::Deserialize(golden), "golden");
+  EXPECT_EQ(cp.phase, ChaseCheckpoint::kSoundChasePhase);
+  EXPECT_EQ(cp.subject, "H?0;|p(?0,?1)\tx");
+  EXPECT_EQ(cp.steps_done, 3u);
+  ASSERT_EQ(cp.trace.size(), 2u);
+  EXPECT_FALSE(cp.trace[1].is_tgd);
+  EXPECT_EQ(cp.Serialize(), golden);
+  for (const char* phase : {ChaseCheckpoint::kSetChasePhase,
+                            ChaseCheckpoint::kSetChaseProbePhase}) {
+    std::string text = golden;
+    text.replace(text.find("sound-chase"), 11, phase);
+    EXPECT_EQ(Unwrap(ChaseCheckpoint::Deserialize(text)).Serialize(), text);
+  }
+}
+
+TEST(ChaseCheckpointTest, IntegerConstantsRoundTripAtTheInt64Edges) {
+  for (int64_t v : {std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max(), int64_t{0}, int64_t{-1}}) {
+    ConjunctiveQuery q = ConjunctiveQuery::Make("Q", {Term::Var("X")},
+                                                {Atom("p", {Term::Var("X"), Term::Int(v)})});
+    std::string line = SerializeQuery(q);
+    EXPECT_NE(line.find("I:" + std::to_string(v)), std::string::npos) << line;
+    ConjunctiveQuery back = Unwrap(DeserializeQuery(line), "DeserializeQuery");
+    EXPECT_EQ(back.ToString(), q.ToString());
+    EXPECT_EQ(SerializeQuery(back), line);
+  }
+}
+
+TEST(ChaseCheckpointTest, OverflowingIntegersAreInvalidArguments) {
+  for (const char* token :
+       {"I:99999999999999999999", "I:9223372036854775808",
+        "I:-9223372036854775809", "I:", "I:-", "I:+5", "I:12a"}) {
+    Result<ConjunctiveQuery> q =
+        DeserializeQuery(std::string("Q:P\tH\tV:X\tA:p\tV:X\t") + token);
+    ASSERT_FALSE(q.ok()) << token;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << token;
+  }
+  std::optional<ChaseCheckpoint> cp = CaptureChaseCheckpoint(1);
+  ASSERT_TRUE(cp.has_value());
+  std::string text = cp->Serialize();
+  size_t at = text.find("steps ");
+  ASSERT_NE(at, std::string::npos);
+  // 2^64 + 5 used to wrap to 5.
+  text.replace(at, text.find('\n', at) - at, "steps 18446744073709551621");
+  Result<ChaseCheckpoint> overflowed = ChaseCheckpoint::Deserialize(text);
+  ASSERT_FALSE(overflowed.ok());
+  EXPECT_EQ(overflowed.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---- BackchaseCheckpoint ----

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "chase/set_chase.h"
+#include "equivalence/engine.h"
 #include "test_util.h"
 #include "util/fault.h"
 #include "util/telemetry.h"
@@ -338,6 +339,62 @@ TEST(MemoStore, ChaseOutcomeBodyRoundtrip) {
 
   EXPECT_FALSE(ParseChaseOutcomeBody("not a record").ok());
   EXPECT_FALSE(ParseChaseOutcomeBody("failed 0\nresult Q\n").ok());
+}
+
+TEST(MemoStore, ChaseOutcomeGoldenBytesDecodeAndReencodeIdentically) {
+  // Fixed bytes of the record body format, for a live and a failed chase.
+  const std::string live =
+      "failed 0\n"
+      "result Q:P\tH\tV:X\tA:p\tV:X\tI:9223372036854775807\tA:s\tV:X\tV:v#3\n"
+      "trace sigma1\t1\tP(X) :- p(X, 9223372036854775807), s(X, v#3).\n"
+      "end\n";
+  const std::string failed =
+      "failed 1\n"
+      "result Q:P\tH\tV:X\tA:p\tV:X\tS:a\\nb\n"
+      "trace sigma2\t0\tFAIL: 1 = 2\n"
+      "end\n";
+  for (const std::string& golden : {live, failed}) {
+    ChaseOutcome outcome = Unwrap(ParseChaseOutcomeBody(golden), "golden");
+    EXPECT_EQ(SerializeChaseOutcomeBody(outcome), golden);
+  }
+  EXPECT_TRUE(Unwrap(ParseChaseOutcomeBody(failed)).failed);
+}
+
+TEST(MemoStore, ChaseOutcomeBodyRejectsBadFlagsAndOverflow) {
+  const std::string rest = "result Q:P\tH\tV:X\tA:p\tV:X\nend\n";
+  EXPECT_TRUE(ParseChaseOutcomeBody("failed 1\n" + rest).ok());
+  for (const char* flag : {"failed 2\n", "failed yes\n", "failed 10\n", "failed \n"}) {
+    Result<ChaseOutcome> parsed = ParseChaseOutcomeBody(flag + rest);
+    ASSERT_FALSE(parsed.ok()) << flag;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << flag;
+  }
+  Result<ChaseOutcome> overflowed = ParseChaseOutcomeBody(
+      "failed 0\nresult Q:P\tH\tV:X\tA:p\tV:X\tI:99999999999999999999\nend\n");
+  ASSERT_FALSE(overflowed.ok());
+  EXPECT_EQ(overflowed.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(MemoStore, EngineContextPrefixIsStable) {
+  // Durable segments and peer-tier keys name their chase context by a hash
+  // of the engine's context fingerprint. These keys were written by the
+  // build that still had per-run chase flags in the fingerprint; they must
+  // keep hitting.
+  std::shared_ptr<MemoStore> store = MustOpen(DirOptions(TempDir()));
+  EquivalenceEngine engine;
+  engine.set_memo_store(store);
+  Schema schema;
+  schema.Relation("p", 2).Relation("r", 1);
+  EquivRequest request(Semantics::kSet, testing::Sigma({"p(X, Y) -> r(X)."}), schema);
+  EquivVerdict verdict = Unwrap(
+      engine.Equivalent(Q("Q1(X) :- p(X, Y)."), Q("Q2(X) :- p(X, Y), r(X)."), request));
+  EXPECT_TRUE(verdict.equivalent);
+  const std::string prefix = "ctx:dc9f8cdb92b8b856|";
+  std::optional<std::string> sentinel = Unwrap(store->Get(prefix + "@context"));
+  ASSERT_TRUE(sentinel.has_value());
+  EXPECT_EQ(*sentinel, "S\n[sigma1] p(X, Y) -> r(X)\n\np(c0, c1)\nr(c0)\n\nEKCS");
+  EXPECT_TRUE(Unwrap(store->Get(prefix + "H?0;|p(?0,?1)|slice:1/1:1")).has_value());
+  EXPECT_TRUE(
+      Unwrap(store->Get(prefix + "H?0;|p(?0,?1)|r(?0)|slice:1/1:1")).has_value());
 }
 
 }  // namespace

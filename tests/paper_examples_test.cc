@@ -14,6 +14,7 @@
 #include "equivalence/bag_equivalence.h"
 #include "equivalence/isomorphism.h"
 #include "equivalence/sigma_equivalence.h"
+#include "matcher_oracle.h"
 #include "test_util.h"
 
 namespace sqleq {

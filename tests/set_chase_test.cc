@@ -115,15 +115,6 @@ TEST(SetChase, TransitiveTgdCascade) {
   EXPECT_EQ(out.trace.size(), 3u);
 }
 
-TEST(SetChase, EgdsLastOptionStillTerminates) {
-  ConjunctiveQuery q = Q("Q(X) :- s(X, Y), s(X, Z).");
-  DependencySet sigma = Sigma({"s(A, B), s(A, C) -> B = C."});
-  ChaseOptions options;
-  options.egds_first = false;
-  ChaseOutcome out = Unwrap(SetChase(q, sigma, options));
-  EXPECT_EQ(out.result.body().size(), 1u);
-}
-
 TEST(SetChase, TraceRecordsLabels) {
   ConjunctiveQuery q = Q("Q(X) :- p(X, Y).");
   DependencySet sigma = Sigma({"p(X, Y) -> r(X)."});

@@ -1,10 +1,10 @@
 // Randomized conservativity suite for query-aware Σ-slicing
-// (analysis/sigma_graph.h): chasing with ChaseOptions::use_sigma_slicing on
-// must be STEP-FOR-STEP identical to chasing the full Σ — same trace
-// records, same final query, same failed flag, same statuses, same
-// checkpoints — under all three semantics, on both the compiled-kernel and
-// generic paths, through ChasePlan and the free SoundChase, and under fault
-// injection. The slice only removes dependencies that can never fire, so
+// (analysis/sigma_graph.h): ChasePlan::Run, which chases only the query's
+// Σ-slice, must be STEP-FOR-STEP identical to ChasePlan::RunFull, which
+// chases the whole regularized Σ — same trace records, same final query,
+// same failed flag, same statuses, same checkpoints — under all three
+// semantics, through ChasePlan and the free SoundChase, under fault
+// injection, and through whole C&B runs. The slice only removes dependencies that can never fire, so
 // every observable of the run must be untouched; these are equality
 // assertions in the chase_plan_property_test style, not up-to-isomorphism
 // ones. The dependency pool deliberately mixes the connected p/r/s/t
@@ -22,6 +22,7 @@
 #include "chase/checkpoint.h"
 #include "chase/set_chase.h"
 #include "chase/sound_chase.h"
+#include "equivalence/engine.h"
 #include "reformulation/candb.h"
 #include "ir/term.h"
 #include "util/fault.h"
@@ -82,13 +83,15 @@ const std::vector<std::string>& IrrelevantPool() {
 }
 
 /// 1–4 connected plus 0–3 irrelevant dependencies, shuffled together so
-/// slice indices interleave.
-DependencySet RandomSigma(Rng* rng) {
+/// slice indices interleave. `connected_only`, when non-null, receives the
+/// same Σ without the irrelevant dependencies.
+DependencySet RandomSigma(Rng* rng, DependencySet* connected_only = nullptr) {
   std::vector<std::string> picked;
   size_t connected = static_cast<size_t>(rng->UniformInt(1, 4));
   for (size_t i = 0; i < connected; ++i) {
     picked.push_back(ConnectedPool()[rng->Index(ConnectedPool().size())]);
   }
+  if (connected_only != nullptr) *connected_only = Sigma(picked);
   size_t irrelevant = static_cast<size_t>(rng->UniformInt(0, 3));
   for (size_t i = 0; i < irrelevant; ++i) {
     size_t at = static_cast<size_t>(rng->Index(picked.size() + 1));
@@ -98,17 +101,9 @@ DependencySet RandomSigma(Rng* rng) {
   return Sigma(picked);
 }
 
-ChaseOptions SlicedOptions(bool compiled, size_t max_steps = 64) {
+ChaseOptions Options(size_t max_steps = 64) {
   ChaseOptions options;
   options.budget.max_chase_steps = max_steps;
-  options.use_compiled_kernels = compiled;
-  options.use_sigma_slicing = true;
-  return options;
-}
-
-ChaseOptions FullOptions(bool compiled, size_t max_steps = 64) {
-  ChaseOptions options = SlicedOptions(compiled, max_steps);
-  options.use_sigma_slicing = false;
   return options;
 }
 
@@ -136,7 +131,7 @@ void ExpectIdenticalOutcome(const Result<ChaseOutcome>& sliced,
   }
 }
 
-// ---- Free SoundChase, all semantics, compiled and generic -------------
+// ---- Free SoundChase, all semantics ----------------------------------
 
 TEST_P(SeededTest, SoundChaseSlicedMatchesFullUnderAllSemantics) {
   Rng rng(GetParam() + 100);
@@ -145,21 +140,15 @@ TEST_P(SeededTest, SoundChaseSlicedMatchesFullUnderAllSemantics) {
   for (int round = 0; round < 8; ++round) {
     ConjunctiveQuery q = RandomQuery(query_schema, rng.UniformInt(1, 4), 4, &rng);
     DependencySet sigma = RandomSigma(&rng);
-    for (bool compiled : {true, false}) {
-      for (Semantics sem :
-           {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
-        Term::ResetFreshCounterForTesting();
-        Result<ChaseOutcome> sliced =
-            SoundChase(q, sigma, sem, schema, SlicedOptions(compiled));
-        Term::ResetFreshCounterForTesting();
-        Result<ChaseOutcome> full =
-            SoundChase(q, sigma, sem, schema, FullOptions(compiled));
-        ExpectIdenticalOutcome(
-            sliced, full,
-            std::string(compiled ? "compiled " : "generic ") +
-                SemanticsToString(sem) + " " + q.ToString() + " under " +
-                SigmaToString(sigma));
-      }
+    for (Semantics sem :
+         {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
+      Term::ResetFreshCounterForTesting();
+      Result<ChaseOutcome> sliced = SoundChase(q, sigma, sem, schema, Options());
+      Term::ResetFreshCounterForTesting();
+      Result<ChaseOutcome> full = ChasePlan(sigma, sem, schema, Options()).RunFull(q);
+      ExpectIdenticalOutcome(sliced, full,
+                             std::string(SemanticsToString(sem)) + " " +
+                                 q.ToString() + " under " + SigmaToString(sigma));
     }
   }
 }
@@ -176,11 +165,11 @@ TEST_P(SeededTest, ChasePlanSlicedMatchesFull) {
     for (Semantics sem :
          {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
       Term::ResetFreshCounterForTesting();
-      ChasePlan sliced_plan(sigma, sem, schema, SlicedOptions(true));
+      ChasePlan sliced_plan(sigma, sem, schema, Options());
       Result<ChaseOutcome> sliced = sliced_plan.Run(q);
       Term::ResetFreshCounterForTesting();
-      ChasePlan full_plan(sigma, sem, schema, FullOptions(true));
-      Result<ChaseOutcome> full = full_plan.Run(q);
+      ChasePlan full_plan(sigma, sem, schema, Options());
+      Result<ChaseOutcome> full = full_plan.RunFull(q);
       ExpectIdenticalOutcome(sliced, full,
                              std::string("plan ") + SemanticsToString(sem) +
                                  " " + q.ToString() + " under " +
@@ -202,29 +191,32 @@ TEST_P(SeededTest, InjectedFaultsStopSlicedAndFullIdentically) {
     spec.kind = FaultKind::kExhausted;
     spec.start = static_cast<uint64_t>(rng.UniformInt(1, 4));
 
-    auto run = [&](const ChaseOptions& options)
-        -> std::pair<Result<ChaseOutcome>, std::string> {
-      Term::ResetFreshCounterForTesting();
-      FaultInjector faults(7);  // fresh injector per run: same schedule
-      faults.Arm(fault_sites::kChaseStep, spec);
-      ChaseRuntime runtime;
-      runtime.faults = &faults;
-      std::optional<ChaseCheckpoint> checkpoint;
-      runtime.checkpoint_out = &checkpoint;
-      Result<ChaseOutcome> outcome =
-          SoundChase(q, sigma, Semantics::kSet, schema, options, runtime);
-      std::string serialized =
-          checkpoint.has_value() ? checkpoint->Serialize() : "";
-      return {std::move(outcome), std::move(serialized)};
-    };
-    auto [sliced, sliced_cp] = run(SlicedOptions(true));
-    auto [full, full_cp] = run(FullOptions(true));
-    ExpectIdenticalOutcome(sliced, full,
-                           "faulted " + q.ToString() + " under " +
-                               SigmaToString(sigma));
-    // The slice never fires, checks, or renames anything the full run
-    // would not: the captured resume state is byte-identical too.
-    EXPECT_EQ(sliced_cp, full_cp);
+    for (Semantics sem :
+         {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
+      auto run = [&](bool sliced) -> std::pair<Result<ChaseOutcome>, std::string> {
+        Term::ResetFreshCounterForTesting();
+        ChasePlan plan(sigma, sem, schema, Options());
+        FaultInjector faults(7);  // fresh injector per run: same schedule
+        faults.Arm(fault_sites::kChaseStep, spec);
+        ChaseRuntime runtime;
+        runtime.faults = &faults;
+        std::optional<ChaseCheckpoint> checkpoint;
+        runtime.checkpoint_out = &checkpoint;
+        Result<ChaseOutcome> outcome =
+            sliced ? plan.Run(q, runtime) : plan.RunFull(q, runtime);
+        std::string serialized =
+            checkpoint.has_value() ? checkpoint->Serialize() : "";
+        return {std::move(outcome), std::move(serialized)};
+      };
+      auto [sliced, sliced_cp] = run(true);
+      auto [full, full_cp] = run(false);
+      ExpectIdenticalOutcome(sliced, full,
+                             std::string("faulted ") + SemanticsToString(sem) + " " +
+                                 q.ToString() + " under " + SigmaToString(sigma));
+      // The slice never fires, checks, or renames anything the full run
+      // would not: the captured resume state is byte-identical too.
+      EXPECT_EQ(sliced_cp, full_cp);
+    }
   }
 }
 
@@ -233,24 +225,27 @@ TEST_P(SeededTest, InjectedFaultsStopSlicedAndFullIdentically) {
 // ChaseAndBackchase pins the universal plan's slice for every backchase
 // candidate (a sub-conjunction of U, so U's slice is sound for it). The
 // whole pipeline — universal plan, confirmed reformulations, candidate
-// accounting — must be identical with slicing on and off.
+// accounting — must be identical to a run over Σ with the irrelevant
+// dependencies removed outright, and every reformulation must be
+// equivalent to the query by the unsliced chase (RunFull).
 TEST_P(SeededTest, CandBPinnedEnvelopeMatchesFull) {
   Rng rng(GetParam() + 400);
   Schema query_schema = QuerySchema();
   Schema schema = FullSchema();
   for (int round = 0; round < 4; ++round) {
     ConjunctiveQuery q = RandomQuery(query_schema, rng.UniformInt(1, 3), 4, &rng);
-    DependencySet sigma = RandomSigma(&rng);
+    DependencySet connected;
+    DependencySet sigma = RandomSigma(&rng, &connected);
     for (Semantics sem :
          {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
-      auto run = [&](bool sliced) -> Result<CandBResult> {
+      auto run = [&](const DependencySet& deps) -> Result<CandBResult> {
         Term::ResetFreshCounterForTesting();
         CandBOptions options;
-        options.chase = sliced ? SlicedOptions(true) : FullOptions(true);
-        return ChaseAndBackchase(q, sigma, sem, schema, options);
+        options.chase = Options();
+        return ChaseAndBackchase(q, deps, sem, schema, options);
       };
-      Result<CandBResult> sliced = run(true);
-      Result<CandBResult> full = run(false);
+      Result<CandBResult> sliced = run(sigma);
+      Result<CandBResult> full = run(connected);
       std::string context = std::string("candb ") + SemanticsToString(sem) +
                             " " + q.ToString() + " under " +
                             SigmaToString(sigma);
@@ -271,6 +266,17 @@ TEST_P(SeededTest, CandBPinnedEnvelopeMatchesFull) {
       }
       EXPECT_EQ(sliced->candidates_examined, full->candidates_examined)
           << context;
+
+      ChasePlan reference(sigma, sem, schema, Options());
+      Result<ChaseOutcome> chased_q = reference.RunFull(q);
+      if (!chased_q.ok() || chased_q->failed) continue;
+      for (const ConjunctiveQuery& r : sliced->reformulations) {
+        Result<ChaseOutcome> chased_r = reference.RunFull(r);
+        ASSERT_TRUE(chased_r.ok()) << context << " " << r.ToString();
+        EXPECT_TRUE(
+            ChasedEquivalent(chased_q->result, chased_r->result, sem, schema))
+            << context << " reformulation " << r.ToString();
+      }
     }
   }
 }
@@ -294,7 +300,7 @@ TEST(SigmaSlicePinned, IrrelevantDependenciesArePrunedAndCounted) {
 
   // Dynamic view: ChasePlan::Run takes the sliced path and reports the
   // slice.kept / slice.pruned counters.
-  ChasePlan plan(sigma, Semantics::kSet, FullSchema(), SlicedOptions(true));
+  ChasePlan plan(sigma, Semantics::kSet, FullSchema(), Options());
   MetricsRegistry metrics;
   ChaseRuntime runtime;
   runtime.metrics = &metrics;
@@ -311,9 +317,8 @@ TEST(SigmaSlicePinned, IrrelevantDependenciesArePrunedAndCounted) {
   EXPECT_EQ(pruned, 2u);
 
   // And the verdict still matches the full chase.
-  ChasePlan full_plan(sigma, Semantics::kSet, FullSchema(), FullOptions(true));
   Term::ResetFreshCounterForTesting();
-  Result<ChaseOutcome> full = full_plan.Run(q);
+  Result<ChaseOutcome> full = plan.RunFull(q);
   ExpectIdenticalOutcome(sliced, full, "pinned prune");
 }
 
@@ -325,7 +330,7 @@ TEST(SigmaSlicePinned, SliceSignatureKeysDistinctChaseMemoEntries) {
       "p(X, Y) -> r(X).",
       "u(X, Y) -> v(X).",
   });
-  ChasePlan plan(sigma, Semantics::kSet, FullSchema(), SlicedOptions(true));
+  ChasePlan plan(sigma, Semantics::kSet, FullSchema(), Options());
   SigmaSlice for_p = plan.SliceFor(Q("Q(X) :- p(X, Y)."));
   SigmaSlice for_u = plan.SliceFor(Q("Q(X) :- u(X, Y)."));
   SigmaSlice for_p_again = plan.SliceFor(Q("Q2(A) :- p(A, B)."));
