@@ -16,6 +16,8 @@ struct ChaseCounters {
   Counter* tgd_steps = nullptr;
   Counter* egd_steps = nullptr;
   Counter* satisfied = nullptr;
+  Counter* skipped_clean = nullptr;
+  Counter* rebuilds = nullptr;
   MetricsRegistry* registry = nullptr;  // for per-label chase.fired.<label>
 
   /// Counts one chase run and resolves the step counters; a null registry
@@ -28,6 +30,8 @@ struct ChaseCounters {
     tgd_steps = &metrics->counter(metric::kChaseStepsTgd);
     egd_steps = &metrics->counter(metric::kChaseStepsEgd);
     satisfied = &metrics->counter(metric::kChaseChecksSatisfied);
+    skipped_clean = &metrics->counter(metric::kChaseChecksSkippedClean);
+    rebuilds = &metrics->counter(metric::kChaseRebuilds);
   }
 
   /// One applied chase step of dependency `label`. The per-label lookup
@@ -40,9 +44,21 @@ struct ChaseCounters {
     registry->counter("chase.fired." + label).Add();
   }
 
-  /// One dependency check that found nothing applicable (already satisfied).
+  /// One dependency check that ran and found nothing applicable (already
+  /// satisfied).
   void Satisfied() const {
     if (satisfied != nullptr) satisfied->Add();
+  }
+
+  /// One dependency check skipped because the dependency is clean: it was
+  /// satisfied and no step since added atoms its body reads.
+  void SkippedClean() const {
+    if (skipped_clean != nullptr) skipped_clean->Add();
+  }
+
+  /// One full re-index of the chased conjunction (FlatConjunction::Rebuild).
+  void Rebuilt() const {
+    if (rebuilds != nullptr) rebuilds->Add();
   }
 };
 

@@ -1,5 +1,7 @@
 #include "chase/flat_db.h"
 
+#include <algorithm>
+
 namespace sqleq {
 
 void FlatConjunction::Rebuild(std::span<const Atom> atoms) {
@@ -33,12 +35,14 @@ void FlatConjunction::Append(const Atom& atom) {
     blk.index_.resize(arity);
     if (reserve_hint_ > 0) {
       for (auto& col : blk.cols) col.reserve(reserve_hint_);
+      blk.seq.reserve(reserve_hint_);
     }
   }
   ++blk.rows;
   for (uint32_t c = 0; c < arity; ++c) {
     blk.cols[c].push_back(atom.args()[c]);
   }
+  blk.seq.push_back(static_cast<uint32_t>(n_atoms_));
   if (static_cast<size_t>(pred) >= pred_counts_.size()) {
     pred_counts_.resize(static_cast<size_t>(pred) + 1, 0);
   }
@@ -46,32 +50,22 @@ void FlatConjunction::Append(const Atom& atom) {
   ++n_atoms_;
 }
 
+uint32_t FlatConjunction::Block::FirstRowFrom(uint32_t from) const {
+  return static_cast<uint32_t>(std::lower_bound(seq.begin(), seq.end(), from) -
+                               seq.begin());
+}
+
 std::span<const uint32_t> FlatConjunction::Block::Postings(uint32_t c,
                                                            Term t) const {
   ColumnIndex& idx = index_[c];
-  if (idx.built_rows != rows) {
-    // (Re)build the whole column in CSR form: count per term, prefix-sum
-    // the group offsets, then fill in row order so every group ascends.
-    const std::vector<Term>& column = cols[c];
-    idx.spans.clear();
-    idx.spans.reserve(rows);
-    for (Term v : column) ++idx.spans[v].second;
-    uint32_t offset = 0;
-    for (auto& [v, span] : idx.spans) {
-      span.first = offset;
-      offset += span.second;
-      span.second = span.first;  // becomes the write cursor, then the end
-    }
-    idx.rows.resize(rows);
-    for (uint32_t r = 0; r < rows; ++r) {
-      idx.rows[idx.spans[column[r]].second++] = r;
-    }
-    idx.built_rows = rows;
-  }
-  auto it = idx.spans.find(t);
-  if (it == idx.spans.end()) return {};
-  return std::span<const uint32_t>(idx.rows.data() + it->second.first,
-                                   it->second.second - it->second.first);
+  // Index the rows appended since the last probe; appending in row order
+  // keeps every list ascending.
+  const std::vector<Term>& column = cols[c];
+  for (uint32_t r = idx.built_rows; r < rows; ++r) idx.lists[column[r]].push_back(r);
+  idx.built_rows = rows;
+  auto it = idx.lists.find(t);
+  if (it == idx.lists.end()) return {};
+  return it->second;
 }
 
 void FlatConjunction::Clear() {

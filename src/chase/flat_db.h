@@ -13,7 +13,11 @@
 //
 // A FlatConjunction is a sidecar of the authoritative ConjunctiveQuery body:
 // Rebuild() after destructive steps (egd merges, normalization), Append()
-// after additive ones (tgd steps).
+// after additive ones (tgd steps). Every row carries its insertion sequence
+// number (its position in the conjunction), and posting lists grow in place
+// on Append, so the delta-driven chase loop (docs/compiled_chase.md,
+// "Delta-driven loop") indexes only what a tgd step added and matches
+// against the rows added since a watermark (chase/pattern.h).
 #ifndef SQLEQ_CHASE_FLAT_DB_H_
 #define SQLEQ_CHASE_FLAT_DB_H_
 
@@ -37,23 +41,29 @@ class FlatConjunction {
     /// `arity` columns, each of length `rows`: cols[c][r] is argument c of
     /// the block's r-th atom (insertion order).
     std::vector<std::vector<Term>> cols;
+    /// seq[r]: the r-th atom's position in the whole conjunction when it
+    /// was indexed. Ascending within a block.
+    std::vector<uint32_t> seq;
+
+    /// The first row whose sequence number is >= `from` (rows when none):
+    /// rows [FirstRowFrom(w), rows) are exactly the block's atoms indexed
+    /// after the conjunction had w atoms.
+    uint32_t FirstRowFrom(uint32_t from) const;
 
     /// Ascending rows r with cols[c][r] == t; empty when no row carries t.
-    /// Posting lists are built lazily on the first probe of a column (and
-    /// rebuilt on the first probe after an Append), so a column no matcher
-    /// ever probes is never indexed. Lazy build makes concurrent probes of
-    /// one FlatConjunction racy — instances are chase-run-local, never
-    /// shared across threads.
+    /// Posting lists are built lazily on the first probe of a column and
+    /// extended in place with the rows appended since, so a column no
+    /// matcher ever probes is never indexed. Lazy build makes concurrent
+    /// probes of one FlatConjunction racy — instances are chase-run-local,
+    /// never shared across threads. The span is valid until the next
+    /// Append or Rebuild.
     std::span<const uint32_t> Postings(uint32_t c, Term t) const;
 
    private:
     friend class FlatConjunction;
-    /// CSR posting lists for one column: rows holds every row number grouped
-    /// by term (ascending within each group), spans[t] is the [begin, end)
-    /// window of t's group. One flat array instead of a vector per term.
+    /// Posting lists for one column; rows [0, built_rows) are indexed.
     struct ColumnIndex {
-      std::unordered_map<Term, std::pair<uint32_t, uint32_t>, TermHash> spans;
-      std::vector<uint32_t> rows;
+      std::unordered_map<Term, std::vector<uint32_t>, TermHash> lists;
       uint32_t built_rows = 0;
     };
     mutable std::vector<ColumnIndex> index_;
@@ -71,7 +81,8 @@ class FlatConjunction {
   /// rewrote the conjunction.
   void Rebuild(std::span<const Atom> atoms);
 
-  /// Indexes one more atom (a tgd step appending head instances).
+  /// Indexes one more atom (a tgd step appending head instances) with
+  /// sequence number size().
   void Append(const Atom& atom);
 
   void Clear();

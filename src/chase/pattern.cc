@@ -1,5 +1,6 @@
 #include "chase/pattern.h"
 
+#include <algorithm>
 #include <span>
 #include <unordered_set>
 
@@ -55,8 +56,9 @@ struct BindingVectorHash {
 class PatternMatcher {
  public:
   PatternMatcher(const CompiledPattern& pat, const FlatConjunction& to,
-                 const TermMap& fixed, FunctionRef<bool(const TermMap&)> fn)
-      : pat_(pat), to_(to), fixed_(fixed), fn_(fn) {}
+                 const TermMap& fixed, FunctionRef<bool(const TermMap&)> fn,
+                 uint32_t delta_from)
+      : pat_(pat), to_(to), fixed_(fixed), fn_(fn), delta_from_(delta_from) {}
 
   bool Run() {
     binding_.assign(pat_.n_slots(), Term());
@@ -69,7 +71,7 @@ class PatternMatcher {
         bound_[s] = 1;
       }
     }
-    return Recurse(0);
+    return Recurse(0, /*path_has_delta=*/delta_from_ == 0);
   }
 
  private:
@@ -94,7 +96,9 @@ class PatternMatcher {
     return best;
   }
 
-  bool Recurse(size_t depth) {
+  /// `path_has_delta`: some row bound above has sequence number >=
+  /// delta_from_ (always true without a watermark).
+  bool Recurse(size_t depth, bool path_has_delta) {
     if (depth == pat_.n_atoms()) {
       if (!emitted_.insert(binding_).second) return true;
       TermMap out = fixed_;
@@ -134,12 +138,25 @@ class PatternMatcher {
           candidates = postings;
         }
       }
+      size_t first = 0;
+      if (!path_has_delta && depth + 1 == pat_.n_atoms()) {
+        // Last level of a path over old rows only: old rows here would
+        // complete a homomorphism into the first delta_from_ atoms. Rows
+        // past the watermark are a suffix of the block and of every
+        // (ascending) posting list.
+        uint32_t from_row = blk->FirstRowFrom(delta_from_);
+        first = probed ? static_cast<size_t>(
+                             std::lower_bound(candidates.begin(), candidates.end(),
+                                              from_row) -
+                             candidates.begin())
+                       : from_row;
+      }
       size_t n_cand = probed ? candidates.size() : blk->rows;
       // Bindings made for this row go on the shared trail; unwinding to the
       // mark undoes them. One growing buffer for the whole search instead of
       // a heap-allocated vector per recursion node.
       size_t trail_mark = trail_.size();
-      for (size_t k = 0; k < n_cand; ++k) {
+      for (size_t k = first; k < n_cand; ++k) {
         uint32_t row = probed ? candidates[k] : static_cast<uint32_t>(k);
         bool match = true;
         for (uint32_t c = 0; c < pa.arity; ++c) {
@@ -164,7 +181,10 @@ class PatternMatcher {
             trail_.push_back(arg.slot);
           }
         }
-        if (match) keep_going = Recurse(depth + 1);
+        if (match) {
+          keep_going =
+              Recurse(depth + 1, path_has_delta || blk->seq[row] >= delta_from_);
+        }
         while (trail_.size() > trail_mark) {
           bound_[static_cast<size_t>(trail_.back())] = 0;
           trail_.pop_back();
@@ -180,6 +200,7 @@ class PatternMatcher {
   const FlatConjunction& to_;
   const TermMap& fixed_;
   FunctionRef<bool(const TermMap&)> fn_;
+  uint32_t delta_from_;
   std::vector<Term> binding_;
   std::vector<uint8_t> bound_;
   std::vector<uint8_t> used_;
@@ -190,8 +211,9 @@ class PatternMatcher {
 }  // namespace
 
 bool MatchPattern(const CompiledPattern& pattern, const FlatConjunction& to,
-                  const TermMap& fixed, FunctionRef<bool(const TermMap&)> fn) {
-  PatternMatcher matcher(pattern, to, fixed, fn);
+                  const TermMap& fixed, FunctionRef<bool(const TermMap&)> fn,
+                  uint32_t delta_from) {
+  PatternMatcher matcher(pattern, to, fixed, fn, delta_from);
   return matcher.Run();
 }
 

@@ -17,6 +17,16 @@
 // bound_args` (lower wins, first-lowest ties), candidate targets visited in
 // conjunction order, complete assignments de-duplicated on their restriction
 // to pattern variables.
+//
+// Delta matching: with `delta_from = w > 0`, the last level of the search
+// tries only rows whose sequence number (flat_db.h) is >= w when no earlier
+// level bound such a row, so every emitted homomorphism uses at least one
+// atom indexed after the conjunction had w atoms. The emitted sequence is
+// the unrestricted one with some homomorphisms dropped and the rest in the
+// same order; a dropped homomorphism maps the pattern entirely into the
+// first w atoms. The delta-driven chase loop passes the size at which a
+// dependency was last found satisfied, so what is dropped is exactly what
+// it already knows is not applicable (docs/compiled_chase.md).
 #ifndef SQLEQ_CHASE_PATTERN_H_
 #define SQLEQ_CHASE_PATTERN_H_
 
@@ -67,9 +77,11 @@ class CompiledPattern {
 /// from `fixed` (entries of `fixed` for variables outside the pattern are
 /// carried through into every emitted map, matching the generic search).
 /// `fn` returning false stops the enumeration. Returns true iff enumeration
-/// ran to exhaustion.
+/// ran to exhaustion. `delta_from` > 0 restricts the search to
+/// homomorphisms using an atom at or past that sequence number (see above).
 bool MatchPattern(const CompiledPattern& pattern, const FlatConjunction& to,
-                  const TermMap& fixed, FunctionRef<bool(const TermMap&)> fn);
+                  const TermMap& fixed, FunctionRef<bool(const TermMap&)> fn,
+                  uint32_t delta_from = 0);
 
 /// Existence probe: true iff at least one homomorphism exists.
 bool PatternMatchExists(const CompiledPattern& pattern, const FlatConjunction& to,

@@ -26,13 +26,29 @@ SigmaPlan SigmaPlan::Compile(const DependencySet& sigma, const Schema& schema) {
     }
     plan.kernels_.push_back(std::move(k));
   }
+  plan.IndexReaders();
   return plan;
+}
+
+void SigmaPlan::IndexReaders() {
+  readers_.clear();
+  for (size_t i = 0; i < kernels_.size(); ++i) {
+    for (const CompiledPattern::PatternAtom& a : kernels_[i].body.atoms()) {
+      size_t p = static_cast<size_t>(a.pred);
+      if (p >= readers_.size()) readers_.resize(p + 1);
+      std::vector<uint32_t>& readers = readers_[p];
+      if (readers.empty() || readers.back() != i) {
+        readers.push_back(static_cast<uint32_t>(i));
+      }
+    }
+  }
 }
 
 SigmaPlan SigmaPlan::Subset(const std::vector<size_t>& kept) const {
   SigmaPlan out;
   out.kernels_.reserve(kept.size());
   for (size_t i : kept) out.kernels_.push_back(kernels_[i]);
+  out.IndexReaders();
   return out;
 }
 
@@ -53,12 +69,15 @@ SigmaPlan::Stats SigmaPlan::stats() const {
 
 bool SigmaPlan::ForEachApplicableTgdHomomorphism(
     size_t dep_index, const FlatConjunction& to,
-    FunctionRef<bool(const TermMap&)> fn) const {
+    FunctionRef<bool(const TermMap&)> fn, uint32_t delta_from) const {
   const DepKernel& k = kernels_[dep_index];
-  return MatchPattern(k.body, to, TermMap(), [&](const TermMap& h) {
-    // Applicable iff h does not extend to the head (restricted chase).
-    return PatternMatchExists(k.head, to, h) || fn(h);
-  });
+  return MatchPattern(
+      k.body, to, TermMap(),
+      [&](const TermMap& h) {
+        // Applicable iff h does not extend to the head (restricted chase).
+        return PatternMatchExists(k.head, to, h) || fn(h);
+      },
+      delta_from);
 }
 
 std::optional<TermMap> SigmaPlan::FindApplicableTgdHomomorphism(
@@ -72,11 +91,11 @@ std::optional<TermMap> SigmaPlan::FindApplicableTgdHomomorphism(
 }
 
 std::optional<EgdApplication> SigmaPlan::FindEgdApplication(
-    size_t dep_index, const FlatConjunction& to) const {
+    size_t dep_index, const FlatConjunction& to, uint32_t delta_from) const {
   const DepKernel& k = kernels_[dep_index];
   std::optional<EgdApplication> failing;
   std::optional<EgdApplication> found;
-  MatchPattern(k.body, to, TermMap(), [&](const TermMap& h) {
+  auto on_match = [&](const TermMap& h) {
     Term l = ApplyTermMap(h, k.left);
     Term r = ApplyTermMap(h, k.right);
     if (l == r) return true;
@@ -97,7 +116,8 @@ std::optional<EgdApplication> SigmaPlan::FindEgdApplication(
     }
     found = app;
     return false;
-  });
+  };
+  MatchPattern(k.body, to, TermMap(), on_match, delta_from);
   if (found.has_value()) return found;
   return failing;
 }

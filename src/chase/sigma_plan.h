@@ -17,7 +17,9 @@
 #ifndef SQLEQ_CHASE_SIGMA_PLAN_H_
 #define SQLEQ_CHASE_SIGMA_PLAN_H_
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "chase/chase_step.h"
@@ -65,16 +67,19 @@ class SigmaPlan {
   Stats stats() const;
 
   /// Chase-step finders against an indexed conjunction. `dep_index` is the
-  /// dependency's position in the compiled Σ.
+  /// dependency's position in the compiled Σ. `delta_from` > 0 skips the
+  /// homomorphisms into the first `delta_from` atoms of `to` (the
+  /// MatchPattern watermark, chase/pattern.h); the delta-driven chase loop
+  /// passes it only where those are known not to be applicable.
   ///
   /// ForEachApplicableTgdHomomorphism enumerates, in the pattern.h order,
   /// the homomorphisms h: body(σ) → `to` under which the tgd chase applies
   /// (h does not extend to the head); `fn` returning false stops it, which
   /// lets the sound chase stop at the first admitted step. Returns true iff
   /// the enumeration ran to exhaustion.
-  bool ForEachApplicableTgdHomomorphism(
-      size_t dep_index, const FlatConjunction& to,
-      FunctionRef<bool(const TermMap&)> fn) const;
+  bool ForEachApplicableTgdHomomorphism(size_t dep_index, const FlatConjunction& to,
+                                        FunctionRef<bool(const TermMap&)> fn,
+                                        uint32_t delta_from = 0) const;
   /// The first applicable homomorphism, or nullopt.
   std::optional<TermMap> FindApplicableTgdHomomorphism(
       size_t dep_index, const FlatConjunction& to) const;
@@ -82,13 +87,23 @@ class SigmaPlan {
   /// equates two distinct constants, the first failing application is
   /// returned with failure=true. nullopt when the egd is satisfied.
   std::optional<EgdApplication> FindEgdApplication(size_t dep_index,
-                                                   const FlatConjunction& to) const;
+                                                   const FlatConjunction& to,
+                                                   uint32_t delta_from = 0) const;
+
+  /// The dependencies whose body reads predicate `p`, ascending: the ones
+  /// a step adding `p` atoms can make applicable again.
+  std::span<const uint32_t> Readers(PredicateId p) const {
+    return static_cast<size_t>(p) < readers_.size()
+               ? std::span<const uint32_t>(readers_[static_cast<size_t>(p)])
+               : std::span<const uint32_t>();
+  }
 
   /// The kernels at positions `kept` (ascending indices into this plan), as
   /// a plan for the corresponding dependency subset: kernel i of the result
   /// serves dependency kept[i]. Used by Σ-slicing (analysis/sigma_graph.h);
   /// copying compiled kernels keeps the key-based flags bit-identical to
-  /// the full compile instead of re-deriving them against the subset.
+  /// the full compile instead of re-deriving them against the subset. The
+  /// readers index is rebuilt over the new positions.
   SigmaPlan Subset(const std::vector<size_t>& kept) const;
 
   /// Cached IsKeyBased(tgd, Σ, schema, require_set_valued).
@@ -98,7 +113,10 @@ class SigmaPlan {
   }
 
  private:
+  void IndexReaders();
+
   std::vector<DepKernel> kernels_;
+  std::vector<std::vector<uint32_t>> readers_;  // by PredicateId
 };
 
 }  // namespace sqleq

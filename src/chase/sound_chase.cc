@@ -1,9 +1,11 @@
 #include "chase/sound_chase.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <optional>
 #include <unordered_set>
+#include <vector>
 
 #include "chase/assignment_fixing.h"
 #include "chase/chase_internal.h"
@@ -43,64 +45,107 @@ struct StepRules {
   const ChaseOptions& options;
 };
 
-using AddedAtoms = std::optional<std::vector<Atom>>;
-
 /// The atoms a tgd step with homomorphism `h` adds to `q` (`flat` indexes
-/// its body), or nullopt when the semantics does not admit the step. The
-/// added atoms are the instantiated head minus atoms already in the body
-/// and repeats within the head; re-adding an existing atom is a no-op under
-/// S/BS and the Thm 4.1(2) duplicate drop under B, which is sound only for
-/// set-valued relations. Under S every applicable step is admitted. Under B
-/// every added atom must be set valued (Thm 4.1(1)), and under B and BS the
-/// step must be assignment-fixing (Thms 4.1/4.3, Def 4.3); `key_based`
-/// (Def 5.1) implies that without the test chase.
-Result<AddedAtoms> AdmitTgdStep(const ConjunctiveQuery& q, const FlatConjunction& flat,
-                                const Tgd& tgd, const TermMap& h, bool key_based,
-                                const StepRules& rules) {
+/// its body), or none when the semantics does not admit the step (an
+/// admitted step always adds at least one atom). The added atoms are the
+/// instantiated head minus atoms already in the body and repeats within the
+/// head; re-adding an existing atom is a no-op under S/BS and the Thm
+/// 4.1(2) duplicate drop under B, which is sound only for set-valued
+/// relations. Under S every applicable step is admitted. Under B every
+/// added atom must be set valued (Thm 4.1(1)), and under B and BS the step
+/// must be assignment-fixing (Thms 4.1/4.3, Def 4.3); `key_based` (Def 5.1)
+/// implies that without the test chase.
+Result<std::vector<Atom>> AdmitTgdStep(const ConjunctiveQuery& q,
+                                       const FlatConjunction& flat, const Tgd& tgd,
+                                       const TermMap& h, bool key_based,
+                                       const StepRules& rules) {
   const bool bag = rules.semantics == Semantics::kBag;
   std::vector<Atom> added;
   for (Atom& a : InstantiateTgdHead(tgd, h)) {
     if (flat.ContainsAtom(a)) {
-      if (bag && !rules.schema.IsSetValued(a.predicate())) return AddedAtoms();
+      if (bag && !rules.schema.IsSetValued(a.predicate())) return std::vector<Atom>();
       continue;
     }
     if (std::find(added.begin(), added.end(), a) == added.end()) {
       added.push_back(std::move(a));
     }
   }
-  if (added.empty()) return AddedAtoms();  // cannot happen for applicable h
-  if (rules.semantics == Semantics::kSet) return AddedAtoms(std::move(added));
+  if (added.empty() || rules.semantics == Semantics::kSet) return added;
   if (bag) {
     for (const Atom& a : added) {
-      if (!rules.schema.IsSetValued(a.predicate())) return AddedAtoms();
+      if (!rules.schema.IsSetValued(a.predicate())) return std::vector<Atom>();
     }
   }
   if (!key_based) {
     SQLEQ_ASSIGN_OR_RETURN(bool fixing, IsAssignmentFixing(q, tgd, h, rules.sigma,
                                                            rules.plan, rules.options));
-    if (!fixing) return AddedAtoms();
+    if (!fixing) return std::vector<Atom>();
   }
-  return AddedAtoms(std::move(added));
+  return added;
 }
 
 /// The atoms of the first admitted step with kernel `di` of `kernels`
-/// (enumerated lazily, so later homomorphisms are never looked at), or
-/// nullopt when none is admitted. `*any_applicable`, when non-null, records
-/// whether some step applied at all.
-Result<AddedAtoms> FirstAdmittedTgdStep(const ConjunctiveQuery& q,
-                                        const FlatConjunction& flat,
-                                        const SigmaPlan& kernels, size_t di,
-                                        const Tgd& tgd, bool key_based,
-                                        const StepRules& rules,
-                                        bool* any_applicable = nullptr) {
-  Result<AddedAtoms> admitted = AddedAtoms();
-  kernels.ForEachApplicableTgdHomomorphism(di, flat, [&](const TermMap& h) {
-    if (any_applicable != nullptr) *any_applicable = true;
-    admitted = AdmitTgdStep(q, flat, tgd, h, key_based, rules);
-    return admitted.ok() && !admitted->has_value();
-  });
+/// (enumerated lazily, so later homomorphisms are never looked at), or none
+/// when no step is admitted. `delta_from` is the matcher watermark
+/// (chase/pattern.h). `*any_applicable` records whether some step applied
+/// at all.
+Result<std::vector<Atom>> FirstAdmittedTgdStep(const ConjunctiveQuery& q,
+                                               const FlatConjunction& flat,
+                                               const SigmaPlan& kernels, size_t di,
+                                               const Tgd& tgd, bool key_based,
+                                               const StepRules& rules,
+                                               uint32_t delta_from,
+                                               bool* any_applicable) {
+  Result<std::vector<Atom>> admitted = std::vector<Atom>();
+  kernels.ForEachApplicableTgdHomomorphism(
+      di, flat,
+      [&](const TermMap& h) {
+        *any_applicable = true;
+        admitted = AdmitTgdStep(q, flat, tgd, h, key_based, rules);
+        return admitted.ok() && admitted->empty();
+      },
+      delta_from);
   return admitted;
 }
+
+/// Which dependencies of one chase run can apply, and from which watermark
+/// (docs/compiled_chase.md, "Delta-driven loop"). A dependency is clean
+/// once a check found nothing applicable; it turns dirty again, keeping the
+/// conjunction size of that check as its matcher watermark, when a tgd step
+/// adds atoms its body reads. Resetting it (watermark 0) makes the next
+/// check a full one.
+class DirtySet {
+ public:
+  explicit DirtySet(size_t n) : clean_(n, 0), from_(n, 0) {}
+
+  bool clean(size_t di) const { return clean_[di] != 0; }
+  /// The delta_from to check dependency `di` with.
+  uint32_t from(size_t di) const { return from_[di]; }
+
+  /// A check of `di` against a conjunction of `size` atoms found nothing.
+  void MarkClean(size_t di, size_t size) {
+    clean_[di] = 1;
+    from_[di] = static_cast<uint32_t>(size);
+  }
+  /// `di` fired, or has applicable steps the semantics did not admit.
+  void Reset(size_t di) {
+    clean_[di] = 0;
+    from_[di] = 0;
+  }
+  /// An egd step rewrote the conjunction.
+  void ResetAll() {
+    std::fill(clean_.begin(), clean_.end(), 0);
+    std::fill(from_.begin(), from_.end(), 0);
+  }
+  /// A tgd step added `atom`: dirty every dependency whose body reads it.
+  void Touch(const SigmaPlan& plan, const Atom& atom) {
+    for (uint32_t di : plan.Readers(InternPredicate(atom.predicate()))) clean_[di] = 0;
+  }
+
+ private:
+  std::vector<uint8_t> clean_;
+  std::vector<uint32_t> from_;
+};
 
 /// Runs the set-chase precondition of Thms 4.1/4.3 and Def 4.3 ((Q)Σ,S
 /// exists) for a B/BS chase. A probe checkpoint in `runtime.resume` resumes
@@ -183,23 +228,32 @@ Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& si
   if (runtime.budget != nullptr) effective.budget = *runtime.budget;
   const ResourceBudget& budget = effective.budget;
   const StepRules rules{semantics, schema, sigma, plan, effective};
-  FlatConjunction flat;
+  // The index follows the conjunction: rebuilt here and after egd steps,
+  // extended in place after tgd steps. A resumed run starts all-dirty.
+  FlatConjunction flat(out.result.body());
+  counters.Rebuilt();
+  DirtySet dirty(sigma.size());
   for (size_t step = start; step < budget.max_chase_steps; ++step) {
     Status guard = budget.CheckDeadline(set ? "set chase" : "sound chase");
     if (guard.ok()) {
       guard = ProbeSite(runtime.faults, runtime.cancel, fault_sites::kChaseStep);
     }
     if (!guard.ok()) return stop(std::move(guard), step);
-    flat.Rebuild(out.result.body());
     bool applied = false;
 
     // Egd pass: egd steps are always sound (Thm 4.1(2) / 4.3(2)).
     for (size_t di = 0; di < sigma.size() && !applied; ++di) {
       const Dependency& dep = sigma[di];
       if (!dep.IsEgd()) continue;
-      std::optional<EgdApplication> app = plan.FindEgdApplication(di, flat);
+      if (dirty.clean(di)) {
+        counters.SkippedClean();
+        continue;
+      }
+      std::optional<EgdApplication> app =
+          plan.FindEgdApplication(di, flat, dirty.from(di));
       if (!app.has_value()) {
         counters.Satisfied();
+        dirty.MarkClean(di, flat.size());
         continue;
       }
       if (app->failure) {
@@ -211,6 +265,9 @@ Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& si
       out.result = normalize(ApplyEgdStep(out.result, *app));
       out.trace.push_back({dep.label(), false, out.result.ToString()});
       counters.Fired(dep.label(), /*is_tgd=*/false);
+      flat.Rebuild(out.result.body());
+      counters.Rebuilt();
+      dirty.ResetAll();
       applied = true;
     }
 
@@ -218,21 +275,39 @@ Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& si
     for (size_t di = 0; di < sigma.size() && !applied; ++di) {
       const Dependency& dep = sigma[di];
       if (!dep.IsTgd()) continue;
+      if (dirty.clean(di)) {
+        counters.SkippedClean();
+        continue;
+      }
       // Key-based ⇒ assignment-fixing (§5.1); the plan caches Def 5.1.
       const bool key_based =
           effective.key_based_fast_path && plan.KeyBased(di, semantics == Semantics::kBag);
+      bool any_applicable = false;
       SQLEQ_ASSIGN_OR_RETURN(
-          AddedAtoms added,
-          FirstAdmittedTgdStep(out.result, flat, plan, di, dep.tgd(), key_based, rules));
-      if (!added.has_value()) {
+          std::vector<Atom> added,
+          FirstAdmittedTgdStep(out.result, flat, plan, di, dep.tgd(), key_based, rules,
+                               dirty.from(di), &any_applicable));
+      if (added.empty()) {
         counters.Satisfied();
+        // An applicable step the semantics did not admit may be admitted
+        // once the query grows (Def 4.3 tests against the whole query).
+        if (any_applicable) {
+          dirty.Reset(di);
+        } else {
+          dirty.MarkClean(di, flat.size());
+        }
         continue;
       }
       // Admitted atoms are new and pairwise distinct, so the result stays
       // normalized without another pass.
+      for (const Atom& a : added) {
+        flat.Append(a);
+        dirty.Touch(plan, a);
+      }
+      dirty.Reset(di);
       std::vector<Atom> body = out.result.body();
-      body.insert(body.end(), std::make_move_iterator(added->begin()),
-                  std::make_move_iterator(added->end()));
+      body.insert(body.end(), std::make_move_iterator(added.begin()),
+                  std::make_move_iterator(added.end()));
       out.result = out.result.WithBody(std::move(body));
       out.trace.push_back({dep.label(), true, out.result.ToString()});
       counters.Fired(dep.label(), /*is_tgd=*/true);
@@ -297,10 +372,11 @@ Result<StepAvailability> ClassifyStep(const ConjunctiveQuery& q, const Dependenc
         options.key_based_fast_path &&
         IsKeyBased(tgd, regular, schema,
                    /*require_set_valued=*/semantics == Semantics::kBag);
-    SQLEQ_ASSIGN_OR_RETURN(AddedAtoms added,
+    SQLEQ_ASSIGN_OR_RETURN(std::vector<Atom> added,
                            FirstAdmittedTgdStep(q, flat, piece_kernels, i, tgd,
-                                                key_based, rules, &any_applicable));
-    if (added.has_value()) return StepAvailability::kSoundApplicable;
+                                                key_based, rules, /*delta_from=*/0,
+                                                &any_applicable));
+    if (!added.empty()) return StepAvailability::kSoundApplicable;
   }
   return any_applicable ? StepAvailability::kUnsoundOnly
                         : StepAvailability::kNotApplicable;

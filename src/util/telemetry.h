@@ -42,6 +42,8 @@ inline constexpr char kChaseSteps[] = "chase.steps";
 inline constexpr char kChaseStepsTgd[] = "chase.steps.tgd";
 inline constexpr char kChaseStepsEgd[] = "chase.steps.egd";
 inline constexpr char kChaseChecksSatisfied[] = "chase.checks.satisfied";
+inline constexpr char kChaseChecksSkippedClean[] = "chase.checks.skipped_clean";
+inline constexpr char kChaseRebuilds[] = "chase.rebuilds";
 inline constexpr char kSliceKept[] = "slice.kept";
 inline constexpr char kSlicePruned[] = "slice.pruned";
 /// Per-code diagnostic counters: kAnalysisDiagPrefix + <code>, one counter

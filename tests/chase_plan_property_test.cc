@@ -8,16 +8,28 @@
 // traces, fresh-variable names and checkpoints. Fresh variables draw from a
 // process-global counter, so runs compared byte-for-byte rewind it
 // (Term::ResetFreshCounterForTesting).
+//
+// The loop itself is delta-driven (docs/compiled_chase.md): it skips clean
+// dependencies, matches dirty ones from a watermark, and extends its index
+// in place. The second half of the suite compares it step for step with a
+// reference loop that re-reads the whole query and rescans Σ from
+// dependency 0 on every step through the oracle finders, resumes it from a
+// checkpoint taken at every step, and checks the watermark finders against
+// the unrestricted ones on every visited state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "chase/assignment_fixing.h"
 #include "chase/chase_plan.h"
+#include "chase/chase_step.h"
 #include "chase/checkpoint.h"
 #include "chase/flat_db.h"
 #include "chase/homomorphism.h"
@@ -26,6 +38,7 @@
 #include "chase/sound_chase.h"
 #include "ir/term.h"
 #include "util/fault.h"
+#include "util/telemetry.h"
 #include "matcher_oracle.h"
 #include "test_util.h"
 
@@ -436,6 +449,385 @@ TEST_P(SeededTest, InjectedFaultsStopBothPathsIdentically) {
                              full, context + " resumed");
     }
   }
+}
+
+// ---- Delta-driven loop vs a rescan-everything reference ----------------
+
+/// Set-valued r and s let bag-semantics tgd steps into them be admitted.
+Schema DeltaSchema() {
+  Schema s;
+  s.Relation("p", 2).Relation("r", 1, /*set_valued=*/true);
+  s.Relation("s", 2, /*set_valued=*/true).Relation("t", 3);
+  return s;
+}
+
+/// Random Σ for the delta suites: tgd-only, or egd-heavy (about two egds
+/// per tgd, so egd steps rewrite the conjunction between tgd steps).
+DependencySet RandomDeltaSigma(bool egd_heavy, Rng* rng) {
+  static const std::vector<std::string> tgds = {
+      "p(X, Y) -> r(X).",
+      "r(X) -> p(X, Z).",
+      "p(X, Y), p(Y, Z) -> t(X, Y, Z).",
+      "t(X, Y, Z) -> s(X, Z).",
+      "s(X, Y) -> p(X, Y).",
+      "t(X, X, Y) -> r(Y).",
+      "r(X), s(X, Y) -> t(X, Y, W).",
+      "p(X, X) -> r(X).",
+  };
+  static const std::vector<std::string> egds = {
+      "s(X, Y), s(X, Z) -> Y = Z.",
+      "p(X, Y), p(X, Z) -> Y = Z.",
+      "t(X, Y, Z), t(X, Y, W) -> Z = W.",
+      "p(X, Y), s(X, Z) -> Y = Z.",
+      "t(X, Y, Z), r(Z) -> X = Y.",
+  };
+  std::vector<std::string> picked;
+  size_t count = static_cast<size_t>(rng->UniformInt(2, 6));
+  for (size_t i = 0; i < count; ++i) {
+    bool egd = egd_heavy && rng->UniformInt(0, 2) > 0;
+    const std::vector<std::string>& pool = egd ? egds : tgds;
+    picked.push_back(pool[rng->Index(pool.size())]);
+  }
+  return Sigma(picked);
+}
+
+/// The chase loop as it ran before it was delta-driven, over the oracle
+/// finders: every step re-reads the whole query and rescans Σ from
+/// dependency 0 — the first applicable egd, else the first admitted tgd
+/// step in Σ order. Admission is spelled out independently of the
+/// production loop, down to the Def 4.3 test chase, which runs this loop
+/// under S. `sigma` is the regularized Σ the plan chases.
+class ReferenceChase {
+ public:
+  ReferenceChase(const DependencySet& sigma, const Schema& schema, size_t max_steps)
+      : sigma_(sigma), schema_(schema), max_steps_(max_steps) {}
+
+  Result<ChaseOutcome> Run(const ConjunctiveQuery& q, Semantics sem) const {
+    // B/BS presuppose a terminating set chase (Thms 4.1/4.3).
+    if (sem != Semantics::kSet) SQLEQ_RETURN_IF_ERROR(Run(q, Semantics::kSet).status());
+    auto normalize = [&](const ConjunctiveQuery& query) {
+      return sem == Semantics::kBag ? NormalizeForBag(query, schema_)
+                                    : query.CanonicalRepresentation();
+    };
+    ChaseOutcome out{normalize(q), {}, false};
+    for (size_t step = 0; step < max_steps_; ++step) {
+      bool applied = false;
+      for (size_t di = 0; di < sigma_.size() && !applied; ++di) {
+        const Dependency& dep = sigma_[di];
+        if (!dep.IsEgd()) continue;
+        std::optional<EgdApplication> app = FindEgdApplicationGeneric(out.result, dep.egd());
+        if (!app.has_value()) continue;
+        if (app->failure) {
+          out.failed = true;
+          out.trace.push_back({dep.label(), false,
+                               "FAIL: " + app->from.ToString() + " = " + app->to.ToString()});
+          return out;
+        }
+        out.result = normalize(ApplyEgdStep(out.result, *app));
+        out.trace.push_back({dep.label(), false, out.result.ToString()});
+        applied = true;
+      }
+      for (size_t di = 0; di < sigma_.size() && !applied; ++di) {
+        const Dependency& dep = sigma_[di];
+        if (!dep.IsTgd()) continue;
+        for (const TermMap& h : FindApplicableTgdHomomorphismsGeneric(out.result, dep.tgd())) {
+          SQLEQ_ASSIGN_OR_RETURN(std::vector<Atom> added,
+                                 Admit(out.result, dep.tgd(), h, sem));
+          if (added.empty()) continue;
+          std::vector<Atom> body = out.result.body();
+          body.insert(body.end(), added.begin(), added.end());
+          out.result = out.result.WithBody(std::move(body));
+          out.trace.push_back({dep.label(), true, out.result.ToString()});
+          applied = true;
+          break;
+        }
+      }
+      if (!applied) return out;
+    }
+    return Status::ResourceExhausted("reference chase exceeded its step budget");
+  }
+
+ private:
+  /// The atoms the step adds, or none when `sem` does not admit it: S
+  /// admits every applicable step; B needs every added atom set valued and
+  /// no duplicate of a bag-valued atom; B and BS need assignment-fixing.
+  Result<std::vector<Atom>> Admit(const ConjunctiveQuery& q, const Tgd& tgd,
+                                  const TermMap& h, Semantics sem) const {
+    const bool bag = sem == Semantics::kBag;
+    std::vector<Atom> added;
+    for (const Atom& a : InstantiateTgdHead(tgd, h)) {
+      bool present = std::find(q.body().begin(), q.body().end(), a) != q.body().end();
+      if (present && bag && !schema_.IsSetValued(a.predicate())) return std::vector<Atom>();
+      if (!present && std::find(added.begin(), added.end(), a) == added.end()) {
+        added.push_back(a);
+      }
+    }
+    if (added.empty() || sem == Semantics::kSet) return added;
+    for (const Atom& a : added) {
+      if (bag && !schema_.IsSetValued(a.predicate())) return std::vector<Atom>();
+    }
+    if (IsKeyBased(tgd, sigma_, schema_, /*require_set_valued=*/bag)) return added;
+    SQLEQ_ASSIGN_OR_RETURN(bool fixing, AssignmentFixing(q, tgd, h));
+    return fixing ? added : std::vector<Atom>();
+  }
+
+  /// Def 4.3: the set chase of Q^{σ,h,θ} keeps at most one variable of
+  /// every existential pair (vacuously true when it fails).
+  Result<bool> AssignmentFixing(const ConjunctiveQuery& q, const Tgd& tgd,
+                                const TermMap& h) const {
+    if (tgd.IsFull()) return true;
+    AssociatedTestQuery test = BuildAssociatedTestQuery(q, tgd, h);
+    SQLEQ_ASSIGN_OR_RETURN(ChaseOutcome chased, Run(test.query, Semantics::kSet));
+    if (chased.failed) return true;
+    std::unordered_set<Term, TermHash> vars;
+    for (Term v : chased.result.BodyVariables()) vars.insert(v);
+    for (const auto& [z, theta_z] : test.existential_pairs) {
+      if (vars.count(z) > 0 && vars.count(theta_z) > 0) return false;
+    }
+    return true;
+  }
+
+  const DependencySet& sigma_;
+  const Schema& schema_;
+  size_t max_steps_;
+};
+
+/// ExpectIdenticalOutcome against the reference, whose budget message
+/// differs from the production one: stopped runs compare by code only.
+void ExpectSameAsReference(const Result<ChaseOutcome>& got,
+                           const Result<ChaseOutcome>& reference,
+                           const std::string& context) {
+  if (!reference.ok()) {
+    ASSERT_FALSE(got.ok()) << context;
+    EXPECT_EQ(got.status().code(), reference.status().code()) << context;
+    return;
+  }
+  ExpectIdenticalOutcome(got, reference, context);
+}
+
+/// On `state`, for every dependency and every watermark w at which the
+/// dependency is satisfied on the first w atoms (the precondition the loop
+/// keeps), the delta finders return exactly what the unrestricted ones do:
+/// the same applicable homomorphisms in the same order, so the same first
+/// applicable or admitted h, and the same egd application.
+void ExpectWatermarkFindersAgree(const SigmaPlan& plan, const DependencySet& sigma,
+                                 const ConjunctiveQuery& state,
+                                 const std::string& context) {
+  FlatConjunction flat(state.body());
+  const std::vector<Atom>& body = state.body();
+  for (size_t di = 0; di < sigma.size(); ++di) {
+    const Dependency& dep = sigma[di];
+    std::vector<std::string> unrestricted;
+    if (dep.IsTgd()) {
+      plan.ForEachApplicableTgdHomomorphism(di, flat, [&](const TermMap& h) {
+        unrestricted.push_back(Render(h));
+        return true;
+      });
+    }
+    for (size_t w = 1; w <= body.size(); ++w) {
+      ConjunctiveQuery prefix =
+          state.WithBody(std::vector<Atom>(body.begin(), body.begin() + w));
+      std::string where = context + " " + dep.ToString() + " on " + state.ToString() +
+                          " from " + std::to_string(w);
+      const uint32_t from = static_cast<uint32_t>(w);
+      if (dep.IsEgd()) {
+        if (FindEgdApplicationGeneric(prefix, dep.egd()).has_value()) continue;
+        EXPECT_EQ(Render(plan.FindEgdApplication(di, flat, from)),
+                  Render(plan.FindEgdApplication(di, flat)))
+            << where;
+        continue;
+      }
+      if (!FindApplicableTgdHomomorphismsGeneric(prefix, dep.tgd()).empty()) continue;
+      std::vector<std::string> delta;
+      plan.ForEachApplicableTgdHomomorphism(
+          di, flat,
+          [&](const TermMap& h) {
+            delta.push_back(Render(h));
+            return true;
+          },
+          from);
+      EXPECT_EQ(delta, unrestricted) << where;
+    }
+  }
+}
+
+TEST_P(SeededTest, DeltaLoopMatchesReferenceStepForStep) {
+  Rng rng(GetParam() + 500);
+  Schema schema = DeltaSchema();
+  for (int round = 0; round < 12; ++round) {
+    const bool egd_heavy = round % 2 == 1;
+    ConjunctiveQuery q = RandomQuery(schema, rng.UniformInt(1, 5), 4, &rng);
+    DependencySet sigma = RandomDeltaSigma(egd_heavy, &rng);
+    for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
+      std::string context = std::string(SemanticsToString(sem)) + " " + q.ToString() +
+                            " under " + SigmaToString(sigma);
+      ChasePlan plan(sigma, sem, schema, Options());
+      ReferenceChase reference(plan.regularized(), schema, Options().budget.max_chase_steps);
+      Term::ResetFreshCounterForTesting();
+      Result<ChaseOutcome> expected = reference.Run(q, sem);
+      Term::ResetFreshCounterForTesting();
+      ExpectSameAsReference(plan.RunFull(q), expected, context + " full");
+      Term::ResetFreshCounterForTesting();
+      ExpectSameAsReference(plan.Run(q), expected, context + " sliced");
+    }
+  }
+}
+
+TEST_P(SeededTest, DeltaLoopResumesFromEveryStep) {
+  Rng rng(GetParam() + 600);
+  Schema schema = DeltaSchema();
+  for (int round = 0; round < 6; ++round) {
+    ConjunctiveQuery q = RandomQuery(schema, rng.UniformInt(2, 5), 4, &rng);
+    DependencySet sigma = RandomDeltaSigma(/*egd_heavy=*/round % 2 == 1, &rng);
+    for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
+      std::string context = std::string(SemanticsToString(sem)) + " " + q.ToString() +
+                            " under " + SigmaToString(sigma);
+      ChasePlan plan(sigma, sem, schema, Options());
+      Term::ResetFreshCounterForTesting();
+      Result<ChaseOutcome> full = plan.Run(q);
+      // A checkpoint after every step (n-th chase.step probe, the B/BS
+      // termination probe's included), resumed from its serialized text.
+      for (uint64_t n = 1; n <= 512; ++n) {
+        Term::ResetFreshCounterForTesting();
+        FaultInjector faults(7);
+        FaultSpec spec;
+        spec.kind = FaultKind::kExhausted;
+        spec.start = n;
+        faults.Arm(fault_sites::kChaseStep, spec);
+        ChaseRuntime runtime;
+        runtime.faults = &faults;
+        std::optional<ChaseCheckpoint> checkpoint;
+        runtime.checkpoint_out = &checkpoint;
+        Result<ChaseOutcome> faulted = plan.Run(q, runtime);
+        uint64_t mark = Term::FreshCounterForTesting();
+        if (faulted.ok() || faults.FiredCount(fault_sites::kChaseStep) == 0) break;
+        ASSERT_TRUE(checkpoint.has_value()) << context << " step " << n;
+        ChaseCheckpoint restored =
+            Unwrap(ChaseCheckpoint::Deserialize(checkpoint->Serialize()), "restore");
+        ChaseRuntime resume_runtime;
+        resume_runtime.resume = &restored;
+        Term::ResetFreshCounterForTesting(mark);
+        ExpectIdenticalOutcome(plan.Run(q, resume_runtime), full,
+                               context + " resumed at step " + std::to_string(n));
+      }
+    }
+  }
+}
+
+TEST_P(SeededTest, WatermarkFindersAgreeOnVisitedStates) {
+  Rng rng(GetParam() + 700);
+  Schema schema = DeltaSchema();
+  for (int round = 0; round < 6; ++round) {
+    ConjunctiveQuery q = RandomQuery(schema, rng.UniformInt(1, 4), 4, &rng);
+    DependencySet sigma = RandomDeltaSigma(/*egd_heavy=*/round % 2 == 1, &rng);
+    for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
+      std::string context = std::string(SemanticsToString(sem)) + " " + q.ToString() +
+                            " under " + SigmaToString(sigma);
+      ChasePlan plan(sigma, sem, schema, Options());
+      std::vector<ConjunctiveQuery> states = VisitedStates(
+          [&](const ChaseRuntime& runtime) { return plan.RunFull(q, runtime); });
+      ASSERT_FALSE(states.empty()) << context;
+      for (const ConjunctiveQuery& state : states) {
+        ExpectWatermarkFindersAgree(plan.kernels(), plan.regularized(), state, context);
+      }
+    }
+  }
+}
+
+TEST_P(SeededTest, DeltaMatchKeepsExactlyHomomorphismsThroughNewAtoms) {
+  // MatchPattern with a watermark w emits exactly the homomorphisms that
+  // map some pattern atom onto an atom at position >= w, on an index grown
+  // by Append (posting lists extended in place after earlier probes) as on
+  // one built whole.
+  Rng rng(GetParam() + 800);
+  Schema schema = PropSchema();
+  for (int round = 0; round < 30; ++round) {
+    ConjunctiveQuery from = RandomQuery(schema, rng.UniformInt(1, 3), 3, &rng);
+    ConjunctiveQuery to = RandomQuery(schema, rng.UniformInt(1, 6), 4, &rng);
+    const std::vector<Atom>& atoms = to.body();
+    const size_t w = rng.Index(atoms.size() + 1);
+    std::string where = from.ToString() + " into " + to.ToString() + " from " +
+                        std::to_string(w);
+    CompiledPattern pattern(from.body());
+    auto enumerate = [&](const FlatConjunction& flat, uint32_t delta_from) {
+      std::vector<std::string> out;
+      MatchPattern(
+          pattern, flat, TermMap(),
+          [&](const TermMap& h) {
+            out.push_back(Render(h));
+            return true;
+          },
+          delta_from);
+      return out;
+    };
+    FlatConjunction built(atoms);
+    FlatConjunction grown(std::span<const Atom>(atoms.data(), w));
+    enumerate(grown, 0);  // index the prefix's probed columns first
+    for (size_t i = w; i < atoms.size(); ++i) grown.Append(atoms[i]);
+    EXPECT_EQ(enumerate(grown, 0), enumerate(built, 0)) << where;
+
+    std::set<std::string> expected;
+    ForEachHomomorphismGeneric(from.body(), atoms, TermMap(), [&](const TermMap& h) {
+      for (const Atom& a : from.body()) {
+        if (std::find(atoms.begin() + static_cast<std::ptrdiff_t>(w), atoms.end(),
+                      ApplyTermMap(h, a)) != atoms.end()) {
+          expected.insert(Render(h));
+          break;
+        }
+      }
+      return true;
+    });
+    std::vector<std::string> delta = enumerate(grown, static_cast<uint32_t>(w));
+    std::set<std::string> delta_set(delta.begin(), delta.end());
+    EXPECT_EQ(delta_set.size(), delta.size()) << where;
+    EXPECT_EQ(delta_set, expected) << where;
+  }
+}
+
+TEST(ChaseDelta, EgdMergeReopensCleanDependencies) {
+  // p(X, X) -> r(X) is checked and clean before the tgd into s makes the
+  // key egd on s applicable; the merge of A and B then yields a p(X, X)
+  // atom among atoms the earlier check had already seen, so the dependency
+  // must be matched from scratch again, not from its old watermark.
+  ConjunctiveQuery q = Q("Q(A) :- p(A, B), s(A, A).");
+  DependencySet sigma = Sigma(
+      {"s(X, Y), s(X, Z) -> Y = Z.", "p(X, X) -> r(X).", "p(X, Y) -> s(X, Y)."});
+  Schema schema = DeltaSchema();
+  for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
+    ChasePlan plan(sigma, sem, schema, Options());
+    ReferenceChase reference(plan.regularized(), schema, Options().budget.max_chase_steps);
+    Term::ResetFreshCounterForTesting();
+    Result<ChaseOutcome> expected = reference.Run(q, sem);
+    ASSERT_TRUE(expected.ok());
+    ASSERT_EQ(expected->trace.size(), 3u) << SemanticsToString(sem);
+    EXPECT_NE(expected->result.ToString().find("r("), std::string::npos)
+        << expected->result.ToString();
+    Term::ResetFreshCounterForTesting();
+    ExpectSameAsReference(plan.RunFull(q), expected, SemanticsToString(sem));
+  }
+}
+
+TEST(ChaseDelta, CountsSkippedCleanChecksAndRebuilds) {
+  // A chain under a tgd-only Σ: one index build for the whole run, and
+  // most dependency checks skipped as clean.
+  DependencySet sigma = Sigma({"e(X, Y) -> n(X).", "n(X) -> m(X).", "m(X) -> k(X)."});
+  MetricsRegistry metrics;
+  ChaseRuntime runtime;
+  runtime.metrics = &metrics;
+  ChaseOutcome out = Unwrap(SetChase(testing::ChainQuery(6), sigma, Options(), runtime));
+  EXPECT_EQ(out.trace.size(), 18u);
+  EXPECT_EQ(metrics.counter(metric::kChaseRebuilds).value(), 1u);
+  EXPECT_GT(metrics.counter(metric::kChaseChecksSkippedClean).value(),
+            metrics.counter(metric::kChaseChecksSatisfied).value());
+
+  // An egd step re-indexes: one build up front plus one per merge.
+  MetricsRegistry egd_metrics;
+  runtime.metrics = &egd_metrics;
+  ChaseOutcome merged = Unwrap(SetChase(Q("Q(X) :- p(X, Y), p(X, Z), p(X, W)."),
+                                        Sigma({"p(X, Y), p(X, Z) -> Y = Z."}),
+                                        Options(), runtime));
+  EXPECT_EQ(merged.trace.size(), 2u);
+  EXPECT_EQ(egd_metrics.counter(metric::kChaseRebuilds).value(), 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededTest,

@@ -513,7 +513,9 @@ TEST(Service, DrainRaceLosesNoInflightRequest) {
                                        .Build();
   constexpr int kInflight = 3;
   std::vector<std::thread> threads;
-  std::vector<bool> answered(kInflight, false);
+  // One byte per thread: std::vector<bool> packs elements into shared
+  // words, so writes to distinct elements from different threads race.
+  std::vector<char> answered(kInflight, 0);
   for (int i = 0; i < kInflight; ++i) {
     threads.emplace_back([&server, &request_line, &answered, i] {
       Connection client = Dial(server);
@@ -529,7 +531,7 @@ TEST(Service, DrainRaceLosesNoInflightRequest) {
         EXPECT_NE(response.Find("checkpoint"), nullptr);
         EXPECT_NE(response.Find("drained"), nullptr);
       }
-      answered[i] = true;
+      answered[i] = 1;
     });
   }
 

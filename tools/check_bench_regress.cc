@@ -2,13 +2,18 @@
 // a committed baseline and fails when the suite regressed.
 //
 // Both files are Google Benchmark JSON (the shape check_bench_json pins).
-// For every benchmark name present in both files the tool takes the median
-// cpu_time on each side (a single pinned SQLEQ_BENCH_ITERS=1 run has one
-// entry per name, so the median is just that value) and forms the ratio
-// fresh / baseline. The verdict is the MEDIAN of those per-name ratios: a
-// suite-wide slowdown fails, one noisy entry in a single-iteration smoke
-// run does not. `tools/ci.sh bench-smoke` runs this for the chase-scaling
-// and homomorphism suites before the fresh output replaces the baseline.
+// Rows are matched by run name with any "/iterations:N" or "/repeats:N"
+// component dropped, so a pinned SQLEQ_BENCH_ITERS=1 smoke row
+// (`<run_name>/iterations:1`) meets the same benchmark in a baseline
+// committed either the same way or as repetition aggregates
+// (`<run_name>_median`, `_mean`, ...). Per benchmark the tool takes the
+// aggregate median row when the file has one, else the median cpu_time of
+// its iteration rows (one row per name in a smoke run, so just that
+// value), and forms the ratio fresh / baseline. The verdict is the MEDIAN
+// of those per-benchmark ratios: a suite-wide slowdown fails, one noisy
+// entry in a single-iteration smoke run does not. `tools/ci.sh
+// bench-smoke` runs this for the chase-scaling and homomorphism suites
+// before the fresh output replaces the baseline.
 //
 //   check_bench_regress <fresh.json> <baseline.json> [threshold]
 //
@@ -30,14 +35,43 @@ namespace {
 
 using sqleq::JsonValue;
 
-/// Per-benchmark-name cpu_time samples from one Google Benchmark JSON file.
-using Samples = std::map<std::string, std::vector<double>>;
+/// cpu_time rows of one benchmark in one Google Benchmark JSON file.
+/// At least one of the two is non-empty.
+struct BenchTimes {
+  std::vector<double> iterations;
+  std::vector<double> medians;  // aggregate "median" rows
+  double Value() const;
+};
+
+/// By run name without its iterations/repeats component.
+using Samples = std::map<std::string, BenchTimes>;
 
 double Median(std::vector<double> values) {
   std::sort(values.begin(), values.end());
   size_t n = values.size();
   if (n % 2 == 1) return values[n / 2];
   return (values[n / 2 - 1] + values[n / 2]) / 2.0;
+}
+
+double BenchTimes::Value() const {
+  return medians.empty() ? Median(iterations) : Median(medians);
+}
+
+/// `run_name` minus "/iterations:N" and "/repeats:N" components.
+std::string BenchKey(const std::string& run_name) {
+  std::string key;
+  size_t begin = 0;
+  while (begin <= run_name.size()) {
+    size_t end = run_name.find('/', begin);
+    if (end == std::string::npos) end = run_name.size();
+    std::string part = run_name.substr(begin, end - begin);
+    if (part.rfind("iterations:", 0) != 0 && part.rfind("repeats:", 0) != 0) {
+      if (!key.empty()) key += '/';
+      key += part;
+    }
+    begin = end + 1;
+  }
+  return key;
 }
 
 bool LoadSamples(const char* path, Samples* out) {
@@ -63,13 +97,21 @@ bool LoadSamples(const char* path, Samples* out) {
   }
   for (const JsonValue& entry : benchmarks->array) {
     if (!entry.is_object()) continue;
-    const JsonValue* name = entry.Find("name");
+    const JsonValue* name = entry.Find("run_name");
+    if (name == nullptr) name = entry.Find("name");
     const JsonValue* cpu = entry.Find("cpu_time");
     if (name == nullptr || !name->is_string() || cpu == nullptr ||
         !cpu->is_number() || cpu->number <= 0) {
-      continue;  // aggregate/malformed rows are check_bench_json's problem
+      continue;  // malformed rows are check_bench_json's problem
     }
-    (*out)[name->string].push_back(cpu->number);
+    const JsonValue* type = entry.Find("run_type");
+    const JsonValue* aggregate = entry.Find("aggregate_name");
+    if (type == nullptr || !type->is_string() || type->string != "aggregate") {
+      (*out)[BenchKey(name->string)].iterations.push_back(cpu->number);
+    } else if (aggregate != nullptr && aggregate->is_string() &&
+               aggregate->string == "median") {
+      (*out)[BenchKey(name->string)].medians.push_back(cpu->number);
+    }  // mean/stddev/cv aggregates do not gate
   }
   return true;
 }
@@ -102,10 +144,10 @@ int main(int argc, char** argv) {
   std::vector<double> ratios;
   double worst_ratio = 0.0;
   std::string worst_name;
-  for (const auto& [name, base_samples] : baseline) {
+  for (const auto& [name, base_times] : baseline) {
     auto it = fresh.find(name);
     if (it == fresh.end()) continue;  // renamed/retired benchmarks don't gate
-    double ratio = Median(it->second) / Median(base_samples);
+    double ratio = it->second.Value() / base_times.Value();
     ratios.push_back(ratio);
     if (ratio > worst_ratio) {
       worst_ratio = ratio;
