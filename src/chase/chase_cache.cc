@@ -237,59 +237,6 @@ void ChaseMemo::AttachStore(std::shared_ptr<MemoStore> store,
   disk_prefix_ = std::move(prefix);
 }
 
-void ChaseMemo::AttachPeerTier(std::shared_ptr<const MemoPeerTier> peer,
-                               std::string_view context_fingerprint) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (peer == nullptr) {
-    peer_.reset();
-    peer_prefix_.clear();
-    return;
-  }
-  peer_ = std::move(peer);
-  peer_prefix_ = ContextPrefix(context_fingerprint);
-}
-
-std::optional<std::string> ChaseMemo::ExportRecord(
-    std::string_view disk_key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::string& prefix = peer_prefix_.empty() ? disk_prefix_ : peer_prefix_;
-  if (prefix.empty() || disk_key.size() <= prefix.size() ||
-      disk_key.substr(0, prefix.size()) != prefix) {
-    return std::nullopt;
-  }
-  auto it = cache_.find(std::string(disk_key.substr(prefix.size())));
-  if (it == cache_.end()) return std::nullopt;
-  return SerializeChaseOutcomeBody(*it->second.outcome);
-}
-
-bool ChaseMemo::ImportRecord(std::string_view disk_key,
-                             const std::string& body) {
-  std::shared_ptr<MemoStore> store;
-  std::string key;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::string& prefix =
-        peer_prefix_.empty() ? disk_prefix_ : peer_prefix_;
-    if (prefix.empty() || disk_key.size() <= prefix.size() ||
-        disk_key.substr(0, prefix.size()) != prefix) {
-      return false;
-    }
-    key = std::string(disk_key.substr(prefix.size()));
-    store = store_;
-  }
-  Result<ChaseOutcome> parsed = ParseChaseOutcomeBody(body);
-  if (!parsed.ok()) return false;
-  auto outcome = std::make_shared<const ChaseOutcome>(std::move(parsed).value());
-  std::vector<SpilledEntry> spilled;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    InsertLocked(key, std::move(outcome), nullptr, &spilled);
-  }
-  if (store != nullptr) (void)store->Put(std::string(disk_key), body);
-  SpillEvicted(store, spilled);
-  return true;
-}
-
 void ChaseMemo::EvictLocked(MetricsRegistry* metrics,
                             std::vector<SpilledEntry>* spilled) {
   // Never evict the front (most recently touched) entry: a single outcome
@@ -358,9 +305,7 @@ Result<std::shared_ptr<const ChaseOutcome>> ChaseMemo::LookupOrChase(
   if (out_key != nullptr) *out_key = key;
   std::shared_ptr<const ChaseOutcome> cached;
   std::shared_ptr<MemoStore> store;
-  std::shared_ptr<const MemoPeerTier> peer;
   std::string disk_key;
-  std::string peer_key;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = cache_.find(key);
@@ -371,9 +316,7 @@ Result<std::shared_ptr<const ChaseOutcome>> ChaseMemo::LookupOrChase(
     } else {
       ++misses_;
       store = store_;
-      peer = peer_;
       if (store != nullptr) disk_key = disk_prefix_ + key;
-      if (peer != nullptr) peer_key = peer_prefix_ + key;
     }
   }
   CountMemoLookup(runtime.metrics, /*hit=*/cached != nullptr);
@@ -408,42 +351,6 @@ Result<std::shared_ptr<const ChaseOutcome>> ChaseMemo::LookupOrChase(
     }
   }
 
-  // Tier-3: the peer memo tier (fleet only). The shard owning this key may
-  // have already settled it; fetching its serialized outcome is orders of
-  // magnitude cheaper than chasing. A hit promotes into the memory tier
-  // and writes through to the local disk tier, so the record stops
-  // traveling after the first fetch. Misses, transport failures, and
-  // malformed bodies all degrade to a cold chase.
-  if (peer != nullptr && peer->fetch) {
-    bool peer_hit = false;
-    if (std::optional<std::string> body = peer->fetch(peer_key);
-        body.has_value()) {
-      Result<ChaseOutcome> parsed = ParseChaseOutcomeBody(*body);
-      if (parsed.ok()) {
-        peer_hit = true;
-        auto fetched =
-            std::make_shared<const ChaseOutcome>(std::move(parsed).value());
-        std::vector<SpilledEntry> spilled;
-        std::shared_ptr<const ChaseOutcome> winner;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          winner = InsertLocked(key, std::move(fetched), runtime.metrics,
-                                &spilled)
-                       .first;
-        }
-        if (runtime.metrics != nullptr) {
-          runtime.metrics->counter(metric::kMemoPeerHits).Add();
-        }
-        if (store != nullptr) (void)store->Put(disk_key, *body, runtime.metrics);
-        SpillEvicted(store, spilled);
-        return winner;
-      }
-    }
-    if (!peer_hit && runtime.metrics != nullptr) {
-      runtime.metrics->counter(metric::kMemoPeerMisses).Add();
-    }
-  }
-
   // Chase outside the lock: other keys (and even this key, on a concurrent
   // miss) may be chased in parallel; the first insert wins.
   // Checkpoint subjects use the plain canonical key, not the slice-suffixed
@@ -468,16 +375,12 @@ Result<std::shared_ptr<const ChaseOutcome>> ChaseMemo::LookupOrChase(
   }
   if (inserted) {
     CountMemoInsert(runtime.metrics, key, *entry);
-    const bool offering = peer != nullptr && static_cast<bool>(peer->offer);
-    if (store != nullptr || offering) {
-      std::string body = SerializeChaseOutcomeBody(*entry);
-      // Write-through: a freshly chased outcome spills immediately, so a
-      // later eviction is a dedupe no-op and a crash right now loses
-      // nothing already paid for. Failures cost a future re-chase only.
-      if (store != nullptr) (void)store->Put(disk_key, body, runtime.metrics);
-      // Offer the fresh outcome toward the key's owning shard, so the next
-      // cross-shard miss on this key can peer-fetch instead of chasing.
-      if (offering) peer->offer(peer_key, body);
+    // Write-through: a freshly chased outcome spills immediately, so a
+    // later eviction is a dedupe no-op and a crash right now loses nothing
+    // already paid for. Failures cost a future re-chase only.
+    if (store != nullptr) {
+      (void)store->Put(disk_key, SerializeChaseOutcomeBody(*entry),
+                       runtime.metrics);
     }
   }
   SpillEvicted(store, spilled);

@@ -8,11 +8,9 @@
 #ifndef SQLEQ_CHASE_CHASE_CACHE_H_
 #define SQLEQ_CHASE_CHASE_CACHE_H_
 
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -25,20 +23,6 @@
 namespace sqleq {
 
 class MemoStore;
-
-/// Callbacks into a fleet's peer memo tier (docs/fleet.md). `fetch` asks
-/// the shard that owns `disk_key` for its settled outcome body (serialized
-/// via SerializeChaseOutcomeBody) and returns nullopt on miss or transport
-/// failure; `offer` pushes a freshly chased body toward the key's owner
-/// (fire-and-forget). Either hook may be empty. Both run outside the memo
-/// lock, on the chasing thread, and must never re-enter the memo — in
-/// particular, a fetch handler on the serving side answers from its own
-/// tiers only (ChaseMemo::ExportRecord), it never chases.
-struct MemoPeerTier {
-  std::function<std::optional<std::string>(const std::string& disk_key)> fetch;
-  std::function<void(const std::string& disk_key, const std::string& body)>
-      offer;
-};
 
 /// A canonical form of `q`: variables renamed to ?0, ?1, ... and body atoms
 /// reordered by a greedy least-signature labelling, so any two queries that
@@ -98,31 +82,6 @@ class ChaseMemo {
   /// instead of mixing outcomes. nullptr detaches.
   void AttachStore(std::shared_ptr<MemoStore> store,
                    std::string_view context_fingerprint);
-
-  /// Attaches the fleet's peer memo tier: after a memory- and disk-tier
-  /// miss (and before a fresh chase), `peer->fetch` is consulted with the
-  /// same context-prefixed key the disk tier uses; a hit is parsed,
-  /// promoted into the memory tier, and written through to the local disk
-  /// tier. Freshly chased outcomes are handed to `peer->offer` after the
-  /// local write-through. Counted as memo.peer.hits / memo.peer.misses in
-  /// the per-call runtime metrics. `context_fingerprint` must be the same
-  /// string AttachStore gets, so peer keys and disk keys agree fleet-wide.
-  /// nullptr detaches.
-  void AttachPeerTier(std::shared_ptr<const MemoPeerTier> peer,
-                      std::string_view context_fingerprint);
-
-  /// The serving half of the peer tier (the memo_fetch verb): the
-  /// serialized outcome body cached in the memory tier under `disk_key`
-  /// (context prefix + canonical key), or nullopt when the key is not this
-  /// memo's context or not cached. Read-only — never chases, never touches
-  /// the disk tier (the caller consults MemoStore itself).
-  std::optional<std::string> ExportRecord(std::string_view disk_key) const;
-
-  /// The accepting half of a peer offer: parses `body` and promotes it
-  /// into the memory tier (write-through to the disk tier when attached)
-  /// if `disk_key` belongs to this memo's context. Returns whether the
-  /// record was accepted. Malformed bodies are rejected, never fatal.
-  bool ImportRecord(std::string_view disk_key, const std::string& body);
 
   /// Pins the Σ-slice of `envelope` for every later chase through this
   /// memo. Sound exactly when each chased query is a sub-conjunction of
@@ -224,10 +183,6 @@ class ChaseMemo {
   /// AttachStore under mu_ and copied out under mu_ before disk I/O.
   std::shared_ptr<MemoStore> store_;
   std::string disk_prefix_;
-  /// Peer tier hooks and their context prefix (same derivation as
-  /// disk_prefix_; set by AttachPeerTier under mu_, copied out before I/O).
-  std::shared_ptr<const MemoPeerTier> peer_;
-  std::string peer_prefix_;
   std::unordered_map<std::string, Entry> cache_;
   std::list<std::string> lru_;
   size_t byte_limit_ = 0;

@@ -1,7 +1,6 @@
 #include "equivalence/engine.h"
 
 #include "chase/homomorphism.h"
-#include "chase/memo_store.h"
 #include "chase/sound_chase.h"
 #include "equivalence/bag_equivalence.h"
 #include "equivalence/containment.h"
@@ -60,7 +59,6 @@ std::shared_ptr<ChaseMemo> EquivalenceEngine::MemoFor(const EquivRequest& reques
                                           request.schema, memo_options,
                                           memo_byte_limit_);
   if (memo_store_ != nullptr) memo->AttachStore(memo_store_, key);
-  if (memo_peer_ != nullptr) memo->AttachPeerTier(memo_peer_, key);
   memos_.emplace(std::move(key), memo);
   return memo;
 }
@@ -75,61 +73,6 @@ void EquivalenceEngine::set_memo_store(std::shared_ptr<MemoStore> store) {
   std::lock_guard<std::mutex> lock(mu_);
   memo_store_ = std::move(store);
   for (auto& [key, memo] : memos_) memo->AttachStore(memo_store_, key);
-}
-
-void EquivalenceEngine::set_memo_peer_tier(
-    std::shared_ptr<const MemoPeerTier> peer) {
-  std::lock_guard<std::mutex> lock(mu_);
-  memo_peer_ = std::move(peer);
-  for (auto& [key, memo] : memos_) memo->AttachPeerTier(memo_peer_, key);
-}
-
-std::optional<std::string> EquivalenceEngine::ExportMemoRecord(
-    const std::string& disk_key) {
-  std::vector<std::shared_ptr<ChaseMemo>> memos;
-  std::shared_ptr<MemoStore> store;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    memos.reserve(memos_.size());
-    for (auto& [key, memo] : memos_) memos.push_back(memo);
-    store = memo_store_;
-  }
-  // The prefix embedded in disk_key selects the matching context; memos of
-  // other contexts reject it, so probing each is correct (and cheap — a
-  // prefix compare per non-matching memo).
-  for (const auto& memo : memos) {
-    if (std::optional<std::string> body = memo->ExportRecord(disk_key);
-        body.has_value()) {
-      return body;
-    }
-  }
-  if (store != nullptr) {
-    Result<std::optional<std::string>> body = store->Get(disk_key);
-    if (body.ok() && body->has_value()) return **body;
-  }
-  return std::nullopt;
-}
-
-bool EquivalenceEngine::ImportMemoRecord(const std::string& disk_key,
-                                         const std::string& body) {
-  std::vector<std::shared_ptr<ChaseMemo>> memos;
-  std::shared_ptr<MemoStore> store;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    memos.reserve(memos_.size());
-    for (auto& [key, memo] : memos_) memos.push_back(memo);
-    store = memo_store_;
-  }
-  for (const auto& memo : memos) {
-    if (memo->ImportRecord(disk_key, body)) return true;
-  }
-  // No live memo context matches (the owner may not have served this
-  // context yet); keep the record durably so a future context warms from
-  // disk. Validate first — never persist an unparsable body.
-  if (store != nullptr && ParseChaseOutcomeBody(body).ok()) {
-    return store->Put(disk_key, body).ok();
-  }
-  return false;
 }
 
 Result<EquivVerdict> EquivalenceEngine::Equivalent(const ConjunctiveQuery& q1,
@@ -251,23 +194,15 @@ Result<EquivVerdict> EquivalenceEngine::Equivalent(const ConjunctiveQuery& q1,
 Result<EquivVerdict> EquivalenceEngine::EquivalentWithRetry(
     const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
     const EquivRequest& request, const EscalatingBudget& policy) {
-  const size_t attempts = policy.max_attempts == 0 ? 1 : policy.max_attempts;
-  const ResourceBudget base_budget = request.context.budget;
   EquivRequest attempt_request = request;
-  std::optional<ChaseCheckpoint> carried;
-  Result<EquivVerdict> result =
-      Status::Internal("retry loop did not run");  // overwritten below
-  for (size_t attempt = 0; attempt < attempts; ++attempt) {
-    attempt_request.context.budget = policy.Escalate(base_budget, attempt);
-    attempt_request.resume = carried.has_value() ? &*carried : request.resume;
-    result = Equivalent(q1, q2, attempt_request);
-    if (!result.ok() || result->verdict != Verdict::kUnknown ||
-        !result->checkpoint.has_value()) {
-      return result;
-    }
-    carried = *result->checkpoint;
-  }
-  return result;
+  return RetryWithEscalatingBudget(
+      policy, request.context.budget, request.resume,
+      [&](const ResourceBudget& budget, const ChaseCheckpoint* resume) {
+        attempt_request.context.budget = budget;
+        attempt_request.resume = resume;
+        return Equivalent(q1, q2, attempt_request);
+      },
+      [](const EquivVerdict& v) { return v.verdict != Verdict::kUnknown; });
 }
 
 EquivalenceEngine::CacheStats EquivalenceEngine::cache_stats() const {

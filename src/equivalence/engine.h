@@ -176,24 +176,6 @@ class EquivalenceEngine {
   /// store to a fresh engine). nullptr detaches.
   void set_memo_store(std::shared_ptr<MemoStore> store);
 
-  /// Attaches the fleet's peer memo tier (chase/chase_cache.h) to every
-  /// chase memo this engine owns, existing and future: local misses fetch
-  /// from the owning shard before chasing, fresh outcomes are offered to
-  /// their owner. nullptr detaches.
-  void set_memo_peer_tier(std::shared_ptr<const MemoPeerTier> peer);
-
-  /// The serving side of the memo_fetch verb: the serialized outcome body
-  /// for `disk_key` (context prefix + canonical key) from whichever memo
-  /// context matches the prefix, falling back to the attached MemoStore.
-  /// Read-only — never chases. nullopt when nothing holds the record.
-  std::optional<std::string> ExportMemoRecord(const std::string& disk_key);
-
-  /// The accepting side of the memo_offer verb: promotes `body` into the
-  /// matching memo context's memory tier (write-through to disk when
-  /// attached), or straight into the MemoStore when no context matches yet.
-  /// Returns whether the record was kept. Malformed bodies are dropped.
-  bool ImportMemoRecord(const std::string& disk_key, const std::string& body);
-
  private:
   /// The memo for the request's chase context, under the resolved chase
   /// options (context budget already folded in). Deadlines are deliberately
@@ -207,7 +189,6 @@ class EquivalenceEngine {
   std::unordered_map<std::string, std::shared_ptr<ChaseMemo>> memos_;
   size_t memo_byte_limit_ = 0;
   std::shared_ptr<MemoStore> memo_store_;
-  std::shared_ptr<const MemoPeerTier> memo_peer_;
 };
 
 }  // namespace sqleq

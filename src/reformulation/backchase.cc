@@ -42,13 +42,14 @@ struct SweepMetricsFlusher {
         stats->candidates_examined - base.candidates_examined);
     add(metric::kBackchaseAccepted, accepted_masks->size() - base_accepted);
     add(metric::kBackchaseRejected, *rejected);
-    add("backchase.chase_failed", *chase_failed);
+    add(metric::kBackchaseChaseFailed, *chase_failed);
     add(metric::kBackchasePrunedDominance,
         stats->dominance_pruned - base.dominance_pruned);
     add(metric::kBackchasePrunedFailure,
         stats->failure_pruned - base.failure_pruned);
-    add("backchase.cache_hits", stats->chase_cache_hits - base.chase_cache_hits);
-    add("backchase.cache_misses",
+    add(metric::kBackchaseCacheHits,
+        stats->chase_cache_hits - base.chase_cache_hits);
+    add(metric::kBackchaseCacheMisses,
         stats->chase_cache_misses - base.chase_cache_misses);
   }
 };

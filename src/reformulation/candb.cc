@@ -251,23 +251,15 @@ Result<CandBResult> ChaseAndBackchaseWithRetry(
     const ConjunctiveQuery& q, const DependencySet& sigma, Semantics semantics,
     const Schema& schema, const CandBOptions& options,
     const EscalatingBudget& policy) {
-  const size_t attempts = policy.max_attempts == 0 ? 1 : policy.max_attempts;
-  const ResourceBudget base_budget = options.context.budget;
   CandBOptions attempt_options = options;
-  std::optional<CandBCheckpoint> carried;
-  Result<CandBResult> result =
-      Status::Internal("retry loop did not run");  // overwritten below
-  for (size_t attempt = 0; attempt < attempts; ++attempt) {
-    attempt_options.context.budget = policy.Escalate(base_budget, attempt);
-    attempt_options.resume =
-        carried.has_value() ? &*carried : options.resume;
-    result = ChaseAndBackchase(q, sigma, semantics, schema, attempt_options);
-    if (!result.ok() || result->complete || !result->checkpoint.has_value()) {
-      return result;
-    }
-    carried = *result->checkpoint;
-  }
-  return result;
+  return RetryWithEscalatingBudget(
+      policy, options.context.budget, options.resume,
+      [&](const ResourceBudget& budget, const CandBCheckpoint* resume) {
+        attempt_options.context.budget = budget;
+        attempt_options.resume = resume;
+        return ChaseAndBackchase(q, sigma, semantics, schema, attempt_options);
+      },
+      [](const CandBResult& r) { return r.complete; });
 }
 
 }  // namespace sqleq

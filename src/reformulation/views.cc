@@ -172,6 +172,12 @@ Result<RewriteResult> RewriteWithViews(const ConjunctiveQuery& q, const ViewSet&
                                        const DependencySet& sigma, Semantics semantics,
                                        const Schema& schema,
                                        const RewriteOptions& options) {
+  if (options.verify_sigma_minimality) {
+    // Inherited from CandBOptions, but view rewriting has no Def 3.1
+    // filter: refuse the option rather than silently ignore it.
+    return Status::InvalidArgument(
+        "verify_sigma_minimality is not supported by RewriteWithViews");
+  }
   const EngineContext& ctx = options.context;
   TraceSpan rewrite_span(ctx.trace, "rewrite.views");
   if (options.analyze.enabled) {
@@ -383,23 +389,16 @@ Result<RewriteResult> RewriteWithViewsWithRetry(
     const ConjunctiveQuery& q, const ViewSet& views, const DependencySet& sigma,
     Semantics semantics, const Schema& schema, const RewriteOptions& options,
     const EscalatingBudget& policy) {
-  const size_t attempts = policy.max_attempts == 0 ? 1 : policy.max_attempts;
-  const ResourceBudget base_budget = options.context.budget;
   RewriteOptions attempt_options = options;
-  std::optional<CandBCheckpoint> carried;
-  Result<RewriteResult> result =
-      Status::Internal("retry loop did not run");  // overwritten below
-  for (size_t attempt = 0; attempt < attempts; ++attempt) {
-    attempt_options.context.budget = policy.Escalate(base_budget, attempt);
-    attempt_options.resume =
-        carried.has_value() ? &*carried : options.resume;
-    result = RewriteWithViews(q, views, sigma, semantics, schema, attempt_options);
-    if (!result.ok() || result->complete || !result->checkpoint.has_value()) {
-      return result;
-    }
-    carried = *result->checkpoint;
-  }
-  return result;
+  return RetryWithEscalatingBudget(
+      policy, options.context.budget, options.resume,
+      [&](const ResourceBudget& budget, const CandBCheckpoint* resume) {
+        attempt_options.context.budget = budget;
+        attempt_options.resume = resume;
+        return RewriteWithViews(q, views, sigma, semantics, schema,
+                                attempt_options);
+      },
+      [](const RewriteResult& r) { return r.complete; });
 }
 
 }  // namespace sqleq

@@ -91,6 +91,8 @@ struct RewriteResult {
 /// resume) apply to the rewrite's chases directly — RewriteOptions IS-A
 /// CandBOptions; the old `candb` member wrapper is gone (drop the `.candb`
 /// path segment; see equivalence/run_options.h for the mapping).
+/// `verify_sigma_minimality` (inherited) is unsupported: RewriteWithViews
+/// answers InvalidArgument when it is set.
 struct RewriteOptions : CandBOptions {
   /// Allow base-relation atoms to appear alongside view atoms in rewritings
   /// (false = total rewritings over views only).

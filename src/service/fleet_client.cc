@@ -297,8 +297,6 @@ Result<JsonValue> FleetClient::FleetStatsInternal(const std::string& id,
   SQLEQ_ASSIGN_OR_RETURN(std::string line,
                          EncodeRequest(RequestSpec("stats", id), options_.max_protocol));
   uint64_t memo_hits = 0, memo_misses = 0, memo_entries = 0, memo_contexts = 0;
-  uint64_t peer_hits = 0, peer_misses = 0, peer_fetches = 0, peer_served = 0;
-  uint64_t peer_offers = 0, peer_accepted = 0;
   std::string per_shard = "[";
   for (size_t shard = 0; shard < ring_.size(); ++shard) {
     std::string shard_raw;
@@ -308,12 +306,6 @@ Result<JsonValue> FleetClient::FleetStatsInternal(const std::string& id,
     memo_misses += StatsField(response, "memo", "misses");
     memo_entries += StatsField(response, "memo", "entries");
     memo_contexts += StatsField(response, "memo", "contexts");
-    peer_hits += StatsField(response, "peer", "hits");
-    peer_misses += StatsField(response, "peer", "misses");
-    peer_fetches += StatsField(response, "peer", "fetches");
-    peer_served += StatsField(response, "peer", "served");
-    peer_offers += StatsField(response, "peer", "offers");
-    peer_accepted += StatsField(response, "peer", "accepted");
     if (shard > 0) per_shard += ",";
     per_shard += shard_raw;
   }
@@ -324,13 +316,6 @@ Result<JsonValue> FleetClient::FleetStatsInternal(const std::string& id,
       .Int("misses", memo_misses)
       .Int("entries", memo_entries)
       .Int("contexts", memo_contexts);
-  JsonObject peer;
-  peer.Int("hits", peer_hits)
-      .Int("misses", peer_misses)
-      .Int("fetches", peer_fetches)
-      .Int("served", peer_served)
-      .Int("offers", peer_offers)
-      .Int("accepted", peer_accepted);
   JsonObject client_obj;
   client_obj.Int("dials", client.dials)
       .Int("pool_reuses", client.pool_reuses)
@@ -345,8 +330,6 @@ Result<JsonValue> FleetClient::FleetStatsInternal(const std::string& id,
                              .Bool("fleet", true)
                              .Int("shards", ring_.size())
                              .Raw("memo", memo.Build())
-                             .Raw("peer", peer.Build())
-                             .Int("memo.peer.hits", peer_hits)
                              .Raw("client", client_obj.Build())
                              .Raw("per_shard", per_shard)
                              .Build();

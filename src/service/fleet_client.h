@@ -96,10 +96,9 @@ class FleetClient {
   /// responses are returned for the caller to judge.
   Result<std::vector<JsonValue>> Broadcast(const std::string& request_line);
 
-  /// The fleet-wide stats rollup: per-shard stats responses, summed memo /
-  /// peer counters (including the "memo.peer.hits" total), client-side pool
-  /// and redirect counters, and the raw per-shard objects under
-  /// "per_shard".
+  /// The fleet-wide stats rollup: per-shard stats responses, summed memo
+  /// counters, client-side pool and redirect counters, and the raw
+  /// per-shard objects under "per_shard".
   Result<JsonValue> FleetStats(const std::string& id = "");
 
   /// Client-side observability (docs/fleet.md).

@@ -30,7 +30,6 @@ std::optional<ProtocolVersion> MinVersionForVerb(std::string_view cmd) {
       cmd == "stats") {
     return ProtocolVersion::kV1;
   }
-  if (cmd == "memo_fetch" || cmd == "memo_offer") return ProtocolVersion::kV2;
   return std::nullopt;
 }
 

@@ -4,9 +4,9 @@
 // rendering goes through JsonObject so escaping is uniform.
 //
 // The protocol is version-explicit. v1 is the PR-5/PR-8 single-node
-// protocol; v2 adds the fleet verbs and routing metadata (docs/fleet.md):
-// `hello` negotiation via "max_protocol", `not_owner` redirects, shard /
-// epoch / fleet fields, and the memo_fetch / memo_offer peer-memo verbs.
+// protocol; v2 adds fleet routing metadata (docs/fleet.md): `hello`
+// negotiation via "max_protocol", `not_owner` redirects, and shard / epoch
+// / fleet fields. Both versions carry the same verbs.
 // A connection speaks v1 until a hello carrying "max_protocol" negotiates
 // it up, so v1 clients see byte-identical v1 responses forever.
 #ifndef SQLEQ_SERVICE_PROTOCOL_H_
@@ -27,7 +27,7 @@ namespace service {
 /// hello's "max_protocol" request field and "protocol" response field.
 enum class ProtocolVersion : int {
   kV1 = 1,  ///< single-node verbs: hello ddl relation dep check reformulate lint stats
-  kV2 = 2,  ///< + fleet routing: not_owner redirects, memo_fetch, memo_offer
+  kV2 = 2,  ///< + fleet routing: not_owner redirects, shard / epoch fields
 };
 
 /// Baseline every connection starts at (and what a plain v1 hello reports).
@@ -124,7 +124,7 @@ class RequestSpec {
 
 /// Renders `spec` as one request line: {"id":...,"cmd":...,<fields...>}
 /// (id omitted when empty). InvalidArgument when the verb is unknown, or
-/// known but newer than `version` — a v1 connection cannot send memo_fetch.
+/// known but newer than `version`.
 Result<std::string> EncodeRequest(const RequestSpec& spec,
                                   ProtocolVersion version = kMaxProtocolVersion);
 

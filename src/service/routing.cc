@@ -166,11 +166,6 @@ std::string CanonicalRequestSignature(const std::string& cmd,
     }
     return sig;
   }
-  if (cmd == "memo_fetch" || cmd == "memo_offer") {
-    // Peer memo verbs are addressed by the record's disk key directly.
-    sig += "|K:" + OptionalString(body, "key").value_or("");
-    return sig;
-  }
   return sig;
 }
 

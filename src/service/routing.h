@@ -1,7 +1,7 @@
-// Fleet routing (docs/fleet.md): which sqleqd shard owns a request, and
-// which owns a memo record. Both sides of the wire — FleetClient picking a
-// shard, and a v2 server deciding whether to serve or redirect — compute
-// ownership through this one module, so they can never disagree.
+// Fleet routing (docs/fleet.md): which sqleqd shard owns a request. Both
+// sides of the wire — FleetClient picking a shard, and a v2 server
+// deciding whether to serve or redirect — compute ownership through this
+// one module, so they can never disagree.
 //
 // Ownership is consistent hashing over a virtual-node ring: each shard
 // contributes kVnodesPerShard points hashed from "<name>#<i>", a key is

@@ -57,17 +57,6 @@ Status Server::Start() {
     if (options_.port == 0) {
       options_.port = options_.fleet[static_cast<size_t>(self_index_)].port;
     }
-    peer_links_.clear();
-    for (size_t i = 0; i < options_.fleet.size(); ++i) {
-      peer_links_.push_back(std::make_unique<PeerLink>());
-    }
-    auto tier = std::make_shared<MemoPeerTier>();
-    tier->fetch = [this](const std::string& key) { return PeerFetch(key); };
-    tier->offer = [this](const std::string& key, const std::string& body) {
-      PeerOffer(key, body);
-    };
-    peer_tier_ = std::move(tier);
-    engine_->set_memo_peer_tier(peer_tier_);
   }
   if (!options_.memo_dir.empty()) {
     MemoStoreOptions store_options;
@@ -125,9 +114,6 @@ void Server::ResetMemo() {
   // The disk tier outlives the engine on purpose: a reset cools the memory
   // tier but the fresh engine re-warms from disk (bench_memo_persistence).
   if (memo_store_ != nullptr) fresh->set_memo_store(memo_store_);
-  // The peer tier survives a reset too: a cooled shard re-warms from its
-  // peers just like from disk.
-  if (peer_tier_ != nullptr) fresh->set_memo_peer_tier(peer_tier_);
   std::lock_guard<std::mutex> lock(engine_mu_);
   engine_ = std::move(fresh);
 }
@@ -287,8 +273,6 @@ std::string Server::Dispatch(Session& session, const Request& request,
   if (request.cmd == "reformulate") return HandleReformulate(session, request, degraded);
   if (request.cmd == "lint") return HandleLint(session, request, degraded);
   if (request.cmd == "stats") return HandleStats(request);
-  if (request.cmd == "memo_fetch") return HandleMemoFetch(request);
-  if (request.cmd == "memo_offer") return HandleMemoOffer(request);
   return ErrorResponse(request.id,
                        Status::InvalidArgument("unknown command \"" + request.cmd + "\""));
 }
@@ -552,18 +536,10 @@ std::string Server::HandleStats(const Request& request) {
       auto it = snapshot.counters.find(name);
       return it == snapshot.counters.end() ? 0 : it->second;
     };
-    JsonObject peer;
-    peer.Int("hits", counter_of(metric::kMemoPeerHits))
-        .Int("misses", counter_of(metric::kMemoPeerMisses))
-        .Int("fetches", counter_of(metric::kMemoPeerFetches))
-        .Int("served", counter_of(metric::kMemoPeerServed))
-        .Int("offers", counter_of(metric::kMemoPeerOffers))
-        .Int("accepted", counter_of(metric::kMemoPeerAccepted));
     out.Str("shard", options_.shard_name)
         .Int("epoch", options_.shard_epoch)
         .Int("shards", ring_->size())
-        .Int("redirects", counter_of(metric::kServiceRedirects))
-        .Raw("peer", peer.Build());
+        .Int("redirects", counter_of(metric::kServiceRedirects));
   }
   if (memo_store_ != nullptr) {
     MemoStore::Stats d = memo_store_->stats();
@@ -582,107 +558,8 @@ std::string Server::HandleStats(const Request& request) {
   return out.Build();
 }
 
-std::string Server::HandleMemoFetch(const Request& request) {
-  Result<std::string> key = RequireString(request.body, "key");
-  if (!key.ok()) return ErrorResponse(request.id, key.status());
-  // Read-only: this only consults the memory tier (and the shared disk
-  // store), never chases, so serving it inline on the connection thread is
-  // cheap and cannot recurse into peer traffic.
-  std::optional<std::string> body = engine()->ExportMemoRecord(*key);
-  JsonObject out;
-  out.Str("id", request.id).Bool("ok", true).Bool("found", body.has_value());
-  if (body.has_value()) {
-    metrics_.counter(metric::kMemoPeerServed).Add();
-    out.Str("body", *body);
-  }
-  return out.Build();
-}
-
-std::string Server::HandleMemoOffer(const Request& request) {
-  Result<std::string> key = RequireString(request.body, "key");
-  if (!key.ok()) return ErrorResponse(request.id, key.status());
-  Result<std::string> body = RequireString(request.body, "body");
-  if (!body.ok()) return ErrorResponse(request.id, body.status());
-  // The record is parsed and validated before admission; a garbled offer is
-  // acknowledged with accepted:false rather than an error (the offering
-  // peer cannot do anything about it).
-  bool accepted = engine()->ImportMemoRecord(*key, *body);
-  if (accepted) metrics_.counter(metric::kMemoPeerAccepted).Add();
-  return JsonObject()
-      .Str("id", request.id)
-      .Bool("ok", true)
-      .Bool("accepted", accepted)
-      .Build();
-}
-
 size_t Server::OwnerShardFor(const Request& request) const {
   return ring_->OwnerIndex(CanonicalRequestSignature(request.cmd, request.body));
-}
-
-std::optional<JsonValue> Server::CallPeer(size_t shard, const std::string& line) {
-  PeerLink& link = *peer_links_[shard];
-  std::lock_guard<std::mutex> lock(link.mu);
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (link.conn == nullptr) {
-      // Short deadlines: peer traffic is opportunistic, and a slow peer
-      // must not stall the chase that asked.
-      RetryPolicy policy;
-      policy.max_attempts = 1;
-      policy.connect_timeout = std::chrono::milliseconds(1000);
-      policy.request_timeout = std::chrono::milliseconds(2000);
-      const ShardId& peer = options_.fleet[shard];
-      Result<Connection> dialed = Connection::Connect(peer.host, peer.port, policy);
-      if (!dialed.ok()) return std::nullopt;
-      link.conn = std::make_unique<Connection>(std::move(*dialed));
-      RequestSpec hello("hello");
-      hello.Int("max_protocol", static_cast<uint64_t>(ToInt(kMaxProtocolVersion)));
-      Result<std::string> hello_line = EncodeRequest(hello);
-      Result<JsonValue> negotiated =
-          hello_line.ok() ? link.conn->Call(*hello_line)
-                          : Result<JsonValue>(hello_line.status());
-      if (!negotiated.ok() ||
-          static_cast<int>(OptionalNumber(*negotiated, "protocol").value_or(1)) <
-              ToInt(ProtocolVersion::kV2)) {
-        link.conn.reset();
-        return std::nullopt;  // unreachable or a pre-fleet peer
-      }
-    }
-    Result<JsonValue> response = link.conn->Call(line);
-    if (response.ok()) {
-      const JsonValue* ok = response->Find("ok");
-      if (ok != nullptr && ok->kind == JsonValue::Kind::kBool && ok->boolean) {
-        return *std::move(response);
-      }
-      return std::nullopt;  // the peer answered but refused; don't redial
-    }
-    link.conn.reset();  // dead link: one redial, then give up
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> Server::PeerFetch(const std::string& key) {
-  size_t owner = ring_->OwnerIndex(key);
-  if (owner == static_cast<size_t>(self_index_)) return std::nullopt;
-  RequestSpec spec("memo_fetch");
-  spec.Str("key", key);
-  Result<std::string> line = EncodeRequest(spec);
-  if (!line.ok()) return std::nullopt;
-  metrics_.counter(metric::kMemoPeerFetches).Add();
-  std::optional<JsonValue> response = CallPeer(owner, *line);
-  if (!response.has_value()) return std::nullopt;
-  if (!OptionalBool(*response, "found", false)) return std::nullopt;
-  return OptionalString(*response, "body");
-}
-
-void Server::PeerOffer(const std::string& key, const std::string& body) {
-  size_t owner = ring_->OwnerIndex(key);
-  if (owner == static_cast<size_t>(self_index_)) return;
-  RequestSpec spec("memo_offer");
-  spec.Str("key", key).Str("body", body);
-  Result<std::string> line = EncodeRequest(spec);
-  if (!line.ok()) return;
-  metrics_.counter(metric::kMemoPeerOffers).Add();
-  CallPeer(owner, *line);
 }
 
 std::optional<std::string> Server::IdempotentReplay(const std::string& id) {

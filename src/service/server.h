@@ -30,7 +30,6 @@
 
 #include "chase/memo_store.h"
 #include "equivalence/engine.h"
-#include "service/connection.h"
 #include "service/protocol.h"
 #include "service/routing.h"
 #include "service/session.h"
@@ -157,18 +156,6 @@ class Server {
   /// meaningful when fleet_enabled().
   size_t OwnerShardFor(const Request& request) const;
 
-  /// One request/response round trip on the lazily-dialed peer link to
-  /// `shard` (hello-negotiated at v2). Any failure — dial, write, read,
-  /// ok:false — drops the link and returns nullopt: peer traffic is an
-  /// optimization, never a correctness dependency.
-  std::optional<JsonValue> CallPeer(size_t shard, const std::string& line);
-
-  /// The peer tier hooks ChaseMemo calls on a local miss / fresh insert:
-  /// fetch pulls a settled record from the key's owning shard, offer pushes
-  /// a freshly chased record to it. Both no-op when we own the key.
-  std::optional<std::string> PeerFetch(const std::string& key);
-  void PeerOffer(const std::string& key, const std::string& body);
-
   std::string HandleHello(Session& session, const Request& request);
   std::string HandleDdl(Session& session, const Request& request);
   std::string HandleRelation(Session& session, const Request& request);
@@ -178,10 +165,6 @@ class Server {
                                 bool degraded);
   std::string HandleLint(Session& session, const Request& request, bool degraded);
   std::string HandleStats(const Request& request);
-  /// v2 fleet verbs: read-only memory-tier export (never chases) and
-  /// validated import of a peer's settled chase record.
-  std::string HandleMemoFetch(const Request& request);
-  std::string HandleMemoOffer(const Request& request);
 
   /// The per-request context: default budget narrowed by request fields,
   /// a caller-supplied local metrics registry, the server's fault injector,
@@ -216,15 +199,6 @@ class Server {
   /// Fleet state, resolved by Start() from options_.fleet.
   std::optional<HashRing> ring_;
   int self_index_ = -1;
-  std::shared_ptr<const MemoPeerTier> peer_tier_;
-  /// One outgoing link per peer shard (self entry unused), dialed on first
-  /// use and redialed after failures. Guarded per-link so fetches to
-  /// different peers do not serialize.
-  struct PeerLink {
-    std::mutex mu;
-    std::unique_ptr<Connection> conn;
-  };
-  std::vector<std::unique_ptr<PeerLink>> peer_links_;
 
   std::mutex engine_mu_;
   std::shared_ptr<EquivalenceEngine> engine_;

@@ -132,6 +132,30 @@ struct EscalatingBudget {
   ResourceBudget Escalate(const ResourceBudget& base, size_t attempt) const;
 };
 
+/// The escalate / resume / stop loop behind every *WithRetry entry point.
+/// `attempt(budget, resume)` runs once and returns a Result whose value
+/// carries an optional `checkpoint`; attempt k gets policy.Escalate(base, k)
+/// and, from k = 1 on, the previous attempt's checkpoint (attempt 0 gets
+/// `resume`). The loop returns the first error, the first value that is
+/// `settled` or has no checkpoint, or the last attempt's value.
+template <typename Checkpoint, typename Attempt, typename Settled>
+auto RetryWithEscalatingBudget(const EscalatingBudget& policy,
+                               const ResourceBudget& base,
+                               const Checkpoint* resume, Attempt attempt,
+                               Settled settled) {
+  const size_t attempts = policy.max_attempts == 0 ? 1 : policy.max_attempts;
+  std::optional<Checkpoint> carried;
+  auto result = attempt(policy.Escalate(base, 0), resume);
+  for (size_t k = 1; k < attempts; ++k) {
+    if (!result.ok() || settled(*result) || !result->checkpoint.has_value()) {
+      break;
+    }
+    carried = *result->checkpoint;
+    result = attempt(policy.Escalate(base, k), &*carried);
+  }
+  return result;
+}
+
 }  // namespace sqleq
 
 #endif  // SQLEQ_UTIL_RESOURCE_BUDGET_H_

@@ -33,8 +33,9 @@
 
 namespace sqleq {
 
-/// Canonical metric names (glossary in docs/observability.md). Instrumented
-/// code uses these constants; dynamic names (chase.fired.<label>,
+/// Canonical metric names (glossary in docs/observability.md, kept in sync
+/// by tests/observability_glossary_test.cc). Instrumented code uses these
+/// constants; dynamic names (chase.fired.<label>,
 /// backchase.level.<k>.candidates) are composed at the call site.
 namespace metric {
 inline constexpr char kChaseRuns[] = "chase.runs";
@@ -64,22 +65,15 @@ inline constexpr char kMemoDiskRecovered[] = "memo.disk.recovered";
 inline constexpr char kMemoDiskCorrupt[] = "memo.disk.corrupt_records";
 inline constexpr char kMemoDiskBytes[] = "memo.disk.bytes";
 inline constexpr char kMemoDiskCompactions[] = "memo.disk.compactions";
-// Peer memo tier (fleet shards; docs/fleet.md). hits/misses are counted by
-// the fetching shard into the per-request registry; served/accepted by the
-// owning shard's server registry; fetches/offers by the fetching server's
-// peer link.
-inline constexpr char kMemoPeerHits[] = "memo.peer.hits";
-inline constexpr char kMemoPeerMisses[] = "memo.peer.misses";
-inline constexpr char kMemoPeerFetches[] = "memo.peer.fetches";
-inline constexpr char kMemoPeerServed[] = "memo.peer.served";
-inline constexpr char kMemoPeerOffers[] = "memo.peer.offers";
-inline constexpr char kMemoPeerAccepted[] = "memo.peer.accepted";
 inline constexpr char kBackchaseCandidates[] = "backchase.candidates";
 inline constexpr char kBackchaseAccepted[] = "backchase.accepted";
 inline constexpr char kBackchaseRejected[] = "backchase.rejected";
 inline constexpr char kBackchasePrunedDominance[] =
     "backchase.pruned.dominance";
 inline constexpr char kBackchasePrunedFailure[] = "backchase.pruned.failure";
+inline constexpr char kBackchaseChaseFailed[] = "backchase.chase_failed";
+inline constexpr char kBackchaseCacheHits[] = "backchase.cache_hits";
+inline constexpr char kBackchaseCacheMisses[] = "backchase.cache_misses";
 inline constexpr char kEngineEquivCalls[] = "engine.equiv.calls";
 inline constexpr char kEngineEquivEquivalent[] = "engine.equiv.equivalent";
 inline constexpr char kEngineEquivNotEquivalent[] =
@@ -108,6 +102,12 @@ inline constexpr char kCacheMisses[] = "cache.misses";
 inline constexpr char kCacheConfirms[] = "cache.confirms";
 inline constexpr char kCacheConfirmsUnknown[] = "cache.confirms.unknown";
 inline constexpr char kCacheAdmissions[] = "cache.admissions";
+// sqleq-lint per-run tallies (tools/sqleq_lint.cc).
+inline constexpr char kLintFiles[] = "lint.files";
+inline constexpr char kLintStatements[] = "lint.statements";
+inline constexpr char kLintErrors[] = "lint.errors";
+inline constexpr char kLintWarnings[] = "lint.warnings";
+inline constexpr char kLintNotes[] = "lint.notes";
 }  // namespace metric
 
 /// Monotonically increasing event count. Add/value are wait-free.

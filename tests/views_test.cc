@@ -197,6 +197,18 @@ TEST(RewriteWithViewsTest, AllowBaseAtomsOption) {
   EXPECT_FALSE(partial.rewritings.empty());
 }
 
+TEST(RewriteWithViewsTest, RejectsSigmaMinimalityVerification) {
+  // The inherited C&B option has no view-rewriting counterpart; setting it
+  // is an error, not a silent no-op.
+  RewriteOptions options;
+  options.verify_sigma_minimality = true;
+  Result<RewriteResult> result =
+      RewriteWithViews(Q("Q(E, M) :- emp(E, D), dept(D, M)."), EmpViews(), {},
+                       Semantics::kSet, EmpSchema(), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(RewriteWithViewsTest, BagSemanticsRejectsMultiplicityChangingView) {
   // v_join(E) projects a join: under bag semantics its multiplicities differ
   // from Q(E) :- emp(E, D) whenever dept fans out; no equivalent rewriting.

@@ -43,10 +43,10 @@
 # fleet-smoke exercises the sharded fleet end to end (docs/fleet.md): a
 # 3-shard sqleq-fleet with --restart and per-shard durable memos, verdicts
 # byte-identical to a single node with every request forced through the
-# not_owner redirect path (--route first), cross-shard peer memo hits from
-# a legacy v1 client, a SIGKILL of one shard mid-run with byte-identical
-# verdicts after its supervised restart, and a fleet stats rollup showing
-# memo.peer.hits > 0 and followed redirects.
+# not_owner redirect path (--route first), byte-identical verdicts from a
+# legacy v1 client served by local chases on one shard, a SIGKILL of one
+# shard mid-run with byte-identical verdicts after its supervised restart,
+# and a fleet stats rollup showing served redirects.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -409,9 +409,10 @@ EOF
   diff "${workdir}/solo.verdicts" "${workdir}/fleet.verdicts" \
       || { echo "fleet verdicts differ from the single node"; exit 1; }
 
-  echo "-- cross-shard warm reads from a legacy v1 client"
-  # A v1 client pinned to shard 0 is always served locally; any check whose
-  # record lives elsewhere must arrive through the peer memo tier.
+  echo "-- legacy v1 client pinned to shard 0"
+  # A v1 session is never redirected: shard 0 answers every check from its
+  # own memo or a local chase, including the checks another shard owns, and
+  # must match the single node.
   "${build_dir}/tools/sqleq-client" --shards "${spec}" --route first \
       --max-protocol 1 --retries 6 --backoff-ms 50 \
       --file "${checks}" > "${workdir}/v1.jsonl"
@@ -445,8 +446,6 @@ EOF
       --file "${workdir}/stats.jsonl" > "${workdir}/stats.out"
   grep -Fq '"fleet":true' "${workdir}/stats.out" \
       || { echo "stats is not a fleet rollup:"; cat "${workdir}/stats.out"; exit 1; }
-  grep -Eq '"memo\.peer\.hits":[1-9]' "${workdir}/stats.out" \
-      || { echo "no cross-shard peer memo hits:"; cat "${workdir}/stats.out"; exit 1; }
   # --route first forced every check to shard 0; the ones it does not own
   # show up in its server-lifetime redirect counter (per_shard detail).
   grep -Eq '"redirects":[1-9]' "${workdir}/stats.out" \

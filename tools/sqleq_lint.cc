@@ -65,13 +65,14 @@ sqleq::shell::LintResult LintOne(const std::string& text,
                                  sqleq::TraceSink* trace) {
   sqleq::TraceSpan span(trace, "lint.file");
   sqleq::shell::LintResult result = sqleq::shell::LintScript(text, opts);
-  metrics->counter("lint.files").Add();
-  metrics->counter("lint.statements").Add(result.statements);
-  metrics->counter("lint.errors")
+  namespace metric = sqleq::metric;
+  metrics->counter(metric::kLintFiles).Add();
+  metrics->counter(metric::kLintStatements).Add(result.statements);
+  metrics->counter(metric::kLintErrors)
       .Add(result.report.CountOf(sqleq::Severity::kError));
-  metrics->counter("lint.warnings")
+  metrics->counter(metric::kLintWarnings)
       .Add(result.report.CountOf(sqleq::Severity::kWarning));
-  metrics->counter("lint.notes")
+  metrics->counter(metric::kLintNotes)
       .Add(result.report.CountOf(sqleq::Severity::kInfo));
   return result;
 }

@@ -19,8 +19,8 @@
 // --degraded-admission swaps load shedding for the narrowed-budget lane
 // (docs/robustness.md). --fleet ("a=h:p,b=h:p,...") + --shard-name join a
 // sharded fleet (docs/fleet.md): v2 sessions are redirected to the shard
-// owning each request, and chase verdicts are pulled from / offered to the
-// peer tier of the two-level memo.
+// owning each request; v1 sessions are served locally. Each shard keeps its
+// own memo tiers.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
