@@ -47,7 +47,8 @@ Result<bool> IsAssignmentFixing(const ConjunctiveQuery& q, const Tgd& tgd,
   SQLEQ_ASSIGN_OR_RETURN(ChaseOutcome chased,
                          chase_internal::RunChase(test.query, sigma, plan,
                                                   Semantics::kSet, Schema(), options,
-                                                  ChaseRuntime()));
+                                                  ChaseRuntime(),
+                                                  /*sigma_terminates=*/false));
   if (chased.failed) {
     // Chase failure: Q^{σ,h,θ} is unsatisfiable under Σ; no database can
     // witness a multiplicity blow-up, so the step fixes assignments

@@ -51,14 +51,17 @@ void CountMemoLookup(MetricsRegistry* metrics, bool hit) {
   metrics->counter(hit ? metric::kMemoHits : metric::kMemoMisses).Add();
 }
 
-/// memo.inserts / memo.bytes for a winning insert. Bytes are the retained
-/// footprint estimate: canonical key plus rendered chase result.
-void CountMemoInsert(MetricsRegistry* metrics, const std::string& key,
-                     const ChaseOutcome& outcome) {
+/// The retained footprint estimate of one entry: canonical key plus
+/// rendered chase result. Computed before taking the memo lock.
+size_t EntryBytes(const std::string& key, const ChaseOutcome& outcome) {
+  return key.size() + outcome.result.ToString().size();
+}
+
+/// memo.inserts / memo.bytes for a winning insert of `bytes` (EntryBytes).
+void CountMemoInsert(MetricsRegistry* metrics, size_t bytes) {
   if (metrics == nullptr) return;
   metrics->counter(metric::kMemoInserts).Add();
-  metrics->counter(metric::kMemoBytes)
-      .Add(key.size() + outcome.result.ToString().size());
+  metrics->counter(metric::kMemoBytes).Add(bytes);
 }
 
 /// Per-call runtime for the memo's inner SoundChase: a resume checkpoint is
@@ -257,7 +260,7 @@ void ChaseMemo::EvictLocked(MetricsRegistry* metrics,
 }
 
 std::pair<std::shared_ptr<const ChaseOutcome>, bool> ChaseMemo::InsertLocked(
-    const std::string& key, std::shared_ptr<const ChaseOutcome> entry,
+    const std::string& key, std::shared_ptr<const ChaseOutcome> entry, size_t bytes,
     MetricsRegistry* metrics, std::vector<SpilledEntry>* spilled) {
   auto it = cache_.find(key);
   if (it != cache_.end()) {
@@ -266,9 +269,8 @@ std::pair<std::shared_ptr<const ChaseOutcome>, bool> ChaseMemo::InsertLocked(
     return {it->second.outcome, false};
   }
   lru_.push_front(key);
-  Entry stored{std::move(entry), 0, lru_.begin()};
-  stored.bytes = key.size() + stored.outcome->result.ToString().size();
-  bytes_ += stored.bytes;
+  Entry stored{std::move(entry), bytes, lru_.begin()};
+  bytes_ += bytes;
   auto outcome = stored.outcome;
   cache_.emplace(key, std::move(stored));
   EvictLocked(metrics, spilled);
@@ -337,11 +339,12 @@ Result<std::shared_ptr<const ChaseOutcome>> ChaseMemo::LookupOrChase(
       if (parsed.ok()) {
         auto promoted =
             std::make_shared<const ChaseOutcome>(std::move(parsed).value());
+        const size_t bytes = EntryBytes(key, *promoted);
         std::vector<SpilledEntry> spilled;
         std::shared_ptr<const ChaseOutcome> winner;
         {
           std::lock_guard<std::mutex> lock(mu_);
-          winner = InsertLocked(key, std::move(promoted), runtime.metrics,
+          winner = InsertLocked(key, std::move(promoted), bytes, runtime.metrics,
                                 &spilled)
                        .first;
         }
@@ -366,15 +369,16 @@ Result<std::shared_ptr<const ChaseOutcome>> ChaseMemo::LookupOrChase(
   SQLEQ_RETURN_IF_ERROR(
       ProbeSite(runtime.faults, runtime.cancel, fault_sites::kMemoInsert));
   auto entry = std::make_shared<const ChaseOutcome>(std::move(outcome).value());
+  const size_t bytes = EntryBytes(key, *entry);
   bool inserted = false;
   std::vector<SpilledEntry> spilled;
   {
     std::lock_guard<std::mutex> lock(mu_);
     std::tie(entry, inserted) =
-        InsertLocked(key, std::move(entry), runtime.metrics, &spilled);
+        InsertLocked(key, std::move(entry), bytes, runtime.metrics, &spilled);
   }
   if (inserted) {
-    CountMemoInsert(runtime.metrics, key, *entry);
+    CountMemoInsert(runtime.metrics, bytes);
     // Write-through: a freshly chased outcome spills immediately, so a
     // later eviction is a dedupe no-op and a crash right now loses nothing
     // already paid for. Failures cost a future re-chase only.

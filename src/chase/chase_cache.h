@@ -112,7 +112,8 @@ class ChaseMemo {
 
   /// Memoized SoundChase of `q` with the result mapped back onto q's
   /// variables and name. Chase-introduced fresh variables and the trace
-  /// (rendered in canonical space) pass through unchanged. Checkpoints
+  /// (in canonical space: render it against ChaseCanonical's result) pass
+  /// through unchanged. Checkpoints
   /// behave as in ChaseCanonical (canonical space, subject-stamped).
   Result<ChaseOutcome> Chase(const ConjunctiveQuery& q,
                              const ChaseRuntime& runtime = {});
@@ -159,10 +160,12 @@ class ChaseMemo {
       const ConjunctiveQuery& q, std::string* out_key, TermMap* from_canonical,
       const ChaseRuntime& runtime);
 
-  /// Inserts (or returns the concurrent winner of) `key`; runs eviction.
-  /// Returns the cached outcome and whether this call inserted it.
+  /// Inserts (or returns the concurrent winner of) `key`, charging it
+  /// `bytes` (its footprint estimate, rendered before taking the lock);
+  /// runs eviction. Returns the cached outcome and whether this call
+  /// inserted it.
   std::pair<std::shared_ptr<const ChaseOutcome>, bool> InsertLocked(
-      const std::string& key, std::shared_ptr<const ChaseOutcome> entry,
+      const std::string& key, std::shared_ptr<const ChaseOutcome> entry, size_t bytes,
       MetricsRegistry* metrics, std::vector<SpilledEntry>* spilled);
 
   /// Evicts LRU entries (never the front) until the limit holds, recording

@@ -18,11 +18,13 @@ namespace chase_internal {
 /// admitted (S: the first applicable h; B and BS: the first h that passes
 /// the Thm 4.1/4.3 duplicate and set-valued checks and is assignment-fixing,
 /// Def 5.1/4.3). Under B and BS the loop first runs itself under S as the
-/// termination probe the theorems presuppose.
+/// termination probe the theorems presuppose, unless `sigma_terminates`
+/// says the set chase terminates on every input (a stratified Σ, Thm H.1
+/// and its stratified extension), which makes the probe redundant.
 Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& sigma,
                               const SigmaPlan& plan, Semantics semantics,
                               const Schema& schema, const ChaseOptions& options,
-                              const ChaseRuntime& runtime);
+                              const ChaseRuntime& runtime, bool sigma_terminates);
 
 }  // namespace chase_internal
 }  // namespace sqleq

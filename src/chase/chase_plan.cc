@@ -6,6 +6,7 @@
 
 #include "chase/chase_internal.h"
 #include "constraints/regularize.h"
+#include "constraints/weak_acyclicity.h"
 #include "util/telemetry.h"
 
 namespace sqleq {
@@ -72,13 +73,10 @@ const SigmaSlice& ChasePlan::SliceFor(const ConjunctiveQuery& q) const {
   return slices_.emplace(std::move(key), std::move(slice)).first->second;
 }
 
-const TerminationCertificate& ChasePlan::certificate() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (certificate_ == nullptr) {
-    certificate_ =
-        std::make_unique<TerminationCertificate>(graph_.DeriveCertificate());
-  }
-  return *certificate_;
+bool ChasePlan::sigma_terminates() const {
+  std::call_once(terminates_once_,
+                 [this] { terminates_ = CheckStratification(regular_).stratified; });
+  return terminates_;
 }
 
 std::shared_ptr<const ChasePlan::SlicedSigma> ChasePlan::SlicedFor(
@@ -111,13 +109,13 @@ Result<ChaseOutcome> ChasePlan::Run(const ConjunctiveQuery& q,
   if (slice.IsFull()) return RunFull(q, runtime);
   std::shared_ptr<const SlicedSigma> sub = SlicedFor(slice);
   return chase_internal::RunChase(q, sub->deps, sub->kernels, semantics_, schema_,
-                                  options_, runtime);
+                                  options_, runtime, SkipsProbe());
 }
 
 Result<ChaseOutcome> ChasePlan::RunFull(const ConjunctiveQuery& q,
                                         const ChaseRuntime& runtime) const {
   return chase_internal::RunChase(q, regular_, plan_, semantics_, schema_, options_,
-                                  runtime);
+                                  runtime, SkipsProbe());
 }
 
 ChasePlan::Stats ChasePlan::stats() const { return Stats{plan_.stats()}; }

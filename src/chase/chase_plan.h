@@ -76,10 +76,14 @@ class ChasePlan {
   /// SLICE-style output.
   const SigmaSlice& SliceFor(const ConjunctiveQuery& q) const;
 
-  /// The termination certificate of the regularized Σ, derived on first
-  /// use and cached. Advisory: Run() never changes budgets from it; EXPLAIN
-  /// SLICE, the Σ-lint analyzer, and SET BUDGET AUTO surface it.
-  const TerminationCertificate& certificate() const;
+  /// Whether the set chase terminates on every input under the regularized
+  /// Σ: it is stratified, which is TerminationCertificate::terminates() of
+  /// SigmaGraph::DeriveCertificate(). Run() and RunFull() skip the B/BS
+  /// set-chase probe when it holds; stratification is closed under subsets,
+  /// so the bit covers every Σ-slice. Computed on first use from the
+  /// stratification test alone — a plan built per call (C&B, view
+  /// rewriting) must not pay for a whole certificate.
+  bool sigma_terminates() const;
 
   const DependencySet& sigma() const { return sigma_; }
   const DependencySet& regularized() const { return regular_; }
@@ -103,6 +107,11 @@ class ChasePlan {
     SigmaPlan kernels;
   };
   std::shared_ptr<const SlicedSigma> SlicedFor(const SigmaSlice& slice) const;
+  /// The loop's `sigma_terminates` argument: only a B/BS run reads (and so
+  /// computes) the bit.
+  bool SkipsProbe() const {
+    return semantics_ != Semantics::kSet && sigma_terminates();
+  }
 
   DependencySet sigma_;
   DependencySet regular_;
@@ -112,12 +121,15 @@ class ChasePlan {
   SigmaPlan plan_;
   SigmaGraph graph_;  ///< over regular_; cheap to build, immutable
 
+  // sigma_terminates(), computed once.
+  mutable std::once_flag terminates_once_;
+  mutable bool terminates_ = false;
+
   // Lazy, per-plan caches. Keyed by body shape (slices) and slice
   // signature (materialized subsets); both key spaces are tiny in practice
   // — a handful of query shapes per catalog — and bounded by the memo's
   // own LRU upstream, so no eviction here.
   mutable std::mutex mu_;
-  mutable std::unique_ptr<TerminationCertificate> certificate_;
   mutable std::unordered_map<std::string, SigmaSlice> slices_;
   mutable std::unordered_map<std::string, std::shared_ptr<const SlicedSigma>>
       subsets_;

@@ -120,6 +120,41 @@ Result<std::string> UnescapeField(std::string_view s) {
   return out;
 }
 
+namespace {
+
+/// Appends "\tA:<pred>\t<term>..." for each atom.
+void AppendAtoms(const std::vector<Atom>& atoms, std::string* out) {
+  for (const Atom& a : atoms) {
+    *out += "\tA:" + EscapeField(a.predicate());
+    for (Term t : a.args()) {
+      *out += '\t';
+      *out += SerializeTerm(t);
+    }
+  }
+}
+
+/// Parses the AppendAtoms fields of `fields` from index `i` to the end.
+Result<std::vector<Atom>> DeserializeAtoms(const std::vector<std::string_view>& fields,
+                                           size_t i) {
+  std::vector<Atom> atoms;
+  while (i < fields.size()) {
+    if (fields[i].substr(0, 2) != "A:") {
+      return Status::InvalidArgument("checkpoint: malformed atom field");
+    }
+    SQLEQ_ASSIGN_OR_RETURN(std::string pred, UnescapeField(fields[i].substr(2)));
+    ++i;
+    std::vector<Term> args;
+    for (; i < fields.size() && fields[i].substr(0, 2) != "A:"; ++i) {
+      SQLEQ_ASSIGN_OR_RETURN(Term t, DeserializeTerm(fields[i]));
+      args.push_back(t);
+    }
+    atoms.emplace_back(std::move(pred), std::move(args));
+  }
+  return atoms;
+}
+
+}  // namespace
+
 std::string SerializeQuery(const ConjunctiveQuery& q) {
   std::string out = "Q:" + EscapeField(q.name());
   out += "\tH";
@@ -127,13 +162,7 @@ std::string SerializeQuery(const ConjunctiveQuery& q) {
     out += '\t';
     out += SerializeTerm(t);
   }
-  for (const Atom& a : q.body()) {
-    out += "\tA:" + EscapeField(a.predicate());
-    for (Term t : a.args()) {
-      out += '\t';
-      out += SerializeTerm(t);
-    }
-  }
+  AppendAtoms(q.body(), &out);
   return out;
 }
 
@@ -149,47 +178,74 @@ Result<ConjunctiveQuery> DeserializeQuery(std::string_view line) {
     SQLEQ_ASSIGN_OR_RETURN(Term t, DeserializeTerm(fields[i]));
     head.push_back(t);
   }
-  std::vector<Atom> body;
-  while (i < fields.size()) {
-    SQLEQ_ASSIGN_OR_RETURN(std::string pred, UnescapeField(fields[i].substr(2)));
-    ++i;
-    std::vector<Term> args;
-    for (; i < fields.size() && fields[i].substr(0, 2) != "A:"; ++i) {
-      SQLEQ_ASSIGN_OR_RETURN(Term t, DeserializeTerm(fields[i]));
-      args.push_back(t);
-    }
-    body.emplace_back(std::move(pred), std::move(args));
-  }
+  SQLEQ_ASSIGN_OR_RETURN(std::vector<Atom> body, DeserializeAtoms(fields, i));
   return ConjunctiveQuery::Make(std::move(name), std::move(head),
                                 std::move(body));
 }
 
 std::string SerializeStepRecord(const ChaseStepRecord& record) {
-  return EscapeField(record.dep_label) + '\t' + (record.is_tgd ? '1' : '0') +
-         '\t' + EscapeField(record.result);
+  std::string out = EscapeField(record.dep_label);
+  if (record.is_tgd) {
+    out += "\tT";
+    AppendAtoms(record.added, &out);
+    return out;
+  }
+  out += record.failure() ? "\tF\t" : "\tE\t";
+  out += SerializeTerm(record.from);
+  out += '\t';
+  out += SerializeTerm(record.to);
+  if (record.before.has_value()) {
+    out += '\t';
+    out += SerializeQuery(*record.before);
+  }
+  return out;
 }
 
 Result<ChaseStepRecord> DeserializeStepRecord(std::string_view line) {
   std::vector<std::string_view> fields = SplitTabs(line);
-  if (fields.size() != 3 || (fields[1] != "0" && fields[1] != "1")) {
+  auto malformed = [] {
     return Status::InvalidArgument("checkpoint: malformed trace line");
-  }
+  };
+  if (fields.size() < 2) return malformed();
   ChaseStepRecord record;
   SQLEQ_ASSIGN_OR_RETURN(record.dep_label, UnescapeField(fields[0]));
-  record.is_tgd = fields[1] == "1";
-  SQLEQ_ASSIGN_OR_RETURN(record.result, UnescapeField(fields[2]));
+  if (fields[1] == "T") {
+    record.is_tgd = true;
+    SQLEQ_ASSIGN_OR_RETURN(record.added, DeserializeAtoms(fields, 2));
+    if (record.added.empty()) return malformed();
+    return record;
+  }
+  const bool failure = fields[1] == "F";
+  if (failure ? fields.size() != 4 : fields[1] != "E" || fields.size() < 6) {
+    return malformed();
+  }
+  SQLEQ_ASSIGN_OR_RETURN(record.from, DeserializeTerm(fields[2]));
+  SQLEQ_ASSIGN_OR_RETURN(record.to, DeserializeTerm(fields[3]));
+  if (!failure) {
+    // The snapshot is the rest of the line from the fifth field on.
+    size_t at = 0;
+    for (int tabs = 0; tabs < 4; ++tabs) at = line.find('\t', at) + 1;
+    SQLEQ_ASSIGN_OR_RETURN(ConjunctiveQuery before, DeserializeQuery(line.substr(at)));
+    record.before = std::move(before);
+  }
   return record;
 }
 
+void AppendTraceLines(const std::vector<ChaseStepRecord>& trace, std::string* out) {
+  for (const ChaseStepRecord& record : trace) {
+    *out += "trace ";
+    *out += SerializeStepRecord(record);
+    *out += '\n';
+  }
+}
+
 std::string ChaseCheckpoint::Serialize() const {
-  std::string out = "sqleq-chase-checkpoint v1\n";
+  std::string out = "sqleq-chase-checkpoint v2\n";
   out += "phase " + phase + '\n';
   out += "subject " + EscapeField(subject) + '\n';
   out += "steps " + std::to_string(steps_done) + '\n';
   out += "state " + SerializeQuery(state) + '\n';
-  for (const ChaseStepRecord& record : trace) {
-    out += "trace " + SerializeStepRecord(record) + '\n';
-  }
+  AppendTraceLines(trace, &out);
   out += "end\n";
   return out;
 }
@@ -223,7 +279,7 @@ Status ReadKeyedLines(std::string_view text, std::string_view what,
 }
 
 Result<ChaseCheckpoint> ChaseCheckpoint::Deserialize(std::string_view text) {
-  constexpr std::string_view kHeader = "sqleq-chase-checkpoint v1";
+  constexpr std::string_view kHeader = "sqleq-chase-checkpoint v2";
   size_t nl = text.find('\n');
   if (text.substr(0, nl) != kHeader) {
     return Status::InvalidArgument("checkpoint: bad header");

@@ -67,8 +67,16 @@ Result<std::string> UnescapeField(std::string_view s);
 std::string SerializeQuery(const ConjunctiveQuery& q);
 Result<ConjunctiveQuery> DeserializeQuery(std::string_view line);
 
+/// One trace entry on one line: "<label>\t<kind>..." with kind T (a tgd
+/// step, then its added atoms as in SerializeQuery), E (an egd step, then
+/// from, to and SerializeQuery of the query before it) or F (the failing
+/// egd step, then its two constants).
 std::string SerializeStepRecord(const ChaseStepRecord& record);
 Result<ChaseStepRecord> DeserializeStepRecord(std::string_view line);
+
+/// Appends one "trace <record>" line per step: the trace block of both a
+/// checkpoint and a memo record (chase/memo_store.h).
+void AppendTraceLines(const std::vector<ChaseStepRecord>& trace, std::string* out);
 
 /// One key of a line-keyed record and the parser for its value.
 struct KeyedField {

@@ -19,7 +19,9 @@
 namespace sqleq {
 namespace {
 
-constexpr char kRecordHeader[] = "sqleq-memo-record v1";
+// v2: trace lines hold step deltas (chase/checkpoint.h); a v1 record fails
+// SplitPayload and its outcome is chased again.
+constexpr char kRecordHeader[] = "sqleq-memo-record v2";
 constexpr size_t kFrameHeaderBytes = 8;
 /// Sanity cap on a single payload; a larger length field is treated as a
 /// torn frame.
@@ -467,11 +469,7 @@ std::string SerializeChaseOutcomeBody(const ChaseOutcome& outcome) {
   body += "\nresult ";
   body += SerializeQuery(outcome.result);
   body += '\n';
-  for (const ChaseStepRecord& record : outcome.trace) {
-    body += "trace ";
-    body += SerializeStepRecord(record);
-    body += '\n';
-  }
+  AppendTraceLines(outcome.trace, &body);
   body += "end\n";
   return body;
 }

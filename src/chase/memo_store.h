@@ -11,7 +11,7 @@
 //
 // where the payload is the PR-3 checkpoint text dialect:
 //
-//   sqleq-memo-record v1
+//   sqleq-memo-record v2
 //   key <EscapeField(key)>
 //   <body — opaque to the store; chase outcomes use the helpers below>
 //
@@ -164,8 +164,8 @@ class MemoStore {
 
 /// Chase-outcome record bodies (the store itself is body-agnostic). The
 /// serialization reuses the checkpoint text helpers — SerializeQuery for the
-/// chased result, SerializeStepRecord per trace entry — so a record is the
-/// same dialect a parked checkpoint uses:
+/// chased result, the AppendTraceLines writer for the trace — so a record is
+/// the same dialect a parked checkpoint uses:
 ///
 ///   failed 0|1
 ///   result <SerializeQuery>

@@ -71,12 +71,24 @@ struct ChaseOptions {
   bool key_based_fast_path = true;
 };
 
-/// One entry of a chase trace.
+/// One entry of a chase trace: what the step changed, not the query after
+/// it. RenderTrace rebuilds the per-step queries on demand.
 struct ChaseStepRecord {
   std::string dep_label;
   bool is_tgd = false;
-  /// Query after the step.
-  std::string result;
+  /// Tgd step: the atoms the step appended to the body, in order.
+  std::vector<Atom> added;
+  /// Egd step: `from` was replaced by `to` throughout the query. For the
+  /// failing step of a failed chase, the two distinct constants it equated.
+  Term from;
+  Term to;
+  /// Egd step that did not fail: the query before the step. An egd step
+  /// rewrites and renormalizes the whole query, so the trace keeps the
+  /// state it started from rather than replaying the semantics'
+  /// normalization; the failing step has none.
+  std::optional<ConjunctiveQuery> before;
+
+  bool failure() const { return !is_tgd && !before.has_value(); }
 };
 
 /// Outcome of a chase run.
@@ -88,6 +100,15 @@ struct ChaseOutcome {
   /// failure time.
   bool failed = false;
 };
+
+/// The query after each step of `trace`, as ConjunctiveQuery::ToString
+/// renders it ("FAIL: <from> = <to>" for a failing egd step). `result` must
+/// be the query the recording chase ended on (ChaseOutcome::result, or a
+/// checkpoint's state); the steps are rebuilt backward from it, so a
+/// result that was renamed afterwards (ChaseMemo::Chase) renders a trace
+/// that mixes both namings.
+std::vector<std::string> RenderTrace(const ConjunctiveQuery& result,
+                                     const std::vector<ChaseStepRecord>& trace);
 
 /// Computes (Q)Σ,S. Returns ResourceExhausted if `options.budget` is
 /// exhausted (chase may not terminate for non-weakly-acyclic Σ); the loop

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <optional>
 #include <unordered_set>
 #include <vector>
@@ -166,7 +165,8 @@ Status ProbeSetChase(const ConjunctiveQuery& q, const DependencySet& sigma,
   std::optional<ChaseCheckpoint> probe_checkpoint;
   probe_runtime.checkpoint_out = &probe_checkpoint;
   Result<ChaseOutcome> probe = chase_internal::RunChase(
-      q, sigma, plan, Semantics::kSet, schema, options, probe_runtime);
+      q, sigma, plan, Semantics::kSet, schema, options, probe_runtime,
+      /*sigma_terminates=*/false);
   if (probe.ok()) return Status::OK();
   if (probe_checkpoint.has_value() && runtime.checkpoint_out != nullptr) {
     probe_checkpoint->phase = ChaseCheckpoint::kSetChaseProbePhase;
@@ -187,7 +187,7 @@ namespace chase_internal {
 Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& sigma,
                               const SigmaPlan& plan, Semantics semantics,
                               const Schema& schema, const ChaseOptions& options,
-                              const ChaseRuntime& runtime) {
+                              const ChaseRuntime& runtime, bool sigma_terminates) {
   const bool set = semantics == Semantics::kSet;
   const char* phase =
       set ? ChaseCheckpoint::kSetChasePhase : ChaseCheckpoint::kSoundChasePhase;
@@ -197,8 +197,11 @@ Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& si
   const ChaseCheckpoint* resume =
       runtime.resume != nullptr && runtime.resume->phase == phase ? runtime.resume
                                                                   : nullptr;
-  // A sound-chase checkpoint implies the probe already passed.
-  if (!set && resume == nullptr) {
+  // A sound-chase checkpoint implies the probe already passed. A Σ
+  // certified to terminate needs no probe: the set chase it would run
+  // terminates on every input (Thm H.1), and a probe-phase checkpoint then
+  // just starts the sound chase fresh.
+  if (!set && resume == nullptr && !sigma_terminates) {
     SQLEQ_RETURN_IF_ERROR(ProbeSetChase(q, sigma, plan, schema, options, runtime));
   }
 
@@ -256,14 +259,16 @@ Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& si
         dirty.MarkClean(di, flat.size());
         continue;
       }
+      ChaseStepRecord record{dep.label(), /*is_tgd=*/false, {}, app->from, app->to, {}};
       if (app->failure) {
         out.failed = true;
-        out.trace.push_back({dep.label(), false,
-                             "FAIL: " + app->from.ToString() + " = " + app->to.ToString()});
+        out.trace.push_back(std::move(record));
         return out;
       }
-      out.result = normalize(ApplyEgdStep(out.result, *app));
-      out.trace.push_back({dep.label(), false, out.result.ToString()});
+      ConjunctiveQuery next = normalize(ApplyEgdStep(out.result, *app));
+      record.before = std::move(out.result);
+      out.result = std::move(next);
+      out.trace.push_back(std::move(record));
       counters.Fired(dep.label(), /*is_tgd=*/false);
       flat.Rebuild(out.result.body());
       counters.Rebuilt();
@@ -305,11 +310,8 @@ Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& si
         dirty.Touch(plan, a);
       }
       dirty.Reset(di);
-      std::vector<Atom> body = out.result.body();
-      body.insert(body.end(), std::make_move_iterator(added.begin()),
-                  std::make_move_iterator(added.end()));
-      out.result = out.result.WithBody(std::move(body));
-      out.trace.push_back({dep.label(), true, out.result.ToString()});
+      out.result.AppendAtoms(added);
+      out.trace.push_back({dep.label(), /*is_tgd=*/true, std::move(added), {}, {}, {}});
       counters.Fired(dep.label(), /*is_tgd=*/true);
       applied = true;
     }

@@ -36,9 +36,11 @@ ConjunctiveQuery NormalizeForBag(const ConjunctiveQuery& q, const Schema& schema
 /// ChasePlan(sigma, semantics, schema, options).Run(q, runtime), so Σ is
 /// regularized (Prop 4.1 makes this lossless) and Σ-sliced for q per call.
 /// `schema` supplies the set-valued flags consulted under kBag
-/// (ignored under kSet/kBagSet). Fails with ResourceExhausted when set
-/// chase does not terminate within the step budget — the precondition of
-/// every theorem this implements. `runtime` carries the per-call anytime
+/// (ignored under kSet/kBagSet). Fails with ResourceExhausted when the chase
+/// exceeds the step budget, and, when Σ is not stratified, when the set
+/// chase does not terminate within it — the precondition of every theorem
+/// this implements, which a stratified Σ guarantees (ChasePlan::
+/// sigma_terminates()). `runtime` carries the per-call anytime
 /// hooks (fault sites, cancellation, checkpoint capture/resume — see
 /// chase/checkpoint.h); the checkpoint phase distinguishes the set-chase
 /// precondition probe from the sound-chase loop proper, so a resume skips

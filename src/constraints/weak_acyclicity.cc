@@ -5,6 +5,7 @@
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 namespace sqleq {
 namespace {
@@ -59,68 +60,11 @@ std::optional<std::vector<PositionEdge>> FindPath(
   return std::nullopt;
 }
 
-/// A special-edge cycle in the given edge set, or nullopt.
-std::optional<SpecialCycle> FindSpecialCycleInGraph(
-    const std::vector<PositionEdge>& edges) {
-  for (const PositionEdge& e : edges) {
-    if (!e.special) continue;
-    std::optional<std::vector<PositionEdge>> back = FindPath(edges, e.to, e.from);
-    if (!back.has_value()) continue;
-    SpecialCycle cycle;
-    cycle.edges.push_back(e);
-    cycle.edges.insert(cycle.edges.end(), back->begin(), back->end());
-    return cycle;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::vector<WrittenAtomView> DependencyWrites(const Dependency& dep) {
-  std::vector<WrittenAtomView> out;
-  if (dep.IsTgd()) {
-    for (const Atom& h : dep.tgd().head()) out.push_back({&h, false});
-  } else {
-    for (const Atom& b : dep.egd().body()) out.push_back({&b, true});
-  }
-  return out;
-}
-
-bool MayMatchAtom(const WrittenAtomView& written, const Atom& read) {
-  const Atom& w = *written.atom;
-  if (w.predicate() != read.predicate() || w.arity() != read.arity()) return false;
-  if (written.wildcard) return true;
-  for (size_t i = 0; i < w.arity(); ++i) {
-    const Term& a = w.args()[i];
-    const Term& b = read.args()[i];
-    if (!a.IsVariable() && !b.IsVariable() && !(a == b)) return false;
-  }
-  return true;
-}
-
-/// Iterative Tarjan over the may-match firing graph.
-std::vector<std::vector<size_t>> FiringComponents(const DependencySet& sigma) {
-  size_t n = sigma.size();
-  std::vector<std::vector<WrittenAtomView>> writes(n);
-  for (size_t i = 0; i < n; ++i) writes[i] = DependencyWrites(sigma[i]);
-  std::vector<std::vector<size_t>> succ(n);
-  for (size_t a = 0; a < n; ++a) {
-    for (size_t b = 0; b < n; ++b) {
-      bool fires = false;
-      for (const WrittenAtomView& w : writes[a]) {
-        for (const Atom& r : sigma[b].body()) {
-          if (MayMatchAtom(w, r)) {
-            fires = true;
-            break;
-          }
-        }
-        if (fires) break;
-      }
-      if (fires) succ[a].push_back(b);
-    }
-  }
-
-  // Iterative Tarjan SCC.
+/// Strongly connected components of the graph with adjacency lists
+/// `succ`, by iterative Tarjan, each in the order it was popped.
+std::vector<std::vector<size_t>> TarjanComponents(
+    const std::vector<std::vector<size_t>>& succ) {
+  const size_t n = succ.size();
   constexpr size_t kUnvisited = static_cast<size_t>(-1);
   std::vector<size_t> index(n, kUnvisited), lowlink(n, 0);
   std::vector<bool> on_stack(n, false);
@@ -160,7 +104,6 @@ std::vector<std::vector<size_t>> FiringComponents(const DependencySet& sigma) {
             on_stack[w] = false;
             component.push_back(w);
           } while (w != f.v);
-          std::sort(component.begin(), component.end());
           components.push_back(std::move(component));
         }
         size_t v = f.v;
@@ -170,6 +113,96 @@ std::vector<std::vector<size_t>> FiringComponents(const DependencySet& sigma) {
         }
       }
     }
+  }
+  return components;
+}
+
+/// A special-edge cycle in the given edge set, or nullopt. A special edge
+/// lies on a cycle iff its endpoints share a strongly connected component,
+/// so one Tarjan pass decides the question; the BFS runs only to build the
+/// witness of the first such edge in edge order: that edge, then the
+/// shortest path from its target back to its source.
+std::optional<SpecialCycle> FindSpecialCycleInGraph(
+    const std::vector<PositionEdge>& edges) {
+  std::map<Position, size_t> ids;
+  std::vector<std::pair<size_t, size_t>> ends;
+  ends.reserve(edges.size());
+  std::vector<std::vector<size_t>> succ;
+  for (const PositionEdge& e : edges) {
+    size_t from = ids.emplace(e.from, ids.size()).first->second;
+    size_t to = ids.emplace(e.to, ids.size()).first->second;
+    succ.resize(ids.size());
+    succ[from].push_back(to);
+    ends.emplace_back(from, to);
+  }
+  std::vector<size_t> component_of(succ.size());
+  std::vector<std::vector<size_t>> components = TarjanComponents(succ);
+  for (size_t c = 0; c < components.size(); ++c) {
+    for (size_t v : components[c]) component_of[v] = c;
+  }
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const PositionEdge& e = edges[i];
+    if (!e.special || component_of[ends[i].first] != component_of[ends[i].second]) {
+      continue;
+    }
+    std::optional<std::vector<PositionEdge>> back = FindPath(edges, e.to, e.from);
+    SpecialCycle cycle;
+    cycle.edges.push_back(e);
+    cycle.edges.insert(cycle.edges.end(), back->begin(), back->end());
+    return cycle;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::vector<WrittenAtomView> DependencyWrites(const Dependency& dep) {
+  std::vector<WrittenAtomView> out;
+  if (dep.IsTgd()) {
+    for (const Atom& h : dep.tgd().head()) out.push_back({&h, false});
+  } else {
+    for (const Atom& b : dep.egd().body()) out.push_back({&b, true});
+  }
+  return out;
+}
+
+bool MayMatchAtom(const WrittenAtomView& written, const Atom& read) {
+  const Atom& w = *written.atom;
+  if (w.predicate() != read.predicate() || w.arity() != read.arity()) return false;
+  if (written.wildcard) return true;
+  for (size_t i = 0; i < w.arity(); ++i) {
+    const Term& a = w.args()[i];
+    const Term& b = read.args()[i];
+    if (!a.IsVariable() && !b.IsVariable() && !(a == b)) return false;
+  }
+  return true;
+}
+
+/// Tarjan over the may-match firing graph.
+std::vector<std::vector<size_t>> FiringComponents(const DependencySet& sigma) {
+  size_t n = sigma.size();
+  std::vector<std::vector<WrittenAtomView>> writes(n);
+  for (size_t i = 0; i < n; ++i) writes[i] = DependencyWrites(sigma[i]);
+  std::vector<std::vector<size_t>> succ(n);
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = 0; b < n; ++b) {
+      bool fires = false;
+      for (const WrittenAtomView& w : writes[a]) {
+        for (const Atom& r : sigma[b].body()) {
+          if (MayMatchAtom(w, r)) {
+            fires = true;
+            break;
+          }
+        }
+        if (fires) break;
+      }
+      if (fires) succ[a].push_back(b);
+    }
+  }
+
+  std::vector<std::vector<size_t>> components = TarjanComponents(succ);
+  for (std::vector<size_t>& component : components) {
+    std::sort(component.begin(), component.end());
   }
   std::sort(components.begin(), components.end());
   return components;
@@ -236,7 +269,8 @@ bool IsWeaklyAcyclic(const DependencySet& sigma) {
 
 StratificationResult CheckStratification(const DependencySet& sigma) {
   StratificationResult out;
-  out.weakly_acyclic = IsWeaklyAcyclic(sigma);
+  std::optional<SpecialCycle> global = FindSpecialCycle(sigma);
+  out.weakly_acyclic = !global.has_value();
   if (out.weakly_acyclic) {
     out.stratified = true;
     return out;
@@ -253,7 +287,7 @@ StratificationResult CheckStratification(const DependencySet& sigma) {
   }
   // Not weakly acyclic, yet every firing component is: stratified, chase
   // still terminates. Surface the global cycle as an informational witness.
-  out.witness = FindSpecialCycle(sigma);
+  out.witness = std::move(global);
   return out;
 }
 

@@ -22,10 +22,7 @@ std::string ContextKey(const EquivRequest& request, const ChaseOptions& chase) {
   key += '\n';
   key += request.schema.ToString();
   key += '\n';
-  // E, C, S: removed always-on chase flags, kept so older memo keys still hit.
-  key += 'E';
   key += chase.key_based_fast_path ? 'K' : 'k';
-  key += "CS";
   return key;
 }
 

@@ -66,8 +66,9 @@ std::string EquivalenceExplanation::ToString() const {
     out += label;
     out += failed ? " chase FAILED (unsatisfiable under Sigma)\n"
                   : " chased to: " + chased.ToString() + "\n";
-    for (const ChaseStepRecord& step : trace) {
-      out += "    [" + step.dep_label + "] -> " + step.result + "\n";
+    std::vector<std::string> rendered = RenderTrace(chased, trace);
+    for (size_t i = 0; i < trace.size(); ++i) {
+      out += "    [" + trace[i].dep_label + "] -> " + rendered[i] + "\n";
     }
   };
   render_side("  Q1", chased_q1, trace_q1, q1_failed);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <unordered_set>
 
 namespace sqleq {
@@ -104,6 +105,11 @@ ConjunctiveQuery ConjunctiveQuery::RenameApart(TermMap* out_renaming) const {
 
 ConjunctiveQuery ConjunctiveQuery::WithBody(std::vector<Atom> body) const {
   return ConjunctiveQuery(name_, head_, std::move(body));
+}
+
+void ConjunctiveQuery::AppendAtoms(std::vector<Atom> atoms) {
+  body_.insert(body_.end(), std::make_move_iterator(atoms.begin()),
+               std::make_move_iterator(atoms.end()));
 }
 
 ConjunctiveQuery ConjunctiveQuery::WithName(std::string name) const {

@@ -77,6 +77,10 @@ class ConjunctiveQuery {
   /// preserve safety; violated safety is reported by Create() paths only.
   ConjunctiveQuery WithBody(std::vector<Atom> body) const;
 
+  /// Appends `atoms` to the body in place. Safety is preserved: the head
+  /// variables still occur in the body.
+  void AppendAtoms(std::vector<Atom> atoms);
+
   /// Returns a copy with a different name.
   ConjunctiveQuery WithName(std::string name) const;
 

@@ -21,13 +21,16 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "chase/assignment_fixing.h"
+#include "chase/chase_internal.h"
 #include "chase/chase_plan.h"
 #include "chase/chase_step.h"
 #include "chase/checkpoint.h"
@@ -36,6 +39,9 @@
 #include "chase/set_chase.h"
 #include "chase/sigma_plan.h"
 #include "chase/sound_chase.h"
+#include "constraints/weak_acyclicity.h"
+#include "equivalence/engine.h"
+#include "equivalence/isomorphism.h"
 #include "ir/term.h"
 #include "util/fault.h"
 #include "util/telemetry.h"
@@ -147,7 +153,8 @@ using ChaseRun = std::function<Result<ChaseOutcome>(const ChaseRuntime&)>;
 /// Every state a chase passes through, in order: the state checkpointed at
 /// each step boundary — a kExhausted fault injected at the n-th chase.step
 /// probe, n = 1, 2, ..., which covers the set-chase precondition probe of a
-/// B/BS chase too — and the final result once the chase completes. `run`
+/// B/BS chase over an unstratified Σ too — and the final result once the
+/// chase completes. `run`
 /// chases from scratch under the runtime it is given.
 std::vector<ConjunctiveQuery> VisitedStates(const ChaseRun& run) {
   std::vector<ConjunctiveQuery> states;
@@ -193,8 +200,9 @@ void ExpectIdenticalOutcome(const Result<ChaseOutcome>& a,
   for (size_t i = 0; i < a->trace.size(); ++i) {
     EXPECT_EQ(a->trace[i].dep_label, b->trace[i].dep_label) << context << " step " << i;
     EXPECT_EQ(a->trace[i].is_tgd, b->trace[i].is_tgd) << context << " step " << i;
-    EXPECT_EQ(a->trace[i].result, b->trace[i].result) << context << " step " << i;
   }
+  EXPECT_EQ(RenderTrace(a->result, a->trace), RenderTrace(b->result, b->trace))
+      << context;
 }
 
 // ---- Matcher-level enumeration order ---------------------------------
@@ -306,7 +314,7 @@ TEST(ChasePlanIdentity, Example41TraceIdenticalAcrossPaths) {
           return SoundChase(q, Example41Sigma(), sem, Example41Schema(), Options(),
                             runtime);
         });
-    // The probe plus at least one step of the chase proper.
+    // At least one step of the chase proper, then its result.
     EXPECT_GT(states.size(), 1u) << SemanticsToString(sem);
     for (const ConjunctiveQuery& state : states) {
       ExpectKernelsMatchOracle(reference.kernels(), reference.regularized(), state,
@@ -502,9 +510,19 @@ class ReferenceChase {
   ReferenceChase(const DependencySet& sigma, const Schema& schema, size_t max_steps)
       : sigma_(sigma), schema_(schema), max_steps_(max_steps) {}
 
-  Result<ChaseOutcome> Run(const ConjunctiveQuery& q, Semantics sem) const {
-    // B/BS presuppose a terminating set chase (Thms 4.1/4.3).
-    if (sem != Semantics::kSet) SQLEQ_RETURN_IF_ERROR(Run(q, Semantics::kSet).status());
+  /// The trace records only labels and kinds; `rendered` (optional)
+  /// receives the query after each step as rendered when the step ran —
+  /// what RenderTrace must rebuild from the production loop's deltas.
+  Result<ChaseOutcome> Run(const ConjunctiveQuery& q, Semantics sem,
+                           std::vector<std::string>* rendered = nullptr) const {
+    // B/BS presuppose a terminating set chase (Thms 4.1/4.3); a stratified
+    // Σ guarantees it for every input, so only an unstratified Σ probes.
+    if (sem != Semantics::kSet && !CheckStratification(sigma_).stratified) {
+      SQLEQ_RETURN_IF_ERROR(Run(q, Semantics::kSet).status());
+    }
+    std::vector<std::string> unused;
+    if (rendered == nullptr) rendered = &unused;
+    rendered->clear();
     auto normalize = [&](const ConjunctiveQuery& query) {
       return sem == Semantics::kBag ? NormalizeForBag(query, schema_)
                                     : query.CanonicalRepresentation();
@@ -517,14 +535,18 @@ class ReferenceChase {
         if (!dep.IsEgd()) continue;
         std::optional<EgdApplication> app = FindEgdApplicationGeneric(out.result, dep.egd());
         if (!app.has_value()) continue;
+        ChaseStepRecord record;
+        record.dep_label = dep.label();
         if (app->failure) {
           out.failed = true;
-          out.trace.push_back({dep.label(), false,
-                               "FAIL: " + app->from.ToString() + " = " + app->to.ToString()});
+          out.trace.push_back(record);
+          rendered->push_back("FAIL: " + app->from.ToString() + " = " +
+                              app->to.ToString());
           return out;
         }
         out.result = normalize(ApplyEgdStep(out.result, *app));
-        out.trace.push_back({dep.label(), false, out.result.ToString()});
+        out.trace.push_back(record);
+        rendered->push_back(out.result.ToString());
         applied = true;
       }
       for (size_t di = 0; di < sigma_.size() && !applied; ++di) {
@@ -537,7 +559,11 @@ class ReferenceChase {
           std::vector<Atom> body = out.result.body();
           body.insert(body.end(), added.begin(), added.end());
           out.result = out.result.WithBody(std::move(body));
-          out.trace.push_back({dep.label(), true, out.result.ToString()});
+          ChaseStepRecord record;
+          record.dep_label = dep.label();
+          record.is_tgd = true;
+          out.trace.push_back(record);
+          rendered->push_back(out.result.ToString());
           applied = true;
           break;
         }
@@ -593,16 +619,29 @@ class ReferenceChase {
 };
 
 /// ExpectIdenticalOutcome against the reference, whose budget message
-/// differs from the production one: stopped runs compare by code only.
+/// differs from the production one (stopped runs compare by code only) and
+/// whose trace is the queries it rendered as it ran (`rendered`), which
+/// RenderTrace must rebuild from the production deltas byte for byte.
 void ExpectSameAsReference(const Result<ChaseOutcome>& got,
                            const Result<ChaseOutcome>& reference,
+                           const std::vector<std::string>& rendered,
                            const std::string& context) {
   if (!reference.ok()) {
     ASSERT_FALSE(got.ok()) << context;
     EXPECT_EQ(got.status().code(), reference.status().code()) << context;
     return;
   }
-  ExpectIdenticalOutcome(got, reference, context);
+  ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
+  EXPECT_EQ(got->failed, reference->failed) << context;
+  EXPECT_EQ(got->result.ToString(), reference->result.ToString()) << context;
+  ASSERT_EQ(got->trace.size(), reference->trace.size()) << context;
+  for (size_t i = 0; i < got->trace.size(); ++i) {
+    EXPECT_EQ(got->trace[i].dep_label, reference->trace[i].dep_label)
+        << context << " step " << i;
+    EXPECT_EQ(got->trace[i].is_tgd, reference->trace[i].is_tgd)
+        << context << " step " << i;
+  }
+  EXPECT_EQ(RenderTrace(got->result, got->trace), rendered) << context;
 }
 
 /// On `state`, for every dependency and every watermark w at which the
@@ -664,11 +703,12 @@ TEST_P(SeededTest, DeltaLoopMatchesReferenceStepForStep) {
       ChasePlan plan(sigma, sem, schema, Options());
       ReferenceChase reference(plan.regularized(), schema, Options().budget.max_chase_steps);
       Term::ResetFreshCounterForTesting();
-      Result<ChaseOutcome> expected = reference.Run(q, sem);
+      std::vector<std::string> rendered;
+      Result<ChaseOutcome> expected = reference.Run(q, sem, &rendered);
       Term::ResetFreshCounterForTesting();
-      ExpectSameAsReference(plan.RunFull(q), expected, context + " full");
+      ExpectSameAsReference(plan.RunFull(q), expected, rendered, context + " full");
       Term::ResetFreshCounterForTesting();
-      ExpectSameAsReference(plan.Run(q), expected, context + " sliced");
+      ExpectSameAsReference(plan.Run(q), expected, rendered, context + " sliced");
     }
   }
 }
@@ -686,7 +726,8 @@ TEST_P(SeededTest, DeltaLoopResumesFromEveryStep) {
       Term::ResetFreshCounterForTesting();
       Result<ChaseOutcome> full = plan.Run(q);
       // A checkpoint after every step (n-th chase.step probe, the B/BS
-      // termination probe's included), resumed from its serialized text.
+      // termination probe's included when Σ is not stratified), resumed
+      // from its serialized text.
       for (uint64_t n = 1; n <= 512; ++n) {
         Term::ResetFreshCounterForTesting();
         FaultInjector faults(7);
@@ -797,13 +838,14 @@ TEST(ChaseDelta, EgdMergeReopensCleanDependencies) {
     ChasePlan plan(sigma, sem, schema, Options());
     ReferenceChase reference(plan.regularized(), schema, Options().budget.max_chase_steps);
     Term::ResetFreshCounterForTesting();
-    Result<ChaseOutcome> expected = reference.Run(q, sem);
+    std::vector<std::string> rendered;
+    Result<ChaseOutcome> expected = reference.Run(q, sem, &rendered);
     ASSERT_TRUE(expected.ok());
     ASSERT_EQ(expected->trace.size(), 3u) << SemanticsToString(sem);
     EXPECT_NE(expected->result.ToString().find("r("), std::string::npos)
         << expected->result.ToString();
     Term::ResetFreshCounterForTesting();
-    ExpectSameAsReference(plan.RunFull(q), expected, SemanticsToString(sem));
+    ExpectSameAsReference(plan.RunFull(q), expected, rendered, SemanticsToString(sem));
   }
 }
 
@@ -828,6 +870,192 @@ TEST(ChaseDelta, CountsSkippedCleanChecksAndRebuilds) {
                                         Options(), runtime));
   EXPECT_EQ(merged.trace.size(), 2u);
   EXPECT_EQ(egd_metrics.counter(metric::kChaseRebuilds).value(), 3u);
+}
+
+// ---- The B/BS set-chase probe ----------------------------------------
+
+/// plan.RunFull(q) with the set-chase probe forced on (as for a Σ without a
+/// termination certificate) or off.
+Result<ChaseOutcome> RunWithProbe(const ChasePlan& plan, const ConjunctiveQuery& q,
+                                  bool probe, const ChaseRuntime& runtime = {}) {
+  return chase_internal::RunChase(q, plan.regularized(), plan.kernels(),
+                                  plan.semantics(), plan.schema(), plan.options(),
+                                  runtime, /*sigma_terminates=*/!probe);
+}
+
+/// The verdict ChasedEquivalent reaches on two outcomes, failure included.
+bool Verdict(const ChaseOutcome& c1, const ChaseOutcome& c2, Semantics sem,
+             const Schema& schema) {
+  if (c1.failed || c2.failed) return c1.failed == c2.failed;
+  return ChasedEquivalent(c1.result, c2.result, sem, schema);
+}
+
+/// A Σ whose position graph has the special cycle (r,0) =>* (p,1) -> (t,2)
+/// -> (r,0) through a firing cycle, so it is not stratified; the chase of
+/// Q(X) :- r(X) still ends after two set-chase steps.
+DependencySet UnstratifiedSigma() {
+  return Sigma({"r(X) -> p(X, Z).", "p(X, Y) -> s(X, Y).",
+                "p(X, Y), p(Y, Z) -> t(X, Y, Z).", "t(X, X, Y) -> r(Y)."});
+}
+
+TEST_P(SeededTest, ProbeSkipKeepsOutcomesAndVerdictsOnWeaklyAcyclicSigma) {
+  Rng rng(GetParam() + 900);
+  Schema schema = DeltaSchema();
+  size_t compared = 0;
+  for (int round = 0; round < 16; ++round) {
+    DependencySet sigma = RandomDeltaSigma(/*egd_heavy=*/round % 2 == 1, &rng);
+    ConjunctiveQuery q1 = RandomQuery(schema, rng.UniformInt(1, 4), 4, &rng);
+    ConjunctiveQuery q2 = RandomQuery(schema, rng.UniformInt(1, 4), 4, &rng);
+    for (Semantics sem : {Semantics::kBag, Semantics::kBagSet}) {
+      ChasePlan plan(sigma, sem, schema, Options());
+      if (!IsWeaklyAcyclic(plan.regularized())) continue;
+      ASSERT_TRUE(plan.sigma_terminates());
+      std::string context = std::string(SemanticsToString(sem)) + " under " +
+                            SigmaToString(sigma);
+      std::vector<ChaseOutcome> probed, unprobed;
+      for (const ConjunctiveQuery& q : {q1, q2}) {
+        Result<ChaseOutcome> on = RunWithProbe(plan, q, /*probe=*/true);
+        Result<ChaseOutcome> off = RunWithProbe(plan, q, /*probe=*/false);
+        ASSERT_TRUE(on.ok()) << context << " " << on.status().ToString();
+        ASSERT_TRUE(off.ok()) << context << " " << off.status().ToString();
+        EXPECT_EQ(on->failed, off->failed) << context;
+        EXPECT_TRUE(AreIsomorphic(on->result, off->result))
+            << context << ": " << on->result.ToString() << " vs "
+            << off->result.ToString();
+        ASSERT_EQ(on->trace.size(), off->trace.size()) << context;
+        for (size_t i = 0; i < on->trace.size(); ++i) {
+          EXPECT_EQ(on->trace[i].dep_label, off->trace[i].dep_label) << context;
+        }
+        probed.push_back(std::move(on).value());
+        unprobed.push_back(std::move(off).value());
+      }
+      EXPECT_EQ(Verdict(probed[0], probed[1], sem, schema),
+                Verdict(unprobed[0], unprobed[1], sem, schema))
+          << context;
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 4u);
+}
+
+/// The Appendix H family (Example H.1/H.2) for `m` set-valued relations.
+struct AppendixH {
+  Schema schema;
+  DependencySet sigma;
+};
+AppendixH MakeAppendixH(int m) {
+  AppendixH out;
+  std::vector<std::string> deps;
+  for (int i = 1; i <= m; ++i) {
+    std::string pi = "p" + std::to_string(i);
+    out.schema.Relation(pi, 2, /*set_valued=*/true);
+    for (int j = i + 1; j <= m; ++j) {
+      std::string pj = "p" + std::to_string(j);
+      deps.push_back(pi + "(X, Y) -> " + pj + "(Z, X).");
+      deps.push_back(pi + "(X, Y) -> " + pj + "(Y, W).");
+    }
+    deps.push_back(pi + "(X, Y), " + pi + "(X, Z) -> Y = Z.");
+    deps.push_back(pi + "(Y, X), " + pi + "(Z, X) -> Y = Z.");
+  }
+  out.sigma = Sigma(deps);
+  return out;
+}
+
+TEST(ChaseProbe, AppendixHBagChasesDoTheSetChaseWorkOnce) {
+  // Σ is weakly acyclic, so B and BS skip the probe: their loops check and
+  // index exactly as often as the set chase does (a probe would double both
+  // counts).
+  AppendixH family = MakeAppendixH(4);
+  ConjunctiveQuery q = Q("Q(X, Y) :- p1(X, Y).");
+  std::map<Semantics, std::pair<uint64_t, uint64_t>> counts;
+  for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
+    MetricsRegistry metrics;
+    ChaseRuntime runtime;
+    runtime.metrics = &metrics;
+    ChaseOutcome out = Unwrap(SoundChase(q, family.sigma, sem, family.schema,
+                                         Options(100000), runtime));
+    EXPECT_FALSE(out.trace.empty());
+    counts[sem] = {metrics.counter(metric::kChaseChecksSatisfied).value(),
+                   metrics.counter(metric::kChaseRebuilds).value()};
+  }
+  EXPECT_GT(counts[Semantics::kSet].first, 0u);
+  EXPECT_EQ(counts[Semantics::kBag], counts[Semantics::kSet]);
+  EXPECT_EQ(counts[Semantics::kBagSet], counts[Semantics::kSet]);
+}
+
+TEST(ChaseProbe, UnstratifiedSigmaStillProbes) {
+  Schema schema = DeltaSchema();
+  ConjunctiveQuery q = Q("Q(X) :- r(X).");
+  for (Semantics sem : {Semantics::kBag, Semantics::kBagSet}) {
+    ChasePlan plan(UnstratifiedSigma(), sem, schema, Options());
+    EXPECT_FALSE(plan.sigma_terminates());
+    // Run() does what the forced probe does, down to the loop counters.
+    MetricsRegistry via_run, via_probe;
+    ChaseRuntime runtime;
+    runtime.metrics = &via_run;
+    Term::ResetFreshCounterForTesting();
+    Result<ChaseOutcome> run = plan.RunFull(q, runtime);
+    runtime.metrics = &via_probe;
+    Term::ResetFreshCounterForTesting();
+    ExpectIdenticalOutcome(run, RunWithProbe(plan, q, /*probe=*/true, runtime),
+                           SemanticsToString(sem));
+    EXPECT_EQ(via_run.counter(metric::kChaseRebuilds).value(),
+              via_probe.counter(metric::kChaseRebuilds).value());
+    EXPECT_EQ(via_run.counter(metric::kChaseRebuilds).value(), 2u);  // probe + chase
+    // The first step boundary of the run lies inside the probe.
+    FaultInjector faults(7);
+    faults.Arm(fault_sites::kChaseStep, {FaultKind::kExhausted, 1, 0, {}, 1.0});
+    ChaseRuntime faulted;
+    faulted.faults = &faults;
+    std::optional<ChaseCheckpoint> checkpoint;
+    faulted.checkpoint_out = &checkpoint;
+    ASSERT_FALSE(plan.Run(q, faulted).ok());
+    ASSERT_TRUE(checkpoint.has_value());
+    EXPECT_EQ(checkpoint->phase, ChaseCheckpoint::kSetChaseProbePhase);
+  }
+}
+
+TEST(ChaseProbe, CertifiedSigmaStartsWithTheSoundChase) {
+  ConjunctiveQuery q = Q("P(X) :- p(X, Y).");
+  for (Semantics sem : {Semantics::kBag, Semantics::kBagSet}) {
+    ChasePlan plan(Example41Sigma(), sem, Example41Schema(), Options());
+    EXPECT_TRUE(plan.sigma_terminates());
+    FaultInjector faults(7);
+    faults.Arm(fault_sites::kChaseStep, {FaultKind::kExhausted, 1, 0, {}, 1.0});
+    ChaseRuntime runtime;
+    runtime.faults = &faults;
+    std::optional<ChaseCheckpoint> checkpoint;
+    runtime.checkpoint_out = &checkpoint;
+    ASSERT_FALSE(plan.Run(q, runtime).ok());
+    ASSERT_TRUE(checkpoint.has_value());
+    EXPECT_EQ(checkpoint->phase, ChaseCheckpoint::kSoundChasePhase);
+    EXPECT_EQ(checkpoint->steps_done, 0u);
+  }
+}
+
+TEST(ChaseProbe, ConcurrentFirstBagChasesShareOneFreshPlan) {
+  // The termination bit is computed on the first B run; racing first runs
+  // on one fresh plan must agree (and be race-free under the tsan preset).
+  AppendixH family = MakeAppendixH(4);
+  ConjunctiveQuery q = Q("Q(X, Y) :- p1(X, Y).");
+  ChaseOutcome reference =
+      Unwrap(SoundChase(q, family.sigma, Semantics::kBag, family.schema, Options(1000)));
+  for (int trial = 0; trial < 3; ++trial) {
+    ChasePlan plan(family.sigma, Semantics::kBag, family.schema, Options(1000));
+    constexpr int kThreads = 4;
+    std::vector<Result<ChaseOutcome>> results(kThreads, Status::Internal("not run"));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] { results[t] = plan.Run(q); });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_TRUE(plan.sigma_terminates());
+    for (const Result<ChaseOutcome>& result : results) {
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->trace.size(), reference.trace.size());
+      EXPECT_TRUE(AreIsomorphic(result->result, reference.result));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededTest,

@@ -14,10 +14,12 @@
 #include <vector>
 
 #include "chase/chase_cache.h"
+#include "chase/chase_plan.h"
 #include "chase/checkpoint.h"
 #include "chase/set_chase.h"
 #include "reformulation/candb.h"
 #include "test_util.h"
+#include "util/fault.h"
 
 namespace sqleq {
 namespace {
@@ -92,15 +94,49 @@ TEST(CheckpointFields, QueryDeserializeRejectsGarbage) {
 }
 
 TEST(CheckpointFields, StepRecordRoundTrips) {
-  ChaseStepRecord record;
-  record.dep_label = "sigma_1 (tgd)";
-  record.is_tgd = true;
-  record.result = "Q1(X) :- p(X, Y), s(X, v#3).";
-  ChaseStepRecord back = Unwrap(DeserializeStepRecord(SerializeStepRecord(record)),
-                                "DeserializeStepRecord");
-  EXPECT_EQ(back.dep_label, record.dep_label);
-  EXPECT_EQ(back.is_tgd, record.is_tgd);
-  EXPECT_EQ(back.result, record.result);
+  ChaseStepRecord tgd;
+  tgd.dep_label = "sigma_1 (tgd)";
+  tgd.is_tgd = true;
+  tgd.added = {Atom("s", {Term::Var("X"), Term::Var("v#3")}),
+               Atom("t", {Term::Int(-4), Term::Str("a\tb")})};
+  ChaseStepRecord egd;
+  egd.dep_label = "key\tp";
+  egd.from = Term::Var("Y");
+  egd.to = Term::Var("X");
+  egd.before = Q("Q1(X) :- p(X, Y), p(X, X).");
+  ChaseStepRecord fail;
+  fail.dep_label = "sigma7";
+  fail.from = Term::Int(1);
+  fail.to = Term::Str("2");
+  for (const ChaseStepRecord& record : {tgd, egd, fail}) {
+    std::string line = SerializeStepRecord(record);
+    EXPECT_EQ(line.find('\n'), std::string::npos) << line;
+    ChaseStepRecord back = Unwrap(DeserializeStepRecord(line), "DeserializeStepRecord");
+    EXPECT_EQ(SerializeStepRecord(back), line);
+    EXPECT_EQ(back.dep_label, record.dep_label);
+    EXPECT_EQ(back.is_tgd, record.is_tgd);
+    EXPECT_EQ(back.failure(), record.failure());
+    EXPECT_EQ(back.added, record.added);
+    if (!record.is_tgd) {
+      EXPECT_EQ(back.from, record.from);
+      EXPECT_EQ(back.to, record.to);
+    }
+    ASSERT_EQ(back.before.has_value(), record.before.has_value());
+    if (record.before.has_value()) {
+      EXPECT_EQ(back.before->ToString(), record.before->ToString());
+    }
+  }
+}
+
+TEST(CheckpointFields, StepRecordRejectsMalformedLines) {
+  for (const char* line :
+       {"", "d", "d\t1\tQ(X) :- p(X).", "d\tT", "d\tT\tV:X", "d\tF\tI:1",
+        "d\tF\tI:1\tI:2\tI:3", "d\tE\tV:Y\tV:X", "d\tE\tV:Y\tV:X\tnot-a-query",
+        "d\tX\tI:1\tI:2"}) {
+    Result<ChaseStepRecord> parsed = DeserializeStepRecord(line);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+  }
 }
 
 // ---- ChaseCheckpoint ----
@@ -125,8 +161,8 @@ TEST(ChaseCheckpointTest, RealMidChaseStateRoundTripsByteExactly) {
   for (size_t i = 0; i < cp.trace.size(); ++i) {
     EXPECT_EQ(back.trace[i].dep_label, cp.trace[i].dep_label);
     EXPECT_EQ(back.trace[i].is_tgd, cp.trace[i].is_tgd);
-    EXPECT_EQ(back.trace[i].result, cp.trace[i].result);
   }
+  EXPECT_EQ(RenderTrace(back.state, back.trace), RenderTrace(cp.state, cp.trace));
 }
 
 TEST(ChaseCheckpointTest, DeserializedCheckpointResumesTheChase) {
@@ -148,6 +184,46 @@ TEST(ChaseCheckpointTest, DeserializedCheckpointResumesTheChase) {
   ASSERT_GE(resumed.trace.size(), cp->trace.size());
   for (size_t i = 0; i < cp->trace.size(); ++i) {
     EXPECT_EQ(resumed.trace[i].dep_label, cp->trace[i].dep_label);
+  }
+}
+
+TEST(ChaseCheckpointTest, ProbePhaseCheckpointResumesInsideTheProbe) {
+  // Σ is not stratified ((r,0) =>* (p,1) -> (t,2) -> (r,0) on a firing
+  // cycle), so a bag chase still runs its set-chase probe first: two probe
+  // steps, then the sound chase. A fault at the second step boundary parks
+  // the probe after one step; the parked text resumes it to the result of
+  // an uninterrupted run.
+  DependencySet sigma = testing::Sigma({"r(X) -> p(X, Z).", "p(X, Y) -> s(X, Y).",
+                                        "p(X, Y), p(Y, Z) -> t(X, Y, Z).",
+                                        "t(X, X, Y) -> r(Y)."});
+  Schema schema;
+  schema.Relation("p", 2).Relation("r", 1).Relation("s", 2).Relation("t", 3);
+  ConjunctiveQuery q = Q("Q(X) :- r(X).");
+  ChasePlan plan(sigma, Semantics::kBagSet, schema);
+  ASSERT_FALSE(plan.sigma_terminates());
+  ChaseOutcome uninterrupted = Unwrap(plan.Run(q), "uninterrupted");
+
+  FaultInjector faults(3);
+  faults.Arm(fault_sites::kChaseStep, {FaultKind::kExhausted, 2, 0, {}, 1.0});
+  ChaseRuntime runtime;
+  runtime.faults = &faults;
+  std::optional<ChaseCheckpoint> checkpoint;
+  runtime.checkpoint_out = &checkpoint;
+  ASSERT_FALSE(plan.Run(q, runtime).ok());
+  ASSERT_TRUE(checkpoint.has_value());
+  EXPECT_EQ(checkpoint->phase, ChaseCheckpoint::kSetChaseProbePhase);
+  EXPECT_EQ(checkpoint->steps_done, 1u);
+
+  ChaseCheckpoint parked = Unwrap(ChaseCheckpoint::Deserialize(checkpoint->Serialize()),
+                                  "ChaseCheckpoint::Deserialize");
+  ChaseRuntime resume;
+  resume.resume = &parked;
+  ChaseOutcome resumed = Unwrap(plan.Run(q, resume), "resumed");
+  EXPECT_EQ(resumed.failed, uninterrupted.failed);
+  EXPECT_EQ(CanonicalQueryKey(resumed.result), CanonicalQueryKey(uninterrupted.result));
+  ASSERT_EQ(resumed.trace.size(), uninterrupted.trace.size());
+  for (size_t i = 0; i < resumed.trace.size(); ++i) {
+    EXPECT_EQ(resumed.trace[i].dep_label, uninterrupted.trace[i].dep_label);
   }
 }
 
@@ -178,9 +254,16 @@ TEST(ChaseCheckpointTest, DeserializeRejectsMalformedInput) {
   EXPECT_FALSE(ChaseCheckpoint::Deserialize("").ok());
   EXPECT_FALSE(ChaseCheckpoint::Deserialize("not a checkpoint").ok());
   EXPECT_FALSE(
-      ChaseCheckpoint::Deserialize("sqleq-chase-checkpoint v2\nphase x").ok());
+      ChaseCheckpoint::Deserialize("sqleq-chase-checkpoint v3\nphase x").ok());
   // Truncated: header only.
-  EXPECT_FALSE(ChaseCheckpoint::Deserialize("sqleq-chase-checkpoint v1\n").ok());
+  EXPECT_FALSE(ChaseCheckpoint::Deserialize("sqleq-chase-checkpoint v2\n").ok());
+  // A v1 checkpoint (whole-query trace lines) is refused by its header, so
+  // a parked v1 state is never misread as step deltas.
+  std::optional<ChaseCheckpoint> v1 = CaptureChaseCheckpoint(1);
+  ASSERT_TRUE(v1.has_value());
+  std::string v1_text = v1->Serialize();
+  v1_text.replace(v1_text.find(" v2\n"), 4, " v1\n");
+  EXPECT_FALSE(ChaseCheckpoint::Deserialize(v1_text).ok());
   // A real serialization with a corrupted line injected before "end".
   std::optional<ChaseCheckpoint> cp = CaptureChaseCheckpoint(1);
   ASSERT_TRUE(cp.has_value());
@@ -190,25 +273,36 @@ TEST(ChaseCheckpointTest, DeserializeRejectsMalformedInput) {
 }
 
 TEST(ChaseCheckpointTest, GoldenBytesDecodeAndReencodeIdentically) {
-  // Fixed bytes of the v1 format, one line per key: a sound-chase phase, an
+  // Fixed bytes of the v2 format, one line per key: a sound-chase phase, an
   // escaped subject, fresh variables, integer and string constants at the
-  // int64 edges, and one tgd plus one failing egd trace line.
+  // int64 edges, and one egd, one tgd and one failing egd trace line. Each
+  // trace line is a step delta; the egd line carries the query before it.
   const std::string golden =
-      "sqleq-chase-checkpoint v1\n"
+      "sqleq-chase-checkpoint v2\n"
       "phase sound-chase\n"
       "subject H?0;|p(?0,?1)\\tx\n"
       "steps 3\n"
-      "state Q:P\tH\tV:X\tA:p\tV:X\tV:Y\tA:s\tV:X\tV:v#7"
+      "state Q:P\tH\tV:X\tA:p\tV:X\tV:X\tA:s\tV:X\tV:v#7"
       "\tA:t\tV:X\tI:9223372036854775807\tS:a\\tb\n"
-      "trace sigma1\t1\tP(X) :- p(X, Y), s(X, v#7).\n"
-      "trace sigma7\t0\tFAIL: 1 = 2\n"
+      "trace sigma4\tE\tV:Y\tV:X\tQ:P\tH\tV:X\tA:p\tV:X\tV:Y\n"
+      "trace sigma1\tT\tA:s\tV:X\tV:v#7"
+      "\tA:t\tV:X\tI:9223372036854775807\tS:a\\tb\n"
+      "trace sigma7\tF\tI:1\tI:2\n"
       "end\n";
   ChaseCheckpoint cp = Unwrap(ChaseCheckpoint::Deserialize(golden), "golden");
   EXPECT_EQ(cp.phase, ChaseCheckpoint::kSoundChasePhase);
   EXPECT_EQ(cp.subject, "H?0;|p(?0,?1)\tx");
   EXPECT_EQ(cp.steps_done, 3u);
-  ASSERT_EQ(cp.trace.size(), 2u);
-  EXPECT_FALSE(cp.trace[1].is_tgd);
+  ASSERT_EQ(cp.trace.size(), 3u);
+  EXPECT_FALSE(cp.trace[0].is_tgd);
+  EXPECT_TRUE(cp.trace[1].is_tgd);
+  EXPECT_EQ(cp.trace[1].added.size(), 2u);
+  EXPECT_TRUE(cp.trace[2].failure());
+  std::vector<std::string> rendered = RenderTrace(cp.state, cp.trace);
+  ASSERT_EQ(rendered.size(), 3u);
+  EXPECT_EQ(rendered[0], "P(X) :- p(X, X).");
+  EXPECT_EQ(rendered[1], cp.state.ToString());
+  EXPECT_EQ(rendered[2], "FAIL: 1 = 2");
   EXPECT_EQ(cp.Serialize(), golden);
   for (const char* phase : {ChaseCheckpoint::kSetChasePhase,
                             ChaseCheckpoint::kSetChaseProbePhase}) {

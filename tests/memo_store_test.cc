@@ -19,6 +19,7 @@
 #include "chase/set_chase.h"
 #include "equivalence/engine.h"
 #include "test_util.h"
+#include "util/crc32.h"
 #include "util/fault.h"
 #include "util/telemetry.h"
 
@@ -80,6 +81,43 @@ std::string OnlySegment(const std::string& dir, MemoStore* store) {
   ::closedir(d);
   EXPECT_EQ(segs.size(), 1u);
   return segs.empty() ? dir + "/missing.seg" : segs.front();
+}
+
+uint32_t LoadU32(const char* p) {
+  uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) v = v << 8 | static_cast<unsigned char>(p[i]);
+  return v;
+}
+
+void AppendU32(uint32_t v, std::string* out) {
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+
+/// The payloads of every frame ([u32 length][u32 CRC-32][payload]) of the
+/// segment at `path`, in file order.
+std::vector<std::string> ReadPayloads(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string data((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  std::vector<std::string> payloads;
+  for (size_t off = 0; off + 8 <= data.size();) {
+    uint32_t len = LoadU32(data.data() + off);
+    payloads.push_back(data.substr(off + 8, len));
+    off += 8 + len;
+  }
+  return payloads;
+}
+
+/// Writes `payloads` as one well-framed segment file at `path`.
+void WritePayloads(const std::string& path, const std::vector<std::string>& payloads) {
+  std::string data;
+  for (const std::string& payload : payloads) {
+    AppendU32(static_cast<uint32_t>(payload.size()), &data);
+    AppendU32(Crc32(payload), &data);
+    data += payload;
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(data.data(), static_cast<std::streamsize>(data.size()));
 }
 
 TEST(MemoStore, PutGetRoundtrip) {
@@ -318,9 +356,10 @@ TEST(MemoStoreFault, InjectedFsyncFailureKeepsTheRecord) {
 }
 
 TEST(MemoStore, ChaseOutcomeBodyRoundtrip) {
-  ChaseOutcome outcome{Q("Q(X) :- r(X, Y), s(Y)."),
-                       {{"d1", true, "Q(X) :- r(X, Y), s(Y), t(Y)."},
-                        {"e1", false, "Q(X) :- r(X, X), s(X)."}},
+  ChaseStepRecord tgd{"d1", true, {Atom("t", {Term::Var("Y")})}, {}, {}, {}};
+  ChaseStepRecord egd{"e1", false, {}, Term::Var("Y"), Term::Var("X"),
+                      Q("Q(X) :- r(X, Y), s(Y), t(Y).")};
+  ChaseOutcome outcome{Q("Q(X) :- r(X, X), s(X), t(X)."), {tgd, egd},
                        /*failed=*/false};
   std::string body = SerializeChaseOutcomeBody(outcome);
   ChaseOutcome back = Unwrap(ParseChaseOutcomeBody(body), "ParseChaseOutcomeBody");
@@ -328,7 +367,9 @@ TEST(MemoStore, ChaseOutcomeBodyRoundtrip) {
   ASSERT_EQ(back.trace.size(), 2u);
   EXPECT_EQ(back.trace[0].dep_label, "d1");
   EXPECT_TRUE(back.trace[0].is_tgd);
-  EXPECT_EQ(back.trace[1].result, outcome.trace[1].result);
+  EXPECT_EQ(RenderTrace(back.result, back.trace),
+            (std::vector<std::string>{"Q(X) :- r(X, Y), s(Y), t(Y).",
+                                      "Q(X) :- r(X, X), s(X), t(X)."}));
   EXPECT_FALSE(back.failed);
 
   ChaseOutcome failed{Q("Q(X) :- r(X, X)."), {}, /*failed=*/true};
@@ -342,22 +383,31 @@ TEST(MemoStore, ChaseOutcomeBodyRoundtrip) {
 }
 
 TEST(MemoStore, ChaseOutcomeGoldenBytesDecodeAndReencodeIdentically) {
-  // Fixed bytes of the record body format, for a live and a failed chase.
+  // Fixed bytes of the v2 record body format, for a live and a failed
+  // chase: trace lines are step deltas (a tgd's added atoms; a failing
+  // egd's two constants).
   const std::string live =
       "failed 0\n"
       "result Q:P\tH\tV:X\tA:p\tV:X\tI:9223372036854775807\tA:s\tV:X\tV:v#3\n"
-      "trace sigma1\t1\tP(X) :- p(X, 9223372036854775807), s(X, v#3).\n"
+      "trace sigma1\tT\tA:s\tV:X\tV:v#3\n"
       "end\n";
   const std::string failed =
       "failed 1\n"
       "result Q:P\tH\tV:X\tA:p\tV:X\tS:a\\nb\n"
-      "trace sigma2\t0\tFAIL: 1 = 2\n"
+      "trace sigma2\tF\tI:1\tI:2\n"
       "end\n";
   for (const std::string& golden : {live, failed}) {
     ChaseOutcome outcome = Unwrap(ParseChaseOutcomeBody(golden), "golden");
     EXPECT_EQ(SerializeChaseOutcomeBody(outcome), golden);
   }
+  ChaseOutcome live_outcome = Unwrap(ParseChaseOutcomeBody(live));
+  EXPECT_EQ(RenderTrace(live_outcome.result, live_outcome.trace),
+            std::vector<std::string>{"P(X) :- p(X, 9223372036854775807), s(X, v#3)."});
   EXPECT_TRUE(Unwrap(ParseChaseOutcomeBody(failed)).failed);
+  // A v1 trace line (the whole query after the step) is not a v2 line.
+  EXPECT_FALSE(ParseChaseOutcomeBody("failed 0\nresult Q:P\tH\tV:X\tA:p\tV:X\n"
+                                     "trace sigma1\t1\tP(X) :- p(X).\nend\n")
+                   .ok());
 }
 
 TEST(MemoStore, ChaseOutcomeBodyRejectsBadFlagsAndOverflow) {
@@ -376,9 +426,9 @@ TEST(MemoStore, ChaseOutcomeBodyRejectsBadFlagsAndOverflow) {
 
 TEST(MemoStore, EngineContextPrefixIsStable) {
   // Durable segments name their chase context by a hash of the engine's
-  // context fingerprint. These keys were written by the
-  // build that still had per-run chase flags in the fingerprint; they must
-  // keep hitting.
+  // context fingerprint: semantics, Σ, schema and the key-based fast-path
+  // flag. The v2 record format dropped the letters of the removed chase
+  // flags (v1 records are recomputed anyway), so this pins the v2 prefix.
   std::shared_ptr<MemoStore> store = MustOpen(DirOptions(TempDir()));
   EquivalenceEngine engine;
   engine.set_memo_store(store);
@@ -388,13 +438,58 @@ TEST(MemoStore, EngineContextPrefixIsStable) {
   EquivVerdict verdict = Unwrap(
       engine.Equivalent(Q("Q1(X) :- p(X, Y)."), Q("Q2(X) :- p(X, Y), r(X)."), request));
   EXPECT_TRUE(verdict.equivalent);
-  const std::string prefix = "ctx:dc9f8cdb92b8b856|";
+  const std::string prefix = "ctx:106dc1817e67e86d|";
   std::optional<std::string> sentinel = Unwrap(store->Get(prefix + "@context"));
   ASSERT_TRUE(sentinel.has_value());
-  EXPECT_EQ(*sentinel, "S\n[sigma1] p(X, Y) -> r(X)\n\np(c0, c1)\nr(c0)\n\nEKCS");
+  EXPECT_EQ(*sentinel, "S\n[sigma1] p(X, Y) -> r(X)\n\np(c0, c1)\nr(c0)\n\nK");
   EXPECT_TRUE(Unwrap(store->Get(prefix + "H?0;|p(?0,?1)|slice:1/1:1")).has_value());
   EXPECT_TRUE(
       Unwrap(store->Get(prefix + "H?0;|p(?0,?1)|r(?0)|slice:1/1:1")).has_value());
+}
+
+TEST(MemoStore, V1RecordsCountAsCorruptAndAreRechased) {
+  // A directory as a v1 build left it: the same records under the v1
+  // envelope. Q2's record is also doctored to claim its chase failed, so a
+  // verdict read from it would be "not equivalent".
+  Schema schema;
+  schema.Relation("p", 2).Relation("r", 1);
+  EquivRequest request(Semantics::kSet, testing::Sigma({"p(X, Y) -> r(X)."}), schema);
+  const ConjunctiveQuery q1 = Q("Q1(X) :- p(X, Y).");
+  const ConjunctiveQuery q2 = Q("Q2(X) :- p(X, Y), r(X).");
+  const std::string warm_dir = TempDir();
+  std::shared_ptr<MemoStore> warm = MustOpen(DirOptions(warm_dir));
+  {
+    EquivalenceEngine engine;
+    engine.set_memo_store(warm);
+    ASSERT_TRUE(Unwrap(engine.Equivalent(q1, q2, request)).equivalent);
+  }
+  std::vector<std::string> payloads = ReadPayloads(OnlySegment(warm_dir, warm.get()));
+  ASSERT_EQ(payloads.size(), 3u);  // the context sentinel and two outcomes
+  size_t doctored = 0;
+  for (std::string& payload : payloads) {
+    ASSERT_TRUE(payload.starts_with("sqleq-memo-record v2\n")) << payload;
+    payload.replace(0, 20, "sqleq-memo-record v1");
+    size_t flag = payload.find("\nfailed 0\n");
+    if (payload.find("r(?0)") != std::string::npos && flag != std::string::npos) {
+      payload.replace(flag, 10, "\nfailed 1\n");
+      ++doctored;
+    }
+  }
+  ASSERT_EQ(doctored, 1u);
+  const std::string old_dir = TempDir();
+  WritePayloads(old_dir + "/memo-00000001.seg", payloads);
+
+  std::shared_ptr<MemoStore> store = MustOpen(DirOptions(old_dir));
+  EXPECT_EQ(store->stats().corrupt_records, payloads.size());
+  EXPECT_EQ(store->stats().entries, 0u);
+  EquivalenceEngine engine;
+  engine.set_memo_store(store);
+  EquivVerdict verdict = Unwrap(engine.Equivalent(q1, q2, request));
+  EXPECT_TRUE(verdict.equivalent);
+  EXPECT_FALSE(verdict.q2_failed);
+  EXPECT_EQ(engine.cache_stats().misses, 2u);
+  // The recomputed outcomes are written back as v2 records.
+  EXPECT_EQ(store->stats().entries, payloads.size());
 }
 
 }  // namespace

@@ -126,9 +126,10 @@ void ExpectIdenticalOutcome(const Result<ChaseOutcome>& sliced,
         << context << " step " << i;
     EXPECT_EQ(sliced->trace[i].is_tgd, full->trace[i].is_tgd)
         << context << " step " << i;
-    EXPECT_EQ(sliced->trace[i].result, full->trace[i].result)
-        << context << " step " << i;
   }
+  EXPECT_EQ(RenderTrace(sliced->result, sliced->trace),
+            RenderTrace(full->result, full->trace))
+      << context;
 }
 
 // ---- Free SoundChase, all semantics ----------------------------------

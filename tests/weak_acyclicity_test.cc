@@ -3,7 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace sqleq {
 namespace {
@@ -286,6 +294,143 @@ TEST(Stratification, EgdBridgesComponents) {
   }));
   EXPECT_FALSE(r.weakly_acyclic);
   EXPECT_FALSE(r.stratified);
+}
+
+// ---- The linear special-cycle search against the BFS reference ----------
+
+/// The search before it went through one Tarjan pass: a BFS from the target
+/// of every special edge, in edge order, back to its source.
+std::optional<std::vector<PositionEdge>> ReferencePath(
+    const std::vector<PositionEdge>& edges, const Position& src, const Position& dst) {
+  if (src == dst) return std::vector<PositionEdge>{};
+  std::map<Position, std::vector<const PositionEdge*>> adj;
+  for (const PositionEdge& e : edges) adj[e.from].push_back(&e);
+  std::map<Position, const PositionEdge*> parent;
+  std::vector<Position> frontier{src};
+  std::set<Position> visited{src};
+  while (!frontier.empty()) {
+    std::vector<Position> next;
+    for (const Position& cur : frontier) {
+      auto it = adj.find(cur);
+      if (it == adj.end()) continue;
+      for (const PositionEdge* e : it->second) {
+        if (!visited.insert(e->to).second) continue;
+        parent[e->to] = e;
+        if (e->to == dst) {
+          std::vector<PositionEdge> path;
+          for (Position at = dst; !(at == src); at = parent[at]->from) {
+            path.push_back(*parent[at]);
+          }
+          std::reverse(path.begin(), path.end());
+          return path;
+        }
+        next.push_back(e->to);
+      }
+    }
+    frontier = std::move(next);
+  }
+  return std::nullopt;
+}
+
+std::optional<SpecialCycle> ReferenceSpecialCycle(const std::vector<PositionEdge>& edges) {
+  for (const PositionEdge& e : edges) {
+    if (!e.special) continue;
+    std::optional<std::vector<PositionEdge>> back = ReferencePath(edges, e.to, e.from);
+    if (!back.has_value()) continue;
+    SpecialCycle cycle;
+    cycle.edges.push_back(e);
+    cycle.edges.insert(cycle.edges.end(), back->begin(), back->end());
+    return cycle;
+  }
+  return std::nullopt;
+}
+
+StratificationResult ReferenceStratification(const DependencySet& sigma) {
+  StratificationResult out;
+  out.weakly_acyclic = !ReferenceSpecialCycle(BuildDependencyGraph(sigma)).has_value();
+  out.stratified = true;
+  if (out.weakly_acyclic) return out;
+  for (const std::vector<size_t>& component : FiringComponents(sigma)) {
+    DependencySet subset;
+    for (size_t i : component) subset.push_back(sigma[i]);
+    std::optional<SpecialCycle> cycle = ReferenceSpecialCycle(BuildDependencyGraph(subset));
+    if (!cycle.has_value()) continue;
+    out.stratified = false;
+    out.witness = std::move(cycle);
+    out.offending_component = component;
+    return out;
+  }
+  out.witness = ReferenceSpecialCycle(BuildDependencyGraph(sigma));
+  return out;
+}
+
+std::string Render(const std::optional<SpecialCycle>& cycle) {
+  return cycle.has_value() ? cycle->ToString() : "none";
+}
+
+/// A random Σ of 1-6 draws over p/2, q/3 and r/1: tgds with one or two
+/// body atoms, one or two head atoms, existential head variables and
+/// constants, the occasional key egd, and the occasional pair of tgds whose
+/// special cycle clashing constants cut.
+DependencySet RandomSigma(Rng* rng) {
+  const std::vector<std::pair<std::string, int>> relations = {{"p", 2}, {"q", 3}, {"r", 1}};
+  auto atom = [&](const std::vector<std::string>& vars) {
+    const auto& [name, arity] = relations[rng->Index(relations.size())];
+    std::string out = name + "(";
+    for (int i = 0; i < arity; ++i) {
+      if (i > 0) out += ", ";
+      out += rng->Chance(0.3) ? std::to_string(rng->UniformInt(1, 2))
+                              : vars[rng->Index(vars.size())];
+    }
+    return out + ")";
+  };
+  std::vector<std::string> deps;
+  int count = rng->UniformInt(1, 6);
+  for (int d = 0; d < count; ++d) {
+    if (rng->Chance(0.15)) {
+      deps.push_back("q(X, Y, Z), q(X, Y, W) -> Z = W.");
+      continue;
+    }
+    if (rng->Chance(0.2)) {
+      // A special cycle through q that constants may cut in the firing
+      // graph: stratified exactly when the two constants differ.
+      deps.push_back("p(X, 1) -> q(X, Z, " + std::to_string(rng->UniformInt(1, 2)) + ").");
+      deps.push_back("q(X, Y, " + std::to_string(rng->UniformInt(1, 2)) + ") -> p(Y, 1).");
+      continue;
+    }
+    std::string body = atom({"X", "Y", "Z"});
+    if (rng->Chance(0.4)) body += ", " + atom({"X", "Y", "Z"});
+    std::string head = atom({"X", "Y", "U", "V"});
+    if (rng->Chance(0.4)) head += ", " + atom({"X", "Y", "U", "V"});
+    deps.push_back(body + " -> " + head + ".");
+  }
+  return Sigma(deps);
+}
+
+TEST(WeakAcyclicity, LinearSearchMatchesBfsReferenceOnRandomSigma) {
+  Rng rng(20091);
+  size_t cyclic = 0, unstratified = 0;
+  for (int round = 0; round < 400; ++round) {
+    DependencySet sigma = RandomSigma(&rng);
+    std::string context = SigmaToString(sigma);
+    std::optional<SpecialCycle> expected = ReferenceSpecialCycle(BuildDependencyGraph(sigma));
+    EXPECT_EQ(Render(FindSpecialCycle(sigma)), Render(expected)) << context;
+    EXPECT_EQ(IsWeaklyAcyclic(sigma), !expected.has_value()) << context;
+    StratificationResult got = CheckStratification(sigma);
+    StratificationResult want = ReferenceStratification(sigma);
+    EXPECT_EQ(got.weakly_acyclic, want.weakly_acyclic) << context;
+    EXPECT_EQ(got.stratified, want.stratified) << context;
+    EXPECT_EQ(Render(got.witness), Render(want.witness)) << context;
+    EXPECT_EQ(got.offending_component, want.offending_component) << context;
+    cyclic += expected.has_value() ? 1 : 0;
+    unstratified += want.stratified ? 0 : 1;
+  }
+  // The generator reaches every branch: acyclic, cyclic-but-stratified and
+  // unstratified inputs all occur.
+  EXPECT_GT(cyclic, 100u);
+  EXPECT_GT(unstratified, 50u);
+  EXPECT_GT(cyclic, unstratified + 10);
+  EXPECT_LT(cyclic, 300u);
 }
 
 }  // namespace
