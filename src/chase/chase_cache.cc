@@ -246,16 +246,15 @@ void ChaseMemo::EvictLocked(MetricsRegistry* metrics,
   // larger than the limit must still cache, or hot loops would re-chase it
   // on every call.
   while (byte_limit_ > 0 && bytes_ > byte_limit_ && cache_.size() > 1) {
-    const std::string& victim = lru_.back();
-    auto it = cache_.find(victim);
+    auto it = cache_.find(*lru_.back());
     if (store_ != nullptr && spilled != nullptr) {
-      spilled->emplace_back(disk_prefix_ + victim, it->second.outcome);
+      spilled->emplace_back(disk_prefix_ + it->first, it->second.outcome);
     }
     bytes_ -= it->second.bytes;
     ++evictions_;
     if (metrics != nullptr) metrics->counter(metric::kMemoEvictions).Add();
-    cache_.erase(it);
     lru_.pop_back();
+    cache_.erase(it);
   }
 }
 
@@ -268,42 +267,32 @@ std::pair<std::shared_ptr<const ChaseOutcome>, bool> ChaseMemo::InsertLocked(
     lru_.splice(lru_.begin(), lru_, it->second.lru);
     return {it->second.outcome, false};
   }
-  lru_.push_front(key);
-  Entry stored{std::move(entry), bytes, lru_.begin()};
+  it = cache_.emplace(key, Entry{std::move(entry), bytes, {}}).first;
+  lru_.push_front(&it->first);
+  it->second.lru = lru_.begin();
   bytes_ += bytes;
-  auto outcome = stored.outcome;
-  cache_.emplace(key, std::move(stored));
+  auto outcome = it->second.outcome;
   EvictLocked(metrics, spilled);
   return {std::move(outcome), true};
 }
 
-void ChaseMemo::PinEnvelope(const ConjunctiveQuery& envelope) {
-  pinned_slice_ = &plan_->SliceFor(envelope);
-  pinned_suffix_ = "|slice:";
-  pinned_suffix_ += pinned_slice_->Signature();
-}
-
 Result<std::shared_ptr<const ChaseOutcome>> ChaseMemo::LookupOrChase(
     const ConjunctiveQuery& q, std::string* out_key, TermMap* from_canonical,
-    const ChaseRuntime& runtime) {
+    const ChaseRuntime& runtime, const SigmaSlice* envelope) {
   ConjunctiveQuery canonical = q;  // overwritten by CanonicalQueryKey
   const std::string subject = CanonicalQueryKey(q, &canonical, from_canonical);
-  std::string key = subject;
   // Two body shapes that slice Σ differently must never share an entry;
   // shapes that slice identically still can (the slice is a function of the
   // shape, so this is a refinement, not a correctness need — but it keeps
   // cache keys self-describing in stats). The slice is handed back to Run()
-  // below so each candidate is sliced once. A pinned envelope slice
-  // (PinEnvelope) short-circuits even that: one slice, one kernel subset,
-  // for the whole backchase sweep.
-  const SigmaSlice* slice = pinned_slice_;
-  if (slice != nullptr) {
-    key += pinned_suffix_;
-  } else {
-    slice = &plan_->SliceFor(canonical);
-    key += "|slice:";
-    key += slice->Signature();
-  }
+  // below so each candidate is sliced once. A caller's envelope slice
+  // short-circuits even that: one slice, one kernel subset, for a whole
+  // backchase sweep.
+  const SigmaSlice* slice =
+      envelope != nullptr ? envelope : &plan_.SliceFor(canonical);
+  std::string key = subject;
+  key += "|slice:";
+  key += slice->Signature();
   if (out_key != nullptr) *out_key = key;
   std::shared_ptr<const ChaseOutcome> cached;
   std::shared_ptr<MemoStore> store;
@@ -337,8 +326,8 @@ Result<std::shared_ptr<const ChaseOutcome>> ChaseMemo::LookupOrChase(
     if (body.ok() && body->has_value()) {
       Result<ChaseOutcome> parsed = ParseChaseOutcomeBody(**body);
       if (parsed.ok()) {
-        auto promoted =
-            std::make_shared<const ChaseOutcome>(std::move(parsed).value());
+        auto promoted = std::make_shared<const ChaseOutcome>(
+            ChaseOutcome{std::move(parsed->result), {}, parsed->failed});
         const size_t bytes = EntryBytes(key, *promoted);
         std::vector<SpilledEntry> spilled;
         std::shared_ptr<const ChaseOutcome> winner;
@@ -361,14 +350,17 @@ Result<std::shared_ptr<const ChaseOutcome>> ChaseMemo::LookupOrChase(
   // trace-invariant), so a checkpoint resumes correctly under any slice
   // while still never replaying into a different query.
   ChaseRuntime inner = RuntimeForKey(runtime, subject);
-  Result<ChaseOutcome> outcome = plan_->Run(canonical, inner, *slice);
+  Result<ChaseOutcome> outcome = plan_.Run(canonical, inner, *slice);
   if (!outcome.ok()) {
     StampSubject(inner, subject);
     return outcome.status();
   }
   SQLEQ_RETURN_IF_ERROR(
       ProbeSite(runtime.faults, runtime.cancel, fault_sites::kMemoInsert));
-  auto entry = std::make_shared<const ChaseOutcome>(std::move(outcome).value());
+  // A copy, not a move: the chase grew the body in place, and a resident
+  // entry should not keep the growth slack.
+  auto entry = std::make_shared<const ChaseOutcome>(
+      ChaseOutcome{outcome->result, {}, outcome->failed});
   const size_t bytes = EntryBytes(key, *entry);
   bool inserted = false;
   std::vector<SpilledEntry> spilled;
@@ -392,8 +384,9 @@ Result<std::shared_ptr<const ChaseOutcome>> ChaseMemo::LookupOrChase(
 }
 
 Result<std::shared_ptr<const ChaseOutcome>> ChaseMemo::ChaseCanonical(
-    const ConjunctiveQuery& q, std::string* out_key, const ChaseRuntime& runtime) {
-  return LookupOrChase(q, out_key, /*from_canonical=*/nullptr, runtime);
+    const ConjunctiveQuery& q, std::string* out_key, const ChaseRuntime& runtime,
+    const SigmaSlice* envelope) {
+  return LookupOrChase(q, out_key, /*from_canonical=*/nullptr, runtime, envelope);
 }
 
 Result<ChaseOutcome> ChaseMemo::Chase(const ConjunctiveQuery& q,
@@ -401,9 +394,10 @@ Result<ChaseOutcome> ChaseMemo::Chase(const ConjunctiveQuery& q,
   TermMap from_canonical;
   SQLEQ_ASSIGN_OR_RETURN(
       std::shared_ptr<const ChaseOutcome> entry,
-      LookupOrChase(q, /*out_key=*/nullptr, &from_canonical, runtime));
+      LookupOrChase(q, /*out_key=*/nullptr, &from_canonical, runtime,
+                    /*envelope=*/nullptr));
   return ChaseOutcome{entry->result.Substitute(from_canonical).WithName(q.name()),
-                      entry->trace, entry->failed};
+                      {}, entry->failed};
 }
 
 ChaseMemo::Stats ChaseMemo::stats() const {

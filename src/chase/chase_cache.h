@@ -2,9 +2,10 @@
 // (query, Σ, semantics, schema, chase knobs) — Thm 5.1 / G.1 make them
 // unique up to the semantics' equivalence — so a memo cache over a
 // renaming- and atom-order-invariant canonical form of the query is sound:
-// isomorphic queries share one chase. The backchase sweeps the 2^n subquery
-// lattice, where isomorphic candidates abound; the cache is what keeps the
-// parallel backchase from re-chasing them.
+// isomorphic queries share one chase. EquivalenceEngine keeps one memo per
+// chase context; equivalence checks and reformulation (the universal-plan
+// chase and every backchase candidate) all chase through it. Entries carry
+// no trace: no memoized caller reads one (EXPLAIN chases uncached).
 #ifndef SQLEQ_CHASE_CHASE_CACHE_H_
 #define SQLEQ_CHASE_CHASE_CACHE_H_
 
@@ -38,10 +39,8 @@ std::string CanonicalQueryKey(const ConjunctiveQuery& q,
 /// Thread-safe memo of sound-chase outcomes for one fixed chase context
 /// (Σ, semantics, schema, options). Outcomes are cached in canonical
 /// variable space; Chase() maps them back onto the caller's variables.
-///
-/// The stored ChaseOptions' deadline applies to cache-miss chases; callers
-/// that need per-call deadlines should check them around the call (cache
-/// hits cost microseconds).
+/// Budgets and deadlines apply per run (ChaseRuntime::budget, else the
+/// stored ChaseOptions'), to cache-miss chases only.
 ///
 /// Retained footprint is bounded when a byte limit is set (`byte_limit`
 /// constructor argument or set_byte_limit): each entry is charged its
@@ -56,14 +55,8 @@ class ChaseMemo {
   /// Compiles a ChasePlan for the context and memoizes its runs.
   ChaseMemo(DependencySet sigma, Semantics semantics, Schema schema,
             ChaseOptions options, size_t byte_limit = 0)
-      : ChaseMemo(std::make_shared<const ChasePlan>(std::move(sigma), semantics,
-                                                    std::move(schema), options),
-                  byte_limit) {}
-
-  /// Shares an already-compiled plan (e.g. with a C&B run that chases the
-  /// universal plan through the same kernels).
-  explicit ChaseMemo(std::shared_ptr<const ChasePlan> plan, size_t byte_limit = 0)
-      : plan_(std::move(plan)), byte_limit_(byte_limit) {}
+      : plan_(std::move(sigma), semantics, std::move(schema), options),
+        byte_limit_(byte_limit) {}
 
   /// Re-bounds the memo; shrinking evicts LRU entries immediately (counted
   /// in stats().evictions, but not in the memo.evictions metric — there is
@@ -83,21 +76,19 @@ class ChaseMemo {
   void AttachStore(std::shared_ptr<MemoStore> store,
                    std::string_view context_fingerprint);
 
-  /// Pins the Σ-slice of `envelope` for every later chase through this
-  /// memo. Sound exactly when each chased query is a sub-conjunction of
-  /// `envelope` (up to renaming) — the backchase invariant: Σ-slices are
-  /// monotone in the body, so the envelope's slice is a sound slice for
-  /// every candidate, and the whole lattice sweep shares one compiled
-  /// kernel subset instead of slicing each candidate shape separately.
-  /// Call before the first chase.
-  void PinEnvelope(const ConjunctiveQuery& envelope);
-
   /// Memoized SoundChase of `q`, returned in canonical variable space (NOT
   /// remapped to q's variables) — sufficient for every isomorphism-invariant
   /// use (the equivalence tests of Thms 2.2/6.1/6.2). Shared pointer: the
   /// outcome may be handed to many threads. `out_key` (optional) receives
   /// the canonical key, letting callers do their own deterministic hit
   /// accounting. Statuses (step budget, deadline) are never cached.
+  ///
+  /// `envelope` (optional): chase under this slice of the plan
+  /// (`plan().SliceFor(e)`) instead of q's own; its signature goes into the
+  /// key. Sound exactly when q is a sub-conjunction of `e` up to renaming —
+  /// the backchase invariant (slices are monotone in the body), so a
+  /// lattice sweep shares one kernel subset. Per call, so concurrent sweeps
+  /// on one memo never see each other's.
   ///
   /// `runtime` (chase/set_chase.h) threads the anytime hooks through the
   /// cache-miss chase: captured checkpoints are stamped with the canonical
@@ -108,13 +99,12 @@ class ChaseMemo {
   /// inserted.
   Result<std::shared_ptr<const ChaseOutcome>> ChaseCanonical(
       const ConjunctiveQuery& q, std::string* out_key = nullptr,
-      const ChaseRuntime& runtime = {});
+      const ChaseRuntime& runtime = {}, const SigmaSlice* envelope = nullptr);
 
   /// Memoized SoundChase of `q` with the result mapped back onto q's
-  /// variables and name. Chase-introduced fresh variables and the trace
-  /// (in canonical space: render it against ChaseCanonical's result) pass
-  /// through unchanged. Checkpoints
-  /// behave as in ChaseCanonical (canonical space, subject-stamped).
+  /// variables and name; chase-introduced fresh variables pass through
+  /// unchanged. Checkpoints behave as in ChaseCanonical (canonical space,
+  /// subject-stamped).
   Result<ChaseOutcome> Chase(const ConjunctiveQuery& q,
                              const ChaseRuntime& runtime = {});
 
@@ -133,20 +123,16 @@ class ChaseMemo {
   /// for deterministic numbers.
   Stats stats() const;
 
-  const DependencySet& sigma() const { return plan_->sigma(); }
-  Semantics semantics() const { return plan_->semantics(); }
-  const Schema& schema() const { return plan_->schema(); }
-  const ChaseOptions& options() const { return plan_->options(); }
+  Semantics semantics() const { return plan_.semantics(); }
   /// The compiled plan cache misses chase through.
-  const ChasePlan& plan() const { return *plan_; }
-  std::shared_ptr<const ChasePlan> shared_plan() const { return plan_; }
+  const ChasePlan& plan() const { return plan_; }
 
  private:
   struct Entry {
     std::shared_ptr<const ChaseOutcome> outcome;
     size_t bytes = 0;
     /// Position in lru_ (front = most recently used).
-    std::list<std::string>::iterator lru;
+    std::list<const std::string*>::iterator lru;
   };
 
   /// (disk key, outcome) of an entry evicted under mu_; spilled to the
@@ -158,7 +144,7 @@ class ChaseMemo {
   /// disk tier (with re-promotion), then a fresh chase (with write-through).
   Result<std::shared_ptr<const ChaseOutcome>> LookupOrChase(
       const ConjunctiveQuery& q, std::string* out_key, TermMap* from_canonical,
-      const ChaseRuntime& runtime);
+      const ChaseRuntime& runtime, const SigmaSlice* envelope);
 
   /// Inserts (or returns the concurrent winner of) `key`, charging it
   /// `bytes` (its footprint estimate, rendered before taking the lock);
@@ -174,12 +160,7 @@ class ChaseMemo {
   void EvictLocked(MetricsRegistry* metrics,
                    std::vector<SpilledEntry>* spilled);
 
-  const std::shared_ptr<const ChasePlan> plan_;
-
-  /// Set by PinEnvelope: the envelope's slice (stable reference into the
-  /// plan's shape cache) and its prebuilt "|slice:<sig>" key suffix.
-  const SigmaSlice* pinned_slice_ = nullptr;
-  std::string pinned_suffix_;
+  const ChasePlan plan_;
 
   mutable std::mutex mu_;
   /// Tier-2 store and the context-fingerprint key prefix; both set by
@@ -187,7 +168,8 @@ class ChaseMemo {
   std::shared_ptr<MemoStore> store_;
   std::string disk_prefix_;
   std::unordered_map<std::string, Entry> cache_;
-  std::list<std::string> lru_;
+  /// The cache_ keys (stable node addresses), most recently used first.
+  std::list<const std::string*> lru_;
   size_t byte_limit_ = 0;
   size_t bytes_ = 0;
   size_t hits_ = 0;

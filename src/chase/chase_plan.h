@@ -81,8 +81,8 @@ class ChasePlan {
   /// SigmaGraph::DeriveCertificate(). Run() and RunFull() skip the B/BS
   /// set-chase probe when it holds; stratification is closed under subsets,
   /// so the bit covers every Σ-slice. Computed on first use from the
-  /// stratification test alone — a plan built per call (C&B, view
-  /// rewriting) must not pay for a whole certificate.
+  /// stratification test alone — a plan built per call (one-shot C&B or
+  /// view rewriting) must not pay for a whole certificate.
   bool sigma_terminates() const;
 
   const DependencySet& sigma() const { return sigma_; }

@@ -105,8 +105,8 @@ struct ChaseOutcome {
 /// renders it ("FAIL: <from> = <to>" for a failing egd step). `result` must
 /// be the query the recording chase ended on (ChaseOutcome::result, or a
 /// checkpoint's state); the steps are rebuilt backward from it, so a
-/// result that was renamed afterwards (ChaseMemo::Chase) renders a trace
-/// that mixes both namings.
+/// result that was renamed afterwards renders a trace that mixes both
+/// namings.
 std::vector<std::string> RenderTrace(const ConjunctiveQuery& result,
                                      const std::vector<ChaseStepRecord>& trace);
 

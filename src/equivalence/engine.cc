@@ -15,12 +15,13 @@ namespace {
 /// outcome is a completed chase whose result is budget-independent — which
 /// lets a narrowed-budget request (the degraded admission lane, a client
 /// that lowered max_chase_steps) still hit entries warmed at full budget.
-std::string ContextKey(const EquivRequest& request, const ChaseOptions& chase) {
-  std::string key = SemanticsToString(request.semantics);
+std::string ContextKey(Semantics semantics, const DependencySet& sigma,
+                       const Schema& schema, const ChaseOptions& chase) {
+  std::string key = SemanticsToString(semantics);
   key += '\n';
-  key += SigmaToString(request.sigma);
+  key += SigmaToString(sigma);
   key += '\n';
-  key += request.schema.ToString();
+  key += schema.ToString();
   key += '\n';
   key += chase.key_based_fast_path ? 'K' : 'k';
   return key;
@@ -41,9 +42,47 @@ bool ChasedEquivalent(const ConjunctiveQuery& c1, const ConjunctiveQuery& c2,
   return false;
 }
 
-std::shared_ptr<ChaseMemo> EquivalenceEngine::MemoFor(const EquivRequest& request,
+ChasedDecision DecideChased(const ChaseOutcome& c1, const ChaseOutcome& c2,
+                            Semantics semantics, const Schema& schema) {
+  ChasedDecision out;
+  if (c1.failed || c2.failed) {
+    // A failed chase means the query is empty on every instance of Σ; two
+    // queries are then equivalent iff both fail.
+    out.equivalent = c1.failed == c2.failed;
+    return out;
+  }
+  switch (semantics) {
+    case Semantics::kSet: {
+      ConjunctiveQuery renamed2 = c2.result.RenameApart();
+      out.witness_forward = FindContainmentMapping(renamed2, c1.result);
+      ConjunctiveQuery renamed1 = c1.result.RenameApart();
+      out.witness_backward = FindContainmentMapping(renamed1, c2.result);
+      out.equivalent =
+          out.witness_forward.has_value() && out.witness_backward.has_value();
+      break;
+    }
+    case Semantics::kBag: {
+      ConjunctiveQuery n1 = NormalizeForBag(c1.result, schema);
+      ConjunctiveQuery n2 = NormalizeForBag(c2.result, schema);
+      out.witness_forward = FindIsomorphism(n1, n2);
+      out.equivalent = out.witness_forward.has_value();
+      break;
+    }
+    case Semantics::kBagSet: {
+      out.witness_forward = FindIsomorphism(c1.result.CanonicalRepresentation(),
+                                            c2.result.CanonicalRepresentation());
+      out.equivalent = out.witness_forward.has_value();
+      break;
+    }
+  }
+  return out;
+}
+
+std::shared_ptr<ChaseMemo> EquivalenceEngine::MemoFor(Semantics semantics,
+                                                      const DependencySet& sigma,
+                                                      const Schema& schema,
                                                       const ChaseOptions& chase) {
-  std::string key = ContextKey(request, chase);
+  std::string key = ContextKey(semantics, sigma, schema, chase);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = memos_.find(key);
   if (it != memos_.end()) return it->second;
@@ -52,8 +91,7 @@ std::shared_ptr<ChaseMemo> EquivalenceEngine::MemoFor(const EquivRequest& reques
   // keyed by ContextKey outlives any one request's limits, so the baked
   // options carry neutral defaults only.
   memo_options.budget = ResourceBudget{};
-  auto memo = std::make_shared<ChaseMemo>(request.sigma, request.semantics,
-                                          request.schema, memo_options,
+  auto memo = std::make_shared<ChaseMemo>(sigma, semantics, schema, memo_options,
                                           memo_byte_limit_);
   if (memo_store_ != nullptr) memo->AttachStore(memo_store_, key);
   memos_.emplace(std::move(key), memo);
@@ -102,7 +140,8 @@ Result<EquivVerdict> EquivalenceEngine::Equivalent(const ConjunctiveQuery& q1,
   // One budget governs the call, threaded per-run (ChaseRuntime::budget)
   // rather than baked into the memo's plan — so calls with different budgets
   // share one memo and its compiled kernels (see ContextKey above).
-  std::shared_ptr<ChaseMemo> memo = MemoFor(request, request.chase);
+  std::shared_ptr<ChaseMemo> memo =
+      MemoFor(request.semantics, request.sigma, request.schema, request.chase);
   ChaseRuntime runtime;
   runtime.budget = &ctx.budget;
   runtime.faults = ctx.faults;
@@ -118,7 +157,6 @@ Result<EquivVerdict> EquivalenceEngine::Equivalent(const ConjunctiveQuery& q1,
   auto unknown = [&](const Status& status, std::string phase) -> EquivVerdict {
     EquivVerdict out{/*equivalent=*/false, request.semantics,
                      q1,                   q2,
-                     {},                   {},
                      /*q1_failed=*/false,  /*q2_failed=*/false,
                      std::nullopt,         std::nullopt,
                      Verdict::kUnknown,    std::nullopt,
@@ -145,47 +183,13 @@ Result<EquivVerdict> EquivalenceEngine::Equivalent(const ConjunctiveQuery& q1,
   }
   ChaseOutcome c2 = std::move(*c2_result);
 
-  EquivVerdict out{/*equivalent=*/false,   request.semantics,
-                   c1.result,              c2.result,
-                   std::move(c1.trace),    std::move(c2.trace),
-                   c1.failed,              c2.failed,
-                   std::nullopt,           std::nullopt,
-                   Verdict::kNotEquivalent, std::nullopt,
-                   std::nullopt};
-  if (c1.failed || c2.failed) {
-    // A failed chase means the query is empty on every instance of Σ; two
-    // queries are then equivalent iff both fail.
-    out.equivalent = c1.failed == c2.failed;
-    out.verdict = out.equivalent ? Verdict::kEquivalent : Verdict::kNotEquivalent;
-    return counted(std::move(out));
-  }
-
-  switch (request.semantics) {
-    case Semantics::kSet: {
-      ConjunctiveQuery renamed2 = c2.result.RenameApart();
-      out.witness_forward = FindContainmentMapping(renamed2, c1.result);
-      ConjunctiveQuery renamed1 = c1.result.RenameApart();
-      out.witness_backward = FindContainmentMapping(renamed1, c2.result);
-      out.equivalent =
-          out.witness_forward.has_value() && out.witness_backward.has_value();
-      break;
-    }
-    case Semantics::kBag: {
-      ConjunctiveQuery n1 = NormalizeForBag(c1.result, request.schema);
-      ConjunctiveQuery n2 = NormalizeForBag(c2.result, request.schema);
-      out.witness_forward = FindIsomorphism(n1, n2);
-      out.equivalent = out.witness_forward.has_value();
-      break;
-    }
-    case Semantics::kBagSet: {
-      out.witness_forward = FindIsomorphism(c1.result.CanonicalRepresentation(),
-                                            c2.result.CanonicalRepresentation());
-      out.equivalent = out.witness_forward.has_value();
-      break;
-    }
-  }
-  out.verdict = out.equivalent ? Verdict::kEquivalent : Verdict::kNotEquivalent;
-  return counted(std::move(out));
+  ChasedDecision d = DecideChased(c1, c2, request.semantics, request.schema);
+  const Verdict verdict = d.equivalent ? Verdict::kEquivalent : Verdict::kNotEquivalent;
+  return counted(EquivVerdict{d.equivalent, request.semantics, std::move(c1.result),
+                              std::move(c2.result), c1.failed, c2.failed,
+                              std::move(d.witness_forward),
+                              std::move(d.witness_backward), verdict,
+                              std::nullopt, std::nullopt});
 }
 
 Result<EquivVerdict> EquivalenceEngine::EquivalentWithRetry(

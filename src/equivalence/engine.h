@@ -11,7 +11,9 @@
 // common shape in minimization and rewriting loops — chase each distinct
 // query once. Each memo chases through a per-context compiled ChasePlan
 // (chase/chase_plan.h), so the Σ kernels are compiled once per context,
-// not once per call.
+// not once per call. Reformulation (reformulation/candb.h, views.h) takes
+// its memo from the same table (MemoFor), so checks and reformulations of
+// one context share outcomes, the byte limit and the disk tier.
 #ifndef SQLEQ_EQUIVALENCE_ENGINE_H_
 #define SQLEQ_EQUIVALENCE_ENGINE_H_
 
@@ -68,11 +70,11 @@ struct EquivRequest : RunOptions {
 };
 
 /// The decision plus its evidence: sound-chase results for both inputs
-/// (remapped onto the callers' variables), the chase traces (rendered in
-/// the memo's canonical variable space), and — when equivalent — the
+/// (remapped onto the callers' variables) and — when equivalent — the
 /// witness mapping between the chase results (isomorphism under B/BS, the
 /// Q2→Q1 containment mapping under S, with witness_backward the Q1→Q2
-/// direction).
+/// direction). Chase traces come from ExplainEquivalence
+/// (equivalence/explain.h), which chases uncached.
 struct EquivVerdict {
   bool equivalent;
   Semantics semantics;
@@ -81,8 +83,6 @@ struct EquivVerdict {
   // by aggregate initialization (trailing members below carry defaults).
   ConjunctiveQuery chased_q1;
   ConjunctiveQuery chased_q2;
-  std::vector<ChaseStepRecord> trace_q1;
-  std::vector<ChaseStepRecord> trace_q2;
   bool q1_failed;
   bool q2_failed;
 
@@ -121,6 +121,19 @@ inline Result<bool> VerdictToBool(const EquivVerdict& v) {
 /// representations.) Isomorphism-invariant in both arguments.
 bool ChasedEquivalent(const ConjunctiveQuery& c1, const ConjunctiveQuery& c2,
                       Semantics semantics, const Schema& schema);
+
+/// The post-chase decision with its witnesses, shared by
+/// EquivalenceEngine::Equivalent and ExplainEquivalence. Two failed chases
+/// are equivalent (both queries are empty on every instance of Σ), one is
+/// not, and neither carries a witness; otherwise the semantics' test
+/// decides, as in ChasedEquivalent, and records its witness mappings.
+struct ChasedDecision {
+  bool equivalent = false;
+  std::optional<TermMap> witness_forward;
+  std::optional<TermMap> witness_backward;
+};
+ChasedDecision DecideChased(const ChaseOutcome& c1, const ChaseOutcome& c2,
+                            Semantics semantics, const Schema& schema);
 
 class EquivalenceEngine {
  public:
@@ -176,15 +189,18 @@ class EquivalenceEngine {
   /// store to a fresh engine). nullptr detaches.
   void set_memo_store(std::shared_ptr<MemoStore> store);
 
- private:
-  /// The memo for the request's chase context, under the resolved chase
-  /// options (context budget already folded in). Deadlines are deliberately
-  /// not part of the context key (and are stripped from the memo's options):
-  /// Equivalent() enforces them per call, so calls differing only in
-  /// deadline share cached chases.
-  std::shared_ptr<ChaseMemo> MemoFor(const EquivRequest& request,
+  /// The memo for one chase context, created (with the engine's byte limit
+  /// and disk store) on first use; Equivalent() and reformulation chase
+  /// through it. Budgets and deadlines are deliberately not part of the
+  /// context key (the memo's options carry a neutral budget): callers pass
+  /// theirs per run through ChaseRuntime::budget, so calls differing only
+  /// in budget share cached chases.
+  std::shared_ptr<ChaseMemo> MemoFor(Semantics semantics,
+                                     const DependencySet& sigma,
+                                     const Schema& schema,
                                      const ChaseOptions& chase);
 
+ private:
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<ChaseMemo>> memos_;
   size_t memo_byte_limit_ = 0;

@@ -1,9 +1,8 @@
 #include "equivalence/explain.h"
 
-#include "chase/homomorphism.h"
 #include "chase/sound_chase.h"
 #include "db/satisfaction.h"
-#include "equivalence/isomorphism.h"
+#include "equivalence/engine.h"
 #include "ir/printer.h"
 
 namespace sqleq {
@@ -94,41 +93,14 @@ Result<EquivalenceExplanation> ExplainEquivalence(const ConjunctiveQuery& q1,
   SQLEQ_ASSIGN_OR_RETURN(ChaseOutcome c1, SoundChase(q1, sigma, semantics, schema, options));
   SQLEQ_ASSIGN_OR_RETURN(ChaseOutcome c2, SoundChase(q2, sigma, semantics, schema, options));
 
-  EquivalenceExplanation out{semantics, false,          c1.result,    c2.result,
-                             c1.trace,  c2.trace,       c1.failed,    c2.failed,
-                             {},        {},             {}};
-  if (c1.failed || c2.failed) {
-    out.equivalent = c1.failed == c2.failed;
-    return out;
-  }
-
-  switch (semantics) {
-    case Semantics::kSet: {
-      ConjunctiveQuery renamed2 = c2.result.RenameApart();
-      std::optional<TermMap> fwd = FindContainmentMapping(renamed2, c1.result);
-      ConjunctiveQuery renamed1 = c1.result.RenameApart();
-      std::optional<TermMap> bwd = FindContainmentMapping(renamed1, c2.result);
-      out.equivalent = fwd.has_value() && bwd.has_value();
-      out.witness_forward = fwd;
-      out.witness_backward = bwd;
-      break;
-    }
-    case Semantics::kBag: {
-      ConjunctiveQuery n1 = NormalizeForBag(c1.result, schema);
-      ConjunctiveQuery n2 = NormalizeForBag(c2.result, schema);
-      std::optional<TermMap> iso = FindIsomorphism(n1, n2);
-      out.equivalent = iso.has_value();
-      out.witness_forward = iso;
-      break;
-    }
-    case Semantics::kBagSet: {
-      std::optional<TermMap> iso = FindIsomorphism(c1.result.CanonicalRepresentation(),
-                                                   c2.result.CanonicalRepresentation());
-      out.equivalent = iso.has_value();
-      out.witness_forward = iso;
-      break;
-    }
-  }
+  ChasedDecision d = DecideChased(c1, c2, semantics, schema);
+  EquivalenceExplanation out{semantics,           d.equivalent,
+                             c1.result,           c2.result,
+                             std::move(c1.trace), std::move(c2.trace),
+                             c1.failed,           c2.failed,
+                             std::move(d.witness_forward), std::move(d.witness_backward),
+                             {}};
+  if (c1.failed || c2.failed) return out;
 
   if (!out.equivalent) {
     // The chase results witness the difference more often than the inputs

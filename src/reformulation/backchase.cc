@@ -174,10 +174,11 @@ Result<BackchaseCheckpoint> BackchaseCheckpoint::Deserialize(
 }
 
 Result<SweepOutput> SweepBackchaseLattice(
-    size_t n, const ResourceBudget& budget, const SweepOptions& options,
+    size_t n, const EngineContext& ctx, const SweepOptions& options,
     const std::function<Result<CandidateVerdict>(uint64_t)>& evaluate) {
   SweepOutput out;
   if (n == 0) return out;
+  const ResourceBudget& budget = ctx.budget;
 
   std::vector<uint64_t> accepted_masks;
   std::vector<uint64_t> failed_masks;
@@ -203,13 +204,13 @@ Result<SweepOutput> SweepBackchaseLattice(
   }
   const uint64_t limit = uint64_t(1) << n;
 
-  TraceSpan sweep_span(options.trace, "backchase.sweep");
+  TraceSpan sweep_span(ctx.trace, "backchase.sweep");
   // Merge-phase tallies for the registry (serial, hence thread-count
   // invariant), flushed as deltas on every exit path.
   size_t rejected_total = 0;
   size_t chase_failed_total = 0;
   SweepMetricsFlusher flusher;
-  flusher.metrics = options.metrics;
+  flusher.metrics = ctx.metrics;
   flusher.stats = &out.stats;
   flusher.accepted_masks = &accepted_masks;
   flusher.rejected = &rejected_total;
@@ -223,12 +224,12 @@ Result<SweepOutput> SweepBackchaseLattice(
   size_t wave_merged = 0;
   size_t wave_accepted = 0;
   auto commit_level = [&](size_t cands, size_t pruned, size_t accepted) {
-    if (options.metrics == nullptr) return;
+    if (ctx.metrics == nullptr) return;
     std::string prefix = "backchase.level." + std::to_string(current_k) + ".";
-    if (cands > 0) options.metrics->counter(prefix + "candidates").Add(cands);
-    if (pruned > 0) options.metrics->counter(prefix + "pruned").Add(pruned);
+    if (cands > 0) ctx.metrics->counter(prefix + "candidates").Add(cands);
+    if (pruned > 0) ctx.metrics->counter(prefix + "pruned").Add(pruned);
     if (accepted > 0) {
-      options.metrics->counter(prefix + "accepted").Add(accepted);
+      ctx.metrics->counter(prefix + "accepted").Add(accepted);
     }
   };
 
@@ -268,7 +269,7 @@ Result<SweepOutput> SweepBackchaseLattice(
   // Workers beyond the calling thread; the caller participates in every
   // wave, so `budget.threads` is the total concurrency.
   std::optional<ThreadPool> pool;
-  if (budget.threads > 1) pool.emplace(budget.threads - 1, options.metrics);
+  if (budget.threads > 1) pool.emplace(budget.threads - 1, ctx.metrics);
 
   for (size_t k = start_k; k <= n; ++k) {
     current_k = k;
@@ -291,8 +292,8 @@ Result<SweepOutput> SweepBackchaseLattice(
                                                        : (uint64_t(1) << k) - 1;
     for (uint64_t m = first; m < limit; m = NextSamePopcount(m)) {
       Status guard = budget.CheckDeadline("backchase");
-      if (guard.ok() && options.cancel != nullptr) {
-        guard = options.cancel->Check("backchase");
+      if (guard.ok() && ctx.cancel != nullptr) {
+        guard = ctx.cancel->Check("backchase");
       }
       if (!guard.ok()) {
         if (!IsAnytimeStop(guard)) return guard;
@@ -361,8 +362,10 @@ Result<SweepOutput> SweepBackchaseLattice(
     // ---- Evaluate the wave, possibly in parallel.
     std::vector<std::optional<Result<CandidateVerdict>>> results(wave.size());
     auto eval_one = [&](size_t i) {
-      Status probe =
-          ProbeSite(options.faults, options.cancel, fault_sites::kPoolTask);
+      Status probe = ProbeSite(ctx.faults, ctx.cancel, fault_sites::kPoolTask);
+      if (probe.ok()) {
+        probe = ProbeSite(ctx.faults, ctx.cancel, fault_sites::kBackchaseCandidate);
+      }
       if (!probe.ok()) {
         results[i] = Result<CandidateVerdict>(std::move(probe));
         return;

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "ir/query.h"
-#include "util/resource_budget.h"
+#include "util/engine_context.h"
 #include "util/status.h"
 
 namespace sqleq {
@@ -83,12 +83,7 @@ struct BackchaseCheckpoint {
   static Result<BackchaseCheckpoint> Deserialize(std::string_view text);
 };
 
-class FaultInjector;
-class CancellationToken;
-class MetricsRegistry;
-class TraceSink;
-
-/// Per-call knobs of the sweep beyond the budget.
+/// Per-call knobs of the sweep beyond its EngineContext.
 struct SweepOptions {
   /// Turns on the kChaseFailed superset prune — sound under set semantics,
   /// where chase failure is monotone in the body (a restriction of any hom
@@ -100,18 +95,6 @@ struct SweepOptions {
   /// Resume an interrupted sweep. The caller must re-supply the identical
   /// pool and evaluate function (the checkpoint stores mask-indexed state).
   const BackchaseCheckpoint* resume = nullptr;
-  /// Fault injection ("pool.task" fires once per evaluated mask) and
-  /// cooperative cancellation, both checked during enumeration and
-  /// evaluation. Either may be null.
-  FaultInjector* faults = nullptr;
-  CancellationToken* cancel = nullptr;
-  /// Counter sink for backchase.* metrics. All backchase counters are
-  /// committed in the sweep's serial merge phase (or its cut), so their
-  /// totals are identical at every thread count. Null disables them.
-  MetricsRegistry* metrics = nullptr;
-  /// Span sink ("backchase.sweep"); also handed to the worker pool for
-  /// pool.* latency histograms when metrics is set. Null disables tracing.
-  TraceSink* trace = nullptr;
 };
 
 struct SweepOutput {
@@ -129,16 +112,21 @@ struct SweepOutput {
 
 /// Sweeps the 2^n - 1 nonempty subset masks of an n-element candidate pool.
 /// `evaluate` must be a pure, thread-safe function of the mask; it runs on
-/// `budget.threads` threads (<=1 → serial).
+/// `ctx.budget.threads` threads (<=1 → serial), after the "pool.task" and
+/// "backchase.candidate" fault sites. `ctx.cancel` is checked during
+/// enumeration too. backchase.* counters go to `ctx.metrics`, all committed
+/// in the serial merge phase (or its cut), so their totals are identical at
+/// every thread count; `ctx.trace` gets the "backchase.sweep" span and the
+/// worker pool's pool.* histograms.
 ///
 /// Budget: every non-pruned mask consumes one unit of
-/// `budget.max_candidates`. Exhaustion, deadline expiry, cancellation, and
+/// `ctx.budget.max_candidates`. Exhaustion, deadline expiry, cancellation, and
 /// injected exhaustion do NOT error: they end the sweep early with
 /// `complete = false` and a resumable checkpoint (anytime contract, see
 /// docs/robustness.md). Non-anytime evaluate errors still propagate as
 /// errors, first-in-mask-order.
 Result<SweepOutput> SweepBackchaseLattice(
-    size_t n, const ResourceBudget& budget, const SweepOptions& options,
+    size_t n, const EngineContext& ctx, const SweepOptions& options,
     const std::function<Result<CandidateVerdict>(uint64_t)>& evaluate);
 
 }  // namespace sqleq

@@ -5,12 +5,18 @@
 //   kBag    → Bag-C&B       (Thm 6.4)
 //   kBagSet → Bag-Set-C&B   (Thm K.1)
 //
+// Sound chase outcomes are pure functions of (Q, Σ, semantics, schema)
+// (Thms 5.1 / G.1), so C&B chases through the memo equivalence checks use
+// (EquivalenceEngine::MemoFor): a repeated or Σ-equivalent query's chases
+// are memory- or disk-tier hits, bounded by the engine's byte limit.
+//
 // The backchase phase sweeps the 2^|body(U)| subquery lattice through the
-// parallel memoized engine of backchase.h: candidates are chased through a
-// shared canonical-form memo cache (chase/chase_cache.h) so isomorphic
-// candidates never re-chase, supersets of accepted or chase-failed masks
-// are pruned, and results are merged deterministically — serial and
-// parallel runs return byte-identical CandBResults.
+// parallel memoized engine of backchase.h: candidates are chased through
+// that canonical-form memo (chase/chase_cache.h) under U's Σ-slice, so
+// isomorphic candidates never re-chase, supersets of accepted or
+// chase-failed masks are pruned, and results are merged deterministically —
+// serial and parallel runs, on cold or warm engines, return the same
+// CandBResult up to renaming of chase-introduced variables.
 //
 // Anytime contract (docs/robustness.md): budget exhaustion, deadline
 // expiry, cancellation, and injected faults do not error. They return a
@@ -42,6 +48,7 @@ namespace sqleq {
 
 class FaultInjector;
 class CancellationToken;
+class EquivalenceEngine;
 
 /// Where an interrupted C&B call stopped and everything needed to finish it.
 struct CandBCheckpoint {
@@ -89,7 +96,9 @@ struct CandBResult {
   /// Backchase candidates whose equivalence was tested.
   size_t candidates_examined = 0;
   /// Chase-memo accounting for the backchase phase, replayed
-  /// deterministically in mask order (identical at every thread count).
+  /// deterministically in mask order: a hit is a chase key already seen in
+  /// this call, whatever the engine's memo held before it, so the counts are
+  /// identical at every thread count and on cold or warm engines.
   size_t chase_cache_hits = 0;
   size_t chase_cache_misses = 0;
   /// False when the call stopped early on an anytime condition; `exhaustion`
@@ -99,14 +108,21 @@ struct CandBResult {
   std::optional<CandBCheckpoint> checkpoint;
 };
 
-/// Runs chase & backchase for `q` under Σ and the given semantics. Sound
-/// and complete whenever set chase terminates on the inputs (Thms A.1, 6.4,
-/// K.1) — guarded by the chase step budget. With
-/// options.context.budget.threads > 1
+/// Runs chase & backchase for `q` under Σ and the given semantics, chasing
+/// through `engine`'s memo for the chase context. Sound and complete
+/// whenever set chase terminates on the inputs (Thms A.1, 6.4, K.1) —
+/// guarded by the chase step budget. With options.context.budget.threads > 1
 /// the backchase sweeps candidates on a worker pool; the result is
 /// byte-identical to the serial sweep. Anytime stops (budget, deadline,
 /// cancellation, injected faults) return partial results, not errors — see
-/// the header comment.
+/// the header comment. Thread-safe: concurrent calls may share one engine.
+Result<CandBResult> ChaseAndBackchase(EquivalenceEngine& engine,
+                                      const ConjunctiveQuery& q,
+                                      const DependencySet& sigma, Semantics semantics,
+                                      const Schema& schema,
+                                      const CandBOptions& options = {});
+
+/// ChaseAndBackchase on a call-local engine, for one-shot callers.
 Result<CandBResult> ChaseAndBackchase(const ConjunctiveQuery& q,
                                       const DependencySet& sigma, Semantics semantics,
                                       const Schema& schema,
@@ -116,7 +132,8 @@ Result<CandBResult> ChaseAndBackchase(const ConjunctiveQuery& q,
 /// with options.context.budget; each incomplete attempt is resumed (from its own
 /// checkpoint) under a budget scaled by `policy` until the result is
 /// complete or policy.max_attempts is spent. The final (possibly still
-/// partial) result is returned; errors propagate immediately.
+/// partial) result is returned; errors propagate immediately. The attempts
+/// share one call-local engine.
 Result<CandBResult> ChaseAndBackchaseWithRetry(
     const ConjunctiveQuery& q, const DependencySet& sigma, Semantics semantics,
     const Schema& schema, const CandBOptions& options,

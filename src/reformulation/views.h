@@ -12,6 +12,12 @@
 // under bag semantics from the bag-valued base relations (and under bag-set
 // semantics when views are populated without DISTINCT from set-valued bases)
 // — CQ composition commutes with both semantics.
+//
+// RewriteWithViews runs on the same code path as C&B (candb.h): the
+// universal plan, U's own chase and every candidate expansion are chased
+// through the EquivalenceEngine's memo for the call's chase context, so
+// they share outcomes, the byte limit and the disk tier with equivalence
+// checks of that context.
 #ifndef SQLEQ_REFORMULATION_VIEWS_H_
 #define SQLEQ_REFORMULATION_VIEWS_H_
 
@@ -104,7 +110,15 @@ struct RewriteOptions : CandBOptions {
 /// every homomorphism from a view body into U contributes a candidate view
 /// atom over U's variables; backchase over subsets of candidate atoms (plus
 /// U's base atoms when `allow_base_atoms`), accepting candidates whose
-/// expansion chases to something equivalent to U.
+/// expansion chases to something equivalent to U. Chases go through
+/// `engine`'s memo; concurrent calls may share one engine.
+Result<RewriteResult> RewriteWithViews(EquivalenceEngine& engine,
+                                       const ConjunctiveQuery& q, const ViewSet& views,
+                                       const DependencySet& sigma, Semantics semantics,
+                                       const Schema& schema,
+                                       const RewriteOptions& options = {});
+
+/// RewriteWithViews on a call-local engine, for one-shot callers.
 Result<RewriteResult> RewriteWithViews(const ConjunctiveQuery& q, const ViewSet& views,
                                        const DependencySet& sigma, Semantics semantics,
                                        const Schema& schema,
@@ -114,7 +128,8 @@ Result<RewriteResult> RewriteWithViews(const ConjunctiveQuery& q, const ViewSet&
 /// with options.context.budget; each incomplete attempt is resumed from its
 /// own checkpoint under a budget scaled by `policy` until the result is
 /// complete or policy.max_attempts is spent. The final (possibly still
-/// partial) result is returned; errors propagate immediately.
+/// partial) result is returned; errors propagate immediately. The attempts
+/// share one call-local engine.
 Result<RewriteResult> RewriteWithViewsWithRetry(
     const ConjunctiveQuery& q, const ViewSet& views, const DependencySet& sigma,
     Semantics semantics, const Schema& schema, const RewriteOptions& options,

@@ -427,8 +427,9 @@ std::string Server::HandleReformulate(Session& session, const Request& request,
     options.resume = &*resume;
   }
 
-  Result<CandBResult> result = ChaseAndBackchase(
-      *q, session.catalog().sigma, semantics, session.catalog().schema, options);
+  Result<CandBResult> result =
+      ChaseAndBackchase(*engine(), *q, session.catalog().sigma, semantics,
+                        session.catalog().schema, options);
   if (!result.ok()) return ErrorResponse(request.id, result.status());
 
   std::vector<std::string> reformulations;

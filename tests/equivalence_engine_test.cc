@@ -1,5 +1,6 @@
-// Tests for the EquivalenceEngine facade: evidence (traces + witnesses),
-// chase-memo reuse across calls, and ResourceBudget deadline enforcement.
+// Tests for the EquivalenceEngine facade: evidence (chase results and
+// witnesses; traces come from ExplainEquivalence), chase-memo reuse across
+// calls, and ResourceBudget deadline enforcement.
 #include "equivalence/engine.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 
 #include "equivalence/bag_equivalence.h"
 #include "equivalence/bag_set_equivalence.h"
+#include "equivalence/explain.h"
 #include "test_util.h"
 
 namespace sqleq {
@@ -44,9 +46,13 @@ TEST(EquivalenceEngine, VerdictCarriesTracesAndWitness) {
   EquivVerdict v =
       Unwrap(engine.Equivalent(q1, q2, EquivRequest{Semantics::kSet, sigma, {}, {}}));
   EXPECT_TRUE(v.equivalent);
-  // Q1's chase applies the tgd once; the trace records it.
-  EXPECT_EQ(v.trace_q1.size(), 1u);
-  EXPECT_TRUE(v.trace_q2.empty());
+  // The verdict carries no traces (its chases are memoized); the uncached
+  // ExplainEquivalence does. Q1's chase applies the tgd once, Q2's none.
+  EquivalenceExplanation e =
+      Unwrap(ExplainEquivalence(q1, q2, sigma, Semantics::kSet, Schema()));
+  EXPECT_TRUE(e.equivalent);
+  EXPECT_EQ(e.trace_q1.size(), 1u);
+  EXPECT_TRUE(e.trace_q2.empty());
   // The chased queries are remapped onto the callers' variables.
   EXPECT_EQ(v.chased_q1.name(), "Q1");
   EXPECT_EQ(v.chased_q1.body().size(), 2u);

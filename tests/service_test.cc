@@ -419,6 +419,58 @@ TEST(Service, StatsExportsPrometheusAndMemoCounters) {
   server.Stop();
 }
 
+TEST(Service, RepeatedReformulateIsServedFromTheEngineMemo) {
+  // Reformulate chases through the server engine's memo, as checks do: the
+  // second identical request finds the universal plan and every candidate
+  // chase in the memory tier, so it answers the same bytes (including the
+  // chase-introduced variable names) and the engine's hit counter rises.
+  Server server;
+  ASSERT_TRUE(server.Start().ok());
+  Connection client = Dial(server);
+  UploadCatalog(client);
+  // An existential tgd, so the universal plan carries a chase-introduced
+  // variable: a fresh chase would name it anew.
+  Unwrap(client.Call(JsonObject()
+                         .Str("cmd", "dep")
+                         .Str("text", "s(X) -> r(X, Y).")
+                         .Str("label", "back")
+                         .Build()));
+  const std::string line = JsonObject()
+                               .Str("cmd", "reformulate")
+                               .Str("query", "Q(X) :- s(X).")
+                               .Str("semantics", "set")
+                               .Build();
+  auto memo_hits = [&client] {
+    JsonValue stats = Unwrap(client.Call(JsonObject().Str("cmd", "stats").Build()));
+    return Field(*Field(stats, "memo"), "hits")->number;
+  };
+
+  JsonValue first = Unwrap(client.Call(line));
+  ASSERT_TRUE(Field(first, "ok")->boolean);
+  ASSERT_TRUE(Field(first, "complete")->boolean);
+  const double hits_after_first = memo_hits();
+  JsonValue second = Unwrap(client.Call(line));
+  ASSERT_TRUE(Field(second, "ok")->boolean);
+
+  EXPECT_EQ(Field(first, "universal_plan")->string,
+            Field(second, "universal_plan")->string);
+  const JsonValue* reforms1 = Field(first, "reformulations");
+  const JsonValue* reforms2 = Field(second, "reformulations");
+  ASSERT_EQ(reforms1->kind, JsonValue::Kind::kArray);
+  ASSERT_EQ(reforms2->kind, JsonValue::Kind::kArray);
+  ASSERT_FALSE(reforms1->array.empty());
+  ASSERT_EQ(reforms1->array.size(), reforms2->array.size());
+  for (size_t i = 0; i < reforms1->array.size(); ++i) {
+    EXPECT_EQ(reforms1->array[i].string, reforms2->array[i].string) << i;
+  }
+  EXPECT_EQ(Field(first, "candidates")->number, Field(second, "candidates")->number);
+  EXPECT_EQ(Field(first, "cache_hits")->number, Field(second, "cache_hits")->number);
+  EXPECT_EQ(Field(first, "cache_misses")->number,
+            Field(second, "cache_misses")->number);
+  EXPECT_GT(memo_hits(), hits_after_first);
+  server.Stop();
+}
+
 TEST(Service, ShellConnectForwardsEquivAndMinimize) {
   Server server;
   ASSERT_TRUE(server.Start().ok());

@@ -13,12 +13,13 @@
 #        tools/ci.sh workload-smoke [build-dir]
 #
 # bench-smoke builds the benchmarks, runs each one for a single pinned
-# iteration (SQLEQ_BENCH_ITERS=1) from the repo root so every binary emits
-# its BENCH_<name>.json there, and validates each file against the Google
-# Benchmark JSON shape with check_bench_json. For the chase-scaling and
-# homomorphism suites it also snapshots the committed baseline JSON before
-# the run and gates the fresh output on check_bench_regress (fails when the
-# median cpu_time ratio exceeds 1.5x).
+# iteration (SQLEQ_BENCH_ITERS=1) in a mktemp -d directory, where every
+# binary emits its BENCH_<name>.json, and validates each file against the
+# Google Benchmark JSON shape with check_bench_json. For the chase-scaling,
+# homomorphism and workload-e2e suites it gates the fresh output on
+# check_bench_regress against the committed baseline at the repo root
+# (fails when the median cpu_time ratio exceeds 1.5x). The committed
+# baselines are only read: the run fails if it changed `git status`.
 #
 # service-smoke builds sqleqd + sqleq-client, boots the daemon on an
 # ephemeral port, drives a catalog upload, check, reformulate, and stats
@@ -65,42 +66,46 @@ bench_smoke() {
     [ "${name}" = "bench_main" ] && continue
     targets+=("${name}")
   done
-  cmake --build "${build_dir}" -j --target check_bench_json check_bench_regress \
+  cmake --build "${build_dir}" -j "$(nproc)" --target check_bench_json check_bench_regress \
       "${targets[@]}"
 
-  # The bench binaries overwrite BENCH_<name>.json in place, so stash the
-  # committed baselines for the regression-gated suites before running.
-  local regress_suites=(chase_scaling homomorphism workload_e2e)
-  local baseline_dir
-  baseline_dir="$(mktemp -d)"
-  local suite
-  for suite in "${regress_suites[@]}"; do
-    if [ -f "BENCH_${suite}.json" ]; then
-      cp "BENCH_${suite}.json" "${baseline_dir}/BENCH_${suite}.json"
-    fi
-  done
+  # Each bench binary writes BENCH_<name>.json into its working directory:
+  # run them in a temporary directory, so the committed baselines at the repo
+  # root are only ever read.
+  local build_abs out_dir status_before
+  build_abs="$(cd "${build_dir}" && pwd)"
+  out_dir="$(mktemp -d)"
+  status_before="$(git status --porcelain 2>/dev/null || true)"
 
   echo "== bench smoke (SQLEQ_BENCH_ITERS=1) =="
   local jsons=()
   for name in "${targets[@]}"; do
     echo "-- ${name}"
-    SQLEQ_BENCH_ITERS=1 "${build_dir}/bench/${name}"
-    jsons+=("BENCH_${name#bench_}.json")
+    (cd "${out_dir}" && SQLEQ_BENCH_ITERS=1 "${build_abs}/bench/${name}")
+    jsons+=("${out_dir}/BENCH_${name#bench_}.json")
   done
 
   echo "== check_bench_json =="
   "${build_dir}/tools/check_bench_json" "${jsons[@]}"
 
   echo "== check_bench_regress (median cpu_time vs committed baseline) =="
+  local regress_suites=(chase_scaling homomorphism workload_e2e)
+  local suite
   for suite in "${regress_suites[@]}"; do
-    if [ -f "${baseline_dir}/BENCH_${suite}.json" ]; then
+    if [ -f "BENCH_${suite}.json" ]; then
       "${build_dir}/tools/check_bench_regress" \
-          "BENCH_${suite}.json" "${baseline_dir}/BENCH_${suite}.json" 1.5
+          "${out_dir}/BENCH_${suite}.json" "BENCH_${suite}.json" 1.5
     else
       echo "-- no committed baseline for BENCH_${suite}.json, skipping"
     fi
   done
-  rm -rf "${baseline_dir}"
+  rm -rf "${out_dir}"
+
+  if [ "$(git status --porcelain 2>/dev/null || true)" != "${status_before}" ]; then
+    echo "bench-smoke changed the working tree:"
+    git status --short
+    exit 1
+  fi
 
   echo "bench-smoke OK"
 }
@@ -112,7 +117,7 @@ service_smoke() {
   cmake -B "${build_dir}" -S .
 
   echo "== build (daemon + client) =="
-  cmake --build "${build_dir}" -j --target sqleqd sqleq_client
+  cmake --build "${build_dir}" -j "$(nproc)" --target sqleqd sqleq_client
 
   echo "== service smoke =="
   local workdir
@@ -186,7 +191,7 @@ crash_smoke() {
   cmake -B "${build_dir}" -S .
 
   echo "== build (daemon + client) =="
-  cmake --build "${build_dir}" -j --target sqleqd sqleq_client
+  cmake --build "${build_dir}" -j "$(nproc)" --target sqleqd sqleq_client
 
   echo "== crash-recovery smoke =="
   local workdir
@@ -274,7 +279,7 @@ workload_smoke() {
   cmake -B "${build_dir}" -S .
 
   echo "== build (daemon + replay driver + bench + regress checker) =="
-  cmake --build "${build_dir}" -j --target sqleqd sqleq_replay \
+  cmake --build "${build_dir}" -j "$(nproc)" --target sqleqd sqleq_replay \
       bench_workload_e2e check_bench_regress
 
   echo "== workload smoke =="
@@ -318,12 +323,12 @@ workload_smoke() {
 
   echo "-- bench_workload_e2e regression vs committed baseline"
   if [ -f "BENCH_workload_e2e.json" ]; then
-    cp "BENCH_workload_e2e.json" "${workdir}/BENCH_workload_e2e.json"
-    SQLEQ_BENCH_ITERS=1 "${build_dir}/bench/bench_workload_e2e"
+    # Run in the temporary directory: the smoke run is not a new baseline.
+    local build_abs
+    build_abs="$(cd "${build_dir}" && pwd)"
+    (cd "${workdir}" && SQLEQ_BENCH_ITERS=1 "${build_abs}/bench/bench_workload_e2e")
     "${build_dir}/tools/check_bench_regress" \
-        "BENCH_workload_e2e.json" "${workdir}/BENCH_workload_e2e.json" 1.5
-    # Restore the committed baseline; the smoke run is not a new baseline.
-    cp "${workdir}/BENCH_workload_e2e.json" "BENCH_workload_e2e.json"
+        "${workdir}/BENCH_workload_e2e.json" "BENCH_workload_e2e.json" 1.5
   else
     echo "-- no committed BENCH_workload_e2e.json, skipping regress gate"
   fi
@@ -339,7 +344,7 @@ fleet_smoke() {
   cmake -B "${build_dir}" -S .
 
   echo "== build (daemon + fleet launcher + client) =="
-  cmake --build "${build_dir}" -j --target sqleqd sqleq_client sqleq_fleet
+  cmake --build "${build_dir}" -j "$(nproc)" --target sqleqd sqleq_client sqleq_fleet
 
   echo "== fleet smoke =="
   local workdir
@@ -530,7 +535,7 @@ echo "== configure =="
 cmake -B "${BUILD_DIR}" -S .
 
 echo "== build =="
-cmake --build "${BUILD_DIR}" -j
+cmake --build "${BUILD_DIR}" -j "$(nproc)"
 
 echo "== ctest =="
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j
