@@ -1,10 +1,8 @@
-// Thread-scaling sweep for the parallel memoized backchase: the same
-// reformulation problem at 1/2/4/8 workers, with counters separating the two
-// speedup sources — memoization (chase_cache_hits: isomorphic candidates
-// chased once) and concurrency (wall time vs the threads=1 baseline). A
-// dedicated deduplication bench isolates the memo's effect by comparing a
-// query whose lattice is full of isomorphic subqueries against one where
-// every subquery is distinct.
+// The backchase lattice sweep on its own: the serial sweep of Example 4.1's
+// Q1 widened by 2, 4 or 6 u-atoms under set and bag semantics (the baseline
+// any sweep change is measured against), a memoization ablation comparing a
+// lattice full of isomorphic subqueries with one where every subquery is
+// distinct, and the telemetry overhead ablation.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -19,29 +17,18 @@ namespace {
 using bench::Example41Schema;
 using bench::Example41Sigma;
 using bench::Must;
+using bench::WidenedQ1;
 
-/// Example 4.1's Q1 widened with `extra` independent u-joins; the extra
-/// atoms are pairwise isomorphic, so the candidate lattice is dense with
-/// memo hits.
-ConjunctiveQuery WidenedQ1(int extra) {
-  std::string text = "Q1(X) :- p(X, Y), t(X, Y, W), s(X, Z), r(X), u(X, U0)";
-  for (int i = 1; i <= extra; ++i) {
-    text += ", u(X, U" + std::to_string(i) + ")";
-  }
-  text += ".";
-  return Must(ParseQuery(text));
-}
-
-void BM_Backchase_ThreadSweep(benchmark::State& state) {
-  ConjunctiveQuery q = WidenedQ1(4);
+/// The serial sweep: range(0) = extra u-joins, range(1) = semantics
+/// (0 = set, 1 = bag).
+void BM_Backchase_Serial(benchmark::State& state) {
+  ConjunctiveQuery q = WidenedQ1(static_cast<int>(state.range(0)));
+  Semantics semantics = state.range(1) == 0 ? Semantics::kSet : Semantics::kBag;
   Schema schema = Example41Schema();
   DependencySet sigma = Example41Sigma();
-  CandBOptions options;
-  options.context.budget.threads = static_cast<size_t>(state.range(0));
   size_t candidates = 0, hits = 0, misses = 0, outputs = 0;
   for (auto _ : state) {
-    CandBResult result =
-        Must(ChaseAndBackchase(q, sigma, Semantics::kSet, schema, options));
+    CandBResult result = Must(ChaseAndBackchase(q, sigma, semantics, schema));
     candidates = result.candidates_examined;
     hits = result.chase_cache_hits;
     misses = result.chase_cache_misses;
@@ -53,13 +40,13 @@ void BM_Backchase_ThreadSweep(benchmark::State& state) {
   state.counters["cache_misses"] = static_cast<double>(misses);
   state.counters["outputs"] = static_cast<double>(outputs);
 }
-SQLEQ_BENCHMARK(BM_Backchase_ThreadSweep)
-    ->DenseRange(1, 8)
+SQLEQ_BENCHMARK(BM_Backchase_Serial)
+    ->ArgsProduct({{2, 4, 6}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
-/// Memoization ablation at fixed thread count: `symmetric` queries (n
-/// isomorphic self-join atoms) vs `distinct` queries (n different
-/// relations). The candidate counts match; only the hit ratio differs.
+/// Memoization ablation: `symmetric` queries (n isomorphic self-join atoms)
+/// vs `distinct` queries (n different relations). The candidate counts
+/// match; only the hit ratio differs.
 void RunMemoAblation(benchmark::State& state, bool symmetric) {
   int n = static_cast<int>(state.range(0));
   std::string text = "Q(X) :- ";

@@ -122,6 +122,16 @@ inline DependencySet Example41Sigma() {
   }));
 }
 
+/// Example 4.1's Q1 widened with `extra` independent u-joins; the extra atoms
+/// are pairwise isomorphic, so the candidate lattice is dense with memo hits.
+inline ConjunctiveQuery WidenedQ1(int extra) {
+  std::string text = "Q1(X) :- p(X, Y), t(X, Y, W), s(X, Z), r(X), u(X, U0)";
+  for (int i = 1; i <= extra; ++i) {
+    text += ", u(X, U" + std::to_string(i) + ")";
+  }
+  return Must(ParseQuery(text + "."));
+}
+
 /// Pads (schema, Σ) with `clusters` dependency islands no query over the
 /// original schema can ever trigger. Each island adds relations ak/bk/ck
 /// and three dependencies:

@@ -1,6 +1,5 @@
 #include "chase/checkpoint.h"
 
-#include <charconv>
 #include <variant>
 
 namespace sqleq {
@@ -18,15 +17,6 @@ std::vector<std::string_view> SplitTabs(std::string_view line) {
     fields.push_back(line.substr(start, tab - start));
     start = tab + 1;
   }
-}
-
-/// Parses all of `text` as a decimal integer of T's range: false on empty
-/// input, stray characters, or overflow.
-template <typename T>
-bool ParseDecimal(std::string_view text, T* out) {
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end;
 }
 
 std::string SerializeTerm(Term t) {

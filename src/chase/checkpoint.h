@@ -15,6 +15,7 @@
 #ifndef SQLEQ_CHASE_CHECKPOINT_H_
 #define SQLEQ_CHASE_CHECKPOINT_H_
 
+#include <charconv>
 #include <cstddef>
 #include <initializer_list>
 #include <string>
@@ -61,6 +62,15 @@ struct ChaseCheckpoint {
 /// checkpoint format.
 std::string EscapeField(std::string_view s);
 Result<std::string> UnescapeField(std::string_view s);
+
+/// Parses all of `text` as a decimal integer of T's range: false on empty
+/// input, stray characters, or overflow.
+template <typename T>
+bool ParseDecimal(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 /// One-line, kind-tagged query serialization ("V:" variables, "I:"/"S:"
 /// constants), exact for chase-introduced fresh variables.

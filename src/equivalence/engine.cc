@@ -10,7 +10,7 @@ namespace sqleq {
 namespace {
 
 /// Context fingerprint for memo sharing: everything a chase outcome depends
-/// on. Deadline, thread count, and the budget caps are excluded on purpose:
+/// on. Deadline and the budget caps are excluded on purpose:
 /// a budget-exhausted chase is a Status (never memoized), so every cached
 /// outcome is a completed chase whose result is budget-independent — which
 /// lets a narrowed-budget request (the degraded admission lane, a client

@@ -8,7 +8,6 @@
 #include "equivalence/isomorphism.h"
 #include "util/fault.h"
 #include "util/telemetry.h"
-#include "util/thread_pool.h"
 
 namespace sqleq {
 namespace {
@@ -20,10 +19,15 @@ uint64_t NextSamePopcount(uint64_t m) {
   return (((r ^ m) >> 2) / c) | r;
 }
 
+/// True when some mask in `masks` is a subset of `m`.
+bool AnySubsetOf(const std::vector<uint64_t>& masks, uint64_t m) {
+  return std::any_of(masks.begin(), masks.end(),
+                     [m](uint64_t sub) { return (m & sub) == sub; });
+}
+
 /// Flushes the sweep's aggregate backchase.* counters on every exit path.
 /// Deltas against the resume-carried base keep a resumed sweep from
-/// re-counting the prior run's work; the sources are all maintained by the
-/// serial merge, so the flushed totals are thread-count invariant.
+/// re-counting the prior run's work.
 struct SweepMetricsFlusher {
   MetricsRegistry* metrics = nullptr;
   const SweepStats* stats = nullptr;
@@ -54,21 +58,6 @@ struct SweepMetricsFlusher {
   }
 };
 
-Result<size_t> ParseSize(std::string_view s, const char* what) {
-  size_t value = 0;
-  if (s.empty()) {
-    return Status::InvalidArgument(std::string("checkpoint: empty ") + what);
-  }
-  for (char c : s) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument(std::string("checkpoint: bad ") + what +
-                                     " '" + std::string(s) + "'");
-    }
-    value = value * 10 + static_cast<size_t>(c - '0');
-  }
-  return value;
-}
-
 }  // namespace
 
 std::string BackchaseCheckpoint::Serialize() const {
@@ -95,81 +84,69 @@ std::string BackchaseCheckpoint::Serialize() const {
 
 Result<BackchaseCheckpoint> BackchaseCheckpoint::Deserialize(
     std::string_view text) {
-  BackchaseCheckpoint cp;
-  std::vector<std::string_view> lines;
-  size_t start = 0;
-  while (start < text.size()) {
-    size_t nl = text.find('\n', start);
-    if (nl == std::string_view::npos) nl = text.size();
-    lines.push_back(text.substr(start, nl - start));
-    start = nl + 1;
-  }
-  if (lines.empty() || lines[0] != "sqleq-backchase-checkpoint v1") {
+  constexpr std::string_view kHeader = "sqleq-backchase-checkpoint v1";
+  size_t nl = text.find('\n');
+  if (text.substr(0, nl) != kHeader) {
     return Status::InvalidArgument("checkpoint: bad backchase header");
   }
-  bool saw_end = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    std::string_view line = lines[i];
-    if (line.empty()) continue;
-    if (line == "end") {
-      saw_end = true;
-      break;
+  std::string_view rest =
+      nl == std::string_view::npos ? std::string_view() : text.substr(nl + 1);
+  // Reads the space-separated decimals of `value` into `outs`, exactly.
+  auto numbers = [](std::string_view value, const char* what,
+                    std::initializer_list<uint64_t*> outs) -> Status {
+    size_t pos = 0;
+    size_t parsed = 0;
+    for (uint64_t* out : outs) {
+      size_t sp = std::min(value.find(' ', pos), value.size());
+      if (pos > value.size() || !ParseDecimal(value.substr(pos, sp - pos), out)) break;
+      ++parsed;
+      pos = sp + 1;
     }
-    size_t space = line.find(' ');
-    if (space == std::string_view::npos) {
-      return Status::InvalidArgument("checkpoint: malformed backchase line");
+    if (parsed != outs.size() || pos != value.size() + 1) {
+      return Status::InvalidArgument(std::string("checkpoint: bad ") + what + " '" +
+                                     std::string(value) + "'");
     }
-    std::string_view key = line.substr(0, space);
-    std::string_view value = line.substr(space + 1);
-    if (key == "next") {
-      size_t mid = value.find(' ');
-      if (mid == std::string_view::npos) {
-        return Status::InvalidArgument("checkpoint: malformed next line");
-      }
-      SQLEQ_ASSIGN_OR_RETURN(cp.cardinality,
-                             ParseSize(value.substr(0, mid), "cardinality"));
-      SQLEQ_ASSIGN_OR_RETURN(size_t mask,
-                             ParseSize(value.substr(mid + 1), "mask"));
-      cp.next_mask = mask;
-    } else if (key == "consumed") {
-      SQLEQ_ASSIGN_OR_RETURN(cp.budget_consumed, ParseSize(value, "consumed"));
-    } else if (key == "stats") {
-      std::vector<size_t> nums;
-      size_t pos = 0;
-      while (pos <= value.size()) {
-        size_t sp = value.find(' ', pos);
-        if (sp == std::string_view::npos) sp = value.size();
-        SQLEQ_ASSIGN_OR_RETURN(size_t v,
-                               ParseSize(value.substr(pos, sp - pos), "stat"));
-        nums.push_back(v);
-        pos = sp + 1;
-      }
-      if (nums.size() != 5) {
-        return Status::InvalidArgument("checkpoint: malformed stats line");
-      }
-      cp.stats.candidates_examined = nums[0];
-      cp.stats.chase_cache_hits = nums[1];
-      cp.stats.chase_cache_misses = nums[2];
-      cp.stats.dominance_pruned = nums[3];
-      cp.stats.failure_pruned = nums[4];
-    } else if (key == "amask") {
-      SQLEQ_ASSIGN_OR_RETURN(size_t m, ParseSize(value, "mask"));
-      cp.accepted_masks.push_back(m);
-    } else if (key == "fmask") {
-      SQLEQ_ASSIGN_OR_RETURN(size_t m, ParseSize(value, "mask"));
-      cp.failed_masks.push_back(m);
-    } else if (key == "accepted") {
-      SQLEQ_ASSIGN_OR_RETURN(ConjunctiveQuery q, DeserializeQuery(value));
-      cp.accepted.push_back(std::move(q));
-    } else if (key == "seenkey") {
-      SQLEQ_ASSIGN_OR_RETURN(std::string k, UnescapeField(value));
-      cp.seen_chase_keys.push_back(std::move(k));
-    } else {
-      return Status::InvalidArgument("checkpoint: unknown backchase key '" +
-                                     std::string(key) + "'");
-    }
-  }
-  if (!saw_end) return Status::InvalidArgument("checkpoint: truncated");
+    return Status::OK();
+  };
+  BackchaseCheckpoint cp;
+  uint64_t cardinality = 0;
+  uint64_t consumed = 0;
+  uint64_t stats[5] = {};
+  auto add_mask = [&](std::vector<uint64_t>* masks) {
+    return [&numbers, masks](std::string_view value) {
+      masks->push_back(0);
+      return numbers(value, "mask", {&masks->back()});
+    };
+  };
+  SQLEQ_RETURN_IF_ERROR(ReadKeyedLines(
+      rest, "checkpoint",
+      {{"next",
+        [&](std::string_view value) {
+          return numbers(value, "next", {&cardinality, &cp.next_mask});
+        }},
+       {"consumed",
+        [&](std::string_view value) { return numbers(value, "consumed", {&consumed}); }},
+       {"stats",
+        [&](std::string_view value) {
+          return numbers(value, "stats",
+                         {&stats[0], &stats[1], &stats[2], &stats[3], &stats[4]});
+        }},
+       {"amask", add_mask(&cp.accepted_masks)},
+       {"fmask", add_mask(&cp.failed_masks)},
+       {"accepted",
+        [&](std::string_view value) -> Status {
+          SQLEQ_ASSIGN_OR_RETURN(ConjunctiveQuery q, DeserializeQuery(value));
+          cp.accepted.push_back(std::move(q));
+          return Status::OK();
+        }},
+       {"seenkey", [&](std::string_view value) -> Status {
+          SQLEQ_ASSIGN_OR_RETURN(std::string k, UnescapeField(value));
+          cp.seen_chase_keys.push_back(std::move(k));
+          return Status::OK();
+        }}}));
+  cp.cardinality = cardinality;
+  cp.budget_consumed = consumed;
+  cp.stats = {stats[0], stats[1], stats[2], stats[3], stats[4]};
   return cp;
 }
 
@@ -179,6 +156,7 @@ Result<SweepOutput> SweepBackchaseLattice(
   SweepOutput out;
   if (n == 0) return out;
   const ResourceBudget& budget = ctx.budget;
+  const uint64_t limit = uint64_t(1) << n;
 
   std::vector<uint64_t> accepted_masks;
   std::vector<uint64_t> failed_masks;
@@ -189,6 +167,14 @@ Result<SweepOutput> SweepBackchaseLattice(
   uint64_t start_mask = 0;  // 0 = start of wave (real masks are never 0)
   if (options.resume != nullptr) {
     const BackchaseCheckpoint& cp = *options.resume;
+    auto in_pool = [limit](uint64_t m) { return m < limit; };
+    if (cp.next_mask >= limit || (cp.next_mask == 0 && cp.cardinality > n) ||
+        !std::all_of(cp.accepted_masks.begin(), cp.accepted_masks.end(), in_pool) ||
+        !std::all_of(cp.failed_masks.begin(), cp.failed_masks.end(), in_pool)) {
+      return Status::InvalidArgument(
+          "backchase checkpoint does not fit a pool of " + std::to_string(n) +
+          " candidates");
+    }
     accepted_masks = cp.accepted_masks;
     failed_masks = cp.failed_masks;
     out.accepted = cp.accepted;
@@ -196,17 +182,11 @@ Result<SweepOutput> SweepBackchaseLattice(
     for (const std::string& k : cp.seen_chase_keys) seen_keys.insert(k);
     budget_consumed = cp.budget_consumed;
     start_mask = cp.next_mask;
-    start_k = start_mask == 0
-                  ? cp.cardinality
-                  : static_cast<size_t>(std::popcount(start_mask));
-    if (start_k == 0) start_k = 1;
-    if (start_k > n) return out;  // checkpoint was taken past the last wave
+    start_k = start_mask == 0 ? std::max<size_t>(cp.cardinality, 1)
+                              : static_cast<size_t>(std::popcount(start_mask));
   }
-  const uint64_t limit = uint64_t(1) << n;
 
   TraceSpan sweep_span(ctx.trace, "backchase.sweep");
-  // Merge-phase tallies for the registry (serial, hence thread-count
-  // invariant), flushed as deltas on every exit path.
   size_t rejected_total = 0;
   size_t chase_failed_total = 0;
   SweepMetricsFlusher flusher;
@@ -218,43 +198,29 @@ Result<SweepOutput> SweepBackchaseLattice(
   flusher.base = out.stats;
   flusher.base_accepted = accepted_masks.size();
 
-  // Per-wave tallies for the backchase.level.<k>.* counters, committed at
-  // the same points as the SweepStats they mirror.
-  size_t current_k = start_k;
+  // Per-wave tallies for the backchase.level.<k>.* counters, committed when
+  // the wave ends or the sweep is cut inside it.
+  size_t k = start_k;
   size_t wave_merged = 0;
+  size_t wave_pruned = 0;
   size_t wave_accepted = 0;
-  auto commit_level = [&](size_t cands, size_t pruned, size_t accepted) {
+  auto commit_level = [&] {
     if (ctx.metrics == nullptr) return;
-    std::string prefix = "backchase.level." + std::to_string(current_k) + ".";
-    if (cands > 0) ctx.metrics->counter(prefix + "candidates").Add(cands);
-    if (pruned > 0) ctx.metrics->counter(prefix + "pruned").Add(pruned);
-    if (accepted > 0) {
-      ctx.metrics->counter(prefix + "accepted").Add(accepted);
-    }
+    std::string prefix = "backchase.level." + std::to_string(k) + ".";
+    if (wave_merged > 0) ctx.metrics->counter(prefix + "candidates").Add(wave_merged);
+    if (wave_pruned > 0) ctx.metrics->counter(prefix + "pruned").Add(wave_pruned);
+    if (wave_accepted > 0) ctx.metrics->counter(prefix + "accepted").Add(wave_accepted);
   };
 
-  // Cuts the sweep at `cut_mask` (first unevaluated mask): commits the
-  // pruning events strictly before the cut, packages the merged prefix as a
-  // partial result, and captures the resume point. Everything merged so far
-  // is in ascending mask order, so resume-and-finish reproduces the
-  // uninterrupted sweep exactly.
-  auto cut = [&](uint64_t cut_mask, const Status& status,
-                 const std::vector<std::pair<uint64_t, int>>& wave_prunes) {
-    size_t pruned_before_cut = 0;
-    for (const auto& [mask, kind] : wave_prunes) {
-      if (mask >= cut_mask) break;  // ascending enumeration order
-      ++pruned_before_cut;
-      if (kind == 0) {
-        ++out.stats.dominance_pruned;
-      } else {
-        ++out.stats.failure_pruned;
-      }
-    }
-    commit_level(wave_merged, pruned_before_cut, wave_accepted);
+  // Cuts the sweep at `cut_mask`, the first mask not yet merged: everything
+  // before it is merged in ascending mask order, so resume-and-finish
+  // reproduces the uninterrupted sweep exactly.
+  auto cut = [&](uint64_t cut_mask, const Status& status) {
+    commit_level();
     out.complete = false;
     out.exhaustion = InferExhaustion(status, "backchase");
     BackchaseCheckpoint cp;
-    cp.cardinality = static_cast<size_t>(std::popcount(cut_mask));
+    cp.cardinality = k;
     cp.next_mask = cut_mask;
     cp.accepted_masks = accepted_masks;
     cp.failed_masks = failed_masks;
@@ -266,129 +232,45 @@ Result<SweepOutput> SweepBackchaseLattice(
     out.checkpoint = std::move(cp);
   };
 
-  // Workers beyond the calling thread; the caller participates in every
-  // wave, so `budget.threads` is the total concurrency.
-  std::optional<ThreadPool> pool;
-  if (budget.threads > 1) pool.emplace(budget.threads - 1, ctx.metrics);
-
-  for (size_t k = start_k; k <= n; ++k) {
-    current_k = k;
-    wave_merged = 0;
-    wave_accepted = 0;
-    // ---- Enumerate this wave's non-pruned masks (serial, cheap). All
-    // pruning facts come from strictly smaller masks, so they are complete
-    // before the wave starts. Pruning-counter increments are buffered with
-    // their mask and only committed for masks before a cut, keeping resumed
-    // stats identical to an uninterrupted run's.
-    std::vector<uint64_t> wave;
-    std::vector<std::pair<uint64_t, int>> wave_prunes;  // (mask, 0=dom 1=fail)
-    // On an anytime stop during enumeration: the stop mask, its status, and
-    // whether the already-collected wave prefix may still be evaluated
-    // (true for candidate-budget exhaustion; false for deadline/cancel,
-    // where evaluating more candidates would defeat the point).
-    std::optional<std::pair<uint64_t, Status>> stop;
-    bool evaluate_collected = false;
+  // Masks in ascending order within cardinality waves: a mask is only ever
+  // dominated (or failure-pruned) by a strictly smaller one, so every
+  // pruning fact it needs is known when it comes up.
+  for (; k <= n; ++k) {
+    wave_merged = wave_pruned = wave_accepted = 0;
     uint64_t first = (k == start_k && start_mask != 0) ? start_mask
                                                        : (uint64_t(1) << k) - 1;
     for (uint64_t m = first; m < limit; m = NextSamePopcount(m)) {
-      Status guard = budget.CheckDeadline("backchase");
-      if (guard.ok() && ctx.cancel != nullptr) {
-        guard = ctx.cancel->Check("backchase");
-      }
-      if (!guard.ok()) {
-        if (!IsAnytimeStop(guard)) return guard;
-        stop = {m, std::move(guard)};
-        evaluate_collected = false;
-        break;
-      }
-      bool pruned = false;
-      for (uint64_t am : accepted_masks) {
-        if ((m & am) == am) {
-          wave_prunes.emplace_back(m, 0);
-          pruned = true;
-          break;
-        }
-      }
-      if (!pruned && options.enable_failure_prune) {
-        for (uint64_t fm : failed_masks) {
-          if ((m & fm) == fm) {
-            wave_prunes.emplace_back(m, 1);
-            pruned = true;
-            break;
-          }
-        }
-      }
-      if (pruned) {
-        if (m == limit - 1) break;  // full mask; Gosper would overflow past it
-        continue;
-      }
-      if (budget_consumed + wave.size() >= budget.max_candidates) {
-        stop = {m, Status::ResourceExhausted(
-                       "backchase candidate budget exhausted "
-                       "(ResourceBudget::max_candidates=" +
-                       std::to_string(budget.max_candidates) + ")")};
-        evaluate_collected = true;
-        break;
-      }
-      wave.push_back(m);
-      if (k == n) break;  // single full mask; Gosper would overflow past it
-    }
-
-    if (stop.has_value() && !evaluate_collected) {
-      // Deadline/cancellation: do not start more evaluations. Cut at the
-      // earliest unevaluated mask (the collected-but-unevaluated prefix, or
-      // the stop mask itself).
-      uint64_t cut_mask = wave.empty() ? stop->first : wave.front();
-      cut(cut_mask, stop->second, wave_prunes);
-      return out;
-    }
-    if (wave.empty()) {
-      if (stop.has_value()) {
-        cut(stop->first, stop->second, wave_prunes);
+      Status stop = budget.CheckDeadline("backchase");
+      if (stop.ok() && ctx.cancel != nullptr) stop = ctx.cancel->Check("backchase");
+      if (!stop.ok()) {
+        if (!IsAnytimeStop(stop)) return stop;
+        cut(m, stop);
         return out;
       }
-      for (const auto& [mask, kind] : wave_prunes) {
-        (void)mask;
-        if (kind == 0) {
-          ++out.stats.dominance_pruned;
-        } else {
-          ++out.stats.failure_pruned;
-        }
+      if (AnySubsetOf(accepted_masks, m)) {
+        ++out.stats.dominance_pruned;
+        ++wave_pruned;
+        continue;
       }
-      commit_level(0, wave_prunes.size(), 0);
-      continue;
-    }
-
-    // ---- Evaluate the wave, possibly in parallel.
-    std::vector<std::optional<Result<CandidateVerdict>>> results(wave.size());
-    auto eval_one = [&](size_t i) {
-      Status probe = ProbeSite(ctx.faults, ctx.cancel, fault_sites::kPoolTask);
-      if (probe.ok()) {
-        probe = ProbeSite(ctx.faults, ctx.cancel, fault_sites::kBackchaseCandidate);
+      if (options.enable_failure_prune && AnySubsetOf(failed_masks, m)) {
+        ++out.stats.failure_pruned;
+        ++wave_pruned;
+        continue;
       }
-      if (!probe.ok()) {
-        results[i] = Result<CandidateVerdict>(std::move(probe));
-        return;
+      if (budget_consumed >= budget.max_candidates) {
+        cut(m, Status::ResourceExhausted("backchase candidate budget exhausted "
+                                         "(ResourceBudget::max_candidates=" +
+                                         std::to_string(budget.max_candidates) + ")"));
+        return out;
       }
-      results[i] = evaluate(wave[i]);
-    };
-    if (pool.has_value() && wave.size() > 1) {
-      pool->ParallelFor(wave.size(), eval_one);
-    } else {
-      for (size_t i = 0; i < wave.size(); ++i) eval_one(i);
-    }
-
-    // ---- Merge in ascending mask order: acceptance bookkeeping, cache-hit
-    // replay, and isomorphism dedup are all order-dependent, so this stays
-    // serial and deterministic.
-    for (size_t i = 0; i < wave.size(); ++i) {
-      Result<CandidateVerdict>& r = *results[i];
+      Status probe = ProbeSite(ctx.faults, ctx.cancel, fault_sites::kBackchaseCandidate);
+      Result<CandidateVerdict> r =
+          probe.ok() ? evaluate(m) : Result<CandidateVerdict>(std::move(probe));
       if (!r.ok()) {
-        // First problem in mask order wins. Anytime stops (a chase budget
-        // tripping inside a candidate, cancellation, injected exhaustion)
-        // become a cut at this mask; real errors propagate.
+        // Anytime stops (a chase budget tripping inside the candidate,
+        // cancellation, injected exhaustion) cut here; real errors propagate.
         if (!IsAnytimeStop(r.status())) return r.status();
-        cut(wave[i], r.status(), wave_prunes);
+        cut(m, r.status());
         return out;
       }
       ++budget_consumed;
@@ -411,12 +293,12 @@ Result<SweepOutput> SweepBackchaseLattice(
         case CandidateOutcome::kChaseFailed:
           ++out.stats.candidates_examined;
           ++chase_failed_total;
-          if (options.enable_failure_prune) failed_masks.push_back(wave[i]);
+          if (options.enable_failure_prune) failed_masks.push_back(m);
           break;
         case CandidateOutcome::kAccepted: {
           ++out.stats.candidates_examined;
           ++wave_accepted;
-          accepted_masks.push_back(wave[i]);
+          accepted_masks.push_back(m);
           bool duplicate = false;
           for (const ConjunctiveQuery& prior : out.accepted) {
             if (AreIsomorphic(prior, *verdict.query)) {
@@ -429,22 +311,7 @@ Result<SweepOutput> SweepBackchaseLattice(
         }
       }
     }
-
-    if (stop.has_value()) {
-      // Candidate budget: the collected prefix was evaluated and merged;
-      // the stop mask is the first unevaluated one.
-      cut(stop->first, stop->second, wave_prunes);
-      return out;
-    }
-    for (const auto& [mask, kind] : wave_prunes) {
-      (void)mask;
-      if (kind == 0) {
-        ++out.stats.dominance_pruned;
-      } else {
-        ++out.stats.failure_pruned;
-      }
-    }
-    commit_level(wave_merged, wave_prunes.size(), wave_accepted);
+    commit_level();
   }
   return out;
 }

@@ -1,14 +1,10 @@
 // The backchase lattice sweep shared by chase & backchase (candb.cc) and
-// rewrite-with-views (views.cc): enumerate subset masks of a candidate pool
-// smallest-cardinality first, prune, evaluate candidates — possibly on a
-// worker pool — and collect accepted candidates deterministically.
-//
-// Parallel soundness rests on the wave structure: masks are processed in
-// cardinality waves, and a mask can only be dominated (or failure-pruned)
-// by a *strictly smaller* mask, so every pruning fact a wave needs is fully
-// known before the wave starts. Within a wave, evaluations are independent
-// pure functions; their results are merged in ascending mask order. Serial
-// and parallel sweeps therefore return byte-identical outputs.
+// rewrite-with-views (views.cc): visit the subset masks of a candidate pool
+// in ascending order within cardinality waves, prune supersets of accepted
+// (and, under set semantics, chase-failed) masks, evaluate the rest one at a
+// time, and merge each verdict as it comes. A mask can only be pruned by a
+// strictly smaller mask, so every pruning fact is known when the mask comes
+// up, and an anytime stop cuts the sweep at the current mask.
 #ifndef SQLEQ_REFORMULATION_BACKCHASE_H_
 #define SQLEQ_REFORMULATION_BACKCHASE_H_
 
@@ -44,9 +40,9 @@ struct CandidateVerdict {
 struct SweepStats {
   /// Candidates whose equivalence was tested (kSkipped excluded).
   size_t candidates_examined = 0;
-  /// Deterministic chase-memo accounting, replayed in mask order at merge
-  /// time (identical at every thread count, unlike the memo's live
-  /// counters under concurrent same-key misses).
+  /// Chase-memo accounting replayed in mask order: a hit is a chase key
+  /// already seen in this sweep, so the counts are the same on a cold or a
+  /// warm memo (unlike the memo's live counters).
   size_t chase_cache_hits = 0;
   size_t chase_cache_misses = 0;
   /// Masks skipped as supersets of an already-accepted mask (Σ-minimality
@@ -63,7 +59,7 @@ struct SweepStats {
 /// is fully merged into the carried fields; everything at or after it is
 /// untouched and re-enumerated on resume. Because the sweep merges in
 /// ascending mask order, resuming and finishing yields exactly the
-/// uninterrupted sweep's output, at every thread count.
+/// uninterrupted sweep's output.
 struct BackchaseCheckpoint {
   /// Popcount of `next_mask` — the wave to re-enter.
   size_t cardinality = 1;
@@ -111,20 +107,18 @@ struct SweepOutput {
 };
 
 /// Sweeps the 2^n - 1 nonempty subset masks of an n-element candidate pool.
-/// `evaluate` must be a pure, thread-safe function of the mask; it runs on
-/// `ctx.budget.threads` threads (<=1 → serial), after the "pool.task" and
-/// "backchase.candidate" fault sites. `ctx.cancel` is checked during
-/// enumeration too. backchase.* counters go to `ctx.metrics`, all committed
-/// in the serial merge phase (or its cut), so their totals are identical at
-/// every thread count; `ctx.trace` gets the "backchase.sweep" span and the
-/// worker pool's pool.* histograms.
+/// Before each mask it checks the deadline and `ctx.cancel`; before each
+/// evaluation, the candidate budget and the "backchase.candidate" fault
+/// site. backchase.* counters go to `ctx.metrics`; `ctx.trace` gets the
+/// "backchase.sweep" span.
 ///
 /// Budget: every non-pruned mask consumes one unit of
 /// `ctx.budget.max_candidates`. Exhaustion, deadline expiry, cancellation, and
 /// injected exhaustion do NOT error: they end the sweep early with
 /// `complete = false` and a resumable checkpoint (anytime contract, see
 /// docs/robustness.md). Non-anytime evaluate errors still propagate as
-/// errors, first-in-mask-order.
+/// errors. A `resume` checkpoint whose masks or cardinality do not fit the
+/// pool is InvalidArgument.
 Result<SweepOutput> SweepBackchaseLattice(
     size_t n, const EngineContext& ctx, const SweepOptions& options,
     const std::function<Result<CandidateVerdict>(uint64_t)>& evaluate);

@@ -10,13 +10,12 @@
 // (EquivalenceEngine::MemoFor): a repeated or Σ-equivalent query's chases
 // are memory- or disk-tier hits, bounded by the engine's byte limit.
 //
-// The backchase phase sweeps the 2^|body(U)| subquery lattice through the
-// parallel memoized engine of backchase.h: candidates are chased through
-// that canonical-form memo (chase/chase_cache.h) under U's Σ-slice, so
-// isomorphic candidates never re-chase, supersets of accepted or
-// chase-failed masks are pruned, and results are merged deterministically —
-// serial and parallel runs, on cold or warm engines, return the same
-// CandBResult up to renaming of chase-introduced variables.
+// The backchase phase sweeps the 2^|body(U)| subquery lattice serially in
+// mask order (backchase.h): candidates are chased through the canonical-form
+// memo (chase/chase_cache.h) under U's Σ-slice, so isomorphic candidates
+// never re-chase, supersets of accepted or chase-failed masks are pruned,
+// and cold and warm engines return the same CandBResult up to renaming of
+// chase-introduced variables.
 //
 // Anytime contract (docs/robustness.md): budget exhaustion, deadline
 // expiry, cancellation, and injected faults do not error. They return a
@@ -69,8 +68,8 @@ struct CandBCheckpoint {
 
 /// The shared RunOptions base (equivalence/run_options.h) supplies the
 /// per-call environment (`context` — max_candidates caps the backchase
-/// lattice, max_chase_steps every chase, deadline the whole call, threads
-/// the backchase worker pool), the chase strategy knobs (`chase`), and the
+/// lattice, max_chase_steps every chase, deadline the whole call), the
+/// chase strategy knobs (`chase`), and the
 /// Σ-lint pre-flight (`analyze`).
 struct CandBOptions : RunOptions {
   /// When true, outputs are additionally filtered through the Def 3.1
@@ -81,7 +80,8 @@ struct CandBOptions : RunOptions {
   /// Resume an interrupted call. Must be a checkpoint produced by a prior
   /// ChaseAndBackchase over the same (q, Σ, semantics, schema, chase knobs);
   /// the finished run's result is then byte-identical to an uninterrupted
-  /// run's, at every thread count.
+  /// run's. A backchase checkpoint whose masks do not fit the lattice is
+  /// InvalidArgument.
   const CandBCheckpoint* resume = nullptr;
 };
 
@@ -98,7 +98,7 @@ struct CandBResult {
   /// Chase-memo accounting for the backchase phase, replayed
   /// deterministically in mask order: a hit is a chase key already seen in
   /// this call, whatever the engine's memo held before it, so the counts are
-  /// identical at every thread count and on cold or warm engines.
+  /// identical on cold or warm engines.
   size_t chase_cache_hits = 0;
   size_t chase_cache_misses = 0;
   /// False when the call stopped early on an anytime condition; `exhaustion`
@@ -111,9 +111,7 @@ struct CandBResult {
 /// Runs chase & backchase for `q` under Σ and the given semantics, chasing
 /// through `engine`'s memo for the chase context. Sound and complete
 /// whenever set chase terminates on the inputs (Thms A.1, 6.4, K.1) —
-/// guarded by the chase step budget. With options.context.budget.threads > 1
-/// the backchase sweeps candidates on a worker pool; the result is
-/// byte-identical to the serial sweep. Anytime stops (budget, deadline,
+/// guarded by the chase step budget. Anytime stops (budget, deadline,
 /// cancellation, injected faults) return partial results, not errors — see
 /// the header comment. Thread-safe: concurrent calls may share one engine.
 Result<CandBResult> ChaseAndBackchase(EquivalenceEngine& engine,

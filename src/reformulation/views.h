@@ -79,7 +79,7 @@ struct RewriteResult {
   ConjunctiveQuery universal_plan;
   size_t candidates_examined = 0;
   /// Chase-memo accounting for the backchase phase, replayed
-  /// deterministically in mask order (identical at every thread count). The
+  /// deterministically in mask order (identical on cold or warm engines). The
   /// up-front chase of U preseeds the memo, so an expansion isomorphic to U
   /// counts as a hit.
   size_t chase_cache_hits = 0;

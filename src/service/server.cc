@@ -472,7 +472,6 @@ std::string Server::HandleLint(Session& session, const Request& request,
         std::min(opts.budget.max_chase_steps, options_.degraded_chase_steps);
     opts.budget.max_candidates =
         std::min(opts.budget.max_candidates, options_.degraded_candidates);
-    opts.budget.threads = 1;
   }
 
   std::vector<ConjunctiveQuery> queries;
@@ -601,14 +600,13 @@ EngineContext Server::ContextFor(const JsonValue& body, MetricsRegistry* local,
   EngineContext ctx;
   ctx.budget = options_.default_budget;
   if (degraded) {
-    // The overload lane: a fraction of the full budget, single-threaded, so
-    // a degraded request cannot pile more pressure on a saturated server.
+    // The overload lane: a fraction of the full budget, so a degraded
+    // request cannot pile more pressure on a saturated server.
     // Anytime C&B keeps the result prefix-consistent with a full-budget run.
     ctx.budget.max_chase_steps =
         std::min(ctx.budget.max_chase_steps, options_.degraded_chase_steps);
     ctx.budget.max_candidates =
         std::min(ctx.budget.max_candidates, options_.degraded_candidates);
-    ctx.budget.threads = 1;
   }
   // Requests narrow the server's caps; they cannot raise them.
   if (std::optional<double> v = OptionalNumber(body, "max_chase_steps"); v && *v > 0) {
@@ -618,10 +616,6 @@ EngineContext Server::ContextFor(const JsonValue& body, MetricsRegistry* local,
   if (std::optional<double> v = OptionalNumber(body, "max_candidates"); v && *v > 0) {
     ctx.budget.max_candidates =
         std::min(ctx.budget.max_candidates, static_cast<size_t>(*v));
-  }
-  if (std::optional<double> v = OptionalNumber(body, "threads"); v && *v > 0) {
-    size_t cap = std::max<size_t>(1, ctx.budget.threads);
-    ctx.budget.threads = std::min(cap, static_cast<size_t>(*v));
   }
   if (std::optional<double> v = OptionalNumber(body, "deadline_ms"); v && *v > 0) {
     ctx.budget.deadline_origin = std::chrono::steady_clock::now();

@@ -169,7 +169,7 @@ class Server {
   /// The per-request context: default budget narrowed by request fields,
   /// a caller-supplied local metrics registry, the server's fault injector,
   /// and the drain cancellation token. `degraded` additionally clamps
-  /// chase steps / candidates / threads to the degraded_* caps.
+  /// chase steps / candidates to the degraded_* caps.
   EngineContext ContextFor(const JsonValue& body, MetricsRegistry* local,
                            bool degraded);
 

@@ -207,11 +207,10 @@ std::string RenderBound(uint64_t bound) {
 constexpr uint64_t kAutoBudgetCap = uint64_t{1} << 20;
 
 /// Budget fields of a check/reformulate request; the server narrows its own
-/// defaults to these, so SET BUDGET / SET THREADS apply remotely too.
+/// defaults to these, so SET BUDGET applies remotely too.
 void AddBudgetFields(const ResourceBudget& budget, service::RequestSpec* req) {
   req->Int("max_chase_steps", budget.max_chase_steps)
-      .Int("max_candidates", budget.max_candidates)
-      .Int("threads", budget.threads);
+      .Int("max_candidates", budget.max_candidates);
 }
 
 }  // namespace
@@ -576,16 +575,6 @@ Result<std::string> ScriptEngine::ExecLint(std::string_view rest) {
 
 Result<std::string> ScriptEngine::ExecSet(std::string_view rest) {
   auto [what, tail] = SplitKeyword(rest);
-  if (EqualsIgnoreCase(what, "THREADS")) {
-    auto [value, tail2] = SplitKeyword(tail);
-    if (!Trim(tail2).empty()) {
-      return Status::InvalidArgument("usage: SET THREADS <n>");
-    }
-    SQLEQ_ASSIGN_OR_RETURN(size_t n, ParseCount(value, "THREADS"));
-    if (n == 0) return Status::InvalidArgument("THREADS must be at least 1");
-    budget_.threads = n;
-    return "set threads = " + std::to_string(n) + "\n";
-  }
   if (EqualsIgnoreCase(what, "BUDGET")) {
     auto [steps_word, tail2] = SplitKeyword(tail);
     if (EqualsIgnoreCase(steps_word, "AUTO")) {
@@ -658,7 +647,7 @@ Result<std::string> ScriptEngine::ExecSet(std::string_view rest) {
            std::to_string(retry_->growth) + "\n";
   }
   return Status::InvalidArgument(
-      "usage: SET THREADS <n> | SET BUDGET <chase-steps> <candidates> | "
+      "usage: SET BUDGET <chase-steps> <candidates> | "
       "SET BUDGET AUTO | SET RETRY <attempts> [<growth>] | SET RETRY OFF");
 }
 

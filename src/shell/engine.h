@@ -14,7 +14,6 @@
 //   MINIMIZE q1 [UNDER S|B|BS];      -- C&B reformulations, rendered as SQL
 //   REWRITE q1 [UNDER S|B|BS];       -- rewritings over the registered views
 //   LINT [STRICT];                   -- Σ-lint the session (STRICT: warnings err)
-//   SET THREADS n;                   -- backchase worker threads
 //   SET BUDGET <steps> <candidates>; -- chase-step / candidate limits
 //   SET BUDGET AUTO;                 -- chase-step limit from the termination
 //                                    --   certificate's static bound
@@ -101,7 +100,7 @@ class ScriptEngine {
   const sql::Catalog& catalog() const { return catalog_; }
   const Database& database() const { return database_; }
   const ViewSet& views() const { return views_; }
-  /// The budget SET THREADS / SET BUDGET configure; applied to every EQUIV,
+  /// The budget SET BUDGET configures; applied to every EQUIV,
   /// EXPLAIN, MINIMIZE, and REWRITE statement.
   const ResourceBudget& budget() const { return budget_; }
   /// The SET RETRY policy (nullopt = retries off, the default).

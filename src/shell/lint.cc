@@ -202,10 +202,10 @@ void LintQueryDefinition(ScriptState* st, const std::string& subject,
 void LintSet(ScriptState* st, const std::string& subject, std::string_view rest) {
   auto [what, tail] = SplitKeyword(rest);
   (void)tail;
-  if (!EqualsIgnoreCase(what, "THREADS") && !EqualsIgnoreCase(what, "BUDGET")) {
+  if (!EqualsIgnoreCase(what, "BUDGET") && !EqualsIgnoreCase(what, "RETRY")) {
     Emit(st, "parse-error", Severity::kError, subject,
          "unknown SET target '" + what + "'",
-         "use SET THREADS <n> or SET BUDGET <chase-steps> <candidates>");
+         "use SET BUDGET <chase-steps> <candidates> or SET RETRY <attempts> [<growth>]");
   }
 }
 

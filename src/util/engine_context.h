@@ -1,6 +1,6 @@
 // EngineContext: the one per-call environment record threaded through the
 // engine stack (EquivalenceEngine -> ChaseAndBackchase / RewriteWithViews ->
-// chase / backchase / worker pool). It bundles what used to be sprawled
+// chase / backchase). It bundles what used to be sprawled
 // across per-call option structs — the resource budget plus the four
 // optional cross-cutting facilities (metrics, trace, fault injection,
 // cancellation) — so adding an observability or robustness knob no longer

@@ -5,7 +5,6 @@
 //   chase.step            — once per set-/sound-chase step
 //   backchase.candidate   — once per evaluated backchase/rewrite candidate
 //   memo.insert           — before a chase outcome is inserted into a memo
-//   pool.task             — once per worker-pool task of the sweep
 //
 // A FaultInjector arms sites with delays, spurious ResourceExhausted, or
 // simulated allocation failure; firing is a pure function of (seed, site,
@@ -34,7 +33,6 @@ namespace fault_sites {
 inline constexpr const char* kChaseStep = "chase.step";
 inline constexpr const char* kBackchaseCandidate = "backchase.candidate";
 inline constexpr const char* kMemoInsert = "memo.insert";
-inline constexpr const char* kPoolTask = "pool.task";
 // Service-layer sites (src/service/server.cc): a fired accept drops the
 // just-accepted connection, a fired parse drops the connection mid-stream,
 // a fired dispatch fails one request with an error response.
@@ -82,9 +80,10 @@ struct FaultSpec {
 };
 
 /// Seed-deterministic fault injector. Thread-safe: sites may be hit
-/// concurrently from the sweep's worker pool (hit indices are then assigned
-/// in arrival order, so cross-thread schedules decide *which* hit a worker
-/// observes — arm serial runs when a test needs an exact firing point).
+/// concurrently by calls sharing one injector (hit indices are then assigned
+/// in arrival order, so cross-thread schedules decide *which* hit a call
+/// observes — arm one call at a time when a test needs an exact firing
+/// point).
 /// A default-constructed injector with no armed sites is inert.
 class FaultInjector {
  public:

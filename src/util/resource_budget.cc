@@ -29,7 +29,6 @@ Status ResourceBudget::CheckDeadline(const char* phase) const {
 std::string ResourceBudget::ToString() const {
   std::string out = "steps=" + std::to_string(max_chase_steps);
   out += " candidates=" + std::to_string(max_candidates);
-  out += " threads=" + std::to_string(threads);
   out += " deadline=";
   if (deadline.has_value()) {
     auto left = std::chrono::duration_cast<std::chrono::milliseconds>(

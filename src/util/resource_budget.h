@@ -37,8 +37,8 @@ struct ResourceBudget {
   /// When the deadline was anchored (set by WithDeadlineIn); lets
   /// CheckDeadline report elapsed-vs-budget timings.
   std::optional<std::chrono::steady_clock::time_point> deadline_origin;
-  /// Worker threads for the parallel backchase sweep. 0 and 1 both mean
-  /// serial; results are byte-identical at every thread count.
+  /// Ignored: the backchase sweep is serial. Kept only so callers that
+  /// still assign it compile; nothing in the library reads it.
   size_t threads = 1;
 
   /// A budget with a deadline `d` from now (other limits default).
@@ -58,7 +58,7 @@ struct ResourceBudget {
   /// elapsed time against the budgeted window when the origin is known.
   Status CheckDeadline(const char* phase) const;
 
-  /// "steps=5000 candidates=1048576 threads=1 deadline=unset".
+  /// "steps=5000 candidates=1048576 deadline=unset".
   std::string ToString() const;
 
   /// Memberwise equality; EngineContext::Resolve uses `b == ResourceBudget{}`

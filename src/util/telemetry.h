@@ -10,10 +10,10 @@
 //  - A null MetricsRegistry*/TraceSink* anywhere in the engine means
 //    "telemetry off" and costs one branch; every instrumentation site must
 //    tolerate nullptr.
-//  - Metric totals for deterministic workloads are identical at every
-//    thread count: counters incremented from parallel sections are either
-//    replayed in the backchase's serial merge phase or are race-free by
-//    workload construction (see tests/telemetry_test.cc).
+//  - Metric totals for deterministic workloads are identical run over run:
+//    the backchase's counters are replayed in mask order, so they do not
+//    depend on what the memo held before the call (see
+//    tests/telemetry_test.cc).
 //  - TraceSink span names are string literals (const char*, not copied).
 #ifndef SQLEQ_UTIL_TELEMETRY_H_
 #define SQLEQ_UTIL_TELEMETRY_H_

@@ -1,8 +1,6 @@
 #include "util/thread_pool.h"
 
-#include <atomic>
 #include <chrono>
-#include <memory>
 
 #include "util/telemetry.h"
 
@@ -69,54 +67,6 @@ void ThreadPool::WorkerLoop(std::stop_token stop) {
     }
     task();
   }
-}
-
-namespace {
-
-/// Shared progress of one ParallelFor call. Heap-allocated and reference-
-/// counted so a straggler runner that wakes after the call returned can
-/// still check `next` safely (it then exits without touching the body).
-struct ForState {
-  std::atomic<size_t> next{0};
-  size_t n = 0;
-  std::mutex mu;
-  std::condition_variable done_cv;
-  size_t completed = 0;  // guarded by mu
-};
-
-}  // namespace
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  if (workers_.empty() || n == 1) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  auto state = std::make_shared<ForState>();
-  state->n = n;
-  auto run_indices = [state](const std::function<void(size_t)>& fn) {
-    size_t done = 0;
-    for (;;) {
-      size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= state->n) break;
-      fn(i);
-      ++done;
-    }
-    if (done > 0) {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->completed += done;
-      if (state->completed == state->n) state->done_cv.notify_all();
-    }
-  };
-  size_t runners = workers_.size() < n - 1 ? workers_.size() : n - 1;
-  for (size_t r = 0; r < runners; ++r) {
-    // Copy `body` per runner: stragglers scheduled after this call returns
-    // must not hold a reference into the caller's frame.
-    Submit([run_indices, body] { run_indices(body); });
-  }
-  run_indices(body);  // the calling thread participates
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done_cv.wait(lock, [&state] { return state->completed == state->n; });
 }
 
 }  // namespace sqleq

@@ -1,7 +1,7 @@
 // A fixed-size worker pool over a shared work queue, built on std::jthread.
-// Powers the parallel backchase sweep; deliberately minimal — tasks are
-// void() closures that report failures through captured Status slots, never
-// by throwing.
+// Runs sqleqd's requests (service/server.cc); deliberately minimal — tasks
+// are void() closures that report failures through captured state, never by
+// throwing.
 #ifndef SQLEQ_UTIL_THREAD_POOL_H_
 #define SQLEQ_UTIL_THREAD_POOL_H_
 
@@ -24,9 +24,8 @@ class Histogram;
 /// submitting thread, so callers need no serial special case.
 class ThreadPool {
  public:
-  /// `threads` workers. Values 0 and 1 behave identically for ParallelFor
-  /// (the calling thread always participates). A non-null `metrics` samples
-  /// pool.queue_wait_us and pool.task_us histograms per submitted task.
+  /// `threads` workers. A non-null `metrics` samples pool.queue_wait_us and
+  /// pool.task_us histograms per submitted task.
   explicit ThreadPool(size_t threads, MetricsRegistry* metrics = nullptr);
   ~ThreadPool();
 
@@ -37,11 +36,6 @@ class ThreadPool {
 
   /// Enqueues one task. Tasks must not throw.
   void Submit(std::function<void()> task);
-
-  /// Runs body(i) for every i in [0, n), distributing indices dynamically
-  /// over the workers plus the calling thread. Blocks until all n calls have
-  /// returned. `body` must be thread-safe and must not throw.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
  private:
   void WorkerLoop(std::stop_token stop);

@@ -3,16 +3,20 @@
 // `backchase.candidate` fault armed at hits 1..6; each run records the
 // canonical result, the serialized checkpoint, and every backchase.*
 // counter. The goldens under tests/golden/backchase/ pin those bytes, so a
-// rewrite of the sweep must reproduce them exactly. Deadline cuts depend on
-// timing and stay out of the goldens.
+// rewrite of the sweep must reproduce them exactly, and every checkpoint
+// they hold must resume to the complete run's result. Deadline cuts depend
+// on timing and stay out of the goldens.
 //
 // Regenerate with SQLEQ_UPDATE_GOLDENS=1 ./backchase_golden_test.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "chase/chase_cache.h"
 #include "constraints/builders.h"
@@ -147,53 +151,84 @@ RunFn StarRun(int n) {
   };
 }
 
-void ExpectGolden(const std::string& name, const std::string& got) {
+/// Splits a golden file into its "## ..." sections.
+std::vector<std::string> Sections(const std::string& text) {
+  std::vector<std::string> out;
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t next = text.find("\n## ", pos);
+    next = next == std::string::npos ? text.size() : next + 1;
+    out.push_back(text.substr(pos, next - pos));
+    pos = next;
+  }
+  return out;
+}
+
+/// Sweeps the fixture and compares every run with its golden section, then
+/// resumes every golden checkpoint: each must finish with the complete
+/// run's result.
+void CheckFixture(const std::string& name, const RunFn& run) {
   const std::string path = std::string(SQLEQ_GOLDEN_DIR) + "/" + name + ".txt";
+  const std::string got = Sweep(run);
   if (std::getenv("SQLEQ_UPDATE_GOLDENS") != nullptr) {
     std::ofstream(path, std::ios::binary) << got;
     return;
   }
   std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.good()) << "missing golden " << path;
-  std::stringstream want;
-  want << in.rdbuf();
-  // Compare section by section so a failure names the first differing run.
-  auto sections = [](const std::string& text) {
-    std::vector<std::string> out;
-    size_t pos = 0;
-    while (pos < text.size()) {
-      size_t next = text.find("\n## ", pos);
-      next = next == std::string::npos ? text.size() : next + 1;
-      out.push_back(text.substr(pos, next - pos));
-      pos = next;
-    }
-    return out;
-  };
-  std::vector<std::string> want_sections = sections(want.str());
-  std::vector<std::string> got_sections = sections(got);
-  ASSERT_EQ(got_sections.size(), want_sections.size()) << name;
-  for (size_t i = 0; i < got_sections.size(); ++i) {
-    ASSERT_EQ(got_sections[i], want_sections[i]) << name << " section " << i;
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::vector<std::string> want = Sections(text.str());
+  const std::vector<std::string> have = Sections(got);
+  ASSERT_EQ(have.size(), want.size()) << name;
+  for (size_t i = 0; i < have.size(); ++i) {
+    ASSERT_EQ(have[i], want[i]) << name << " section " << i;
   }
+
+  // The budgeted run that completed; its record up to the (absent)
+  // checkpoint is what every resume must reproduce.
+  constexpr std::string_view kNoCheckpoint = "no checkpoint\n";
+  std::string complete;
+  for (const std::string& section : want) {
+    size_t end = section.find(kNoCheckpoint);
+    if (section.rfind("## max_candidates=", 0) == 0 && end != std::string::npos) {
+      size_t body = section.find('\n') + 1;
+      complete = section.substr(body, end - body);
+    }
+  }
+  ASSERT_FALSE(complete.empty()) << name;
+  size_t resumed = 0;
+  for (const std::string& section : want) {
+    size_t at = section.find("sqleq-candb-checkpoint v1\n");
+    if (at == std::string::npos) continue;
+    CandBCheckpoint cp = Unwrap(CandBCheckpoint::Deserialize(section.substr(at)));
+    CandBOptions options;
+    options.resume = &cp;
+    std::string record = run(options).first;
+    EXPECT_EQ(record.substr(0, record.find(kNoCheckpoint)), complete)
+        << name << " resumed from " << section.substr(0, section.find('\n'));
+    ++resumed;
+  }
+  EXPECT_GT(resumed, 0u) << name;
 }
 
 TEST(BackchaseGolden, Example41Q1UnderSet) {
-  ExpectGolden("q1_set", Sweep(CandBRun(WidenedQ1(0), Semantics::kSet)));
+  CheckFixture("q1_set", CandBRun(WidenedQ1(0), Semantics::kSet));
 }
 
 TEST(BackchaseGolden, Example41Q1UnderBag) {
-  ExpectGolden("q1_bag", Sweep(CandBRun(WidenedQ1(0), Semantics::kBag)));
+  CheckFixture("q1_bag", CandBRun(WidenedQ1(0), Semantics::kBag));
 }
 
 TEST(BackchaseGolden, Example41Q1UnderBagSet) {
-  ExpectGolden("q1_bagset", Sweep(CandBRun(WidenedQ1(0), Semantics::kBagSet)));
+  CheckFixture("q1_bagset", CandBRun(WidenedQ1(0), Semantics::kBagSet));
 }
 
 TEST(BackchaseGolden, WidenedQ1UnderSet) {
-  ExpectGolden("q1_wide2_set", Sweep(CandBRun(WidenedQ1(2), Semantics::kSet)));
+  CheckFixture("q1_wide2_set", CandBRun(WidenedQ1(2), Semantics::kSet));
 }
 
-TEST(BackchaseGolden, ViewsStar3) { ExpectGolden("views_star3", Sweep(StarRun(3))); }
+TEST(BackchaseGolden, ViewsStar3) { CheckFixture("views_star3", StarRun(3)); }
 
 }  // namespace
 }  // namespace sqleq

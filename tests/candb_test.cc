@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "equivalence/aggregate_equivalence.h"
 #include "equivalence/isomorphism.h"
 #include "equivalence/sigma_equivalence.h"
@@ -194,6 +196,104 @@ TEST(CandB, CompletenessAgainstBruteForceLattice) {
       EXPECT_TRUE(found) << SemanticsToString(sem) << ": C&B output "
                          << out.ToString() << " not brute-force minimal";
     }
+  }
+}
+
+TEST(CandB, CacheHitAccountingIsExactAndDeterministic) {
+  // Q(X) :- p(X,Y1), p(X,Y2), p(X,Y3): the three single-atom candidates are
+  // isomorphic, so the memo chases one of them and serves the others from
+  // cache. The single-atom candidates are accepted (set semantics), so every
+  // two-atom superset is pruned: examined = 3, misses = 1, hits = 2.
+  ConjunctiveQuery q = Q("Q(X) :- p(X, Y1), p(X, Y2), p(X, Y3).");
+  CandBResult result = Unwrap(ChaseAndBackchase(q, {}, Semantics::kSet, Schema()));
+  EXPECT_EQ(result.candidates_examined, 3u);
+  EXPECT_EQ(result.chase_cache_misses, 1u);
+  EXPECT_EQ(result.chase_cache_hits, 2u);
+  ASSERT_EQ(result.reformulations.size(), 1u);
+  EXPECT_EQ(result.reformulations[0].body().size(), 1u);
+}
+
+TEST(CandB, DeadlineExpiryReportsResourceExhausted) {
+  ConjunctiveQuery q1 = Q("Q1(X) :- p(X, Y), t(X, Y, W), s(X, Z), r(X), u(X, U).");
+  CandBOptions options;
+  options.context.budget.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  Result<CandBResult> result = ChaseAndBackchase(q1, Example41Sigma(), Semantics::kSet,
+                                                 Example41Schema(), options);
+  // Anytime contract: deadline expiry yields a partial result, not an error.
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->complete);
+  ASSERT_TRUE(result->exhaustion.has_value());
+  EXPECT_EQ(result->exhaustion->limit, "deadline");
+  EXPECT_NE(result->exhaustion->progress.find("deadline"), std::string::npos)
+      << result->exhaustion->ToString();
+  EXPECT_TRUE(result->checkpoint.has_value());
+}
+
+TEST(CandB, CandidateBudgetErrorNamesTheLimit) {
+  ConjunctiveQuery q = Q("Q(X) :- p(X, Y), r(X).");
+  CandBOptions options;
+  options.context.budget.max_candidates = 1;
+  Result<CandBResult> result = ChaseAndBackchase(q, {}, Semantics::kSet, Schema(), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->complete);
+  ASSERT_TRUE(result->exhaustion.has_value());
+  EXPECT_EQ(result->exhaustion->limit, "max_candidates");
+  EXPECT_NE(result->exhaustion->progress.find("max_candidates"), std::string::npos)
+      << result->exhaustion->ToString();
+  ASSERT_TRUE(result->checkpoint.has_value());
+  EXPECT_EQ(result->checkpoint->phase, CandBCheckpoint::kBackchasePhase);
+}
+
+TEST(CandB, ChaseStepBudgetErrorNamesTheLimit) {
+  // One tgd application is needed; a zero step budget trips first.
+  DependencySet sigma = Sigma({"a(X) -> b(X).", "b(X) -> a(X)."});
+  ConjunctiveQuery q = Q("Q(X) :- a(X), b(X).");
+  CandBOptions options;
+  options.context.budget.max_chase_steps = 0;
+  Result<CandBResult> result = ChaseAndBackchase(q, sigma, Semantics::kSet, Schema(), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->complete);
+  ASSERT_TRUE(result->exhaustion.has_value());
+  EXPECT_EQ(result->exhaustion->limit, "max_chase_steps");
+  ASSERT_TRUE(result->checkpoint.has_value());
+  EXPECT_EQ(result->checkpoint->phase, CandBCheckpoint::kChasePhase);
+}
+
+TEST(CandB, ResumeRejectsMasksOutsideTheLattice) {
+  // Q1's universal plan has five atoms, so its lattice masks are < 2^5. A
+  // resume point past that, a wave past the fifth, or a carried mask past
+  // it is a foreign checkpoint, not a finished sweep.
+  ConjunctiveQuery q1 = Q("Q1(X) :- p(X, Y), t(X, Y, W), s(X, Z), r(X), u(X, U).");
+  CandBOptions budgeted;
+  budgeted.context.budget.max_candidates = 2;
+  CandBResult partial = Unwrap(ChaseAndBackchase(q1, Example41Sigma(), Semantics::kSet,
+                                                 Example41Schema(), budgeted));
+  ASSERT_FALSE(partial.complete);
+  ASSERT_TRUE(partial.checkpoint.has_value() && partial.checkpoint->backchase.has_value());
+  ASSERT_EQ(partial.universal_plan.body().size(), 5u);
+
+  auto resume_with = [&](auto&& edit) {
+    CandBCheckpoint cp = *partial.checkpoint;
+    edit(*cp.backchase);
+    CandBOptions options;
+    options.resume = &cp;
+    return ChaseAndBackchase(q1, Example41Sigma(), Semantics::kSet, Example41Schema(),
+                             options)
+        .status();
+  };
+  EXPECT_TRUE(resume_with([](BackchaseCheckpoint&) {}).ok());
+  for (Status status : {
+           resume_with([](BackchaseCheckpoint& b) { b.next_mask = uint64_t{1} << 5; }),
+           resume_with([](BackchaseCheckpoint& b) { b.next_mask = uint64_t{1} << 40; }),
+           resume_with([](BackchaseCheckpoint& b) {
+             b.next_mask = 0;
+             b.cardinality = 6;
+           }),
+           resume_with([](BackchaseCheckpoint& b) { b.accepted_masks.push_back(32); }),
+           resume_with([](BackchaseCheckpoint& b) { b.failed_masks.push_back(64); }),
+       }) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
   }
 }
 

@@ -395,6 +395,14 @@ TEST(BackchaseCheckpointTest, DeserializeRejectsMalformedInput) {
       BackchaseCheckpoint::Deserialize(
           "sqleq-backchase-checkpoint v1\nnonsense-line\nend\n")
           .ok());
+  // Numbers past 64 bits are rejected, not wrapped (2^64 + 1 would read as 1).
+  for (const char* line : {"next 1 18446744073709551617", "amask 18446744073709551617",
+                           "consumed 99999999999999999999", "stats 1 2 3 4 5 6",
+                           "stats 1 2 3 4", "next 1", "next 1 2 3", "fmask -1"}) {
+    Result<BackchaseCheckpoint> parsed = BackchaseCheckpoint::Deserialize(
+        "sqleq-backchase-checkpoint v1\n" + std::string(line) + "\nend\n");
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+  }
 }
 
 // ---- CandBCheckpoint ----

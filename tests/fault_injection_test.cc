@@ -1,9 +1,9 @@
 // Deterministic fault-injection suite (docs/robustness.md): every named
-// site — chase.step, backchase.candidate, memo.insert, pool.task — is driven
-// through real engine calls with a fixed seed, injected stops surface as
+// site — chase.step, backchase.candidate, memo.insert — is driven through
+// real engine calls with a fixed seed, injected stops surface as
 // checkpointed partial results (never errors), schedules replay identically
 // run over run, and cooperative cancellation stops the same loops. Labeled
-// `fault` and `tsan` (delay faults stress the sweep's worker pool).
+// `fault` and `tsan`.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -26,8 +26,7 @@ using testing::Q;
 using testing::Sigma;
 using testing::Unwrap;
 
-/// Canonical serialization of a CandBResult (see parallel_candb_test.cc):
-/// insensitive to the process-global fresh-variable counter, exact on
+/// Canonical serialization of a CandBResult: insensitive to the process-global fresh-variable counter, exact on
 /// reformulation order and statistics.
 std::string Canon(const CandBResult& r) {
   std::string out = "U=" + CanonicalQueryKey(r.universal_plan) + "\n";
@@ -59,7 +58,7 @@ TEST(FaultInjector, UnarmedSitesCountButNeverFire) {
   }
   EXPECT_EQ(faults.HitCount(fault_sites::kChaseStep), 5u);
   EXPECT_EQ(faults.FiredCount(fault_sites::kChaseStep), 0u);
-  EXPECT_EQ(faults.HitCount(fault_sites::kPoolTask), 0u);
+  EXPECT_EQ(faults.HitCount(fault_sites::kMemoInsert), 0u);
 }
 
 TEST(FaultInjector, StartAndPeriodSelectHits) {
@@ -107,10 +106,10 @@ TEST(FaultInjector, BadAllocSurfacesAsInternal) {
   FaultInjector faults(7);
   FaultSpec spec;
   spec.kind = FaultKind::kBadAlloc;
-  faults.Arm(fault_sites::kPoolTask, spec);
-  Status s = faults.Hit(fault_sites::kPoolTask);
+  faults.Arm(fault_sites::kMemoInsert, spec);
+  Status s = faults.Hit(fault_sites::kMemoInsert);
   EXPECT_EQ(s.code(), StatusCode::kInternal);
-  EXPECT_NE(s.message().find(fault_sites::kPoolTask), std::string::npos)
+  EXPECT_NE(s.message().find(fault_sites::kMemoInsert), std::string::npos)
       << s.ToString();
 }
 
@@ -131,18 +130,18 @@ TEST(FaultInjector, ProbabilisticFiringIsSeedDeterministic) {
   spec.period = 1;
   spec.probability = 0.5;
   FaultInjector a(42), b(42);
-  a.Arm(fault_sites::kPoolTask, spec);
-  b.Arm(fault_sites::kPoolTask, spec);
+  a.Arm(fault_sites::kMemoInsert, spec);
+  b.Arm(fault_sites::kMemoInsert, spec);
   std::vector<bool> fired_a, fired_b;
   for (int i = 0; i < 200; ++i) {
-    fired_a.push_back(!a.Hit(fault_sites::kPoolTask).ok());
-    fired_b.push_back(!b.Hit(fault_sites::kPoolTask).ok());
+    fired_a.push_back(!a.Hit(fault_sites::kMemoInsert).ok());
+    fired_b.push_back(!b.Hit(fault_sites::kMemoInsert).ok());
   }
   EXPECT_EQ(fired_a, fired_b);
   // The hash should neither always fire nor never fire over 200 eligible
   // hits at p = 0.5.
-  EXPECT_GT(a.FiredCount(fault_sites::kPoolTask), 0u);
-  EXPECT_LT(a.FiredCount(fault_sites::kPoolTask), 200u);
+  EXPECT_GT(a.FiredCount(fault_sites::kMemoInsert), 0u);
+  EXPECT_LT(a.FiredCount(fault_sites::kMemoInsert), 200u);
 }
 
 TEST(FaultInjector, DisarmStopsInjectionResetCountersRestartsSchedule) {
@@ -177,7 +176,7 @@ TEST(CancellationToken, ChecksOkUntilCancelled) {
 }
 
 TEST(ProbeSite, NullPointersAreInert) {
-  EXPECT_TRUE(ProbeSite(nullptr, nullptr, fault_sites::kPoolTask).ok());
+  EXPECT_TRUE(ProbeSite(nullptr, nullptr, fault_sites::kMemoInsert).ok());
 }
 
 TEST(ProbeSite, CancellationBeatsInjectedFault) {
@@ -262,24 +261,6 @@ TEST(FaultSites, MemoInsertFaultStopsTheSweep) {
   EXPECT_GE(faults.FiredCount(fault_sites::kMemoInsert), 1u);
 }
 
-TEST(FaultSites, PoolTaskFaultStopsTheSweep) {
-  CandBOptions options;
-  FaultInjector faults(7);
-  FaultSpec spec;
-  spec.start = 4;
-  faults.Arm(fault_sites::kPoolTask, spec);
-  options.context.faults = &faults;
-  CandBResult partial = Unwrap(ChaseAndBackchase(
-      Example41Q1(), Example41Sigma(), Semantics::kSet, Example41Schema(),
-      options));
-  EXPECT_FALSE(partial.complete);
-  ASSERT_TRUE(partial.exhaustion.has_value());
-  EXPECT_EQ(partial.exhaustion->limit, "fault");
-  ASSERT_TRUE(partial.checkpoint.has_value());
-  EXPECT_EQ(partial.checkpoint->phase, CandBCheckpoint::kBackchasePhase);
-  EXPECT_GE(faults.FiredCount(fault_sites::kPoolTask), 1u);
-}
-
 TEST(FaultSites, MemoInsertSiteFiresInChaseMemo) {
   FaultInjector faults(7);
   faults.Arm(fault_sites::kMemoInsert, FaultSpec{});
@@ -318,31 +299,23 @@ TEST(FaultDeterminism, IdenticalSeedsReplayIdenticalPartialResults) {
 }
 
 TEST(FaultDeterminism, DelayFaultsDoNotChangeParallelResults) {
-  // Delays reshuffle the pool's completion order without changing any
-  // verdict; the merged result must stay byte-identical to the clean serial
-  // run at every thread count.
-  CandBOptions serial;
-  serial.context.budget.threads = 1;
+  // Delays at every other candidate slow the sweep without changing any
+  // verdict; the result must stay byte-identical to the clean run.
   std::string reference = Canon(Unwrap(ChaseAndBackchase(
-      Example41Q1(), Example41Sigma(), Semantics::kSet, Example41Schema(),
-      serial)));
-  for (size_t threads : {2u, 4u, 8u}) {
-    CandBOptions options;
-    options.context.budget.threads = threads;
-    FaultInjector faults(99);
-    FaultSpec spec;
-    spec.kind = FaultKind::kDelay;
-    spec.delay = std::chrono::microseconds(200);
-    spec.start = 1;
-    spec.period = 2;
-    faults.Arm(fault_sites::kPoolTask, spec);
-    options.context.faults = &faults;
-    std::string got = Canon(Unwrap(ChaseAndBackchase(
-        Example41Q1(), Example41Sigma(), Semantics::kSet, Example41Schema(),
-        options)));
-    EXPECT_EQ(got, reference) << threads << " threads";
-    EXPECT_GE(faults.FiredCount(fault_sites::kPoolTask), 1u);
-  }
+      Example41Q1(), Example41Sigma(), Semantics::kSet, Example41Schema())));
+  CandBOptions options;
+  FaultInjector faults(99);
+  FaultSpec spec;
+  spec.kind = FaultKind::kDelay;
+  spec.delay = std::chrono::microseconds(200);
+  spec.start = 1;
+  spec.period = 2;
+  faults.Arm(fault_sites::kBackchaseCandidate, spec);
+  options.context.faults = &faults;
+  std::string got = Canon(Unwrap(ChaseAndBackchase(
+      Example41Q1(), Example41Sigma(), Semantics::kSet, Example41Schema(), options)));
+  EXPECT_EQ(got, reference);
+  EXPECT_GE(faults.FiredCount(fault_sites::kBackchaseCandidate), 1u);
 }
 
 TEST(FaultDeterminism, ResumeAfterInjectedFaultMatchesCleanRun) {

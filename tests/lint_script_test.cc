@@ -44,6 +44,13 @@ TEST(LintScript, CleanScriptHasNoErrors) {
   EXPECT_EQ(result.statements, 10u);
 }
 
+TEST(LintScript, SetTargetsMatchTheShell) {
+  // The shell's SET targets lint clean; THREADS is not one of them.
+  LintResult clean = LintScript("SET BUDGET 100 50; SET RETRY 3 2; SET RETRY OFF");
+  EXPECT_FALSE(clean.HasErrors()) << clean.ToString();
+  EXPECT_TRUE(HasCode(LintScript("SET THREADS 4"), "parse-error"));
+}
+
 TEST(LintScript, LineCommentsAreIgnored) {
   LintResult result = LintScript(
       "-- a full-line comment\n"

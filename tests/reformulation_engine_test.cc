@@ -1,7 +1,7 @@
 // Reformulation on a shared EquivalenceEngine: ChaseAndBackchase and
 // RewriteWithViews chase through the engine's per-context memo, so the
 // result must not depend on what that memo already holds. Each fixture is
-// run at threads 1/4/8 on four engines — a cold engine, a warm engine that
+// run on four engines — a cold engine, a warm engine that
 // already ran checks and other reformulations on the same Σ, an engine
 // re-attached to a disk store another engine warmed, and the one-shot
 // wrapper — and the results must agree up to isomorphism of each
@@ -73,11 +73,10 @@ struct Outcome {
   bool complete = false;
 };
 
-Outcome RunFixture(const Fixture& f, EquivalenceEngine* engine, size_t threads,
-            MetricsRegistry* metrics = nullptr) {
+Outcome RunFixture(const Fixture& f, EquivalenceEngine* engine,
+                   MetricsRegistry* metrics = nullptr) {
   if (f.views.size() == 0) {
     CandBOptions options;
-    options.context.budget.threads = threads;
     options.context.metrics = metrics;
     CandBResult r =
         Unwrap(engine != nullptr
@@ -88,7 +87,6 @@ Outcome RunFixture(const Fixture& f, EquivalenceEngine* engine, size_t threads,
                    r.chase_cache_hits,     r.chase_cache_misses, r.complete};
   }
   RewriteOptions options;
-  options.context.budget.threads = threads;
   options.context.metrics = metrics;
   RewriteResult r = Unwrap(
       engine != nullptr
@@ -149,7 +147,7 @@ std::vector<Fixture> Fixtures() {
 
 TEST(SharedEngineReformulation, ResultsDoNotDependOnTheEngineOrThreadCount) {
   for (const Fixture& f : Fixtures()) {
-    const Outcome reference = RunFixture(f, nullptr, 1);
+    const Outcome reference = RunFixture(f, nullptr);
 
     // Warm: checks on the same context, a reformulation of another query,
     // and this query once already.
@@ -160,8 +158,8 @@ TEST(SharedEngineReformulation, ResultsDoNotDependOnTheEngineOrThreadCount) {
     RunFixture(f.views.size() == 0 ? Fixture{f.name, f.other, f.sigma, f.semantics,
                                       f.schema, {}, f.q}
                             : f,
-        &warm, 1);
-    RunFixture(f, &warm, 1);
+        &warm);
+    RunFixture(f, &warm);
 
     // Disk: one engine warms a store, another re-attaches to it.
     const std::string dir = TempDir();
@@ -169,29 +167,27 @@ TEST(SharedEngineReformulation, ResultsDoNotDependOnTheEngineOrThreadCount) {
       std::shared_ptr<MemoStore> store = OpenStore(dir);
       EquivalenceEngine writer;
       writer.set_memo_store(store);
-      RunFixture(f, &writer, 1);
+      RunFixture(f, &writer);
     }
     std::shared_ptr<MemoStore> store = OpenStore(dir);
 
-    for (size_t threads : {1u, 4u, 8u}) {
-      const std::string where = f.name + " at " + std::to_string(threads) + " threads";
-      ExpectSame(RunFixture(f, nullptr, threads), reference, where + " (one-shot)");
+    const std::string& where = f.name;
+    ExpectSame(RunFixture(f, nullptr), reference, where + " (one-shot)");
 
-      EquivalenceEngine cold;
-      ExpectSame(RunFixture(f, &cold, threads), reference, where + " (cold)");
+    EquivalenceEngine cold;
+    ExpectSame(RunFixture(f, &cold), reference, where + " (cold)");
 
-      const size_t hits_before = warm.cache_stats().hits;
-      ExpectSame(RunFixture(f, &warm, threads), reference, where + " (warm)");
-      EXPECT_GT(warm.cache_stats().hits, hits_before)
-          << where << ": the warm engine's memo served nothing";
+    const size_t hits_before = warm.cache_stats().hits;
+    ExpectSame(RunFixture(f, &warm), reference, where + " (warm)");
+    EXPECT_GT(warm.cache_stats().hits, hits_before)
+        << where << ": the warm engine's memo served nothing";
 
-      EquivalenceEngine reader;
-      reader.set_memo_store(store);
-      MetricsRegistry metrics;
-      ExpectSame(RunFixture(f, &reader, threads, &metrics), reference, where + " (disk)");
-      EXPECT_GT(metrics.counter(metric::kMemoDiskHits).value(), 0u)
-          << where << ": the re-attached store served nothing";
-    }
+    EquivalenceEngine reader;
+    reader.set_memo_store(store);
+    MetricsRegistry metrics;
+    ExpectSame(RunFixture(f, &reader, &metrics), reference, where + " (disk)");
+    EXPECT_GT(metrics.counter(metric::kMemoDiskHits).value(), 0u)
+        << where << ": the re-attached store served nothing";
   }
 }
 
@@ -200,7 +196,7 @@ TEST(SharedEngineReformulation, ConcurrentReformulationsMatchSerialResults) {
   // meets a warm memo): every result equals its serial one-shot result.
   const std::vector<Fixture> fixtures = Fixtures();
   std::vector<Outcome> serial;
-  for (const Fixture& f : fixtures) serial.push_back(RunFixture(f, nullptr, 1));
+  for (const Fixture& f : fixtures) serial.push_back(RunFixture(f, nullptr));
 
   EquivalenceEngine shared;
   for (int round = 0; round < 2; ++round) {
@@ -210,7 +206,7 @@ TEST(SharedEngineReformulation, ConcurrentReformulationsMatchSerialResults) {
     for (size_t w = 0; w < kWorkers; ++w) {
       workers.emplace_back([&, w] {
         for (size_t i = w; i < fixtures.size(); i += kWorkers) {
-          got[i] = RunFixture(fixtures[i], &shared, 2);
+          got[i] = RunFixture(fixtures[i], &shared);
         }
       });
     }

@@ -471,6 +471,43 @@ TEST(Service, RepeatedReformulateIsServedFromTheEngineMemo) {
   server.Stop();
 }
 
+TEST(Service, ReformulateRejectsAForeignResume) {
+  // A checkpoint whose resume mask lies outside the query's lattice, or
+  // whose mask overflows 64 bits, is an InvalidArgument error, not a
+  // finished sweep.
+  Server server;
+  ASSERT_TRUE(server.Start().ok());
+  Connection client = Dial(server);
+  UploadCatalog(client);
+  const std::string query = "Q(X) :- r(X, Y), r(X, Z), s(X).";
+  JsonValue partial = Unwrap(client.Call(JsonObject()
+                                             .Str("cmd", "reformulate")
+                                             .Str("query", query)
+                                             .Str("semantics", "set")
+                                             .Int("max_candidates", 1)
+                                             .Build()));
+  ASSERT_TRUE(Field(partial, "ok")->boolean);
+  ASSERT_FALSE(Field(partial, "complete")->boolean);
+  const std::string checkpoint = Field(partial, "checkpoint")->string;
+  const size_t next = checkpoint.find("\nnext ");
+  ASSERT_NE(next, std::string::npos) << checkpoint;
+  const size_t eol = checkpoint.find('\n', next + 1);
+
+  for (const char* line : {"next 1 1099511627776", "next 1 18446744073709551617"}) {
+    std::string foreign = checkpoint;
+    foreign.replace(next + 1, eol - next - 1, line);
+    JsonValue response = Unwrap(client.Call(JsonObject()
+                                                .Str("cmd", "reformulate")
+                                                .Str("query", query)
+                                                .Str("semantics", "set")
+                                                .Str("resume", foreign)
+                                                .Build()));
+    EXPECT_FALSE(Field(response, "ok")->boolean) << line;
+    EXPECT_EQ(Field(response, "error")->Find("code")->string, "InvalidArgument") << line;
+  }
+  server.Stop();
+}
+
 TEST(Service, ShellConnectForwardsEquivAndMinimize) {
   Server server;
   ASSERT_TRUE(server.Start().ok());

@@ -211,25 +211,20 @@ TEST(ShellEngine, QueryRedefinitionReplaces) {
   EXPECT_EQ(q.query.head().size(), 2u);
 }
 
-TEST(ShellEngine, SetThreadsAndBudget) {
+TEST(ShellEngine, SetBudgetAndShowBudget) {
   ScriptEngine engine;
-  EXPECT_NE(Must(engine.Execute("SET THREADS 4")).find("4"), std::string::npos);
-  EXPECT_EQ(engine.budget().threads, 4u);
   Must(engine.Execute("SET BUDGET 100 50"));
   EXPECT_EQ(engine.budget().max_chase_steps, 100u);
   EXPECT_EQ(engine.budget().max_candidates, 50u);
-  EXPECT_EQ(engine.budget().threads, 4u);  // SET BUDGET leaves threads alone
   std::string shown = Must(engine.Execute("SHOW BUDGET"));
   EXPECT_NE(shown.find("steps=100"), std::string::npos) << shown;
   EXPECT_NE(shown.find("candidates=50"), std::string::npos) << shown;
-  EXPECT_NE(shown.find("threads=4"), std::string::npos) << shown;
+  EXPECT_EQ(shown.find("threads"), std::string::npos) << shown;
 }
 
 TEST(ShellEngine, SetRejectsBadArguments) {
   ScriptEngine engine;
-  EXPECT_FALSE(engine.Execute("SET THREADS 0").ok());
-  EXPECT_FALSE(engine.Execute("SET THREADS many").ok());
-  EXPECT_FALSE(engine.Execute("SET THREADS -2").ok());
+  EXPECT_FALSE(engine.Execute("SET THREADS 4").ok());  // no such setting
   EXPECT_FALSE(engine.Execute("SET BUDGET 100").ok());
   EXPECT_FALSE(engine.Execute("SET BUDGET 0 10").ok());
   EXPECT_FALSE(engine.Execute("SET BUDGET 10 0").ok());
@@ -242,7 +237,6 @@ TEST(ShellEngine, SetRejectsBadArguments) {
   EXPECT_NE(overflow.status().message().find("overflows"), std::string::npos)
       << overflow.status().ToString();
   // Failed SETs leave the budget at its defaults.
-  EXPECT_EQ(engine.budget().threads, ResourceBudget{}.threads);
   EXPECT_EQ(engine.budget().max_chase_steps, ResourceBudget{}.max_chase_steps);
 }
 

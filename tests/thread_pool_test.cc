@@ -1,41 +1,30 @@
-// Unit tests for the worker pool behind the parallel backchase.
+// Unit tests for the worker pool behind sqleqd's request execution.
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <vector>
 
 namespace sqleq {
 namespace {
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  for (size_t threads : {0u, 1u, 3u, 8u}) {
-    ThreadPool pool(threads);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.ParallelFor(hits.size(), [&hits](size_t i) { hits[i].fetch_add(1); });
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "threads=" << threads << " i=" << i;
+TEST(ThreadPool, PoolIsReusableAcrossCalls) {
+  // Rounds of tasks, each awaited before the next is submitted. The counter
+  // outlives the pool, whose destructor joins the workers.
+  std::atomic<size_t> done{0};
+  ThreadPool pool(4);
+  for (size_t round = 1; round <= 50; ++round) {
+    for (int i = 0; i < 17; ++i) {
+      pool.Submit([&done] {
+        done.fetch_add(1);
+        done.notify_one();
+      });
+    }
+    for (size_t seen = done.load(); seen < round * 17; seen = done.load()) {
+      done.wait(seen);
     }
   }
-}
-
-TEST(ThreadPool, ParallelForHandlesEmptyAndSingle) {
-  ThreadPool pool(4);
-  std::atomic<int> calls{0};
-  pool.ParallelFor(0, [&calls](size_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 0);
-  pool.ParallelFor(1, [&calls](size_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(ThreadPool, PoolIsReusableAcrossCalls) {
-  ThreadPool pool(4);
-  std::atomic<size_t> total{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.ParallelFor(17, [&total](size_t) { total.fetch_add(1); });
-  }
-  EXPECT_EQ(total.load(), 50u * 17u);
+  EXPECT_EQ(done.load(), 50u * 17u);
 }
 
 TEST(ThreadPool, SubmittedTasksRunBeforeDestruction) {

@@ -238,5 +238,17 @@ TEST(RewriteWithViewsTest, ExpansionOracleAgreement) {
   }
 }
 
+TEST(RewriteWithViewsTest, MemoizedUniversalPlanCountsAsPreseededHit) {
+  // The view copies the query exactly, so the candidate v(X,Y)'s expansion
+  // is isomorphic to U: its chase must be served from the preseeded memo
+  // entry (U was chased before the sweep), i.e. hits >= 1.
+  ViewSet views;
+  ASSERT_TRUE(views.Add(Q("v(X, Y) :- p(X, Y).")).ok());
+  ConjunctiveQuery q = Q("Q(X, Y) :- p(X, Y).");
+  RewriteResult result = Unwrap(RewriteWithViews(q, views, {}, Semantics::kSet, Schema()));
+  ASSERT_EQ(result.rewritings.size(), 1u);
+  EXPECT_GE(result.chase_cache_hits, 1u);
+}
+
 }  // namespace
 }  // namespace sqleq

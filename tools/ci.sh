@@ -11,6 +11,7 @@
 #        tools/ci.sh crash-smoke [build-dir]
 #        tools/ci.sh fleet-smoke [build-dir]
 #        tools/ci.sh workload-smoke [build-dir]
+#        tools/ci.sh e2ebench-smoke
 #
 # bench-smoke builds the benchmarks, runs each one for a single pinned
 # iteration (SQLEQ_BENCH_ITERS=1) in a mktemp -d directory, where every
@@ -40,6 +41,15 @@
 # (--assert-tolerance 0.10). It also re-runs bench_workload_e2e for one
 # pinned iteration and gates it on check_bench_regress against the
 # committed BENCH_workload_e2e.json baseline.
+#
+# e2ebench-smoke runs the end-to-end benchmark briefly: `python3
+# e2ebench/run.py --workload W --seed 1 --seconds 2 --trace T` for W in
+# check-resident, check-spill and reformulate and T in 0 and 1. e2ebench
+# compiles against the src/ APIs and passes sqleqd flags, so this catches a
+# change that breaks either one. It fails on any non-zero exit, which
+# includes a build failure and an oracle disagreement. run.py builds into
+# $CARGO_TARGET_DIR/e2ebench (default .bench_build/e2ebench; about 90 s the
+# first time), and each run then takes a few seconds.
 #
 # fleet-smoke exercises the sharded fleet end to end (docs/fleet.md): a
 # 3-shard sqleq-fleet with --restart and per-shard durable memos, verdicts
@@ -472,6 +482,20 @@ EOF
   echo "fleet-smoke OK"
 }
 
+e2ebench_smoke() {
+  echo "== e2ebench smoke (2 s per run) =="
+  local workload trace
+  for workload in check-resident check-spill reformulate; do
+    for trace in 0 1; do
+      echo "-- ${workload} --trace ${trace}"
+      python3 e2ebench/run.py --workload "${workload}" --seed 1 --seconds 2 \
+          --trace "${trace}" \
+          || { echo "e2ebench ${workload} --trace ${trace} failed"; exit 1; }
+    done
+  done
+  echo "e2ebench-smoke OK"
+}
+
 # Lints every example script, gating each on its expected sqleq-lint exit
 # code (0 clean / 1 warnings-only / 2 errors). Scripts that intentionally
 # carry diagnostics declare their expected code in
@@ -526,6 +550,12 @@ fi
 if [ "${1:-}" = "workload-smoke" ]; then
   shift
   workload_smoke "$@"
+  exit 0
+fi
+
+if [ "${1:-}" = "e2ebench-smoke" ]; then
+  shift
+  e2ebench_smoke
   exit 0
 fi
 

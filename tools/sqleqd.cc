@@ -90,9 +90,9 @@ int main(int argc, char** argv) {
       if (v == nullptr || !ParseSizeFlag(v, &parsed)) return Usage(argv[0]);
       options.memo_byte_limit = parsed;
     } else if (arg == "--engine-threads") {
+      // Accepted and ignored: the backchase sweep is serial.
       const char* v = next();
       if (v == nullptr || !ParseSizeFlag(v, &parsed)) return Usage(argv[0]);
-      options.default_budget.threads = parsed;
     } else if (arg == "--max-chase-steps") {
       const char* v = next();
       if (v == nullptr || !ParseSizeFlag(v, &parsed)) return Usage(argv[0]);
