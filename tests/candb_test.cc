@@ -234,7 +234,8 @@ TEST(CandB, CandidateBudgetErrorNamesTheLimit) {
   ConjunctiveQuery q = Q("Q(X) :- p(X, Y), r(X).");
   CandBOptions options;
   options.context.budget.max_candidates = 1;
-  Result<CandBResult> result = ChaseAndBackchase(q, {}, Semantics::kSet, Schema(), options);
+  Result<CandBResult> result =
+      ChaseAndBackchase(q, {}, Semantics::kSet, Schema(), options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->complete);
   ASSERT_TRUE(result->exhaustion.has_value());
@@ -251,7 +252,8 @@ TEST(CandB, ChaseStepBudgetErrorNamesTheLimit) {
   ConjunctiveQuery q = Q("Q(X) :- a(X), b(X).");
   CandBOptions options;
   options.context.budget.max_chase_steps = 0;
-  Result<CandBResult> result = ChaseAndBackchase(q, sigma, Semantics::kSet, Schema(), options);
+  Result<CandBResult> result =
+      ChaseAndBackchase(q, sigma, Semantics::kSet, Schema(), options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->complete);
   ASSERT_TRUE(result->exhaustion.has_value());
@@ -270,7 +272,8 @@ TEST(CandB, ResumeRejectsMasksOutsideTheLattice) {
   CandBResult partial = Unwrap(ChaseAndBackchase(q1, Example41Sigma(), Semantics::kSet,
                                                  Example41Schema(), budgeted));
   ASSERT_FALSE(partial.complete);
-  ASSERT_TRUE(partial.checkpoint.has_value() && partial.checkpoint->backchase.has_value());
+  ASSERT_TRUE(partial.checkpoint.has_value());
+  ASSERT_TRUE(partial.checkpoint->backchase.has_value());
   ASSERT_EQ(partial.universal_plan.body().size(), 5u);
 
   auto resume_with = [&](auto&& edit) {

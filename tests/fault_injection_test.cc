@@ -26,8 +26,9 @@ using testing::Q;
 using testing::Sigma;
 using testing::Unwrap;
 
-/// Canonical serialization of a CandBResult: insensitive to the process-global fresh-variable counter, exact on
-/// reformulation order and statistics.
+/// Canonical serialization of a CandBResult: insensitive to the
+/// process-global fresh-variable counter, exact on reformulation order and
+/// statistics.
 std::string Canon(const CandBResult& r) {
   std::string out = "U=" + CanonicalQueryKey(r.universal_plan) + "\n";
   for (const ConjunctiveQuery& q : r.reformulations) {
