@@ -1,8 +1,9 @@
 // B3 (§6.3, Appendix A): the C&B family on the Example 4.1 instance and on
 // widened variants (extra independent joins inflate the universal plan and
 // the 2^n backchase lattice). Counters: candidates examined, reformulations
-// found, universal-plan size. Plus the DESIGN.md ablation: Bag-C&B with the
-// key-based fast path on vs off (identical outputs, different latency).
+// found, universal-plan size, memo hits and misses. Plus the DESIGN.md
+// ablation: Bag-C&B with the key-based fast path on vs off (identical
+// outputs, different latency).
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
@@ -24,18 +25,24 @@ void RunCandB(benchmark::State& state, Semantics sem, bool fast_path) {
   DependencySet sigma = Example41Sigma();
   CandBOptions options;
   options.chase.key_based_fast_path = fast_path;
-  size_t candidates = 0, outputs = 0, plan = 0;
+  size_t candidates = 0, outputs = 0, plan = 0, hits = 0, misses = 0;
   for (auto _ : state) {
     CandBResult result = Must(ChaseAndBackchase(q, sigma, sem, schema, options));
     candidates = result.candidates_examined;
     outputs = result.reformulations.size();
     plan = result.universal_plan.body().size();
+    hits = result.chase_cache_hits;
+    misses = result.chase_cache_misses;
     benchmark::DoNotOptimize(result);
   }
   state.counters["body"] = static_cast<double>(q.body().size());
   state.counters["plan_atoms"] = static_cast<double>(plan);
   state.counters["candidates"] = static_cast<double>(candidates);
   state.counters["outputs"] = static_cast<double>(outputs);
+  // How much of the lattice the memo serves (isomorphic candidates are
+  // chased once).
+  state.counters["cache_hits"] = static_cast<double>(hits);
+  state.counters["cache_misses"] = static_cast<double>(misses);
 }
 
 void BM_CandB_Set(benchmark::State& state) {
@@ -77,28 +84,6 @@ void BM_CandB_Set_SlicedSigma(benchmark::State& state) {
 SQLEQ_BENCHMARK(BM_CandB_Set_SlicedSigma)
     ->Arg(0)->Arg(4)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
-
-/// The memoized sweep on a wider lattice: range(0) = extra joins. The cache
-/// counters show how much of the lattice the memo serves (isomorphic
-/// candidates chased once).
-void BM_CandB_Set_Threads(benchmark::State& state) {
-  int extra = static_cast<int>(state.range(0));
-  ConjunctiveQuery q = WidenedQ1(extra);
-  Schema schema = Example41Schema();
-  DependencySet sigma = Example41Sigma();
-  size_t candidates = 0, hits = 0, misses = 0;
-  for (auto _ : state) {
-    CandBResult result = Must(ChaseAndBackchase(q, sigma, Semantics::kSet, schema));
-    candidates = result.candidates_examined;
-    hits = result.chase_cache_hits;
-    misses = result.chase_cache_misses;
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["candidates"] = static_cast<double>(candidates);
-  state.counters["cache_hits"] = static_cast<double>(hits);
-  state.counters["cache_misses"] = static_cast<double>(misses);
-}
-SQLEQ_BENCHMARK(BM_CandB_Set_Threads)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sqleq

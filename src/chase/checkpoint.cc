@@ -1,5 +1,6 @@
 #include "chase/checkpoint.h"
 
+#include <cstdint>
 #include <variant>
 
 namespace sqleq {
@@ -266,6 +267,53 @@ Status ReadKeyedLines(std::string_view text, std::string_view what,
     SQLEQ_RETURN_IF_ERROR(field->parse(line.substr(space + 1)));
   }
   return error("truncated");
+}
+
+namespace {
+
+Status ReserveFreshSuffix(Term t) {
+  if (!t.IsVariable()) return Status::OK();
+  std::string_view name = t.name();
+  size_t hash = name.rfind('#');
+  if (hash == std::string_view::npos || hash + 1 == name.size()) return Status::OK();
+  std::string_view digits = name.substr(hash + 1);
+  for (char c : digits) {
+    if (c < '0' || c > '9') return Status::OK();
+  }
+  uint64_t n = 0;
+  if (!ParseDecimal(digits, &n) || n == UINT64_MAX) {
+    return Status::InvalidArgument("checkpoint: fresh variable suffix out of range in '" +
+                                   std::string(name) + "'");
+  }
+  Term::ReserveFreshThrough(n);
+  return Status::OK();
+}
+
+Status ReserveFreshSuffixes(const std::vector<Atom>& atoms) {
+  for (const Atom& a : atoms) {
+    for (Term t : a.args()) SQLEQ_RETURN_IF_ERROR(ReserveFreshSuffix(t));
+  }
+  return Status::OK();
+}
+
+Status ReserveFreshSuffixes(const ConjunctiveQuery& q) {
+  for (Term t : q.head()) SQLEQ_RETURN_IF_ERROR(ReserveFreshSuffix(t));
+  return ReserveFreshSuffixes(q.body());
+}
+
+}  // namespace
+
+Status ChaseCheckpoint::ReserveFreshNames() const {
+  SQLEQ_RETURN_IF_ERROR(ReserveFreshSuffixes(state));
+  for (const ChaseStepRecord& record : trace) {
+    SQLEQ_RETURN_IF_ERROR(ReserveFreshSuffixes(record.added));
+    SQLEQ_RETURN_IF_ERROR(ReserveFreshSuffix(record.from));
+    SQLEQ_RETURN_IF_ERROR(ReserveFreshSuffix(record.to));
+    if (record.before.has_value()) {
+      SQLEQ_RETURN_IF_ERROR(ReserveFreshSuffixes(*record.before));
+    }
+  }
+  return Status::OK();
 }
 
 Result<ChaseCheckpoint> ChaseCheckpoint::Deserialize(std::string_view text) {

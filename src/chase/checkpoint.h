@@ -53,6 +53,13 @@ struct ChaseCheckpoint {
 
   std::string Serialize() const;
   static Result<ChaseCheckpoint> Deserialize(std::string_view text);
+
+  /// Advances Term's FreshVar counter past every "#<n>" suffix among the
+  /// variables of `state` and `trace`, so the resumed chase mints no name
+  /// the checkpoint already holds: one parked by another process or sent by
+  /// a client carries names minted under a different counter. Fails on a
+  /// suffix too large to reserve.
+  Status ReserveFreshNames() const;
 };
 
 // ---- Serialization helpers shared with the backchase/C&B checkpoints

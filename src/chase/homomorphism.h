@@ -35,7 +35,9 @@ bool HomomorphismExists(std::span<const Atom> from, std::span<const Atom> to,
                         const TermMap& fixed = {});
 
 /// A containment mapping from Q1 to Q2 (§2.1): a homomorphism from Q1's body
-/// to Q2's body with h(head of Q1) = head of Q2, position-wise.
+/// to Q2's body with h(head of Q1) = head of Q2, position-wise. The two
+/// queries may share variable names: h binds `from`'s variables only and
+/// never reads a term of `to` as one of them, so no rename-apart is needed.
 std::optional<TermMap> FindContainmentMapping(const ConjunctiveQuery& from,
                                               const ConjunctiveQuery& to);
 

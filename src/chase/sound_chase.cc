@@ -214,6 +214,7 @@ Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& si
   ChaseOutcome out{normalize(q), {}, false};
   size_t start = 0;
   if (resume != nullptr) {
+    SQLEQ_RETURN_IF_ERROR(resume->ReserveFreshNames());
     out.result = resume->state;
     out.trace = resume->trace;
     start = resume->steps_done;

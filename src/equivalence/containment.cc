@@ -5,10 +5,9 @@
 namespace sqleq {
 
 bool SetContained(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
-  // Rename apart so shared variable names between the two queries cannot
-  // confuse the mapping search.
-  ConjunctiveQuery from = q2.RenameApart();
-  return ContainmentMappingExists(from, q1);
+  // q1 and q2 may share variable names: the mapping search binds q2's
+  // variables and never re-reads a bound value as a q2 variable.
+  return ContainmentMappingExists(q2, q1);
 }
 
 bool SetEquivalent(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {

@@ -53,10 +53,10 @@ ChasedDecision DecideChased(const ChaseOutcome& c1, const ChaseOutcome& c2,
   }
   switch (semantics) {
     case Semantics::kSet: {
-      ConjunctiveQuery renamed2 = c2.result.RenameApart();
-      out.witness_forward = FindContainmentMapping(renamed2, c1.result);
-      ConjunctiveQuery renamed1 = c1.result.RenameApart();
-      out.witness_backward = FindContainmentMapping(renamed1, c2.result);
+      // No rename-apart: the matcher keeps pattern variables (slots) apart
+      // from target terms, so c1 and c2 may share names.
+      out.witness_forward = FindContainmentMapping(c2.result, c1.result);
+      out.witness_backward = FindContainmentMapping(c1.result, c2.result);
       out.equivalent =
           out.witness_forward.has_value() && out.witness_backward.has_value();
       break;

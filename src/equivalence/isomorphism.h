@@ -13,6 +13,8 @@ namespace sqleq {
 /// Finds an isomorphism from `a` to `b`: an injective variable→variable map
 /// (constants fixed) sending head to head position-wise and inducing a
 /// bijection between the bodies as bags of atoms. Returns nullopt if none.
+/// `a` and `b` may share variable names (the map and its image set are kept
+/// apart).
 std::optional<TermMap> FindIsomorphism(const ConjunctiveQuery& a,
                                        const ConjunctiveQuery& b);
 

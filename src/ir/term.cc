@@ -84,6 +84,13 @@ void Term::ResetFreshCounterForTesting(uint64_t value) {
 
 uint64_t Term::FreshCounterForTesting() { return g_fresh_counter.load(); }
 
+void Term::ReserveFreshThrough(uint64_t n) {
+  assert(n < UINT64_MAX);
+  uint64_t current = g_fresh_counter.load();
+  while (current <= n && !g_fresh_counter.compare_exchange_weak(current, n + 1)) {
+  }
+}
+
 Term Term::FreshVar(std::string_view prefix) {
   uint64_t n = g_fresh_counter.fetch_add(1);
   std::string name(prefix);

@@ -42,9 +42,17 @@ class Term {
   /// Interns an arbitrary Value constant.
   static Term Const(const Value& v);
 
-  /// Returns a variable guaranteed distinct from every Term interned so far,
-  /// named "<prefix>#<n>" for a process-unique n.
+  /// Returns a variable named "<prefix>#<n>" for a process-unique n, distinct
+  /// from every Term interned so far as long as no other code interns names
+  /// ending in "#<digits>". Its only users are the chase (tgd steps,
+  /// assignment-fixing test queries) and view expansion's rename-apart;
+  /// SQL translation names its variables query-locally (sql::TranslateSelect).
   static Term FreshVar(std::string_view prefix = "v");
+
+  /// Advances the FreshVar counter past `n` (an atomic fetch-max), so no later
+  /// FreshVar returns a "#<n>" name. A no-op when the counter is already past
+  /// it; `n` must be below UINT64_MAX.
+  static void ReserveFreshThrough(uint64_t n);
 
   /// Rewinds the FreshVar counter so two runs allocate identical names.
   /// Only for differential tests that replay the same chase twice and

@@ -193,11 +193,13 @@ Result<RewriteResult> RewriteWithViews(EquivalenceEngine& engine,
     std::unordered_set<Atom, AtomHash> seen;
     for (const std::string& name : views.names()) {
       SQLEQ_ASSIGN_OR_RETURN(ConjunctiveQuery def, views.Get(name));
-      ConjunctiveQuery fresh = def.RenameApart();
-      ForEachHomomorphism(fresh.body(), u.body(), TermMap(), [&](const TermMap& h) {
+      // No rename-apart: h maps the view's variables (pattern slots) to U's
+      // terms, and every head variable of a safe view is bound by h, so a
+      // name the view shares with U never reaches a candidate atom.
+      ForEachHomomorphism(def.body(), u.body(), TermMap(), [&](const TermMap& h) {
         std::vector<Term> args;
-        args.reserve(fresh.head().size());
-        for (Term t : fresh.head()) args.push_back(ApplyTermMap(h, t));
+        args.reserve(def.head().size());
+        for (Term t : def.head()) args.push_back(ApplyTermMap(h, t));
         Atom candidate(name, std::move(args));
         if (seen.insert(candidate).second) pool.push_back(std::move(candidate));
         return true;

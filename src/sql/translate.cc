@@ -210,7 +210,10 @@ Result<TranslatedQuery> TranslateSelect(const SelectStatement& stmt,
   if (stmt.from.empty()) {
     return Status::InvalidArgument("SELECT without FROM is outside the CQ class");
   }
-  // FROM: one atom per table reference, fresh variable per column.
+  // FROM: one atom per table reference, one variable "V_<alias>#<col>" per
+  // column. Aliases are unique within the SELECT and SQL identifiers never
+  // contain '#', so the name is injective in (alias, column); '#' keeps it a
+  // Datalog identifier. Two queries may share these names (DESIGN.md §3.8).
   std::map<std::string, FromEntry> aliases;
   std::vector<std::string> alias_order;
   for (const TableRef& ref : stmt.from) {
@@ -220,7 +223,7 @@ Result<TranslatedQuery> TranslateSelect(const SelectStatement& stmt,
     }
     FromEntry entry{ref.table, info, {}};
     for (const std::string& col : info.attributes) {
-      entry.vars.push_back(Term::FreshVar("V_" + ref.alias + "_" + col));
+      entry.vars.push_back(Term::Var("V_" + ref.alias + "#" + col));
     }
     aliases.emplace(ref.alias, std::move(entry));
     alias_order.push_back(ref.alias);

@@ -60,6 +60,9 @@ struct TranslatedQuery {
 /// Translates a SELECT against `catalog.schema`. `name` names the resulting
 /// query. GROUP BY queries must select exactly the grouping columns plus
 /// one aggregate; non-grouped aggregates are 0-ary-grouping aggregates.
+/// Column `col` of the table reference `alias` becomes the variable
+/// `V_<alias>#<col>`: query-local and injective in (alias, column), not
+/// fresh, so translating the same text twice yields the same names.
 Result<TranslatedQuery> TranslateSelect(const SelectStatement& stmt,
                                         const Catalog& catalog,
                                         const std::string& name = "Q");

@@ -40,8 +40,12 @@ std::string RowJson(const Row& row) {
          ", \"cpu_time\": " + std::to_string(row.cpu_time) + ", \"time_unit\": \"ms\"}";
 }
 
+/// Writes the fixture under a name scoped by the running test: ctest runs
+/// each test in its own process, in parallel, so a shared file name would
+/// let one test truncate another's baseline mid-read.
 std::string WriteBench(const std::string& name, const std::vector<Row>& rows) {
-  std::string path = ::testing::TempDir() + "bench_regress_" + name + ".json";
+  std::string test = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::string path = ::testing::TempDir() + "bench_regress_" + test + "_" + name + ".json";
   std::ofstream out(path, std::ios::trunc);
   out << "{\"context\": {}, \"benchmarks\": [";
   for (size_t i = 0; i < rows.size(); ++i) out << (i > 0 ? ", " : "") << RowJson(rows[i]);

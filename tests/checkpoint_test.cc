@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -224,6 +226,132 @@ TEST(ChaseCheckpointTest, ProbePhaseCheckpointResumesInsideTheProbe) {
   ASSERT_EQ(resumed.trace.size(), uninterrupted.trace.size());
   for (size_t i = 0; i < resumed.trace.size(); ++i) {
     EXPECT_EQ(resumed.trace[i].dep_label, uninterrupted.trace[i].dep_label);
+  }
+}
+
+// ---- Resume reserves the checkpoint's fresh names ----
+//
+// A parked checkpoint carries the labelled nulls its chase minted ("Z#0").
+// A later process, or a client-sent resume, starts the fresh counter
+// elsewhere, so the resumed chase must advance it past every such name or
+// it re-mints one and merges two nulls.
+
+/// r(X) -> s(X, Z) fires once per r atom; each firing needs its own null.
+DependencySet OneNullPerRow() { return testing::Sigma({"r(X) -> s(X, Z)."}); }
+
+/// Not stratified ((r,0) =>* (p,1) -> (t,2) -> (r,0) on a firing cycle), so
+/// a bag chase runs its set-chase probe first; r(X) -> p(X, Z) fires once
+/// per r atom inside the probe.
+DependencySet ProbedSigma() {
+  return testing::Sigma({"r(X) -> p(X, Z).", "p(X, Y) -> s(X, Y).",
+                         "p(X, Y), p(Y, Z) -> t(X, Y, Z).", "t(X, X, Y) -> r(Y)."});
+}
+
+Schema ProbedSchema() {
+  Schema schema;
+  schema.Relation("p", 2).Relation("r", 1).Relation("s", 2).Relation("t", 3);
+  return schema;
+}
+
+ConjunctiveQuery TwoRows() { return Q("Q(X, Y) :- r(X), r(Y)."); }
+
+ChaseOptions StepBudget(size_t steps) {
+  ChaseOptions options;
+  options.budget.max_chase_steps = steps;
+  return options;
+}
+
+/// The distinct second arguments of `q`'s atoms over `predicate`.
+std::set<Term> SecondArgs(const ConjunctiveQuery& q, const std::string& predicate) {
+  std::set<Term> out;
+  for (const Atom& a : q.body()) {
+    if (a.predicate() == predicate) out.insert(a.args()[1]);
+  }
+  return out;
+}
+
+/// Runs `chase` under a one-step budget from a rewound counter and returns
+/// the checkpoint it parks, round-tripped through its text; then rewinds the
+/// counter again, as a new process would start it.
+ChaseCheckpoint ParkAfterOneStep(
+    const std::function<Result<ChaseOutcome>(const ChaseRuntime&)>& chase,
+    const char* phase) {
+  ChaseRuntime runtime;
+  std::optional<ChaseCheckpoint> checkpoint;
+  runtime.checkpoint_out = &checkpoint;
+  Term::ResetFreshCounterForTesting();
+  EXPECT_FALSE(chase(runtime).ok());
+  EXPECT_TRUE(checkpoint.has_value());
+  if (!checkpoint.has_value()) std::abort();
+  EXPECT_EQ(checkpoint->phase, phase);
+  EXPECT_EQ(checkpoint->steps_done, 1u);
+  ChaseCheckpoint parked =
+      Unwrap(ChaseCheckpoint::Deserialize(checkpoint->Serialize()), "Deserialize");
+  Term::ResetFreshCounterForTesting();
+  return parked;
+}
+
+TEST(ResumeFreshNames, SetChaseResumeMintsPastParkedNulls) {
+  ChaseCheckpoint parked = ParkAfterOneStep(
+      [](const ChaseRuntime& runtime) {
+        return SetChase(TwoRows(), OneNullPerRow(), StepBudget(1), runtime);
+      },
+      ChaseCheckpoint::kSetChasePhase);
+  ChaseRuntime resume;
+  resume.resume = &parked;
+  ChaseOutcome resumed = Unwrap(SetChase(TwoRows(), OneNullPerRow(), {}, resume));
+  EXPECT_EQ(resumed.result.ToString(), "Q(X, Y) :- r(X), r(Y), s(X, Z#0), s(Y, Z#1).");
+}
+
+TEST(ResumeFreshNames, BagSoundChaseResumeMintsPastParkedNulls) {
+  // Under B the tgd step is sound only into a set-valued relation whose key
+  // fixes the null (Thm 4.1).
+  Schema schema;
+  schema.Relation("r", 1).Relation("s", 2, /*set_valued=*/true);
+  const DependencySet sigma =
+      testing::Sigma({"r(X) -> s(X, Z).", "s(X, Y), s(X, Z) -> Y = Z."});
+  auto chase = [&](const ChaseOptions& options, const ChaseRuntime& runtime) {
+    return SoundChase(TwoRows(), sigma, Semantics::kBag, schema, options, runtime);
+  };
+  ChaseCheckpoint parked = ParkAfterOneStep(
+      [&chase](const ChaseRuntime& runtime) { return chase(StepBudget(1), runtime); },
+      ChaseCheckpoint::kSoundChasePhase);
+  ChaseRuntime resume;
+  resume.resume = &parked;
+  ChaseOutcome resumed = Unwrap(chase({}, resume));
+  EXPECT_EQ(SecondArgs(resumed.result, "s").size(), 2u) << resumed.result.ToString();
+}
+
+TEST(ResumeFreshNames, BagProbeResumeMintsPastParkedNulls) {
+  const Schema schema = ProbedSchema();
+  auto chase = [&schema](const ChaseOptions& options, const ChaseRuntime& runtime) {
+    return SoundChase(TwoRows(), ProbedSigma(), Semantics::kBag, schema, options,
+                      runtime);
+  };
+  ChaseCheckpoint parked = ParkAfterOneStep(
+      [&chase](const ChaseRuntime& runtime) { return chase(StepBudget(1), runtime); },
+      ChaseCheckpoint::kSetChaseProbePhase);
+  // One more probe step fires r(X) -> p(X, Z) on the second r atom; park
+  // again and look at the probe's state.
+  ChaseRuntime resume;
+  resume.resume = &parked;
+  std::optional<ChaseCheckpoint> again;
+  resume.checkpoint_out = &again;
+  ASSERT_FALSE(chase(StepBudget(2), resume).ok());
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->phase, ChaseCheckpoint::kSetChaseProbePhase);
+  EXPECT_EQ(again->state.ToString(), "Q(X, Y) :- r(X), r(Y), p(X, Z#0), p(Y, Z#1).");
+}
+
+TEST(ResumeFreshNames, OutOfRangeSuffixIsRejected) {
+  for (const char* state : {"Q(X, Y) :- r(X), r(Y), s(X, Z#18446744073709551615).",
+                            "Q(X, Y) :- r(X), r(Y), s(X, Z#99999999999999999999)."}) {
+    ChaseCheckpoint parked{ChaseCheckpoint::kSetChasePhase, "", Q(state), {}, 1};
+    ChaseRuntime resume;
+    resume.resume = &parked;
+    Result<ChaseOutcome> resumed = SetChase(TwoRows(), OneNullPerRow(), {}, resume);
+    ASSERT_FALSE(resumed.ok()) << state;
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument) << state;
   }
 }
 
