@@ -6,8 +6,9 @@
 // check_bench_json. Pinned-iteration runs come from SQLEQ_BENCH_ITERS via
 // bench_util.h's SQLEQ_BENCHMARK registration macro. Google Benchmark writes
 // a non-finite number (the cv of a counter that is 0 in every repetition) as
-// the bare token NaN or Infinity, which is not JSON; the JSON file is
-// rewritten with null in its place.
+// the bare token NaN or Infinity, which is not JSON; the default
+// BENCH_<name>.json is rewritten with null in its place (a file named by the
+// caller's own --benchmark_out is left as Google Benchmark wrote it).
 #include <benchmark/benchmark.h>
 
 #include <fstream>
@@ -77,14 +78,10 @@ void RewriteNonFinite(const std::string& path) {
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   bool has_out = false;
-  std::string out_path;
-  bool json_out = true;
   for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    if (arg.rfind("--benchmark_out", 0) == 0) has_out = true;
-    if (arg.rfind("--benchmark_out=", 0) == 0) out_path = arg.substr(16);
-    if (arg.rfind("--benchmark_out_format=", 0) == 0) json_out = arg.substr(23) == "json";
+    if (std::string_view(argv[i]).rfind("--benchmark_out", 0) == 0) has_out = true;
   }
+  std::string out_path;
   std::string out_flag;
   std::string format_flag;
   if (!has_out) {
@@ -99,6 +96,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(count, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (json_out && !out_path.empty()) RewriteNonFinite(out_path);
+  if (!out_path.empty()) RewriteNonFinite(out_path);
   return 0;
 }

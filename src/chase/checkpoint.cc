@@ -281,7 +281,7 @@ Status ReserveFreshSuffix(Term t) {
     if (c < '0' || c > '9') return Status::OK();
   }
   uint64_t n = 0;
-  if (!ParseDecimal(digits, &n) || n == UINT64_MAX) {
+  if (!ParseDecimal(digits, &n) || n >= Term::kFreshReserveLimit) {
     return Status::InvalidArgument("checkpoint: fresh variable suffix out of range in '" +
                                    std::string(name) + "'");
   }

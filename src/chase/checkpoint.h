@@ -57,8 +57,9 @@ struct ChaseCheckpoint {
   /// Advances Term's FreshVar counter past every "#<n>" suffix among the
   /// variables of `state` and `trace`, so the resumed chase mints no name
   /// the checkpoint already holds: one parked by another process or sent by
-  /// a client carries names minted under a different counter. Fails on a
-  /// suffix too large to reserve.
+  /// a client carries names minted under a different counter. Fails with
+  /// InvalidArgument on a suffix at or above Term::kFreshReserveLimit, so no
+  /// input can push the counter near its wrap point.
   Status ReserveFreshNames() const;
 };
 

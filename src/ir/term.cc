@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <unordered_map>
@@ -85,7 +87,7 @@ void Term::ResetFreshCounterForTesting(uint64_t value) {
 uint64_t Term::FreshCounterForTesting() { return g_fresh_counter.load(); }
 
 void Term::ReserveFreshThrough(uint64_t n) {
-  assert(n < UINT64_MAX);
+  assert(n < kFreshReserveLimit);
   uint64_t current = g_fresh_counter.load();
   while (current <= n && !g_fresh_counter.compare_exchange_weak(current, n + 1)) {
   }
@@ -93,6 +95,10 @@ void Term::ReserveFreshThrough(uint64_t n) {
 
 Term Term::FreshVar(std::string_view prefix) {
   uint64_t n = g_fresh_counter.fetch_add(1);
+  if (n == UINT64_MAX) {
+    std::fputs("sqleq: FreshVar counter exhausted\n", stderr);
+    std::abort();
+  }
   std::string name(prefix);
   name += '#';
   name += std::to_string(n);

@@ -47,11 +47,16 @@ class Term {
   /// ending in "#<digits>". Its only users are the chase (tgd steps,
   /// assignment-fixing test queries) and view expansion's rename-apart;
   /// SQL translation names its variables query-locally (sql::TranslateSelect).
+  /// Aborts rather than wrap the counter back to names already handed out.
   static Term FreshVar(std::string_view prefix = "v");
+
+  /// Exclusive upper bound on the suffixes ReserveFreshThrough accepts. It sits
+  /// far below the wrap point, so a reserved counter still has 2^63 names left.
+  static constexpr uint64_t kFreshReserveLimit = uint64_t{1} << 63;
 
   /// Advances the FreshVar counter past `n` (an atomic fetch-max), so no later
   /// FreshVar returns a "#<n>" name. A no-op when the counter is already past
-  /// it; `n` must be below UINT64_MAX.
+  /// it; `n` must be below kFreshReserveLimit.
   static void ReserveFreshThrough(uint64_t n);
 
   /// Rewinds the FreshVar counter so two runs allocate identical names.

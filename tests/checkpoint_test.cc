@@ -344,7 +344,12 @@ TEST(ResumeFreshNames, BagProbeResumeMintsPastParkedNulls) {
 }
 
 TEST(ResumeFreshNames, OutOfRangeSuffixIsRejected) {
-  for (const char* state : {"Q(X, Y) :- r(X), r(Y), s(X, Z#18446744073709551615).",
+  // Any suffix at or above 2^63 is refused and leaves the counter where it
+  // was, so no checkpoint can push it to its wrap point.
+  const uint64_t mark = Term::FreshCounterForTesting();
+  for (const char* state : {"Q(X, Y) :- r(X), r(Y), s(X, Z#9223372036854775808).",
+                            "Q(X, Y) :- r(X), r(Y), s(X, Z#18446744073709551614).",
+                            "Q(X, Y) :- r(X), r(Y), s(X, Z#18446744073709551615).",
                             "Q(X, Y) :- r(X), r(Y), s(X, Z#99999999999999999999)."}) {
     ChaseCheckpoint parked{ChaseCheckpoint::kSetChasePhase, "", Q(state), {}, 1};
     ChaseRuntime resume;
@@ -352,7 +357,25 @@ TEST(ResumeFreshNames, OutOfRangeSuffixIsRejected) {
     Result<ChaseOutcome> resumed = SetChase(TwoRows(), OneNullPerRow(), {}, resume);
     ASSERT_FALSE(resumed.ok()) << state;
     EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument) << state;
+    EXPECT_EQ(Term::FreshCounterForTesting(), mark) << state;
   }
+  // The same suffix in a trace record is refused too.
+  ChaseCheckpoint traced{ChaseCheckpoint::kSetChasePhase, "", TwoRows(), {}, 1};
+  ChaseStepRecord record;
+  record.dep_label = "d";
+  record.is_tgd = true;
+  record.added = {Atom("s", {Term::Var("X"), Term::Var("Z#18446744073709551614")})};
+  traced.trace.push_back(record);
+  EXPECT_EQ(ChaseCheckpoint::Deserialize(traced.Serialize())->ReserveFreshNames().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Term::FreshCounterForTesting(), mark);
+
+  // The largest accepted suffix moves the counter just past it.
+  ChaseCheckpoint edge{ChaseCheckpoint::kSetChasePhase, "",
+                       Q("Q(X, Y) :- r(X), r(Y), s(X, Z#9223372036854775807)."), {}, 1};
+  EXPECT_TRUE(edge.ReserveFreshNames().ok());
+  EXPECT_EQ(Term::FreshCounterForTesting(), Term::kFreshReserveLimit);
+  Term::ResetFreshCounterForTesting(mark);
 }
 
 TEST(ChaseCheckpointTest, MemoStampsSubjectAndIgnoresMismatches) {

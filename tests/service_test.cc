@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "chase/checkpoint.h"
 #include "equivalence/engine.h"
 #include "service/connection.h"
 #include "service/protocol.h"
@@ -505,6 +506,40 @@ TEST(Service, ReformulateRejectsAForeignResume) {
     EXPECT_FALSE(Field(response, "ok")->boolean) << line;
     EXPECT_EQ(Field(response, "error")->Find("code")->string, "InvalidArgument") << line;
   }
+  server.Stop();
+}
+
+TEST(Service, CheckRejectsAResumeThatWouldExhaustFreshNames) {
+  // A check resume naming a null near the fresh-name counter's wrap point is
+  // an InvalidArgument error and leaves the daemon's counter where it was.
+  Server server;
+  ASSERT_TRUE(server.Start().ok());
+  Connection client = Dial(server);
+  UploadCatalog(client);
+  const std::string q1 = "Q(X) :- r(X, Y), r(Y, Z).";
+  const std::string q2 = "Q(X) :- r(X, Y), r(Y, Z), s(X).";
+  JsonValue partial = Unwrap(client.Call(JsonObject()
+                                             .Str("cmd", "check")
+                                             .Str("q1", q1)
+                                             .Str("q2", q2)
+                                             .Int("max_chase_steps", 1)
+                                             .Build()));
+  ASSERT_TRUE(Field(partial, "ok")->boolean);
+  ASSERT_EQ(Field(partial, "verdict")->string, "unknown");
+  ChaseCheckpoint parked =
+      Unwrap(ChaseCheckpoint::Deserialize(Field(partial, "checkpoint")->string));
+  parked.state.AppendAtoms({Atom("s", {Term::Var("Z#18446744073709551614")})});
+
+  const uint64_t mark = Term::FreshCounterForTesting();
+  JsonValue response = Unwrap(client.Call(JsonObject()
+                                              .Str("cmd", "check")
+                                              .Str("q1", q1)
+                                              .Str("q2", q2)
+                                              .Str("resume", parked.Serialize())
+                                              .Build()));
+  ASSERT_FALSE(Field(response, "ok")->boolean);
+  EXPECT_EQ(Field(response, "error")->Find("code")->string, "InvalidArgument");
+  EXPECT_EQ(Term::FreshCounterForTesting(), mark);
   server.Stop();
 }
 
