@@ -1,9 +1,7 @@
 // B3 (§6.3, Appendix A): the C&B family on the Example 4.1 instance and on
 // widened variants (extra independent joins inflate the universal plan and
 // the 2^n backchase lattice). Counters: candidates examined, reformulations
-// found, universal-plan size, memo hits and misses. Plus the DESIGN.md
-// ablation: Bag-C&B with the key-based fast path on vs off (identical
-// outputs, different latency).
+// found, universal-plan size, memo hits and misses.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
@@ -18,13 +16,12 @@ using bench::Example41Sigma;
 using bench::Must;
 using bench::WidenedQ1;
 
-void RunCandB(benchmark::State& state, Semantics sem, bool fast_path) {
+void RunCandB(benchmark::State& state, Semantics sem) {
   int extra = static_cast<int>(state.range(0));
   ConjunctiveQuery q = WidenedQ1(extra);
   Schema schema = Example41Schema();
   DependencySet sigma = Example41Sigma();
   CandBOptions options;
-  options.chase.key_based_fast_path = fast_path;
   size_t candidates = 0, outputs = 0, plan = 0, hits = 0, misses = 0;
   for (auto _ : state) {
     CandBResult result = Must(ChaseAndBackchase(q, sigma, sem, schema, options));
@@ -45,22 +42,12 @@ void RunCandB(benchmark::State& state, Semantics sem, bool fast_path) {
   state.counters["cache_misses"] = static_cast<double>(misses);
 }
 
-void BM_CandB_Set(benchmark::State& state) {
-  RunCandB(state, Semantics::kSet, true);
-}
-void BM_CandB_Bag(benchmark::State& state) {
-  RunCandB(state, Semantics::kBag, true);
-}
-void BM_CandB_BagSet(benchmark::State& state) {
-  RunCandB(state, Semantics::kBagSet, true);
-}
-void BM_CandB_Bag_NoFastPath(benchmark::State& state) {
-  RunCandB(state, Semantics::kBag, false);
-}
+void BM_CandB_Set(benchmark::State& state) { RunCandB(state, Semantics::kSet); }
+void BM_CandB_Bag(benchmark::State& state) { RunCandB(state, Semantics::kBag); }
+void BM_CandB_BagSet(benchmark::State& state) { RunCandB(state, Semantics::kBagSet); }
 SQLEQ_BENCHMARK(BM_CandB_Set)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 SQLEQ_BENCHMARK(BM_CandB_Bag)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 SQLEQ_BENCHMARK(BM_CandB_BagSet)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
-SQLEQ_BENCHMARK(BM_CandB_Bag_NoFastPath)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 
 /// The Σ-slicing workload (docs/compiled_chase.md): Example 4.1's Σ padded
 /// with range(0) irrelevant island clusters (3 dependencies each).

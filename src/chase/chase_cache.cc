@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <tuple>
+#include <unordered_set>
 #include <utility>
 
 #include "chase/checkpoint.h"
@@ -325,7 +326,9 @@ Result<std::shared_ptr<const ChaseOutcome>> ChaseMemo::LookupOrChase(
         store->Get(disk_key, runtime.metrics);
     if (body.ok() && body->has_value()) {
       Result<ChaseOutcome> parsed = ParseChaseOutcomeBody(**body);
-      if (parsed.ok()) {
+      // The record's nulls were minted under another process's counter:
+      // reserve them, so this process never mints one of them again.
+      if (parsed.ok() && ReserveFreshNames(parsed->result).ok()) {
         auto promoted = std::make_shared<const ChaseOutcome>(
             ChaseOutcome{std::move(parsed->result), {}, parsed->failed});
         const size_t bytes = EntryBytes(key, *promoted);
@@ -396,8 +399,29 @@ Result<ChaseOutcome> ChaseMemo::Chase(const ConjunctiveQuery& q,
       std::shared_ptr<const ChaseOutcome> entry,
       LookupOrChase(q, /*out_key=*/nullptr, &from_canonical, runtime,
                     /*envelope=*/nullptr));
-  return ChaseOutcome{entry->result.Substitute(from_canonical).WithName(q.name()),
-                      {}, entry->failed};
+  // Canonical variables map back to the caller's. Every other variable is a
+  // null the chase minted; one named like a caller variable (the caller
+  // wrote Z#0 and the chase minted Z#0) takes a fresh name rather than merge
+  // with it. The caller set is built at the first null, so a result without
+  // nulls pays nothing.
+  std::unordered_set<Term, TermHash> callers;
+  TermMap renamed_nulls;
+  auto image = [&](Term t) -> Term {
+    if (auto it = from_canonical.find(t); it != from_canonical.end()) return it->second;
+    if (t.IsConstant()) return t;
+    if (callers.empty()) {
+      for (const auto& [canonical, caller] : from_canonical) callers.insert(caller);
+    }
+    if (!callers.contains(t)) return t;
+    Term& renamed = renamed_nulls.try_emplace(t, t).first->second;
+    while (callers.contains(renamed)) {
+      std::string_view name = t.name();
+      renamed = Term::FreshVar(name.substr(0, name.rfind('#')));
+    }
+    return renamed;
+  };
+  return ChaseOutcome{entry->result.Substitute(image).WithName(q.name()), {},
+                      entry->failed};
 }
 
 ChaseMemo::Stats ChaseMemo::stats() const {

@@ -103,8 +103,9 @@ class ChaseMemo {
 
   /// Memoized SoundChase of `q` with the result mapped back onto q's
   /// variables and name; chase-introduced fresh variables pass through
-  /// unchanged. Checkpoints behave as in ChaseCanonical (canonical space,
-  /// subject-stamped).
+  /// unchanged, except one named like a variable of q, which is renamed to
+  /// a fresh variable. Checkpoints behave as in ChaseCanonical (canonical
+  /// space, subject-stamped).
   Result<ChaseOutcome> Chase(const ConjunctiveQuery& q,
                              const ChaseRuntime& runtime = {});
 

@@ -269,9 +269,7 @@ Status ReadKeyedLines(std::string_view text, std::string_view what,
   return error("truncated");
 }
 
-namespace {
-
-Status ReserveFreshSuffix(Term t) {
+Status ReserveFreshName(Term t) {
   if (!t.IsVariable()) return Status::OK();
   std::string_view name = t.name();
   size_t hash = name.rfind('#');
@@ -282,35 +280,33 @@ Status ReserveFreshSuffix(Term t) {
   }
   uint64_t n = 0;
   if (!ParseDecimal(digits, &n) || n >= Term::kFreshReserveLimit) {
-    return Status::InvalidArgument("checkpoint: fresh variable suffix out of range in '" +
+    return Status::InvalidArgument("fresh variable suffix out of range in '" +
                                    std::string(name) + "'");
   }
   Term::ReserveFreshThrough(n);
   return Status::OK();
 }
 
-Status ReserveFreshSuffixes(const std::vector<Atom>& atoms) {
+Status ReserveFreshNames(const std::vector<Atom>& atoms) {
   for (const Atom& a : atoms) {
-    for (Term t : a.args()) SQLEQ_RETURN_IF_ERROR(ReserveFreshSuffix(t));
+    for (Term t : a.args()) SQLEQ_RETURN_IF_ERROR(ReserveFreshName(t));
   }
   return Status::OK();
 }
 
-Status ReserveFreshSuffixes(const ConjunctiveQuery& q) {
-  for (Term t : q.head()) SQLEQ_RETURN_IF_ERROR(ReserveFreshSuffix(t));
-  return ReserveFreshSuffixes(q.body());
+Status ReserveFreshNames(const ConjunctiveQuery& q) {
+  for (Term t : q.head()) SQLEQ_RETURN_IF_ERROR(ReserveFreshName(t));
+  return ReserveFreshNames(q.body());
 }
 
-}  // namespace
-
 Status ChaseCheckpoint::ReserveFreshNames() const {
-  SQLEQ_RETURN_IF_ERROR(ReserveFreshSuffixes(state));
+  SQLEQ_RETURN_IF_ERROR(sqleq::ReserveFreshNames(state));
   for (const ChaseStepRecord& record : trace) {
-    SQLEQ_RETURN_IF_ERROR(ReserveFreshSuffixes(record.added));
-    SQLEQ_RETURN_IF_ERROR(ReserveFreshSuffix(record.from));
-    SQLEQ_RETURN_IF_ERROR(ReserveFreshSuffix(record.to));
+    SQLEQ_RETURN_IF_ERROR(sqleq::ReserveFreshNames(record.added));
+    SQLEQ_RETURN_IF_ERROR(ReserveFreshName(record.from));
+    SQLEQ_RETURN_IF_ERROR(ReserveFreshName(record.to));
     if (record.before.has_value()) {
-      SQLEQ_RETURN_IF_ERROR(ReserveFreshSuffixes(*record.before));
+      SQLEQ_RETURN_IF_ERROR(sqleq::ReserveFreshNames(*record.before));
     }
   }
   return Status::OK();

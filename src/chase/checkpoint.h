@@ -63,6 +63,16 @@ struct ChaseCheckpoint {
   Status ReserveFreshNames() const;
 };
 
+/// Advances Term's FreshVar counter past `t`'s "#<n>" suffix, if it has one,
+/// so no later FreshVar returns `t`. InvalidArgument on a suffix at or above
+/// Term::kFreshReserveLimit, which leaves the counter untouched.
+Status ReserveFreshName(Term t);
+/// ReserveFreshName on every argument of `atoms`, stopping at the first error.
+Status ReserveFreshNames(const std::vector<Atom>& atoms);
+/// ReserveFreshName on every head and body term of `q`: a chase of `q` then
+/// mints no null named like one of `q`'s variables.
+Status ReserveFreshNames(const ConjunctiveQuery& q);
+
 // ---- Serialization helpers shared with the backchase/C&B checkpoints
 // (reformulation/backchase.h, reformulation/candb.h). ----
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "chase/chase_internal.h"
+#include "chase/checkpoint.h"
 #include "chase/sigma_plan.h"
 
 namespace sqleq {
@@ -12,6 +13,7 @@ Result<ChaseOutcome> SetChase(const ConjunctiveQuery& q, const DependencySet& si
                               const ChaseRuntime& runtime) {
   // Per-call adapter: compile a throwaway plan. Callers with a fixed Σ
   // should hold a ChasePlan instead and pay this once.
+  SQLEQ_RETURN_IF_ERROR(ReserveFreshNames(q));
   SigmaPlan plan = SigmaPlan::Compile(sigma);
   return chase_internal::RunChase(q, sigma, plan, Semantics::kSet, Schema(), options,
                                   runtime, /*sigma_terminates=*/false);

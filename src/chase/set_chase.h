@@ -64,11 +64,6 @@ struct ChaseOptions {
   /// chase steps; exceeded → ResourceExhausted) and budget.deadline (checked
   /// once per step). See util/resource_budget.h.
   ResourceBudget budget;
-  /// Sound chase only: decide assignment-fixing via the cheap key-based test
-  /// (Def 5.1) first and run the full Def 4.3 associated-test-query chase
-  /// only when that fails. Key-based ⇒ assignment-fixing (§5.1), so this is
-  /// a pure fast path; disable to ablate (bench_candb measures the cost).
-  bool key_based_fast_path = true;
 };
 
 /// One entry of a chase trace: what the step changed, not the query after
@@ -114,7 +109,8 @@ std::vector<std::string> RenderTrace(const ConjunctiveQuery& result,
 /// exhausted (chase may not terminate for non-weakly-acyclic Σ); the loop
 /// state at exhaustion is captured through `runtime.checkpoint_out`, and a
 /// matching checkpoint in `runtime.resume` continues a prior run instead of
-/// re-firing its steps.
+/// re-firing its steps. Like SoundChase, it first reserves q's "#<n>"
+/// names, so no null it mints merges with one of q's variables.
 Result<ChaseOutcome> SetChase(const ConjunctiveQuery& q, const DependencySet& sigma,
                               const ChaseOptions& options = {},
                               const ChaseRuntime& runtime = {});

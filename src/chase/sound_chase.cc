@@ -286,8 +286,7 @@ Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& si
         continue;
       }
       // Key-based ⇒ assignment-fixing (§5.1); the plan caches Def 5.1.
-      const bool key_based =
-          effective.key_based_fast_path && plan.KeyBased(di, semantics == Semantics::kBag);
+      const bool key_based = plan.KeyBased(di, semantics == Semantics::kBag);
       bool any_applicable = false;
       SQLEQ_ASSIGN_OR_RETURN(
           std::vector<Atom> added,
@@ -336,6 +335,7 @@ Result<ChaseOutcome> SoundChase(const ConjunctiveQuery& q, const DependencySet& 
                                 Semantics semantics, const Schema& schema,
                                 const ChaseOptions& options,
                                 const ChaseRuntime& runtime) {
+  SQLEQ_RETURN_IF_ERROR(ReserveFreshNames(q));
   return ChasePlan(sigma, semantics, schema, options).Run(q, runtime);
 }
 
@@ -371,10 +371,8 @@ Result<StepAvailability> ClassifyStep(const ConjunctiveQuery& q, const Dependenc
   bool any_applicable = false;
   for (size_t i = 0; i < pieces.size(); ++i) {
     const Tgd& tgd = pieces[i].tgd();
-    const bool key_based =
-        options.key_based_fast_path &&
-        IsKeyBased(tgd, regular, schema,
-                   /*require_set_valued=*/semantics == Semantics::kBag);
+    const bool key_based = IsKeyBased(tgd, regular, schema,
+                                      /*require_set_valued=*/semantics == Semantics::kBag);
     SQLEQ_ASSIGN_OR_RETURN(std::vector<Atom> added,
                            FirstAdmittedTgdStep(q, flat, piece_kernels, i, tgd,
                                                 key_based, rules, /*delta_from=*/0,

@@ -44,7 +44,9 @@ ConjunctiveQuery NormalizeForBag(const ConjunctiveQuery& q, const Schema& schema
 /// hooks (fault sites, cancellation, checkpoint capture/resume — see
 /// chase/checkpoint.h); the checkpoint phase distinguishes the set-chase
 /// precondition probe from the sound-chase loop proper, so a resume skips
-/// whatever already completed.
+/// whatever already completed. The chase mints no null named like one of
+/// q's variables: q's "#<n>" names are reserved first (ReserveFreshNames),
+/// and one at or above Term::kFreshReserveLimit fails with InvalidArgument.
 Result<ChaseOutcome> SoundChase(const ConjunctiveQuery& q, const DependencySet& sigma,
                                 Semantics semantics, const Schema& schema,
                                 const ChaseOptions& options = {},

@@ -16,14 +16,15 @@ namespace {
 /// lets a narrowed-budget request (the degraded admission lane, a client
 /// that lowered max_chase_steps) still hit entries warmed at full budget.
 std::string ContextKey(Semantics semantics, const DependencySet& sigma,
-                       const Schema& schema, const ChaseOptions& chase) {
+                       const Schema& schema) {
   std::string key = SemanticsToString(semantics);
   key += '\n';
   key += SigmaToString(sigma);
   key += '\n';
   key += schema.ToString();
-  key += '\n';
-  key += chase.key_based_fast_path ? 'K' : 'k';
+  // The 'K' once recorded the key-based fast-path flag, now always on; it
+  // stays so every context's disk-tier prefix (a hash of this key) is stable.
+  key += "\nK";
   return key;
 }
 
@@ -82,7 +83,7 @@ std::shared_ptr<ChaseMemo> EquivalenceEngine::MemoFor(Semantics semantics,
                                                       const DependencySet& sigma,
                                                       const Schema& schema,
                                                       const ChaseOptions& chase) {
-  std::string key = ContextKey(semantics, sigma, schema, chase);
+  std::string key = ContextKey(semantics, sigma, schema);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = memos_.find(key);
   if (it != memos_.end()) return it->second;

@@ -10,8 +10,8 @@
 //     cancellation facilities. The embedded `chase.budget` is overwritten by
 //     `context.budget` for the chases a call runs, so there is exactly one
 //     budget knob per call.
-//   * `chase`   — chase configuration (chase/set_chase.h): the budget
-//     (overwritten, see above) and key_based_fast_path.
+//   * `chase`   — chase configuration (chase/set_chase.h): the budget,
+//     overwritten as above.
 //   * `analyze` — Σ-lint pre-flight (src/analysis): inputs are analyzed
 //     before any chase runs and kError findings are rejected as
 //     FailedPrecondition instead of burning the chase budget. Set

@@ -87,10 +87,22 @@ bool ConjunctiveQuery::SameUpToAtomOrder(const ConjunctiveQuery& other) const {
 }
 
 ConjunctiveQuery ConjunctiveQuery::Substitute(const TermMap& map) const {
+  return Substitute([&map](Term t) { return ApplyTermMap(map, t); });
+}
+
+ConjunctiveQuery ConjunctiveQuery::Substitute(FunctionRef<Term(Term)> image) const {
   std::vector<Term> head;
   head.reserve(head_.size());
-  for (Term t : head_) head.push_back(ApplyTermMap(map, t));
-  return ConjunctiveQuery(name_, std::move(head), ApplyTermMap(map, body_));
+  for (Term t : head_) head.push_back(image(t));
+  std::vector<Atom> body;
+  body.reserve(body_.size());
+  for (const Atom& a : body_) {
+    std::vector<Term> args;
+    args.reserve(a.arity());
+    for (Term t : a.args()) args.push_back(image(t));
+    body.emplace_back(a.predicate(), std::move(args));
+  }
+  return ConjunctiveQuery(name_, std::move(head), std::move(body));
 }
 
 ConjunctiveQuery ConjunctiveQuery::RenameApart(TermMap* out_renaming) const {

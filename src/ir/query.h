@@ -14,6 +14,7 @@
 
 #include "ir/atom.h"
 #include "ir/term.h"
+#include "util/function_ref.h"
 #include "util/status.h"
 
 namespace sqleq {
@@ -67,6 +68,9 @@ class ConjunctiveQuery {
 
   /// Applies `map` to head and body.
   ConjunctiveQuery Substitute(const TermMap& map) const;
+
+  /// Replaces every head and body term t by image(t).
+  ConjunctiveQuery Substitute(FunctionRef<Term(Term)> image) const;
 
   /// Returns a copy whose variables are replaced by globally fresh ones
   /// (head variables renamed consistently with the body). `out_renaming`,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -44,6 +43,12 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
 Server::~Server() { Stop(); }
 
 Status Server::Start() {
+  const size_t slots = std::max<size_t>(1, options_.worker_threads);
+  if (slots > static_cast<size_t>(std::counting_semaphore<>::max())) {
+    return Status::InvalidArgument("worker_threads " + std::to_string(slots) +
+                                   " exceeds the execution-slot limit " +
+                                   std::to_string(std::counting_semaphore<>::max()));
+  }
   if (!options_.fleet.empty()) {
     if (options_.shard_name.empty()) {
       return Status::InvalidArgument("fleet mode requires a shard name");
@@ -71,8 +76,7 @@ Status Server::Start() {
     engine_->set_memo_store(memo_store_);
   }
   SQLEQ_RETURN_IF_ERROR(listener_.Listen(options_.port));
-  pool_ = std::make_unique<ThreadPool>(std::max<size_t>(1, options_.worker_threads),
-                                       &metrics_);
+  slots_.emplace(static_cast<std::ptrdiff_t>(slots));
   accept_thread_ = std::thread(&Server::AcceptLoop, this);
   return Status::OK();
 }
@@ -89,11 +93,12 @@ void Server::RequestDrain() {
 
 void Server::Wait() {
   if (accept_thread_.joinable()) accept_thread_.join();
-  // The accept loop has exited, so conn_threads_ can only shrink under us.
+  // The accept loop has exited, so no thread is added under us.
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     threads.swap(conn_threads_);
+    finished_conns_.clear();
   }
   for (std::thread& t : threads) {
     if (t.joinable()) t.join();
@@ -104,7 +109,6 @@ void Server::Stop() {
   if (!listener_.listening() && !accept_thread_.joinable()) return;
   RequestDrain();
   Wait();
-  pool_.reset();  // joins workers that may still be recording task latencies
   listener_.Close();
 }
 
@@ -131,8 +135,23 @@ void Server::AcceptLoop() {
     if (!ProbeSite(options_.faults, nullptr, fault_sites::kServiceAccept).ok()) {
       continue;  // injected accept failure: the dropped TcpConn closes itself
     }
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conn_threads_.emplace_back(&Server::ServeConnection, this, std::move(*conn));
+    // Join the connections that closed since the last accept: an exited,
+    // unjoined thread keeps its stack mapped.
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      for (std::thread::id id : finished_conns_) {
+        auto it = std::find_if(conn_threads_.begin(), conn_threads_.end(),
+                               [id](const std::thread& t) { return t.get_id() == id; });
+        if (it == conn_threads_.end()) continue;
+        finished.push_back(std::move(*it));
+        *it = std::move(conn_threads_.back());
+        conn_threads_.pop_back();
+      }
+      finished_conns_.clear();
+      conn_threads_.emplace_back(&Server::ServeConnection, this, std::move(*conn));
+    }
+    for (std::thread& t : finished) t.join();
   }
 }
 
@@ -154,6 +173,8 @@ void Server::ServeConnection(TcpConn conn) {
   Counter& requests = metrics_.counter(metric::kServiceRequests);
   Counter& errors = metrics_.counter(metric::kServiceErrors);
   Histogram& request_us = metrics_.histogram(metric::kServiceRequestUs);
+  Histogram& slot_wait_us = metrics_.histogram(metric::kPoolQueueWaitUs);
+  Histogram& execute_us = metrics_.histogram(metric::kPoolTaskUs);
 
   while (true) {
     Result<std::optional<std::string>> line = conn.ReadLine();
@@ -205,7 +226,7 @@ void Server::ServeConnection(TcpConn conn) {
         size_t prior = inflight_.fetch_add(1, std::memory_order_acq_rel);
         if (prior >= options_.max_inflight) {
           if (options_.degraded_admission) {
-            // Stays on the connection thread (the pool is saturated by
+            // Runs without waiting for a slot (they are all taken by
             // definition here) and keeps inflight_ raised so concurrent
             // arrivals also see the overload.
             metrics_.counter(metric::kServiceDegraded).Add();
@@ -218,20 +239,16 @@ void Server::ServeConnection(TcpConn conn) {
             response = OverloadedResponse(request->id, options_.retry_after_ms);
           }
         } else {
-          // Run on the worker pool; this connection thread blocks until its
-          // request finishes, so Session stays single-owner.
-          std::mutex mu;
-          std::condition_variable cv;
-          bool done = false;
-          pool_->Submit([&] {
-            std::string r = Dispatch(session, *request);
-            std::lock_guard<std::mutex> task_lock(mu);
-            response = std::move(r);
-            done = true;
-            cv.notify_one();
-          });
-          std::unique_lock<std::mutex> wait_lock(mu);
-          cv.wait(wait_lock, [&] { return done; });
+          // Run here once one of the --workers execution slots is free.
+          {
+            ScopedTimerUs wait_timer(&slot_wait_us);
+            slots_->acquire();
+          }
+          {
+            ScopedTimerUs execute_timer(&execute_us);
+            response = Dispatch(session, *request);
+          }
+          slots_->release();
           inflight_.fetch_sub(1, std::memory_order_acq_rel);
           RememberResponse(request->id, response);
         }
@@ -246,6 +263,7 @@ void Server::ServeConnection(TcpConn conn) {
     std::lock_guard<std::mutex> lock(conns_mu_);
     open_conns_.erase(std::remove(open_conns_.begin(), open_conns_.end(), &conn),
                       open_conns_.end());
+    finished_conns_.push_back(std::this_thread::get_id());
   }
   active_sessions_.fetch_sub(1, std::memory_order_acq_rel);
 }

@@ -1,17 +1,18 @@
 // sqleqd — the long-running equivalence service (docs/service.md). One
 // process owns a process-lifetime EquivalenceEngine whose chase memo is
-// shared across every connection (bounded by bytes, LRU-evicted), a worker
-// pool that executes the expensive requests (check / reformulate / lint),
-// and an admission controller that sheds load with a structured
+// shared across every connection (bounded by bytes, LRU-evicted), a fixed
+// number of execution slots for the expensive requests (check / reformulate
+// / lint), and an admission controller that sheds load with a structured
 // `overloaded` response once the in-flight limit is reached.
 //
 // Lifecycle: Start() binds the port and spawns the accept loop; every
 // accepted connection gets a thread running the line-oriented protocol over
-// a per-connection Session. RequestDrain() (the SIGTERM path) stops
-// accepting, cancels in-flight engine calls through the shared
-// CancellationToken — anytime C&B runs then checkpoint and return partial
-// results carrying the serialized CandBCheckpoint — shuts the read side of
-// every connection so idle readers see EOF, and lets Wait() join
+// a per-connection Session. That thread also executes the connection's
+// expensive requests, each once it holds an execution slot. RequestDrain()
+// (the SIGTERM path) stops accepting, cancels in-flight engine calls through
+// the shared CancellationToken — anytime C&B runs then checkpoint and return
+// partial results carrying the serialized CandBCheckpoint — shuts the read
+// side of every connection so idle readers see EOF, and lets Wait() join
 // everything. Fault sites service.accept / service.parse /
 // service.dispatch make connection drops and request failures
 // deterministically reproducible (tests/service_test.cc).
@@ -23,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <semaphore>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -38,7 +40,6 @@
 #include "util/resource_budget.h"
 #include "util/socket.h"
 #include "util/telemetry.h"
-#include "util/thread_pool.h"
 
 namespace sqleq {
 namespace service {
@@ -46,7 +47,9 @@ namespace service {
 struct ServerOptions {
   /// TCP port; 0 binds an ephemeral port (read it back via Server::port()).
   int port = 0;
-  /// Workers executing check/reformulate/lint requests.
+  /// Execution slots (--workers): at most this many check/reformulate/lint
+  /// requests execute at once, each on the connection thread that read it.
+  /// 0 means 1; Start() rejects a count above the slot semaphore's max().
   size_t worker_threads = 2;
   /// Admission cap: expensive requests beyond this many queued-or-running
   /// are shed with OverloadedResponse. Cheap requests (hello, ddl, dep,
@@ -102,7 +105,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the port and starts the accept loop + worker pool.
+  /// Creates the execution slots, binds the port and starts the accept loop.
   Status Start();
 
   /// The bound port (valid after Start()).
@@ -140,11 +143,11 @@ class Server {
   void AcceptLoop();
   void ServeConnection(TcpConn conn);
 
-  /// True for the commands that go through admission control + the pool.
+  /// True for the commands that go through admission control + the slots.
   static bool IsExpensive(const std::string& cmd);
 
   /// Executes one request and renders the response line. Never blocks on
-  /// other requests (the caller handles pooling/admission). `degraded`
+  /// other requests (the caller handles slots/admission). `degraded`
   /// narrows the budget to the degraded_* caps (overload lane).
   std::string Dispatch(Session& session, const Request& request,
                        bool degraded = false);
@@ -191,10 +194,8 @@ class Server {
   TcpListener listener_;
   MetricsRegistry metrics_;
   CancellationToken drain_cancel_;
-  // Declared after (so destroyed before) everything its task wrappers touch:
-  // a worker can still be in a task's timing epilogue after the connection
-  // thread that submitted the task has been unblocked and joined.
-  std::unique_ptr<ThreadPool> pool_;
+  /// Execution slots for expensive requests; created by Start().
+  std::optional<std::counting_semaphore<>> slots_;
 
   /// Fleet state, resolved by Start() from options_.fleet.
   std::optional<HashRing> ring_;
@@ -222,6 +223,10 @@ class Server {
   std::thread accept_thread_;
   std::mutex conns_mu_;
   std::vector<std::thread> conn_threads_;
+  /// Connection threads that have left ServeConnection and wait to be
+  /// joined; AcceptLoop joins them, so a closed connection's stack does not
+  /// stay mapped until Wait().
+  std::vector<std::thread::id> finished_conns_;
   /// Live connections, for the drain-time read-side shutdown. Entries are
   /// owned by their ServeConnection frame; registration is bracketed inside
   /// that frame, so pointers never dangle while registered.

@@ -1,8 +1,9 @@
 // End-to-end tests for the sqleqd service layer (src/service): verdict
 // parity with the in-process engine, per-connection sessions, the shared
 // chase memo, admission control, graceful drain with resumable C&B
-// checkpoints, and the service.* fault sites (connection drops must never
-// wedge the server or leak sessions — this file runs under tsan).
+// checkpoints, the execution-slot gate, connection-thread reaping, and the
+// service.* fault sites (connection drops must never wedge the server or
+// leak sessions — this file runs under tsan).
 #include "service/server.h"
 
 #include <gtest/gtest.h>
@@ -10,10 +11,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <optional>
+#include <semaphore>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "chase/checkpoint.h"
@@ -237,6 +241,169 @@ TEST(Service, AdmissionControlShedsLoad) {
   EXPECT_TRUE(Field(hello, "ok")->boolean);
 
   slow_request.join();
+  server.Stop();
+}
+
+// A reformulate line whose backchase examines several candidates, each slowed
+// by the armed backchase.candidate delay in the slot tests below.
+std::string SlowReformulateLine(const std::string& id, const std::string& query) {
+  return JsonObject()
+      .Str("id", id)
+      .Str("cmd", "reformulate")
+      .Str("query", query)
+      .Str("semantics", "set")
+      .Build();
+}
+
+TEST(Service, OneExecutionSlotRunsExpensiveRequestsOneAtATime) {
+  FaultInjector faults;
+  FaultSpec slow;
+  slow.kind = FaultKind::kDelay;
+  slow.delay = std::chrono::microseconds(20000);
+  slow.start = 1;
+  slow.period = 1;
+  faults.Arm(fault_sites::kBackchaseCandidate, slow);
+
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.max_inflight = 4;
+  options.faults = &faults;
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // Two distinct queries, so the second is not answered from the memo the
+  // first warmed; both connections send at once.
+  const std::vector<std::string> queries = {"Q(X) :- r(X, Y), r(X, Z), s(X).",
+                                            "Q(Y) :- r(Y, X), s(Y), r(X, Z)."};
+  std::vector<Connection> clients;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    clients.push_back(Dial(server));
+    UploadCatalog(clients.back());
+  }
+  const auto sent = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  std::vector<char> ok(queries.size(), 0);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    threads.emplace_back([&clients, &queries, &ok, i] {
+      JsonValue response = Unwrap(clients[i].Call(
+          SlowReformulateLine("slot" + std::to_string(i), queries[i])));
+      ok[i] = Field(response, "ok")->boolean && Field(response, "complete")->boolean;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const uint64_t wall_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - sent)
+          .count());
+  EXPECT_TRUE(ok[0]);
+  EXPECT_TRUE(ok[1]);
+
+  MetricsSnapshot snapshot = server.metrics().Snapshot();
+  const Histogram::Snapshot& execute = snapshot.histograms[metric::kPoolTaskUs];
+  const Histogram::Snapshot& wait = snapshot.histograms[metric::kPoolQueueWaitUs];
+  ASSERT_EQ(execute.count, 2u);
+  ASSERT_EQ(wait.count, 2u);
+  // Each run sleeps through at least one delayed candidate.
+  EXPECT_GE(execute.min, 20000u);
+  // Executions that never overlap fit one after the other inside the
+  // interval from the two sends to the last response.
+  EXPECT_LE(execute.sum, wall_us);
+  // The request that arrived second waited for the first to release the
+  // slot, for about as long as the first ran.
+  EXPECT_GE(wait.max, execute.min / 2);
+  server.Stop();
+}
+
+TEST(Service, RequestWaitingForASlotIsAnsweredThroughDrain) {
+  FaultInjector faults;
+  FaultSpec slow;
+  slow.kind = FaultKind::kDelay;
+  slow.delay = std::chrono::microseconds(100000);
+  slow.start = 1;
+  slow.period = 1;
+  faults.Arm(fault_sites::kBackchaseCandidate, slow);
+
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.max_inflight = 4;
+  options.faults = &faults;
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  Connection running = Dial(server);
+  UploadCatalog(running);
+  Connection waiting = Dial(server);
+  UploadCatalog(waiting);
+  ASSERT_TRUE(running
+                  .Send(SlowReformulateLine("running",
+                                            "Q(X) :- r(X, Y), r(X, Z), s(X)."))
+                  .ok());
+  ASSERT_TRUE(PollUntil([&server] { return server.inflight() >= 1; }));
+  ASSERT_TRUE(waiting
+                  .Send(SlowReformulateLine("waiting",
+                                            "Q(Y) :- r(Y, X), s(Y), r(X, Z)."))
+                  .ok());
+  // Both are admitted; the second holds no slot yet.
+  ASSERT_TRUE(PollUntil([&server] { return server.inflight() >= 2; }));
+  server.RequestDrain();
+
+  for (auto [client, id] : {std::pair<Connection*, const char*>{&running, "running"},
+                            std::pair<Connection*, const char*>{&waiting, "waiting"}}) {
+    std::optional<std::string> raw = Unwrap(client->ReadLine(), id);
+    ASSERT_TRUE(raw.has_value()) << id << " request lost in the drain";
+    JsonValue response = Unwrap(ParseJson(*raw));
+    EXPECT_EQ(Field(response, "id")->string, id);
+    ASSERT_TRUE(Field(response, "ok")->boolean) << *raw;
+    if (!Field(response, "complete")->boolean) {
+      EXPECT_NE(response.Find("checkpoint"), nullptr) << *raw;
+      EXPECT_NE(response.Find("drained"), nullptr) << *raw;
+    }
+  }
+  server.Wait();
+  EXPECT_EQ(server.inflight(), 0u);
+}
+
+TEST(Service, StartRejectsMoreExecutionSlotsThanTheSemaphoreHolds) {
+  // Checked before anything is bound or started, so no thread is created.
+  ServerOptions options;
+  options.worker_threads =
+      static_cast<size_t>(std::counting_semaphore<>::max()) + 1;
+  Server server(options);
+  Status status = server.Start();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+}
+
+/// VmSize of this process in KiB, from /proc/self/status (0 if unreadable).
+uint64_t VmSizeKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
+}
+
+TEST(Service, ClosedConnectionsReleaseTheirThreads) {
+  // Every connection gets a thread with its own stack mapping (8 MiB by
+  // default); a closed connection's thread must be joined while the server
+  // keeps accepting, not only at shutdown.
+  Server server;
+  ASSERT_TRUE(server.Start().ok());
+  auto hello_and_close = [&server] {
+    Connection client = Dial(server);
+    JsonValue hello = Unwrap(client.Call(JsonObject().Str("cmd", "hello").Build()));
+    EXPECT_TRUE(Field(hello, "ok")->boolean);
+  };
+  for (int i = 0; i < 5; ++i) hello_and_close();
+  ASSERT_TRUE(PollUntil([&server] { return server.active_sessions() == 0; }));
+  const uint64_t before = VmSizeKiB();
+  ASSERT_GT(before, 0u);
+  for (int i = 0; i < 100; ++i) hello_and_close();
+  ASSERT_TRUE(PollUntil([&server] { return server.active_sessions() == 0; }));
+  const uint64_t after = VmSizeKiB();
+  EXPECT_LT(after, before + 100 * 1024)
+      << "VmSize grew from " << before << " KiB to " << after
+      << " KiB across 100 closed connections";
   server.Stop();
 }
 

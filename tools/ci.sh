@@ -25,7 +25,10 @@
 # service-smoke builds sqleqd + sqleq-client, boots the daemon on an
 # ephemeral port, drives a catalog upload, check, reformulate, and stats
 # through the client, then SIGTERMs the daemon and asserts a clean drain
-# and a valid Prometheus export (docs/service.md).
+# and a valid Prometheus export (docs/service.md). Between the two it runs
+# 100 sequential one-request clients and fails if the daemon's VmSize
+# (/proc/<pid>/status) grew by 100 MiB or more: each closed connection's
+# thread, with its stack mapping, must be joined while the daemon runs.
 #
 # crash-smoke exercises the durable memo end to end (docs/service.md,
 # "Durability & Recovery"): boot sqleqd with --memo-dir, warm the memo,
@@ -175,6 +178,23 @@ EOF
       || { echo "reformulate missing the minimized query:"; cat "${responses}"; exit 1; }
   grep -Fq 'sqleq_service_requests' "${prometheus}" \
       || { echo "stats export missing service counters:"; cat "${prometheus}"; exit 1; }
+  grep -Fq 'sqleq_pool_queue_wait_us' "${prometheus}" \
+      || { echo "stats export missing the slot-wait histogram:"; cat "${prometheus}"; exit 1; }
+
+  echo "-- connection churn (100 sequential clients)"
+  echo '{"id":"churn","cmd":"hello"}' > "${workdir}/hello.jsonl"
+  local vm_before vm_after
+  vm_before="$(awk '/^VmSize:/ {print $2}' "/proc/${pid}/status")"
+  for i in $(seq 1 100); do
+    "${build_dir}/tools/sqleq-client" --port "${port}" \
+        --file "${workdir}/hello.jsonl" > /dev/null
+  done
+  vm_after="$(awk '/^VmSize:/ {print $2}' "/proc/${pid}/status")"
+  echo "-- sqleqd VmSize ${vm_before} -> ${vm_after} KiB"
+  if [ "$((vm_after - vm_before))" -ge $((100 * 1024)) ]; then
+    echo "sqleqd VmSize grew by 100 MiB or more across 100 closed connections"
+    exit 1
+  fi
 
   echo "-- draining (SIGTERM)"
   kill -TERM "${pid}"

@@ -1,9 +1,12 @@
 // sqleqd — the sqleq equivalence daemon (docs/service.md). Serves the
 // newline-delimited JSON protocol (check / reformulate / lint / stats plus
 // the session-state commands) on a TCP port, with a shared byte-bounded
-// chase memo, worker-pool execution, admission control, and graceful drain
-// on SIGTERM/SIGINT: in-flight C&B runs are cancelled, checkpoint, and
-// answer with resumable partial results before the process exits.
+// chase memo, admission control, and graceful drain on SIGTERM/SIGINT:
+// in-flight C&B runs are cancelled, checkpoint, and answer with resumable
+// partial results before the process exits. Each connection's thread runs
+// its own requests; --workers N caps how many check / reformulate / lint
+// requests execute at once (the rest wait for a slot, counted against
+// --max-inflight).
 //
 // Usage:
 //   sqleqd [--port N] [--port-file PATH] [--workers N] [--max-inflight N]
