@@ -25,20 +25,19 @@ using bench::Must;
 void RunSigmaSweep(benchmark::State& state, Semantics sem) {
   int m = static_cast<int>(state.range(0));
   AppendixHFamily family = MakeAppendixHFamily(m);
-  ChaseOptions options;
-  options.budget.max_chase_steps = 100000;
+  ChaseRuntime runtime;
+  runtime.budget.max_chase_steps = 100000;
   size_t atoms = 0, steps = 0;
   for (auto _ : state) {
     ChaseOutcome out =
-        Must(SoundChase(family.query, family.sigma, sem, family.schema, options));
+        Must(SoundChase(family.query, family.sigma, sem, family.schema, runtime));
     atoms = out.result.body().size();
     steps = out.trace.size();
     benchmark::DoNotOptimize(out.result);
   }
   MetricsRegistry metrics;
-  ChaseRuntime runtime;
   runtime.metrics = &metrics;
-  Must(SoundChase(family.query, family.sigma, sem, family.schema, options, runtime));
+  Must(SoundChase(family.query, family.sigma, sem, family.schema, runtime));
   auto count = [&metrics](const char* name) {
     return static_cast<double>(metrics.counter(name).value());
   };

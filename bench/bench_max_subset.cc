@@ -17,12 +17,12 @@ using bench::Must;
 void BM_MaxSubset_AppendixH(benchmark::State& state) {
   int m = static_cast<int>(state.range(0));
   bench::AppendixHFamily family = MakeAppendixHFamily(m);
-  ChaseOptions options;
-  options.budget.max_chase_steps = 100000;
+  ResourceBudget budget;
+  budget.max_chase_steps = 100000;
   size_t kept = 0;
   for (auto _ : state) {
     MaxSubsetResult r = Must(
-        MaxBagSigmaSubset(family.query, family.sigma, family.schema, options));
+        MaxBagSigmaSubset(family.query, family.sigma, family.schema, budget));
     kept = r.max_subset.size();
     benchmark::DoNotOptimize(r);
   }

@@ -40,7 +40,7 @@ sqleq::Result<bool> Equivalent(const sqleq::ConjunctiveQuery& q1,
   sqleq::EquivalenceEngine engine;
   SQLEQ_ASSIGN_OR_RETURN(
       sqleq::EquivVerdict verdict,
-      engine.Equivalent(q1, q2, sqleq::EquivRequest{semantics, sigma, schema, {}}));
+      engine.Equivalent(q1, q2, sqleq::EquivRequest{semantics, sigma, schema}));
   return verdict.equivalent;
 }
 

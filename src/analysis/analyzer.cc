@@ -165,9 +165,9 @@ void CheckImplication(AnalysisReport& report, const AnalyzeOptions& opts,
       ConjunctiveQuery::Create("frozen_body", head, dep.body());
   if (!frozen.ok()) return;  // cannot happen for valid dependencies
 
-  ChaseOptions chase_opts;
-  chase_opts.budget = opts.budget;
-  Result<ChaseOutcome> chased = SetChase(*frozen, rest, chase_opts);
+  ChaseRuntime runtime;
+  runtime.budget = opts.budget;
+  Result<ChaseOutcome> chased = SetChase(*frozen, rest, runtime);
   if (!chased.ok()) {
     Emit(report, opts, "analysis-incomplete", Severity::kInfo, subject,
          "implication check gave up: " + chased.status().message());

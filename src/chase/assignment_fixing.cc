@@ -41,13 +41,14 @@ AssociatedTestQuery BuildAssociatedTestQuery(const ConjunctiveQuery& q, const Tg
 
 Result<bool> IsAssignmentFixing(const ConjunctiveQuery& q, const Tgd& tgd,
                                 const TermMap& h, const DependencySet& sigma,
-                                const SigmaPlan& plan, const ChaseOptions& options) {
+                                const SigmaPlan& plan, const ResourceBudget& budget) {
   if (tgd.IsFull()) return true;  // Prop 4.3.
   AssociatedTestQuery test = BuildAssociatedTestQuery(q, tgd, h);
+  ChaseRuntime runtime;
+  runtime.budget = budget;
   SQLEQ_ASSIGN_OR_RETURN(ChaseOutcome chased,
                          chase_internal::RunChase(test.query, sigma, plan,
-                                                  Semantics::kSet, Schema(), options,
-                                                  ChaseRuntime(),
+                                                  Semantics::kSet, Schema(), runtime,
                                                   /*sigma_terminates=*/false));
   if (chased.failed) {
     // Chase failure: Q^{σ,h,θ} is unsatisfiable under Σ; no database can
@@ -65,13 +66,13 @@ Result<bool> IsAssignmentFixing(const ConjunctiveQuery& q, const Tgd& tgd,
 
 Result<bool> IsAssignmentFixingForQuery(const ConjunctiveQuery& q, const Tgd& tgd,
                                         const DependencySet& sigma,
-                                        const ChaseOptions& options) {
+                                        const ResourceBudget& budget) {
   SigmaPlan plan = SigmaPlan::Compile(sigma);
   SigmaPlan trigger = SigmaPlan::Compile({Dependency::FromTgd(tgd)});
   FlatConjunction flat(q.body());
   Result<bool> fixing = false;
   trigger.ForEachApplicableTgdHomomorphism(0, flat, [&](const TermMap& h) {
-    fixing = IsAssignmentFixing(q, tgd, h, sigma, plan, options);
+    fixing = IsAssignmentFixing(q, tgd, h, sigma, plan, budget);
     return fixing.ok() && !*fixing;
   });
   return fixing;

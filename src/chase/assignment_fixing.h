@@ -37,12 +37,13 @@ AssociatedTestQuery BuildAssociatedTestQuery(const ConjunctiveQuery& q, const Tg
 /// Q^{σ,h,θ} under Σ with set semantics; σ is assignment-fixing iff the
 /// terminal result retains at most one variable of each existential pair.
 /// Full tgds are assignment-fixing by Prop 4.3. Requires (set-)chase
-/// termination; ResourceExhausted otherwise. `plan` must be the SigmaPlan
-/// compiled from exactly `sigma`; the test-query chase runs on its kernels.
+/// termination within `budget`; ResourceExhausted otherwise. `plan` must be
+/// the SigmaPlan compiled from exactly `sigma`; the test-query chase runs on
+/// its kernels.
 Result<bool> IsAssignmentFixing(const ConjunctiveQuery& q, const Tgd& tgd,
                                 const TermMap& h, const DependencySet& sigma,
                                 const SigmaPlan& plan,
-                                const ChaseOptions& options = {});
+                                const ResourceBudget& budget = {});
 
 /// σ is assignment-fixing w.r.t. Q if it is assignment-fixing w.r.t. Q and
 /// *some* homomorphism under which the chase is applicable (Def 4.3).
@@ -50,7 +51,7 @@ Result<bool> IsAssignmentFixing(const ConjunctiveQuery& q, const Tgd& tgd,
 /// Compiles kernels for σ and Σ per call.
 Result<bool> IsAssignmentFixingForQuery(const ConjunctiveQuery& q, const Tgd& tgd,
                                         const DependencySet& sigma,
-                                        const ChaseOptions& options = {});
+                                        const ResourceBudget& budget = {});
 
 /// Key-based tgd test (Def 5.1): every head atom's universally quantified
 /// positions form a superkey of its relation (under the fds recognized in

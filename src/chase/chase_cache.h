@@ -1,6 +1,6 @@
-// Chase memoization. Sound chase results are pure functions of
-// (query, Σ, semantics, schema, chase knobs) — Thm 5.1 / G.1 make them
-// unique up to the semantics' equivalence — so a memo cache over a
+// Chase memoization. Sound chase results are pure functions of (query, Σ,
+// semantics, schema) — Thm 5.1 / G.1 make them unique up to the
+// semantics' equivalence — so a memo cache over a
 // renaming- and atom-order-invariant canonical form of the query is sound:
 // isomorphic queries share one chase. EquivalenceEngine keeps one memo per
 // chase context; equivalence checks and reformulation (the universal-plan
@@ -36,11 +36,16 @@ std::string CanonicalQueryKey(const ConjunctiveQuery& q,
                               ConjunctiveQuery* out_canonical = nullptr,
                               TermMap* out_from_canonical = nullptr);
 
+/// Ignored: a ChaseMemo holds no chase configuration. Kept only so callers
+/// that still pass `ChaseOptions{}` (or `{}`) as ChaseMemo's fourth
+/// constructor argument compile.
+struct ChaseOptions {};
+
 /// Thread-safe memo of sound-chase outcomes for one fixed chase context
-/// (Σ, semantics, schema, options). Outcomes are cached in canonical
-/// variable space; Chase() maps them back onto the caller's variables.
-/// Budgets and deadlines apply per run (ChaseRuntime::budget, else the
-/// stored ChaseOptions'), to cache-miss chases only.
+/// (Σ, semantics, schema). Outcomes are cached in canonical variable space;
+/// Chase() maps them back onto the caller's variables. Budgets and
+/// deadlines apply per run (ChaseRuntime::budget), to cache-miss chases
+/// only.
 ///
 /// Retained footprint is bounded when a byte limit is set (`byte_limit`
 /// constructor argument or set_byte_limit): each entry is charged its
@@ -53,9 +58,9 @@ std::string CanonicalQueryKey(const ConjunctiveQuery& q,
 class ChaseMemo {
  public:
   /// Compiles a ChasePlan for the context and memoizes its runs.
-  ChaseMemo(DependencySet sigma, Semantics semantics, Schema schema,
-            ChaseOptions options, size_t byte_limit = 0)
-      : plan_(std::move(sigma), semantics, std::move(schema), options),
+  ChaseMemo(DependencySet sigma, Semantics semantics, Schema schema, ChaseOptions,
+            size_t byte_limit = 0)
+      : plan_(std::move(sigma), semantics, std::move(schema)),
         byte_limit_(byte_limit) {}
 
   /// Re-bounds the memo; shrinking evicts LRU entries immediately (counted
@@ -69,7 +74,7 @@ class ChaseMemo {
   /// and LRU evictions spill as a backstop (normally a no-op thanks to the
   /// write-through). Disk failures of any kind degrade to a cold chase,
   /// never an error. `context_fingerprint` names the chase context (Σ,
-  /// semantics, schema, options); records live under a fingerprint-derived
+  /// semantics, schema); records live under a fingerprint-derived
   /// key prefix, and a sentinel record pins the prefix to the full
   /// fingerprint so a hash collision between contexts detaches the tier
   /// instead of mixing outcomes. nullptr detaches.

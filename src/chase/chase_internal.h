@@ -20,11 +20,13 @@ namespace chase_internal {
 /// Def 5.1/4.3). Under B and BS the loop first runs itself under S as the
 /// termination probe the theorems presuppose, unless `sigma_terminates`
 /// says the set chase terminates on every input (a stratified Σ, Thm H.1
-/// and its stratified extension), which makes the probe redundant.
+/// and its stratified extension), which makes the probe redundant. The loop
+/// takes its limits from `runtime.budget` alone; the nested Def 4.3 test
+/// chases get that budget and none of the runtime's hooks.
 Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& sigma,
                               const SigmaPlan& plan, Semantics semantics,
-                              const Schema& schema, const ChaseOptions& options,
-                              const ChaseRuntime& runtime, bool sigma_terminates);
+                              const Schema& schema, const ChaseRuntime& runtime,
+                              bool sigma_terminates);
 
 }  // namespace chase_internal
 }  // namespace sqleq

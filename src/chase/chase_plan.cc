@@ -47,13 +47,11 @@ std::string BodyShapeKey(const ConjunctiveQuery& q, bool constants_matter) {
 
 }  // namespace
 
-ChasePlan::ChasePlan(DependencySet sigma, Semantics semantics, Schema schema,
-                     ChaseOptions options)
+ChasePlan::ChasePlan(DependencySet sigma, Semantics semantics, Schema schema)
     : sigma_(std::move(sigma)),
       regular_(RegularizeSigma(sigma_)),
       semantics_(semantics),
       schema_(std::move(schema)),
-      options_(options),
       plan_(SigmaPlan::Compile(regular_, schema_)),
       graph_(SigmaGraph::Build(regular_, schema_)) {}
 
@@ -109,13 +107,13 @@ Result<ChaseOutcome> ChasePlan::Run(const ConjunctiveQuery& q,
   if (slice.IsFull()) return RunFull(q, runtime);
   std::shared_ptr<const SlicedSigma> sub = SlicedFor(slice);
   return chase_internal::RunChase(q, sub->deps, sub->kernels, semantics_, schema_,
-                                  options_, runtime, SkipsProbe());
+                                  runtime, SkipsProbe());
 }
 
 Result<ChaseOutcome> ChasePlan::RunFull(const ConjunctiveQuery& q,
                                         const ChaseRuntime& runtime) const {
-  return chase_internal::RunChase(q, regular_, plan_, semantics_, schema_, options_,
-                                  runtime, SkipsProbe());
+  return chase_internal::RunChase(q, regular_, plan_, semantics_, schema_, runtime,
+                                  SkipsProbe());
 }
 
 ChasePlan::Stats ChasePlan::stats() const { return Stats{plan_.stats()}; }

@@ -1,7 +1,7 @@
 // ChasePlan: the compiled public entry surface of the chase (docs/
 // compiled_chase.md).
 //
-// A ChasePlan fixes (Σ, semantics, schema, options) once — regularizing Σ
+// A ChasePlan fixes (Σ, semantics, schema) once — regularizing Σ
 // and compiling its SigmaPlan step kernels at construction — and then runs
 // the sound chase on any number of queries without per-call Σ work. This is
 // the Thm 5.2 amortization made concrete: construction is the per-catalog
@@ -15,7 +15,8 @@
 // loop (chase/chase_internal.h) on the plan's compiled kernels.
 //
 // A ChasePlan is immutable after construction and safe to share across
-// threads. Run() honors the full ChaseRuntime contract — fault sites,
+// threads. It holds no budget: Run() takes its limits from the call's
+// ChaseRuntime and honors the rest of that contract — fault sites,
 // cancellation, checkpoint capture/resume — and, because slicing never
 // changes a trace, a checkpoint taken by Run() resumes under RunFull() and
 // vice versa.
@@ -43,8 +44,7 @@ class ChasePlan {
  public:
   /// Compiles a plan: regularizes `sigma` (Prop 4.1) and builds the
   /// SigmaPlan kernels for the regularized set against `schema`.
-  ChasePlan(DependencySet sigma, Semantics semantics, Schema schema = {},
-            ChaseOptions options = {});
+  ChasePlan(DependencySet sigma, Semantics semantics, Schema schema = {});
 
   /// Computes (Q)Σ,X for the plan's semantics by chasing SliceFor(q): the
   /// contract of SoundChase (chase/sound_chase.h), minus the per-call
@@ -89,7 +89,6 @@ class ChasePlan {
   const DependencySet& regularized() const { return regular_; }
   Semantics semantics() const { return semantics_; }
   const Schema& schema() const { return schema_; }
-  const ChaseOptions& options() const { return options_; }
   const SigmaPlan& kernels() const { return plan_; }
 
   struct Stats {
@@ -117,7 +116,6 @@ class ChasePlan {
   DependencySet regular_;
   Semantics semantics_;
   Schema schema_;
-  ChaseOptions options_;
   SigmaPlan plan_;
   SigmaGraph graph_;  ///< over regular_; cheap to build, immutable
 

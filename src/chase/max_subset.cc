@@ -6,15 +6,18 @@ namespace sqleq {
 
 Result<MaxSubsetResult> MaxSigmaSubset(const ConjunctiveQuery& q,
                                        const DependencySet& sigma, Semantics semantics,
-                                       const Schema& schema, const ChaseOptions& options) {
+                                       const Schema& schema,
+                                       const ResourceBudget& budget) {
   if (semantics == Semantics::kSet) {
     return Status::InvalidArgument(
         "MaxSigmaSubset targets bag/bag-set semantics; under set semantics the "
         "terminal chase result satisfies all of Σ");
   }
   // Line 1: Qn := soundChase(X, Q, Σ).
+  ChaseRuntime runtime;
+  runtime.budget = budget;
   SQLEQ_ASSIGN_OR_RETURN(ChaseOutcome chased,
-                         SoundChase(q, sigma, semantics, schema, options));
+                         SoundChase(q, sigma, semantics, schema, runtime));
   if (chased.failed) {
     return Status::FailedPrecondition(
         "sound chase failed (egd equated distinct constants); Q is unsatisfiable "
@@ -27,7 +30,7 @@ Result<MaxSubsetResult> MaxSigmaSubset(const ConjunctiveQuery& q,
   for (const Dependency& dep : sigma) {
     SQLEQ_ASSIGN_OR_RETURN(
         StepAvailability availability,
-        ClassifyStep(chased.result, dep, sigma, semantics, schema, options));
+        ClassifyStep(chased.result, dep, sigma, semantics, schema, budget));
     if (availability == StepAvailability::kNotApplicable) {
       out.max_subset.push_back(dep);
     }
@@ -38,15 +41,15 @@ Result<MaxSubsetResult> MaxSigmaSubset(const ConjunctiveQuery& q,
 Result<MaxSubsetResult> MaxBagSigmaSubset(const ConjunctiveQuery& q,
                                           const DependencySet& sigma,
                                           const Schema& schema,
-                                          const ChaseOptions& options) {
-  return MaxSigmaSubset(q, sigma, Semantics::kBag, schema, options);
+                                          const ResourceBudget& budget) {
+  return MaxSigmaSubset(q, sigma, Semantics::kBag, schema, budget);
 }
 
 Result<MaxSubsetResult> MaxBagSetSigmaSubset(const ConjunctiveQuery& q,
                                              const DependencySet& sigma,
                                              const Schema& schema,
-                                             const ChaseOptions& options) {
-  return MaxSigmaSubset(q, sigma, Semantics::kBagSet, schema, options);
+                                             const ResourceBudget& budget) {
+  return MaxSigmaSubset(q, sigma, Semantics::kBagSet, schema, budget);
 }
 
 }  // namespace sqleq

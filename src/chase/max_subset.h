@@ -28,18 +28,18 @@ struct MaxSubsetResult {
 Result<MaxSubsetResult> MaxSigmaSubset(const ConjunctiveQuery& q,
                                        const DependencySet& sigma, Semantics semantics,
                                        const Schema& schema,
-                                       const ChaseOptions& options = {});
+                                       const ResourceBudget& budget = {});
 
 /// ΣmaxB(Q, Σ) per Theorem 5.3.
 Result<MaxSubsetResult> MaxBagSigmaSubset(const ConjunctiveQuery& q,
                                           const DependencySet& sigma, const Schema& schema,
-                                          const ChaseOptions& options = {});
+                                          const ResourceBudget& budget = {});
 
 /// ΣmaxBS(Q, Σ) per Theorem I.1.
 Result<MaxSubsetResult> MaxBagSetSigmaSubset(const ConjunctiveQuery& q,
                                              const DependencySet& sigma,
                                              const Schema& schema,
-                                             const ChaseOptions& options = {});
+                                             const ResourceBudget& budget = {});
 
 }  // namespace sqleq
 

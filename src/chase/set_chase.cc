@@ -9,14 +9,13 @@
 namespace sqleq {
 
 Result<ChaseOutcome> SetChase(const ConjunctiveQuery& q, const DependencySet& sigma,
-                              const ChaseOptions& options,
                               const ChaseRuntime& runtime) {
   // Per-call adapter: compile a throwaway plan. Callers with a fixed Σ
   // should hold a ChasePlan instead and pay this once.
   SQLEQ_RETURN_IF_ERROR(ReserveFreshNames(q));
   SigmaPlan plan = SigmaPlan::Compile(sigma);
-  return chase_internal::RunChase(q, sigma, plan, Semantics::kSet, Schema(), options,
-                                  runtime, /*sigma_terminates=*/false);
+  return chase_internal::RunChase(q, sigma, plan, Semantics::kSet, Schema(), runtime,
+                                  /*sigma_terminates=*/false);
 }
 
 std::vector<std::string> RenderTrace(const ConjunctiveQuery& result,
@@ -45,8 +44,10 @@ std::vector<std::string> RenderTrace(const ConjunctiveQuery& result,
 }
 
 Result<bool> SetChaseTerminates(const ConjunctiveQuery& q, const DependencySet& sigma,
-                                const ChaseOptions& options) {
-  Result<ChaseOutcome> r = SetChase(q, sigma, options);
+                                const ResourceBudget& budget) {
+  ChaseRuntime runtime;
+  runtime.budget = budget;
+  Result<ChaseOutcome> r = SetChase(q, sigma, runtime);
   if (r.ok()) return true;
   if (r.status().code() == StatusCode::kResourceExhausted) return false;
   return r.status();

@@ -1,10 +1,12 @@
 // Set-semantics chase to termination (§2.4): repeatedly apply chase steps
 // until the canonical database of the current query satisfies Σ (no step is
 // applicable). Terminates for weakly acyclic Σ; a step budget guards
-// non-terminating inputs. This header also holds the option, runtime and
-// outcome types every chase entry point shares. SetChase chases exactly the
-// Σ it is given (no regularization, no Σ-slicing) through the same step
-// loop and compiled kernels as ChasePlan (chase/chase_plan.h).
+// non-terminating inputs. Every step applies egds before tgds (the
+// conventional strategy; chase results are equivalent either way, Thm 5.1 /
+// [10]). This header also holds the runtime and outcome types every chase
+// entry point shares. SetChase chases exactly the Σ it is given (no
+// regularization, no Σ-slicing) through the same step loop and compiled
+// kernels as ChasePlan (chase/chase_plan.h).
 #ifndef SQLEQ_CHASE_SET_CHASE_H_
 #define SQLEQ_CHASE_SET_CHASE_H_
 
@@ -14,31 +16,28 @@
 
 #include "constraints/dependency.h"
 #include "ir/query.h"
+#include "util/engine_context.h"
 #include "util/resource_budget.h"
 #include "util/status.h"
 
 namespace sqleq {
 
-class FaultInjector;
-class CancellationToken;
-class MetricsRegistry;
-class TraceSink;
 struct ChaseCheckpoint;
 
-/// Per-call runtime hooks for a chase run (docs/robustness.md,
-/// docs/observability.md), deliberately separate from ChaseOptions: options
-/// are part of memo context keys and must stay pure configuration, while
-/// these are call-scoped pointers. All members are optional; a default
-/// ChaseRuntime is inert.
-struct ChaseRuntime {
-  /// Fault-injection sites ("chase.step", "memo.insert") consult this.
-  FaultInjector* faults = nullptr;
-  /// Cooperative cancellation, checked once per chase step.
-  CancellationToken* cancel = nullptr;
-  /// Counter sink for chase.* and memo.* metrics; null disables them.
-  MetricsRegistry* metrics = nullptr;
-  /// Span sink ("chase.set", "chase.sound" spans); null disables tracing.
-  TraceSink* trace = nullptr;
+/// The per-call record of a chase run (docs/robustness.md,
+/// docs/observability.md): the call's EngineContext — the ResourceBudget
+/// whose max_chase_steps and deadline bound the loop, plus the optional
+/// metrics, trace, fault and cancellation hooks — and the checkpoint
+/// pointers of one run. Nothing else holds a chase budget: a ChasePlan or
+/// ChaseMemo is configuration only, so one long-lived plan or memo serves
+/// calls with different budgets (cached outcomes are completed chases,
+/// hence budget-independent). A default ChaseRuntime has the default budget
+/// and is otherwise inert.
+struct ChaseRuntime : EngineContext {
+  ChaseRuntime() = default;
+  /// The call's context, with no resume and no checkpoint capture.
+  explicit ChaseRuntime(const EngineContext& context) : EngineContext(context) {}
+
   /// Resume from this checkpoint (chase/checkpoint.h) instead of starting
   /// cold. Ignored when the checkpoint's phase does not match the loop (a
   /// set-chase loop only accepts kSetChasePhase, and so on).
@@ -47,23 +46,6 @@ struct ChaseRuntime {
   /// deadline, cancellation, injected exhaustion), receives the loop state
   /// for a later resume.
   std::optional<ChaseCheckpoint>* checkpoint_out = nullptr;
-  /// Per-run budget override: when non-null the step cap and deadline checks
-  /// consult this instead of the ChaseOptions budget the loop (or the
-  /// ChasePlan/ChaseMemo it runs through) was constructed with. This is what
-  /// lets one long-lived plan/memo serve calls with different budgets —
-  /// cached outcomes are completed chases, hence budget-independent
-  /// (equivalence/engine.cc shares memos across budgets on this basis).
-  const ResourceBudget* budget = nullptr;
-};
-
-/// Knobs shared by set chase and sound chase. Every step applies egds
-/// before tgds (the conventional strategy; chase results are equivalent
-/// either way, Thm 5.1 / [10]).
-struct ChaseOptions {
-  /// Resource limits. The chase consults budget.max_chase_steps (hard cap on
-  /// chase steps; exceeded → ResourceExhausted) and budget.deadline (checked
-  /// once per step). See util/resource_budget.h.
-  ResourceBudget budget;
 };
 
 /// One entry of a chase trace: what the step changed, not the query after
@@ -105,22 +87,21 @@ struct ChaseOutcome {
 std::vector<std::string> RenderTrace(const ConjunctiveQuery& result,
                                      const std::vector<ChaseStepRecord>& trace);
 
-/// Computes (Q)Σ,S. Returns ResourceExhausted if `options.budget` is
+/// Computes (Q)Σ,S. Returns ResourceExhausted if `runtime.budget` is
 /// exhausted (chase may not terminate for non-weakly-acyclic Σ); the loop
 /// state at exhaustion is captured through `runtime.checkpoint_out`, and a
 /// matching checkpoint in `runtime.resume` continues a prior run instead of
 /// re-firing its steps. Like SoundChase, it first reserves q's "#<n>"
 /// names, so no null it mints merges with one of q's variables.
 Result<ChaseOutcome> SetChase(const ConjunctiveQuery& q, const DependencySet& sigma,
-                              const ChaseOptions& options = {},
                               const ChaseRuntime& runtime = {});
 
-/// True iff set chase of `q` under Σ terminates within the step budget.
+/// True iff set chase of `q` under Σ terminates within `budget`.
 /// (Undecidable in general; this is the practical proxy the library uses for
 /// the paper's "whenever set-chase on the inputs terminates" side
 /// conditions.)
 Result<bool> SetChaseTerminates(const ConjunctiveQuery& q, const DependencySet& sigma,
-                                const ChaseOptions& options = {});
+                                const ResourceBudget& budget = {});
 
 }  // namespace sqleq
 

@@ -41,7 +41,8 @@ struct StepRules {
   const Schema& schema;
   const DependencySet& sigma;
   const SigmaPlan& plan;
-  const ChaseOptions& options;
+  /// The budget of the nested Def 4.3 test chases.
+  const ResourceBudget& budget;
 };
 
 /// The atoms a tgd step with homomorphism `h` adds to `q` (`flat` indexes
@@ -77,7 +78,7 @@ Result<std::vector<Atom>> AdmitTgdStep(const ConjunctiveQuery& q,
   }
   if (!key_based) {
     SQLEQ_ASSIGN_OR_RETURN(bool fixing, IsAssignmentFixing(q, tgd, h, rules.sigma,
-                                                           rules.plan, rules.options));
+                                                           rules.plan, rules.budget));
     if (!fixing) return std::vector<Atom>();
   }
   return added;
@@ -152,7 +153,7 @@ class DirtySet {
 /// and back on capture).
 Status ProbeSetChase(const ConjunctiveQuery& q, const DependencySet& sigma,
                      const SigmaPlan& plan, const Schema& schema,
-                     const ChaseOptions& options, const ChaseRuntime& runtime) {
+                     const ChaseRuntime& runtime) {
   ChaseRuntime probe_runtime = runtime;
   probe_runtime.resume = nullptr;
   std::optional<ChaseCheckpoint> probe_resume;
@@ -165,7 +166,7 @@ Status ProbeSetChase(const ConjunctiveQuery& q, const DependencySet& sigma,
   std::optional<ChaseCheckpoint> probe_checkpoint;
   probe_runtime.checkpoint_out = &probe_checkpoint;
   Result<ChaseOutcome> probe = chase_internal::RunChase(
-      q, sigma, plan, Semantics::kSet, schema, options, probe_runtime,
+      q, sigma, plan, Semantics::kSet, schema, probe_runtime,
       /*sigma_terminates=*/false);
   if (probe.ok()) return Status::OK();
   if (probe_checkpoint.has_value() && runtime.checkpoint_out != nullptr) {
@@ -186,8 +187,8 @@ namespace chase_internal {
 
 Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& sigma,
                               const SigmaPlan& plan, Semantics semantics,
-                              const Schema& schema, const ChaseOptions& options,
-                              const ChaseRuntime& runtime, bool sigma_terminates) {
+                              const Schema& schema, const ChaseRuntime& runtime,
+                              bool sigma_terminates) {
   const bool set = semantics == Semantics::kSet;
   const char* phase =
       set ? ChaseCheckpoint::kSetChasePhase : ChaseCheckpoint::kSoundChasePhase;
@@ -202,7 +203,7 @@ Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& si
   // terminates on every input (Thm H.1), and a probe-phase checkpoint then
   // just starts the sound chase fresh.
   if (!set && resume == nullptr && !sigma_terminates) {
-    SQLEQ_RETURN_IF_ERROR(ProbeSetChase(q, sigma, plan, schema, options, runtime));
+    SQLEQ_RETURN_IF_ERROR(ProbeSetChase(q, sigma, plan, schema, runtime));
   }
 
   auto normalize = [&](const ConjunctiveQuery& query) {
@@ -226,12 +227,8 @@ Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& si
     }
     return status;
   };
-  // The effective budget also governs the nested assignment-fixing test
-  // chases, which take ChaseOptions (no runtime) — fold it in once.
-  ChaseOptions effective = options;
-  if (runtime.budget != nullptr) effective.budget = *runtime.budget;
-  const ResourceBudget& budget = effective.budget;
-  const StepRules rules{semantics, schema, sigma, plan, effective};
+  const ResourceBudget& budget = runtime.budget;
+  const StepRules rules{semantics, schema, sigma, plan, budget};
   // The index follows the conjunction: rebuilt here and after egd steps,
   // extended in place after tgd steps. A resumed run starts all-dirty.
   FlatConjunction flat(out.result.body());
@@ -333,15 +330,15 @@ Result<ChaseOutcome> RunChase(const ConjunctiveQuery& q, const DependencySet& si
 
 Result<ChaseOutcome> SoundChase(const ConjunctiveQuery& q, const DependencySet& sigma,
                                 Semantics semantics, const Schema& schema,
-                                const ChaseOptions& options,
                                 const ChaseRuntime& runtime) {
   SQLEQ_RETURN_IF_ERROR(ReserveFreshNames(q));
-  return ChasePlan(sigma, semantics, schema, options).Run(q, runtime);
+  return ChasePlan(sigma, semantics, schema).Run(q, runtime);
 }
 
 Result<StepAvailability> ClassifyStep(const ConjunctiveQuery& q, const Dependency& dep,
                                       const DependencySet& sigma, Semantics semantics,
-                                      const Schema& schema, const ChaseOptions& options) {
+                                      const Schema& schema,
+                                      const ResourceBudget& budget) {
   DependencySet regular = RegularizeSigma(sigma);
   FlatConjunction flat(q.body());
   if (dep.IsEgd()) {
@@ -367,7 +364,7 @@ Result<StepAvailability> ClassifyStep(const ConjunctiveQuery& q, const Dependenc
     return StepAvailability::kNotApplicable;
   }
   SigmaPlan plan = SigmaPlan::Compile(regular, schema);
-  const StepRules rules{semantics, schema, regular, plan, options};
+  const StepRules rules{semantics, schema, regular, plan, budget};
   bool any_applicable = false;
   for (size_t i = 0; i < pieces.size(); ++i) {
     const Tgd& tgd = pieces[i].tgd();

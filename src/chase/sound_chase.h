@@ -33,14 +33,14 @@ namespace sqleq {
 ConjunctiveQuery NormalizeForBag(const ConjunctiveQuery& q, const Schema& schema);
 
 /// Computes the sound chase result (Q)Σ,X for X ∈ {S, B, BS}: exactly
-/// ChasePlan(sigma, semantics, schema, options).Run(q, runtime), so Σ is
+/// ChasePlan(sigma, semantics, schema).Run(q, runtime), so Σ is
 /// regularized (Prop 4.1 makes this lossless) and Σ-sliced for q per call.
 /// `schema` supplies the set-valued flags consulted under kBag
 /// (ignored under kSet/kBagSet). Fails with ResourceExhausted when the chase
-/// exceeds the step budget, and, when Σ is not stratified, when the set
+/// exceeds `runtime.budget`, and, when Σ is not stratified, when the set
 /// chase does not terminate within it — the precondition of every theorem
 /// this implements, which a stratified Σ guarantees (ChasePlan::
-/// sigma_terminates()). `runtime` carries the per-call anytime
+/// sigma_terminates()). `runtime` also carries the per-call anytime
 /// hooks (fault sites, cancellation, checkpoint capture/resume — see
 /// chase/checkpoint.h); the checkpoint phase distinguishes the set-chase
 /// precondition probe from the sound-chase loop proper, so a resume skips
@@ -49,7 +49,6 @@ ConjunctiveQuery NormalizeForBag(const ConjunctiveQuery& q, const Schema& schema
 /// and one at or above Term::kFreshReserveLimit fails with InvalidArgument.
 Result<ChaseOutcome> SoundChase(const ConjunctiveQuery& q, const DependencySet& sigma,
                                 Semantics semantics, const Schema& schema,
-                                const ChaseOptions& options = {},
                                 const ChaseRuntime& runtime = {});
 
 /// How a dependency relates to a query for the purposes of Algorithms 1–2.
@@ -60,12 +59,12 @@ enum class StepAvailability {
 };
 
 /// Classifies σ against `q` under `semantics` (Thms 4.1/4.3), with the same
-/// admission rules as the chase loop. Under kSet every applicable step is
-/// sound.
+/// admission rules as the chase loop; `budget` bounds the Def 4.3 test
+/// chases. Under kSet every applicable step is sound.
 Result<StepAvailability> ClassifyStep(const ConjunctiveQuery& q, const Dependency& dep,
                                       const DependencySet& sigma, Semantics semantics,
                                       const Schema& schema,
-                                      const ChaseOptions& options = {});
+                                      const ResourceBudget& budget = {});
 
 }  // namespace sqleq
 

@@ -23,15 +23,15 @@ bool AggregateEquivalent(const AggregateQuery& q1, const AggregateQuery& q2) {
 
 Result<bool> AggregateEquivalentUnder(const AggregateQuery& q1, const AggregateQuery& q2,
                                       const DependencySet& sigma,
-                                      const ChaseOptions& options) {
+                                      const ResourceBudget& budget) {
   if (!q1.CompatibleWith(q2)) return false;
   ConjunctiveQuery c1 = q1.Core();
   ConjunctiveQuery c2 = q2.Core();
   Semantics semantics =
       UsesSetReduction(q1.function()) ? Semantics::kSet : Semantics::kBagSet;
   EquivalenceEngine engine;
-  EquivRequest request{semantics, sigma, Schema(), options};
-  request.context.budget = options.budget;
+  EquivRequest request{semantics, sigma, Schema()};
+  request.context.budget = budget;
   SQLEQ_ASSIGN_OR_RETURN(EquivVerdict verdict,
                          engine.Equivalent(c1, c2, request));
   return VerdictToBool(verdict);

@@ -20,10 +20,10 @@ namespace sqleq {
 bool AggregateEquivalent(const AggregateQuery& q1, const AggregateQuery& q2);
 
 /// Theorem 6.3: equivalence under Σ, via chased cores. Conditioned on set
-/// chase terminating on the cores.
+/// chase terminating on the cores within `budget`.
 Result<bool> AggregateEquivalentUnder(const AggregateQuery& q1, const AggregateQuery& q2,
                                       const DependencySet& sigma,
-                                      const ChaseOptions& options = {});
+                                      const ResourceBudget& budget = {});
 
 }  // namespace sqleq
 

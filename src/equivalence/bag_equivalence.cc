@@ -11,7 +11,7 @@ bool BagEquivalent(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
   // degenerates to Theorem 2.1(1)'s isomorphism check).
   EquivalenceEngine engine;
   Result<EquivVerdict> verdict =
-      engine.Equivalent(q1, q2, EquivRequest{Semantics::kBag, {}, Schema(), {}});
+      engine.Equivalent(q1, q2, EquivRequest{Semantics::kBag, {}, Schema()});
   return verdict.ok() && verdict->equivalent;
 }
 

@@ -9,7 +9,7 @@ bool BagSetEquivalent(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
   // degenerates to Theorem 2.1(2)'s canonical-representation isomorphism).
   EquivalenceEngine engine;
   Result<EquivVerdict> verdict =
-      engine.Equivalent(q1, q2, EquivRequest{Semantics::kBagSet, {}, Schema(), {}});
+      engine.Equivalent(q1, q2, EquivRequest{Semantics::kBagSet, {}, Schema()});
   return verdict.ok() && verdict->equivalent;
 }
 

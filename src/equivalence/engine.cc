@@ -81,19 +81,13 @@ ChasedDecision DecideChased(const ChaseOutcome& c1, const ChaseOutcome& c2,
 
 std::shared_ptr<ChaseMemo> EquivalenceEngine::MemoFor(Semantics semantics,
                                                       const DependencySet& sigma,
-                                                      const Schema& schema,
-                                                      const ChaseOptions& chase) {
+                                                      const Schema& schema) {
   std::string key = ContextKey(semantics, sigma, schema);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = memos_.find(key);
   if (it != memos_.end()) return it->second;
-  ChaseOptions memo_options = chase;
-  // The budget is per call (ChaseRuntime::budget), never per memo: the memo
-  // keyed by ContextKey outlives any one request's limits, so the baked
-  // options carry neutral defaults only.
-  memo_options.budget = ResourceBudget{};
-  auto memo = std::make_shared<ChaseMemo>(sigma, semantics, schema, memo_options,
-                                          memo_byte_limit_);
+  std::shared_ptr<ChaseMemo> memo(
+      new ChaseMemo(sigma, semantics, schema, {}, memo_byte_limit_));
   if (memo_store_ != nullptr) memo->AttachStore(memo_store_, key);
   memos_.emplace(std::move(key), memo);
   return memo;
@@ -131,24 +125,16 @@ Result<EquivVerdict> EquivalenceEngine::Equivalent(const ConjunctiveQuery& q1,
     }
     return v;
   };
-  if (request.analyze.enabled) {
-    AnalyzeOptions analyze = request.analyze;
-    if (analyze.budget == ResourceBudget{}) analyze.budget = ctx.budget;
-    if (analyze.metrics == nullptr) analyze.metrics = ctx.metrics;
-    SQLEQ_RETURN_IF_ERROR(ReportToStatus(
-        AnalyzeProgram(request.schema, request.sigma, {q1, q2}, analyze)));
+  if (request.analyze.enabled) {  // spares copying q1 and q2 when it is off
+    SQLEQ_RETURN_IF_ERROR(
+        RunPreflight(request, request.schema, request.sigma, {q1, q2}));
   }
-  // One budget governs the call, threaded per-run (ChaseRuntime::budget)
-  // rather than baked into the memo's plan — so calls with different budgets
+  // One budget governs the call, threaded per run through the runtime
+  // rather than held by the memo's plan — so calls with different budgets
   // share one memo and its compiled kernels (see ContextKey above).
   std::shared_ptr<ChaseMemo> memo =
-      MemoFor(request.semantics, request.sigma, request.schema, request.chase);
-  ChaseRuntime runtime;
-  runtime.budget = &ctx.budget;
-  runtime.faults = ctx.faults;
-  runtime.cancel = ctx.cancel;
-  runtime.metrics = ctx.metrics;
-  runtime.trace = ctx.trace;
+      MemoFor(request.semantics, request.sigma, request.schema);
+  ChaseRuntime runtime(ctx);
   runtime.resume = request.resume;  // subject-stamped: applied to its own query only
   std::optional<ChaseCheckpoint> checkpoint;
   runtime.checkpoint_out = &checkpoint;

@@ -6,14 +6,14 @@
 //       engine.Equivalent(q1, q2, {Semantics::kBag, sigma, schema}));
 //   if (v.equivalent) { ... v.witness_forward ... }
 //
-// The engine owns a chase memo per (Σ, semantics, schema, chase-knob)
-// context, so repeated calls against the same constraint theory — the
-// common shape in minimization and rewriting loops — chase each distinct
-// query once. Each memo chases through a per-context compiled ChasePlan
-// (chase/chase_plan.h), so the Σ kernels are compiled once per context,
-// not once per call. Reformulation (reformulation/candb.h, views.h) takes
-// its memo from the same table (MemoFor), so checks and reformulations of
-// one context share outcomes, the byte limit and the disk tier.
+// The engine owns a chase memo per (Σ, semantics, schema) context, so
+// repeated calls against the same constraint theory — the common shape in
+// minimization and rewriting loops — chase each distinct query once. Each
+// memo chases through a per-context compiled ChasePlan (chase/chase_plan.h),
+// so the Σ kernels are compiled once per context, not once per call.
+// Reformulation (reformulation/candb.h, views.h) takes its memo from the
+// same table (MemoFor), so checks and reformulations of one context share
+// outcomes, the byte limit and the disk tier.
 #ifndef SQLEQ_EQUIVALENCE_ENGINE_H_
 #define SQLEQ_EQUIVALENCE_ENGINE_H_
 
@@ -41,11 +41,10 @@
 namespace sqleq {
 
 /// Everything one equivalence decision depends on. Defaults: set semantics,
-/// no dependencies, empty schema, default ChaseOptions, and a default
-/// EngineContext (whose ResourceBudget bounds the chases and supplies the
-/// optional deadline). The per-call environment (`context`), chase strategy
-/// (`chase`), and Σ-lint pre-flight (`analyze`) are the shared RunOptions
-/// base (equivalence/run_options.h).
+/// no dependencies, empty schema, and a default EngineContext (whose
+/// ResourceBudget bounds the chases and supplies the optional deadline).
+/// The per-call environment (`context`) and Σ-lint pre-flight (`analyze`)
+/// are the shared RunOptions base (equivalence/run_options.h).
 struct EquivRequest : RunOptions {
   Semantics semantics = Semantics::kSet;
   DependencySet sigma;
@@ -57,16 +56,12 @@ struct EquivRequest : RunOptions {
   const ChaseCheckpoint* resume = nullptr;
 
   EquivRequest() = default;
-  /// Positional shorthand matching the historical aggregate field order, so
-  /// `EquivRequest{semantics, sigma, schema, chase}` keeps working now that
-  /// the shared fields live in the base.
+  /// Positional shorthand: `EquivRequest{semantics, sigma, schema}`.
   EquivRequest(Semantics semantics_in, DependencySet sigma_in = {},
-               Schema schema_in = {}, ChaseOptions chase_in = {})
+               Schema schema_in = {})
       : semantics(semantics_in),
         sigma(std::move(sigma_in)),
-        schema(std::move(schema_in)) {
-    chase = std::move(chase_in);
-  }
+        schema(std::move(schema_in)) {}
 };
 
 /// The decision plus its evidence: sound-chase results for both inputs
@@ -191,14 +186,12 @@ class EquivalenceEngine {
 
   /// The memo for one chase context, created (with the engine's byte limit
   /// and disk store) on first use; Equivalent() and reformulation chase
-  /// through it. Budgets and deadlines are deliberately not part of the
-  /// context key (the memo's options carry a neutral budget): callers pass
-  /// theirs per run through ChaseRuntime::budget, so calls differing only
-  /// in budget share cached chases.
+  /// through it. A memo holds no budget: callers pass theirs per run
+  /// through ChaseRuntime::budget, so calls differing only in budget share
+  /// cached chases.
   std::shared_ptr<ChaseMemo> MemoFor(Semantics semantics,
                                      const DependencySet& sigma,
-                                     const Schema& schema,
-                                     const ChaseOptions& chase);
+                                     const Schema& schema);
 
  private:
   mutable std::mutex mu_;

@@ -89,9 +89,11 @@ Result<EquivalenceExplanation> ExplainEquivalence(const ConjunctiveQuery& q1,
                                                   const DependencySet& sigma,
                                                   Semantics semantics,
                                                   const Schema& schema,
-                                                  const ChaseOptions& options) {
-  SQLEQ_ASSIGN_OR_RETURN(ChaseOutcome c1, SoundChase(q1, sigma, semantics, schema, options));
-  SQLEQ_ASSIGN_OR_RETURN(ChaseOutcome c2, SoundChase(q2, sigma, semantics, schema, options));
+                                                  const ResourceBudget& budget) {
+  ChaseRuntime runtime;
+  runtime.budget = budget;
+  SQLEQ_ASSIGN_OR_RETURN(ChaseOutcome c1, SoundChase(q1, sigma, semantics, schema, runtime));
+  SQLEQ_ASSIGN_OR_RETURN(ChaseOutcome c2, SoundChase(q2, sigma, semantics, schema, runtime));
 
   ChasedDecision d = DecideChased(c1, c2, semantics, schema);
   EquivalenceExplanation out{semantics,           d.equivalent,

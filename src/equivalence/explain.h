@@ -49,14 +49,14 @@ struct EquivalenceExplanation {
 };
 
 /// Decides Q1 ≡Σ,X Q2 and assembles the evidence. Same preconditions as
-/// EquivalenceEngine::Equivalent (set chase must terminate within the step
-/// budget).
+/// EquivalenceEngine::Equivalent (set chase must terminate within
+/// `budget`).
 Result<EquivalenceExplanation> ExplainEquivalence(const ConjunctiveQuery& q1,
                                                   const ConjunctiveQuery& q2,
                                                   const DependencySet& sigma,
                                                   Semantics semantics,
                                                   const Schema& schema,
-                                                  const ChaseOptions& options = {});
+                                                  const ResourceBudget& budget = {});
 
 }  // namespace sqleq
 

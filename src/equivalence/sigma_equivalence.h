@@ -5,7 +5,7 @@
 //     set-enforcing dependencies (Thm 4.2 isomorphism test).
 //   * Theorem 6.2 (bag-set): Q ≡Σ,BS Q′ iff (Q)Σ,BS ≡BS (Q′)Σ,BS.
 // All three are conditioned on termination of set chase on the inputs; the
-// step budget in ChaseOptions is the practical proxy.
+// call's ResourceBudget::max_chase_steps is the practical proxy.
 //
 // Equivalence testing lives in equivalence/engine.h's EquivalenceEngine,
 // which unifies the call shape, memoizes chases across calls, and returns
@@ -26,10 +26,11 @@
 namespace sqleq {
 
 /// Q1 ⊑Σ,S Q2: set containment under dependencies, via chase of Q1 and a
-/// containment mapping from Q2 (the standard reduction).
+/// containment mapping from Q2 (the standard reduction), with `budget`
+/// bounding the chase.
 Result<bool> SetContainedUnder(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
                                const DependencySet& sigma,
-                               const ChaseOptions& options = {});
+                               const ResourceBudget& budget = {});
 
 }  // namespace sqleq
 

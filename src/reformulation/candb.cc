@@ -98,9 +98,6 @@ Result<CandBResult> ChaseAndBackchase(EquivalenceEngine& engine,
                                       const ConjunctiveQuery& q,
                                       const DependencySet& sigma, Semantics semantics,
                                       const Schema& schema, const CandBOptions& options) {
-  // Only the Def 3.1 filter chases outside the memo, under the call's budget.
-  ChaseOptions minimality_options = options.chase;
-  minimality_options.budget = options.context.budget;
   auto build = [&](const ConjunctiveQuery& u, ChaseMemo& memo,
                    const ChaseRuntime& runtime) -> Result<CandidateLattice> {
     const size_t n = u.body().size();
@@ -143,9 +140,10 @@ Result<CandBResult> ChaseAndBackchase(EquivalenceEngine& engine,
       bool equivalent =
           ChasedEquivalent(cand_chased->result, u, semantics, schema);
       if (equivalent && options.verify_sigma_minimality) {
+        // The Def 3.1 filter chases outside the memo, under the call's budget.
         SQLEQ_ASSIGN_OR_RETURN(bool minimal,
                                IsSigmaMinimal(*candidate, sigma, semantics, schema,
-                                              minimality_options));
+                                              options.context.budget));
         equivalent = minimal;
       }
       if (equivalent) {

@@ -68,8 +68,7 @@ struct CandBCheckpoint {
 
 /// The shared RunOptions base (equivalence/run_options.h) supplies the
 /// per-call environment (`context` — max_candidates caps the backchase
-/// lattice, max_chase_steps every chase, deadline the whole call), the
-/// chase strategy knobs (`chase`), and the
+/// lattice, max_chase_steps every chase, deadline the whole call) and the
 /// Σ-lint pre-flight (`analyze`).
 struct CandBOptions : RunOptions {
   /// When true, outputs are additionally filtered through the Def 3.1
@@ -78,7 +77,7 @@ struct CandBOptions : RunOptions {
   /// minimality). Costs extra chases.
   bool verify_sigma_minimality = false;
   /// Resume an interrupted call. Must be a checkpoint produced by a prior
-  /// ChaseAndBackchase over the same (q, Σ, semantics, schema, chase knobs);
+  /// ChaseAndBackchase over the same (q, Σ, semantics, schema);
   /// the finished run's result is then byte-identical to an uninterrupted
   /// run's. A backchase checkpoint whose masks do not fit the lattice is
   /// InvalidArgument.

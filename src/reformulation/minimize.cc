@@ -32,7 +32,7 @@ ConjunctiveQuery MinimizeSet(const ConjunctiveQuery& q) {
 
 Result<bool> IsSigmaMinimal(const ConjunctiveQuery& q, const DependencySet& sigma,
                             Semantics semantics, const Schema& schema,
-                            const ChaseOptions& options, size_t max_candidates) {
+                            const ResourceBudget& budget, size_t max_candidates) {
   std::vector<Term> vars = q.BodyVariables();
   size_t tried = 0;
 
@@ -66,9 +66,8 @@ Result<bool> IsSigmaMinimal(const ConjunctiveQuery& q, const DependencySet& sigm
   // Σ-lint pre-flight is skipped — candidates are derived from an already
   // vetted Q and Σ.
   EquivalenceEngine engine;
-  EquivRequest request{semantics, sigma, schema, options};
-  // The engine budgets from the context; carry the caller's chase budget over.
-  request.context.budget = options.budget;
+  EquivRequest request{semantics, sigma, schema};
+  request.context.budget = budget;
   request.analyze.enabled = false;
   auto equivalent_to_q = [&](const ConjunctiveQuery& candidate) -> Result<bool> {
     SQLEQ_ASSIGN_OR_RETURN(EquivVerdict verdict,

@@ -2,7 +2,7 @@
 #ifndef SQLEQ_REFORMULATION_MINIMIZE_H_
 #define SQLEQ_REFORMULATION_MINIMIZE_H_
 
-#include "chase/set_chase.h"
+#include "util/resource_budget.h"
 #include "constraints/dependency.h"
 #include "db/eval.h"
 #include "ir/query.h"
@@ -23,10 +23,11 @@ ConjunctiveQuery MinimizeSet(const ConjunctiveQuery& q);
 ///
 /// The substitution/drop space is exponential; `max_candidates` bounds the
 /// search and the function errs with ResourceExhausted when the bound does
-/// not cover the space (never hit at the paper's example sizes).
+/// not cover the space (never hit at the paper's example sizes). `budget`
+/// bounds each equivalence check's chases.
 Result<bool> IsSigmaMinimal(const ConjunctiveQuery& q, const DependencySet& sigma,
                             Semantics semantics, const Schema& schema,
-                            const ChaseOptions& options = {},
+                            const ResourceBudget& budget = {},
                             size_t max_candidates = 200000);
 
 }  // namespace sqleq

@@ -15,23 +15,12 @@ Result<CandBResult> RunBackchase(EquivalenceEngine& engine, const ConjunctiveQue
                                  LatticeBuilder build) {
   const EngineContext& ctx = options.context;
   TraceSpan call_span(ctx.trace, span_name);
-  if (options.analyze.enabled) {
-    AnalyzeOptions analyze = options.analyze;
-    if (analyze.budget == ResourceBudget{}) analyze.budget = ctx.budget;
-    SQLEQ_RETURN_IF_ERROR(
-        ReportToStatus(AnalyzeProgram(schema, sigma, preflight, analyze)));
-  }
+  SQLEQ_RETURN_IF_ERROR(RunPreflight(options, schema, sigma, preflight));
   // The engine's memo for this chase context: its compiled plan serves the
   // universal-plan chase and every candidate, and its entries outlive the
   // call. One budget governs the whole call, passed per run.
-  std::shared_ptr<ChaseMemo> memo =
-      engine.MemoFor(semantics, sigma, schema, options.chase);
-  ChaseRuntime runtime;
-  runtime.budget = &ctx.budget;
-  runtime.faults = ctx.faults;
-  runtime.cancel = ctx.cancel;
-  runtime.metrics = ctx.metrics;
-  runtime.trace = ctx.trace;
+  std::shared_ptr<ChaseMemo> memo = engine.MemoFor(semantics, sigma, schema);
+  const ChaseRuntime runtime(ctx);
 
   const CandBCheckpoint* resume = options.resume;
   const bool resume_backchase =

@@ -147,7 +147,7 @@ Result<bool> IsEquivalentRewriting(const ConjunctiveQuery& q,
                                    const ConjunctiveQuery& rewriting,
                                    const ViewSet& views, const DependencySet& sigma,
                                    Semantics semantics, const Schema& schema,
-                                   const ChaseOptions& options) {
+                                   const ResourceBudget& budget) {
   Result<ConjunctiveQuery> expansion = ExpandRewriting(rewriting, views);
   if (!expansion.ok()) {
     if (expansion.status().code() == StatusCode::kFailedPrecondition) {
@@ -156,8 +156,8 @@ Result<bool> IsEquivalentRewriting(const ConjunctiveQuery& q,
     return expansion.status();
   }
   EquivalenceEngine engine;
-  EquivRequest request{semantics, sigma, schema, options};
-  request.context.budget = options.budget;
+  EquivRequest request{semantics, sigma, schema};
+  request.context.budget = budget;
   SQLEQ_ASSIGN_OR_RETURN(EquivVerdict verdict,
                          engine.Equivalent(*expansion, q, request));
   return VerdictToBool(verdict);

@@ -61,12 +61,13 @@ Result<ConjunctiveQuery> ExpandRewriting(const ConjunctiveQuery& rewriting,
                                          const ViewSet& views);
 
 /// Decides whether `rewriting` is an equivalent rewriting of `q` using
-/// `views` under Σ and `semantics`: expansion(R) ≡Σ,X Q.
+/// `views` under Σ and `semantics`: expansion(R) ≡Σ,X Q, with `budget`
+/// bounding the chases.
 Result<bool> IsEquivalentRewriting(const ConjunctiveQuery& q,
                                    const ConjunctiveQuery& rewriting,
                                    const ViewSet& views, const DependencySet& sigma,
                                    Semantics semantics, const Schema& schema,
-                                   const ChaseOptions& options = {});
+                                   const ResourceBudget& budget = {});
 
 struct RewriteResult {
   /// Equivalent rewritings over the view (and optionally base) predicates,
@@ -93,11 +94,9 @@ struct RewriteResult {
   std::optional<CandBCheckpoint> checkpoint;
 };
 
-/// The C&B knobs (context/chase/analyze via RunOptions, Σ-minimality,
-/// resume) apply to the rewrite's chases directly — RewriteOptions IS-A
-/// CandBOptions; the old `candb` member wrapper is gone (drop the `.candb`
-/// path segment; see equivalence/run_options.h for the mapping).
-/// `verify_sigma_minimality` (inherited) is unsupported: RewriteWithViews
+/// The C&B knobs (context/analyze via RunOptions, Σ-minimality, resume)
+/// apply to the rewrite's chases directly — RewriteOptions IS-A
+/// CandBOptions. `verify_sigma_minimality` (inherited) is unsupported: RewriteWithViews
 /// answers InvalidArgument when it is set.
 struct RewriteOptions : CandBOptions {
   /// Allow base-relation atoms to appear alongside view atoms in rewritings

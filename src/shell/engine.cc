@@ -431,18 +431,16 @@ Result<std::string> ScriptEngine::ExecEquiv(std::string_view rest, bool explain)
   SQLEQ_ASSIGN_OR_RETURN(NamedQuery b, GetQuery(args.first[1]));
   Semantics sem = args.second.value_or(a.semantics);
   if (explain) {
-    ChaseOptions chase_options;
-    chase_options.budget = budget_;
     SQLEQ_ASSIGN_OR_RETURN(EquivalenceExplanation e,
                            ExplainEquivalence(a.query, b.query, catalog_.sigma, sem,
-                                              catalog_.schema, chase_options));
+                                              catalog_.schema, budget_));
     return e.ToString();
   }
   if (remote_ != nullptr) {
     return RemoteEquiv(args.first[0], a, args.first[1], b, sem);
   }
   EquivalenceEngine engine;
-  EquivRequest request{sem, catalog_.sigma, catalog_.schema, {}};
+  EquivRequest request{sem, catalog_.sigma, catalog_.schema};
   request.context = Context();
   SQLEQ_ASSIGN_OR_RETURN(
       EquivVerdict verdict,

@@ -7,10 +7,10 @@
 // means touching every options struct on the way down.
 //
 // Ownership: the context borrows everything. Pointers may be null ("feature
-// off") and must outlive the engine call. ChaseOptions deliberately stays
-// pure configuration (it is part of memo context keys); runtime facilities
-// travel separately via ChaseRuntime, which the engine layers populate from
-// the resolved context.
+// off") and must outlive the engine call. A chase gets the context as the
+// base of its ChaseRuntime (chase/set_chase.h), which adds only the
+// checkpoint pointers of one run; memo context keys hold none of it, so
+// calls with different budgets share one memo.
 #ifndef SQLEQ_UTIL_ENGINE_CONTEXT_H_
 #define SQLEQ_UTIL_ENGINE_CONTEXT_H_
 

@@ -21,8 +21,10 @@
 namespace sqleq {
 
 /// Resource limits shared by the chase and the reformulation searches.
-/// Embedded in ChaseOptions (chase-level limits) and CandBOptions (which
-/// propagates its budget to the chases it spawns).
+/// Carried per call by EngineContext (util/engine_context.h), from which
+/// ChaseRuntime inherits it: a chase takes its limits from its runtime, and
+/// a reformulation call passes its context's budget to every chase it
+/// spawns.
 struct ResourceBudget {
   /// Hard cap on chase steps per chase run; exceeded → ResourceExhausted.
   /// The paper's algorithms are conditioned on set-chase termination, so a
@@ -61,8 +63,9 @@ struct ResourceBudget {
   /// "steps=5000 candidates=1048576 deadline=unset".
   std::string ToString() const;
 
-  /// Memberwise equality; EngineContext::Resolve uses `b == ResourceBudget{}`
-  /// to detect "budget never customized" when merging legacy option structs.
+  /// Memberwise equality; the engine pre-flight (RunPreflight,
+  /// equivalence/run_options.h) uses `b == ResourceBudget{}` to detect an
+  /// analyze budget left at its default.
   friend bool operator==(const ResourceBudget&, const ResourceBudget&) =
       default;
 };

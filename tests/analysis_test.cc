@@ -281,7 +281,7 @@ TEST(Preflight, EngineRefusesNonTerminatingSigma) {
   ConjunctiveQuery q1 = Q("Q1(X) :- e(X, Y).");
   ConjunctiveQuery q2 = Q("Q2(X) :- e(X, Y), e(Y, Z).");
   EquivRequest request{Semantics::kSet, Sigma({"e(X, Y) -> e(Y, Z)."}),
-                       Schema(), ChaseOptions()};
+                       Schema()};
   Result<EquivVerdict> verdict = engine.Equivalent(q1, q2, request);
   ASSERT_FALSE(verdict.ok());
   EXPECT_NE(verdict.status().message().find("chase-nontermination"),
@@ -293,7 +293,7 @@ TEST(Preflight, EngineRefusesUnsafeQuery) {
   EquivalenceEngine engine;
   ConjunctiveQuery q1 = Q("Q1(X, Y) :- p(X, Y), r(Y).");
   ConjunctiveQuery unsafe = q1.WithBody({q1.body()[1]});
-  EquivRequest request{Semantics::kSet, {}, Schema(), ChaseOptions()};
+  EquivRequest request{Semantics::kSet, {}, Schema()};
   Result<EquivVerdict> verdict = engine.Equivalent(q1, unsafe, request);
   ASSERT_FALSE(verdict.ok());
   EXPECT_NE(verdict.status().message().find("query-unsafe-head"),
@@ -306,8 +306,7 @@ TEST(Preflight, StrictModeRefusesDef41Violation) {
   EquivalenceEngine engine;
   ConjunctiveQuery q = Q("Q(X) :- p(X, Y).");
   EquivRequest request{Semantics::kBagSet,
-                       Sigma({"p(X, Y) -> r(X, Z1), s(X, Z2)."}), Schema(),
-                       ChaseOptions()};
+                       Sigma({"p(X, Y) -> r(X, Z1), s(X, Z2)."}), Schema()};
   EXPECT_TRUE(engine.Equivalent(q, q, request).ok());
 
   request.analyze.warnings_as_errors = true;
@@ -317,13 +316,35 @@ TEST(Preflight, StrictModeRefusesDef41Violation) {
       << strict.status().message();
 }
 
+TEST(Preflight, EveryEnginePreflightCountsDiagnostics) {
+  // The equivalence and C&B pre-flights share one helper, so both count
+  // their findings in the call's registry.
+  const std::string counter =
+      std::string(metric::kAnalysisDiagPrefix) + "tgd-unregularized";
+  DependencySet sigma = Sigma({"p(X, Y) -> r(X, Z1), s(X, Z2)."});
+  ConjunctiveQuery q = Q("Q(X) :- p(X, Y).");
+
+  MetricsRegistry equiv_metrics;
+  EquivalenceEngine engine;
+  EquivRequest request{Semantics::kSet, sigma, Schema()};
+  request.context.metrics = &equiv_metrics;
+  ASSERT_TRUE(engine.Equivalent(q, q, request).ok());
+  EXPECT_GT(equiv_metrics.counter(counter).value(), 0u);
+
+  MetricsRegistry candb_metrics;
+  CandBOptions options;
+  options.context.metrics = &candb_metrics;
+  ASSERT_TRUE(ChaseAndBackchase(q, sigma, Semantics::kSet, Schema(), options).ok());
+  EXPECT_GT(candb_metrics.counter(counter).value(), 0u);
+}
+
 TEST(Preflight, DisablingAnalyzeSkipsTheGate) {
   // With the gate off the engine falls back to its chase budget, which the
   // non-terminating Σ exhausts: a ResourceExhausted error, not a lint one.
   EquivalenceEngine engine;
   ConjunctiveQuery q = Q("Q(X) :- e(X, Y).");
   EquivRequest request{Semantics::kSet, Sigma({"e(X, Y) -> e(Y, Z)."}),
-                       Schema(), ChaseOptions()};
+                       Schema()};
   request.analyze.enabled = false;
   request.context.budget.max_chase_steps = 50;
   Result<EquivVerdict> verdict = engine.Equivalent(q, q, request);
@@ -356,7 +377,7 @@ TEST(Preflight, StratifiedSigmaIsAcceptedDespiteFailingWeakAcyclicity) {
                            "p(X, 1) -> q(X, Z, 2).",
                            "q(X, Y, 3) -> p(Y, 1).",
                        }),
-                       Schema(), ChaseOptions()};
+                       Schema()};
   EXPECT_TRUE(engine.Equivalent(q, q, request).ok());
 }
 

@@ -152,8 +152,7 @@ TEST(AnytimeEngine, ExpiredDeadlineYieldsUnknownUnderAllSemantics) {
   EquivalenceEngine engine;
   ConjunctiveQuery q1 = Example41Q1();
   for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
-    EquivRequest request{sem, Example41Sigma(), Example41Schema(),
-                         ChaseOptions()};
+    EquivRequest request{sem, Example41Sigma(), Example41Schema()};
     request.context.budget = ExpiredBudget();
     EquivVerdict verdict =
         Unwrap(engine.Equivalent(q1, q1, request), "Equivalent");
@@ -171,8 +170,7 @@ TEST(AnytimeEngine, ExpiredDeadlineYieldsUnknownUnderAllSemantics) {
 TEST(AnytimeEngine, StepBudgetYieldsUnknownWithResumableCheckpoint) {
   EquivalenceEngine engine;
   ConjunctiveQuery q1 = StepHungryP();
-  EquivRequest small{Semantics::kSet, Example41Sigma(), Example41Schema(),
-                     ChaseOptions()};
+  EquivRequest small{Semantics::kSet, Example41Sigma(), Example41Schema()};
   small.context.budget.max_chase_steps = 2;
   EquivVerdict verdict = Unwrap(engine.Equivalent(q1, q1, small), "budgeted");
   ASSERT_EQ(verdict.verdict, Verdict::kUnknown);
@@ -183,8 +181,7 @@ TEST(AnytimeEngine, StepBudgetYieldsUnknownWithResumableCheckpoint) {
 
   // Resume under a roomy budget: the interrupted chase finishes and the
   // verdict is decided.
-  EquivRequest roomy{Semantics::kSet, Example41Sigma(), Example41Schema(),
-                     ChaseOptions()};
+  EquivRequest roomy{Semantics::kSet, Example41Sigma(), Example41Schema()};
   roomy.resume = &*verdict.checkpoint;
   EquivVerdict resumed = Unwrap(engine.Equivalent(q1, q1, roomy), "resumed");
   EXPECT_EQ(resumed.verdict, Verdict::kEquivalent);
@@ -199,14 +196,13 @@ TEST(AnytimeEngine, RetryPolicyDecidesUnderAllSemantics) {
   policy.growth = 4.0;
   policy.max_attempts = 5;
   for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
-    EquivRequest request{sem, Example41Sigma(), Example41Schema(),
-                         ChaseOptions()};
+    EquivRequest request{sem, Example41Sigma(), Example41Schema()};
     request.context.budget.max_chase_steps = 1;
     EquivVerdict verdict = Unwrap(
         engine.EquivalentWithRetry(q1, q2, request, policy), "WithRetry");
     EXPECT_NE(verdict.verdict, Verdict::kUnknown) << SemanticsToString(sem);
     // Reference: the same question with no budget pressure.
-    EquivRequest roomy{sem, Example41Sigma(), Example41Schema(), ChaseOptions()};
+    EquivRequest roomy{sem, Example41Sigma(), Example41Schema()};
     EquivVerdict want = Unwrap(engine.Equivalent(q1, q2, roomy), "reference");
     EXPECT_EQ(verdict.equivalent, want.equivalent) << SemanticsToString(sem);
   }
@@ -215,8 +211,7 @@ TEST(AnytimeEngine, RetryPolicyDecidesUnderAllSemantics) {
 TEST(AnytimeEngine, ExhaustedRetriesStayUnknown) {
   EquivalenceEngine engine;
   ConjunctiveQuery q1 = StepHungryP();
-  EquivRequest request{Semantics::kSet, Example41Sigma(), Example41Schema(),
-                       ChaseOptions()};
+  EquivRequest request{Semantics::kSet, Example41Sigma(), Example41Schema()};
   request.context.budget.max_chase_steps = 1;
   EscalatingBudget policy;
   policy.growth = 1.0;  // never escalates
@@ -231,8 +226,7 @@ TEST(AnytimeEngine, ExhaustedRetriesStayUnknown) {
 TEST(AnytimeEngine, CancelledVerdictConvertsToCancelledStatus) {
   EquivalenceEngine engine;
   ConjunctiveQuery q1 = Example41Q1();
-  EquivRequest request{Semantics::kSet, Example41Sigma(), Example41Schema(),
-                       ChaseOptions()};
+  EquivRequest request{Semantics::kSet, Example41Sigma(), Example41Schema()};
   CancellationToken cancel;
   cancel.Cancel();
   request.context.cancel = &cancel;
@@ -246,11 +240,11 @@ TEST(AnytimeEngine, CancelledVerdictConvertsToCancelledStatus) {
 }
 
 TEST(AnytimeEngine, LegacyWrapperPropagatesExhaustionAsError) {
-  ChaseOptions options;
-  options.budget.max_chase_steps = 1;
+  ResourceBudget budget;
+  budget.max_chase_steps = 1;
   Result<bool> legacy = testing::EngineEquivalent(
       StepHungryP(), StepHungryP(), Example41Sigma(), Semantics::kSet,
-      Example41Schema(), options);
+      Example41Schema(), budget);
   ASSERT_FALSE(legacy.ok());
   EXPECT_EQ(legacy.status().code(), StatusCode::kResourceExhausted);
 }
@@ -287,7 +281,7 @@ TEST(AnytimeCandB, BudgetedRunReturnsPrefixOfUnbudgetedOutput) {
   }
 }
 
-TEST(AnytimeCandB, ResumeWithLargerBudgetMatchesUnbudgetedAtEveryThreadCount) {
+TEST(AnytimeCandB, ResumeWithLargerBudgetMatchesUnbudgeted) {
   std::string reference = Canon(Unwrap(
       ChaseAndBackchase(Example41Q1(), Example41Sigma(), Semantics::kSet,
                         Example41Schema()),
@@ -476,7 +470,7 @@ TEST(AnytimeRewrite, BudgetExhaustionIsResumable) {
   EXPECT_EQ(Canon(finished), reference);
 }
 
-TEST(AnytimeRewrite, ResumeMatchesAtEveryThreadCount) {
+TEST(AnytimeRewrite, ResumeWithLargerBudgetMatchesUnbudgeted) {
   ViewSet views = RewriteViews();
   ConjunctiveQuery q = RewriteTarget();
   std::string reference = Canon(Unwrap(

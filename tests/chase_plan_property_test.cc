@@ -93,10 +93,14 @@ DependencySet RandomSigma(Rng* rng) {
   return Sigma(picked);
 }
 
-ChaseOptions Options(size_t max_steps = 64) {
-  ChaseOptions options;
-  options.budget.max_chase_steps = max_steps;
-  return options;
+/// The per-run step budget: a random Σ need not terminate.
+constexpr size_t kMaxSteps = 64;
+
+/// A runtime whose budget allows `max_steps` chase steps.
+ChaseRuntime Steps(size_t max_steps = kMaxSteps) {
+  ChaseRuntime runtime;
+  runtime.budget.max_chase_steps = max_steps;
+  return runtime;
 }
 
 /// Order-independent rendering of one homomorphism.
@@ -165,7 +169,7 @@ std::vector<ConjunctiveQuery> VisitedStates(const ChaseRun& run) {
     spec.kind = FaultKind::kExhausted;
     spec.start = n;
     faults.Arm(fault_sites::kChaseStep, spec);
-    ChaseRuntime runtime;
+    ChaseRuntime runtime = Steps();
     runtime.faults = &faults;
     std::optional<ChaseCheckpoint> checkpoint;
     runtime.checkpoint_out = &checkpoint;
@@ -242,7 +246,7 @@ TEST_P(SeededTest, SetChaseCompiledMatchesGenericStepForStep) {
     // SetChase chases the unregularized Σ on a per-call compile of it.
     SigmaPlan plan = SigmaPlan::Compile(sigma);
     std::vector<ConjunctiveQuery> states = VisitedStates(
-        [&](const ChaseRuntime& runtime) { return SetChase(q, sigma, Options(), runtime); });
+        [&](const ChaseRuntime& runtime) { return SetChase(q, sigma, runtime); });
     ASSERT_FALSE(states.empty()) << context;
     for (const ConjunctiveQuery& state : states) {
       ExpectKernelsMatchOracle(plan, sigma, state, context);
@@ -260,10 +264,10 @@ TEST_P(SeededTest, SoundChaseVerdictIdenticalUnderAllSemantics) {
          {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
       std::string context = std::string(SemanticsToString(sem)) + " " +
                             q.ToString() + " under " + SigmaToString(sigma);
-      ChasePlan reference(sigma, sem, schema, Options());
+      ChasePlan reference(sigma, sem, schema);
       std::vector<ConjunctiveQuery> states =
           VisitedStates([&](const ChaseRuntime& runtime) {
-            return SoundChase(q, sigma, sem, schema, Options(), runtime);
+            return SoundChase(q, sigma, sem, schema, runtime);
           });
       ASSERT_FALSE(states.empty()) << context;
       for (const ConjunctiveQuery& state : states) {
@@ -272,7 +276,7 @@ TEST_P(SeededTest, SoundChaseVerdictIdenticalUnderAllSemantics) {
       }
       // The uninterrupted chase ends on the last visited state.
       Term::ResetFreshCounterForTesting();
-      Result<ChaseOutcome> outcome = SoundChase(q, sigma, sem, schema, Options());
+      Result<ChaseOutcome> outcome = SoundChase(q, sigma, sem, schema, Steps());
       if (outcome.ok()) {
         EXPECT_EQ(outcome->result.ToString(), states.back().ToString()) << context;
       }
@@ -292,11 +296,11 @@ TEST_P(SeededTest, ChasePlanRunMatchesFreeFunction) {
       // front, the free function does it per call, and both paths must see
       // the same counter state when they do.
       Term::ResetFreshCounterForTesting();
-      ChasePlan plan(sigma, sem, schema, Options());
+      ChasePlan plan(sigma, sem, schema);
       EXPECT_GT(plan.stats().kernels.dependencies, 0u);
-      Result<ChaseOutcome> via_plan = plan.Run(q);
+      Result<ChaseOutcome> via_plan = plan.Run(q, Steps());
       Term::ResetFreshCounterForTesting();
-      Result<ChaseOutcome> via_free = SoundChase(q, sigma, sem, schema, Options());
+      Result<ChaseOutcome> via_free = SoundChase(q, sigma, sem, schema, Steps());
       ExpectIdenticalOutcome(via_plan, via_free,
                              std::string("plan vs free, ") + SemanticsToString(sem));
     }
@@ -308,11 +312,10 @@ TEST_P(SeededTest, ChasePlanRunMatchesFreeFunction) {
 TEST(ChasePlanIdentity, Example41TraceIdenticalAcrossPaths) {
   ConjunctiveQuery q = Q("P(X) :- p(X, Y).");
   for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
-    ChasePlan reference(Example41Sigma(), sem, Example41Schema(), Options());
+    ChasePlan reference(Example41Sigma(), sem, Example41Schema());
     std::vector<ConjunctiveQuery> states =
         VisitedStates([&](const ChaseRuntime& runtime) {
-          return SoundChase(q, Example41Sigma(), sem, Example41Schema(), Options(),
-                            runtime);
+          return SoundChase(q, Example41Sigma(), sem, Example41Schema(), runtime);
         });
     // At least one step of the chase proper, then its result.
     EXPECT_GT(states.size(), 1u) << SemanticsToString(sem);
@@ -321,9 +324,27 @@ TEST(ChasePlanIdentity, Example41TraceIdenticalAcrossPaths) {
                                SemanticsToString(sem));
     }
     Term::ResetFreshCounterForTesting();
-    Result<ChaseOutcome> outcome = reference.Run(q);
+    Result<ChaseOutcome> outcome = reference.Run(q, Steps());
     ASSERT_TRUE(outcome.ok());
     EXPECT_FALSE(outcome->trace.empty());
+  }
+}
+
+TEST(ChasePlanIdentity, RuntimeBudgetAloneBoundsTheRun) {
+  // A plan holds no budget: the same plan runs to the end under a default
+  // runtime and stops under a runtime whose step cap is too small.
+  ConjunctiveQuery q = Q("P(X) :- p(X, Y).");
+  for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
+    ChasePlan plan(Example41Sigma(), sem, Example41Schema());
+    ASSERT_TRUE(plan.Run(q).ok()) << SemanticsToString(sem);
+    ChaseRuntime capped;
+    capped.budget.max_chase_steps = 1;
+    Result<ChaseOutcome> stopped = plan.Run(q, capped);
+    ASSERT_FALSE(stopped.ok()) << SemanticsToString(sem);
+    EXPECT_EQ(stopped.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(stopped.status().message().find("max_chase_steps"), std::string::npos)
+        << stopped.status().ToString();
+    EXPECT_TRUE(plan.Run(q).ok()) << SemanticsToString(sem);
   }
 }
 
@@ -336,13 +357,13 @@ TEST(ChasePlanIdentity, CheckpointsInteroperateBetweenPaths) {
   ConjunctiveQuery q = Q("P(X) :- p(X, Y).");
   Term::ResetFreshCounterForTesting();
   ChaseOutcome full =
-      Unwrap(SetChase(q, Example41Sigma(), Options()), "uninterrupted");
+      Unwrap(SetChase(q, Example41Sigma(), Steps()), "uninterrupted");
 
-  ChaseRuntime runtime;
+  ChaseRuntime runtime = Steps(2);
   std::optional<ChaseCheckpoint> checkpoint;
   runtime.checkpoint_out = &checkpoint;
   Term::ResetFreshCounterForTesting();
-  Result<ChaseOutcome> interrupted = SetChase(q, Example41Sigma(), Options(2), runtime);
+  Result<ChaseOutcome> interrupted = SetChase(q, Example41Sigma(), runtime);
   // The interrupted prefix allocated exactly the fresh names the full run
   // did; replaying each resume from this mark makes the finished bodies
   // byte-identical to `full`.
@@ -356,10 +377,10 @@ TEST(ChasePlanIdentity, CheckpointsInteroperateBetweenPaths) {
         serialized ? Unwrap(ChaseCheckpoint::Deserialize(checkpoint->Serialize()))
                    : *checkpoint;
     Term::ResetFreshCounterForTesting(mark);
-    ChaseRuntime resume_runtime;
+    ChaseRuntime resume_runtime = Steps();
     resume_runtime.resume = &resume_from;
     Result<ChaseOutcome> finished =
-        SetChase(q, Example41Sigma(), Options(), resume_runtime);
+        SetChase(q, Example41Sigma(), resume_runtime);
     ExpectIdenticalOutcome(finished, full,
                            serialized ? "serialized resume" : "in-memory resume");
   }
@@ -369,12 +390,11 @@ TEST(ChasePlanIdentity, CheckpointsInteroperateBetweenPaths) {
   ChaseCheckpoint carried = *checkpoint;
   Result<ChaseOutcome> stepped = Status::Internal("not run");
   for (int call = 0; call < 64; ++call) {
-    ChaseRuntime step_runtime;
+    ChaseRuntime step_runtime = Steps(carried.steps_done + 1);
     std::optional<ChaseCheckpoint> next;
     step_runtime.resume = &carried;
     step_runtime.checkpoint_out = &next;
-    stepped = SetChase(q, Example41Sigma(), Options(carried.steps_done + 1),
-                       step_runtime);
+    stepped = SetChase(q, Example41Sigma(), step_runtime);
     if (stepped.ok()) break;
     ASSERT_TRUE(next.has_value());
     carried = *next;
@@ -386,23 +406,22 @@ TEST(ChasePlanIdentity, SoundChaseCheckpointResumesThroughPlan) {
   ConjunctiveQuery q = Q("P(X) :- p(X, Y).");
   Term::ResetFreshCounterForTesting();
   ChaseOutcome full = Unwrap(SoundChase(q, Example41Sigma(), Semantics::kSet,
-                                        Example41Schema(), Options()),
+                                        Example41Schema(), Steps()),
                              "uninterrupted");
-  ChaseRuntime runtime;
+  ChaseRuntime runtime = Steps(2);
   std::optional<ChaseCheckpoint> checkpoint;
   runtime.checkpoint_out = &checkpoint;
   Term::ResetFreshCounterForTesting();
   Result<ChaseOutcome> interrupted =
-      SoundChase(q, Example41Sigma(), Semantics::kSet, Example41Schema(),
-                 Options(2), runtime);
+      SoundChase(q, Example41Sigma(), Semantics::kSet, Example41Schema(), runtime);
   uint64_t mark = Term::FreshCounterForTesting();
   ASSERT_FALSE(interrupted.ok());
   ASSERT_TRUE(checkpoint.has_value());
   // Round-trip through the text format, then resume through the plan.
   ChaseCheckpoint restored =
       Unwrap(ChaseCheckpoint::Deserialize(checkpoint->Serialize()), "restore");
-  ChasePlan plan(Example41Sigma(), Semantics::kSet, Example41Schema(), Options());
-  ChaseRuntime resume_runtime;
+  ChasePlan plan(Example41Sigma(), Semantics::kSet, Example41Schema());
+  ChaseRuntime resume_runtime = Steps();
   resume_runtime.resume = &restored;
   Term::ResetFreshCounterForTesting(mark);
   ChaseOutcome finished = Unwrap(plan.Run(q, resume_runtime), "resume");
@@ -424,16 +443,16 @@ TEST_P(SeededTest, InjectedFaultsStopBothPathsIdentically) {
     for (Semantics sem :
          {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
       Term::ResetFreshCounterForTesting();
-      Result<ChaseOutcome> full = SoundChase(q, sigma, sem, schema, Options());
+      Result<ChaseOutcome> full = SoundChase(q, sigma, sem, schema, Steps());
 
       Term::ResetFreshCounterForTesting();
       FaultInjector faults(7);
       faults.Arm(fault_sites::kChaseStep, spec);
-      ChaseRuntime runtime;
+      ChaseRuntime runtime = Steps();
       runtime.faults = &faults;
       std::optional<ChaseCheckpoint> checkpoint;
       runtime.checkpoint_out = &checkpoint;
-      Result<ChaseOutcome> faulted = SoundChase(q, sigma, sem, schema, Options(), runtime);
+      Result<ChaseOutcome> faulted = SoundChase(q, sigma, sem, schema, runtime);
       uint64_t mark = Term::FreshCounterForTesting();
       if (faulted.ok()) {
         // Finished before the fault's hit: nothing was interrupted.
@@ -442,7 +461,7 @@ TEST_P(SeededTest, InjectedFaultsStopBothPathsIdentically) {
       }
       ASSERT_EQ(faulted.status().code(), StatusCode::kResourceExhausted) << context;
       ASSERT_TRUE(checkpoint.has_value()) << context;
-      ChasePlan reference(sigma, sem, schema, Options());
+      ChasePlan reference(sigma, sem, schema);
       ExpectKernelsMatchOracle(reference.kernels(), reference.regularized(),
                                checkpoint->state, context);
       // The captured resume state survives the text round trip and finishes
@@ -450,10 +469,10 @@ TEST_P(SeededTest, InjectedFaultsStopBothPathsIdentically) {
       ChaseCheckpoint restored =
           Unwrap(ChaseCheckpoint::Deserialize(checkpoint->Serialize()), "restore");
       EXPECT_EQ(restored.Serialize(), checkpoint->Serialize()) << context;
-      ChaseRuntime resume_runtime;
+      ChaseRuntime resume_runtime = Steps();
       resume_runtime.resume = &restored;
       Term::ResetFreshCounterForTesting(mark);
-      ExpectIdenticalOutcome(SoundChase(q, sigma, sem, schema, Options(), resume_runtime),
+      ExpectIdenticalOutcome(SoundChase(q, sigma, sem, schema, resume_runtime),
                              full, context + " resumed");
     }
   }
@@ -700,15 +719,17 @@ TEST_P(SeededTest, DeltaLoopMatchesReferenceStepForStep) {
     for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
       std::string context = std::string(SemanticsToString(sem)) + " " + q.ToString() +
                             " under " + SigmaToString(sigma);
-      ChasePlan plan(sigma, sem, schema, Options());
-      ReferenceChase reference(plan.regularized(), schema, Options().budget.max_chase_steps);
+      ChasePlan plan(sigma, sem, schema);
+      ReferenceChase reference(plan.regularized(), schema, kMaxSteps);
       Term::ResetFreshCounterForTesting();
       std::vector<std::string> rendered;
       Result<ChaseOutcome> expected = reference.Run(q, sem, &rendered);
       Term::ResetFreshCounterForTesting();
-      ExpectSameAsReference(plan.RunFull(q), expected, rendered, context + " full");
+      ExpectSameAsReference(plan.RunFull(q, Steps()), expected, rendered,
+                            context + " full");
       Term::ResetFreshCounterForTesting();
-      ExpectSameAsReference(plan.Run(q), expected, rendered, context + " sliced");
+      ExpectSameAsReference(plan.Run(q, Steps()), expected, rendered,
+                            context + " sliced");
     }
   }
 }
@@ -722,9 +743,9 @@ TEST_P(SeededTest, DeltaLoopResumesFromEveryStep) {
     for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
       std::string context = std::string(SemanticsToString(sem)) + " " + q.ToString() +
                             " under " + SigmaToString(sigma);
-      ChasePlan plan(sigma, sem, schema, Options());
+      ChasePlan plan(sigma, sem, schema);
       Term::ResetFreshCounterForTesting();
-      Result<ChaseOutcome> full = plan.Run(q);
+      Result<ChaseOutcome> full = plan.Run(q, Steps());
       // A checkpoint after every step (n-th chase.step probe, the B/BS
       // termination probe's included when Σ is not stratified), resumed
       // from its serialized text.
@@ -735,7 +756,7 @@ TEST_P(SeededTest, DeltaLoopResumesFromEveryStep) {
         spec.kind = FaultKind::kExhausted;
         spec.start = n;
         faults.Arm(fault_sites::kChaseStep, spec);
-        ChaseRuntime runtime;
+        ChaseRuntime runtime = Steps();
         runtime.faults = &faults;
         std::optional<ChaseCheckpoint> checkpoint;
         runtime.checkpoint_out = &checkpoint;
@@ -745,7 +766,7 @@ TEST_P(SeededTest, DeltaLoopResumesFromEveryStep) {
         ASSERT_TRUE(checkpoint.has_value()) << context << " step " << n;
         ChaseCheckpoint restored =
             Unwrap(ChaseCheckpoint::Deserialize(checkpoint->Serialize()), "restore");
-        ChaseRuntime resume_runtime;
+        ChaseRuntime resume_runtime = Steps();
         resume_runtime.resume = &restored;
         Term::ResetFreshCounterForTesting(mark);
         ExpectIdenticalOutcome(plan.Run(q, resume_runtime), full,
@@ -764,7 +785,7 @@ TEST_P(SeededTest, WatermarkFindersAgreeOnVisitedStates) {
     for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
       std::string context = std::string(SemanticsToString(sem)) + " " + q.ToString() +
                             " under " + SigmaToString(sigma);
-      ChasePlan plan(sigma, sem, schema, Options());
+      ChasePlan plan(sigma, sem, schema);
       std::vector<ConjunctiveQuery> states = VisitedStates(
           [&](const ChaseRuntime& runtime) { return plan.RunFull(q, runtime); });
       ASSERT_FALSE(states.empty()) << context;
@@ -835,8 +856,8 @@ TEST(ChaseDelta, EgdMergeReopensCleanDependencies) {
       {"s(X, Y), s(X, Z) -> Y = Z.", "p(X, X) -> r(X).", "p(X, Y) -> s(X, Y)."});
   Schema schema = DeltaSchema();
   for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
-    ChasePlan plan(sigma, sem, schema, Options());
-    ReferenceChase reference(plan.regularized(), schema, Options().budget.max_chase_steps);
+    ChasePlan plan(sigma, sem, schema);
+    ReferenceChase reference(plan.regularized(), schema, kMaxSteps);
     Term::ResetFreshCounterForTesting();
     std::vector<std::string> rendered;
     Result<ChaseOutcome> expected = reference.Run(q, sem, &rendered);
@@ -845,7 +866,8 @@ TEST(ChaseDelta, EgdMergeReopensCleanDependencies) {
     EXPECT_NE(expected->result.ToString().find("r("), std::string::npos)
         << expected->result.ToString();
     Term::ResetFreshCounterForTesting();
-    ExpectSameAsReference(plan.RunFull(q), expected, rendered, SemanticsToString(sem));
+    ExpectSameAsReference(plan.RunFull(q, Steps()), expected, rendered,
+                          SemanticsToString(sem));
   }
 }
 
@@ -854,9 +876,9 @@ TEST(ChaseDelta, CountsSkippedCleanChecksAndRebuilds) {
   // most dependency checks skipped as clean.
   DependencySet sigma = Sigma({"e(X, Y) -> n(X).", "n(X) -> m(X).", "m(X) -> k(X)."});
   MetricsRegistry metrics;
-  ChaseRuntime runtime;
+  ChaseRuntime runtime = Steps();
   runtime.metrics = &metrics;
-  ChaseOutcome out = Unwrap(SetChase(testing::ChainQuery(6), sigma, Options(), runtime));
+  ChaseOutcome out = Unwrap(SetChase(testing::ChainQuery(6), sigma, runtime));
   EXPECT_EQ(out.trace.size(), 18u);
   EXPECT_EQ(metrics.counter(metric::kChaseRebuilds).value(), 1u);
   EXPECT_GT(metrics.counter(metric::kChaseChecksSkippedClean).value(),
@@ -867,20 +889,20 @@ TEST(ChaseDelta, CountsSkippedCleanChecksAndRebuilds) {
   runtime.metrics = &egd_metrics;
   ChaseOutcome merged = Unwrap(SetChase(Q("Q(X) :- p(X, Y), p(X, Z), p(X, W)."),
                                         Sigma({"p(X, Y), p(X, Z) -> Y = Z."}),
-                                        Options(), runtime));
+                                        runtime));
   EXPECT_EQ(merged.trace.size(), 2u);
   EXPECT_EQ(egd_metrics.counter(metric::kChaseRebuilds).value(), 3u);
 }
 
 // ---- The B/BS set-chase probe ----------------------------------------
 
-/// plan.RunFull(q) with the set-chase probe forced on (as for a Σ without a
-/// termination certificate) or off.
+/// plan.RunFull(q, runtime) with the set-chase probe forced on (as for a Σ
+/// without a termination certificate) or off.
 Result<ChaseOutcome> RunWithProbe(const ChasePlan& plan, const ConjunctiveQuery& q,
-                                  bool probe, const ChaseRuntime& runtime = {}) {
+                                  bool probe, const ChaseRuntime& runtime = Steps()) {
   return chase_internal::RunChase(q, plan.regularized(), plan.kernels(),
-                                  plan.semantics(), plan.schema(), plan.options(),
-                                  runtime, /*sigma_terminates=*/!probe);
+                                  plan.semantics(), plan.schema(), runtime,
+                                  /*sigma_terminates=*/!probe);
 }
 
 /// The verdict ChasedEquivalent reaches on two outcomes, failure included.
@@ -907,7 +929,7 @@ TEST_P(SeededTest, ProbeSkipKeepsOutcomesAndVerdictsOnWeaklyAcyclicSigma) {
     ConjunctiveQuery q1 = RandomQuery(schema, rng.UniformInt(1, 4), 4, &rng);
     ConjunctiveQuery q2 = RandomQuery(schema, rng.UniformInt(1, 4), 4, &rng);
     for (Semantics sem : {Semantics::kBag, Semantics::kBagSet}) {
-      ChasePlan plan(sigma, sem, schema, Options());
+      ChasePlan plan(sigma, sem, schema);
       if (!IsWeaklyAcyclic(plan.regularized())) continue;
       ASSERT_TRUE(plan.sigma_terminates());
       std::string context = std::string(SemanticsToString(sem)) + " under " +
@@ -970,10 +992,9 @@ TEST(ChaseProbe, AppendixHBagChasesDoTheSetChaseWorkOnce) {
   std::map<Semantics, std::pair<uint64_t, uint64_t>> counts;
   for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
     MetricsRegistry metrics;
-    ChaseRuntime runtime;
+    ChaseRuntime runtime = Steps(100000);
     runtime.metrics = &metrics;
-    ChaseOutcome out = Unwrap(SoundChase(q, family.sigma, sem, family.schema,
-                                         Options(100000), runtime));
+    ChaseOutcome out = Unwrap(SoundChase(q, family.sigma, sem, family.schema, runtime));
     EXPECT_FALSE(out.trace.empty());
     counts[sem] = {metrics.counter(metric::kChaseChecksSatisfied).value(),
                    metrics.counter(metric::kChaseRebuilds).value()};
@@ -987,11 +1008,11 @@ TEST(ChaseProbe, UnstratifiedSigmaStillProbes) {
   Schema schema = DeltaSchema();
   ConjunctiveQuery q = Q("Q(X) :- r(X).");
   for (Semantics sem : {Semantics::kBag, Semantics::kBagSet}) {
-    ChasePlan plan(UnstratifiedSigma(), sem, schema, Options());
+    ChasePlan plan(UnstratifiedSigma(), sem, schema);
     EXPECT_FALSE(plan.sigma_terminates());
     // Run() does what the forced probe does, down to the loop counters.
     MetricsRegistry via_run, via_probe;
-    ChaseRuntime runtime;
+    ChaseRuntime runtime = Steps();
     runtime.metrics = &via_run;
     Term::ResetFreshCounterForTesting();
     Result<ChaseOutcome> run = plan.RunFull(q, runtime);
@@ -1005,7 +1026,7 @@ TEST(ChaseProbe, UnstratifiedSigmaStillProbes) {
     // The first step boundary of the run lies inside the probe.
     FaultInjector faults(7);
     faults.Arm(fault_sites::kChaseStep, {FaultKind::kExhausted, 1, 0, {}, 1.0});
-    ChaseRuntime faulted;
+    ChaseRuntime faulted = Steps();
     faulted.faults = &faults;
     std::optional<ChaseCheckpoint> checkpoint;
     faulted.checkpoint_out = &checkpoint;
@@ -1018,11 +1039,11 @@ TEST(ChaseProbe, UnstratifiedSigmaStillProbes) {
 TEST(ChaseProbe, CertifiedSigmaStartsWithTheSoundChase) {
   ConjunctiveQuery q = Q("P(X) :- p(X, Y).");
   for (Semantics sem : {Semantics::kBag, Semantics::kBagSet}) {
-    ChasePlan plan(Example41Sigma(), sem, Example41Schema(), Options());
+    ChasePlan plan(Example41Sigma(), sem, Example41Schema());
     EXPECT_TRUE(plan.sigma_terminates());
     FaultInjector faults(7);
     faults.Arm(fault_sites::kChaseStep, {FaultKind::kExhausted, 1, 0, {}, 1.0});
-    ChaseRuntime runtime;
+    ChaseRuntime runtime = Steps();
     runtime.faults = &faults;
     std::optional<ChaseCheckpoint> checkpoint;
     runtime.checkpoint_out = &checkpoint;
@@ -1039,14 +1060,14 @@ TEST(ChaseProbe, ConcurrentFirstBagChasesShareOneFreshPlan) {
   AppendixH family = MakeAppendixH(4);
   ConjunctiveQuery q = Q("Q(X, Y) :- p1(X, Y).");
   ChaseOutcome reference =
-      Unwrap(SoundChase(q, family.sigma, Semantics::kBag, family.schema, Options(1000)));
+      Unwrap(SoundChase(q, family.sigma, Semantics::kBag, family.schema, Steps(1000)));
   for (int trial = 0; trial < 3; ++trial) {
-    ChasePlan plan(family.sigma, Semantics::kBag, family.schema, Options(1000));
+    ChasePlan plan(family.sigma, Semantics::kBag, family.schema);
     constexpr int kThreads = 4;
     std::vector<Result<ChaseOutcome>> results(kThreads, Status::Internal("not run"));
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] { results[t] = plan.Run(q); });
+      threads.emplace_back([&, t] { results[t] = plan.Run(q, Steps(1000)); });
     }
     for (std::thread& thread : threads) thread.join();
     EXPECT_TRUE(plan.sigma_terminates());

@@ -43,13 +43,11 @@ ConjunctiveQuery StepHungryP() { return Q("P(X) :- p(X, Y)."); }
 /// Captures a real mid-chase checkpoint by running StepHungryP's chase under
 /// a step budget too small to finish.
 std::optional<ChaseCheckpoint> CaptureChaseCheckpoint(size_t max_steps) {
-  ChaseOptions options;
-  options.budget.max_chase_steps = max_steps;
   ChaseRuntime runtime;
+  runtime.budget.max_chase_steps = max_steps;
   std::optional<ChaseCheckpoint> checkpoint;
   runtime.checkpoint_out = &checkpoint;
-  Result<ChaseOutcome> chased =
-      SetChase(StepHungryP(), Example41Sigma(), options, runtime);
+  Result<ChaseOutcome> chased = SetChase(StepHungryP(), Example41Sigma(), runtime);
   EXPECT_FALSE(chased.ok());
   if (chased.ok()) return std::nullopt;
   EXPECT_EQ(chased.status().code(), StatusCode::kResourceExhausted);
@@ -181,7 +179,7 @@ TEST(ChaseCheckpointTest, DeserializedCheckpointResumesTheChase) {
   ChaseRuntime runtime;
   runtime.resume = &parked;
   ChaseOutcome resumed = Unwrap(
-      SetChase(StepHungryP(), Example41Sigma(), {}, runtime), "resumed chase");
+      SetChase(StepHungryP(), Example41Sigma(), runtime), "resumed chase");
   EXPECT_EQ(CanonicalQueryKey(resumed.result), CanonicalQueryKey(reference.result));
   ASSERT_GE(resumed.trace.size(), cp->trace.size());
   for (size_t i = 0; i < cp->trace.size(); ++i) {
@@ -255,10 +253,10 @@ Schema ProbedSchema() {
 
 ConjunctiveQuery TwoRows() { return Q("Q(X, Y) :- r(X), r(Y)."); }
 
-ChaseOptions StepBudget(size_t steps) {
-  ChaseOptions options;
-  options.budget.max_chase_steps = steps;
-  return options;
+/// `runtime` with a step budget of `steps`.
+ChaseRuntime WithStepBudget(ChaseRuntime runtime, size_t steps) {
+  runtime.budget.max_chase_steps = steps;
+  return runtime;
 }
 
 /// The distinct second arguments of `q`'s atoms over `predicate`.
@@ -294,12 +292,12 @@ ChaseCheckpoint ParkAfterOneStep(
 TEST(ResumeFreshNames, SetChaseResumeMintsPastParkedNulls) {
   ChaseCheckpoint parked = ParkAfterOneStep(
       [](const ChaseRuntime& runtime) {
-        return SetChase(TwoRows(), OneNullPerRow(), StepBudget(1), runtime);
+        return SetChase(TwoRows(), OneNullPerRow(), WithStepBudget(runtime, 1));
       },
       ChaseCheckpoint::kSetChasePhase);
   ChaseRuntime resume;
   resume.resume = &parked;
-  ChaseOutcome resumed = Unwrap(SetChase(TwoRows(), OneNullPerRow(), {}, resume));
+  ChaseOutcome resumed = Unwrap(SetChase(TwoRows(), OneNullPerRow(), resume));
   EXPECT_EQ(resumed.result.ToString(), "Q(X, Y) :- r(X), r(Y), s(X, Z#0), s(Y, Z#1).");
 }
 
@@ -310,26 +308,25 @@ TEST(ResumeFreshNames, BagSoundChaseResumeMintsPastParkedNulls) {
   schema.Relation("r", 1).Relation("s", 2, /*set_valued=*/true);
   const DependencySet sigma =
       testing::Sigma({"r(X) -> s(X, Z).", "s(X, Y), s(X, Z) -> Y = Z."});
-  auto chase = [&](const ChaseOptions& options, const ChaseRuntime& runtime) {
-    return SoundChase(TwoRows(), sigma, Semantics::kBag, schema, options, runtime);
+  auto chase = [&](const ChaseRuntime& runtime) {
+    return SoundChase(TwoRows(), sigma, Semantics::kBag, schema, runtime);
   };
   ChaseCheckpoint parked = ParkAfterOneStep(
-      [&chase](const ChaseRuntime& runtime) { return chase(StepBudget(1), runtime); },
+      [&chase](const ChaseRuntime& runtime) { return chase(WithStepBudget(runtime, 1)); },
       ChaseCheckpoint::kSoundChasePhase);
   ChaseRuntime resume;
   resume.resume = &parked;
-  ChaseOutcome resumed = Unwrap(chase({}, resume));
+  ChaseOutcome resumed = Unwrap(chase(resume));
   EXPECT_EQ(SecondArgs(resumed.result, "s").size(), 2u) << resumed.result.ToString();
 }
 
 TEST(ResumeFreshNames, BagProbeResumeMintsPastParkedNulls) {
   const Schema schema = ProbedSchema();
-  auto chase = [&schema](const ChaseOptions& options, const ChaseRuntime& runtime) {
-    return SoundChase(TwoRows(), ProbedSigma(), Semantics::kBag, schema, options,
-                      runtime);
+  auto chase = [&schema](const ChaseRuntime& runtime) {
+    return SoundChase(TwoRows(), ProbedSigma(), Semantics::kBag, schema, runtime);
   };
   ChaseCheckpoint parked = ParkAfterOneStep(
-      [&chase](const ChaseRuntime& runtime) { return chase(StepBudget(1), runtime); },
+      [&chase](const ChaseRuntime& runtime) { return chase(WithStepBudget(runtime, 1)); },
       ChaseCheckpoint::kSetChaseProbePhase);
   // One more probe step fires r(X) -> p(X, Z) on the second r atom; park
   // again and look at the probe's state.
@@ -337,7 +334,7 @@ TEST(ResumeFreshNames, BagProbeResumeMintsPastParkedNulls) {
   resume.resume = &parked;
   std::optional<ChaseCheckpoint> again;
   resume.checkpoint_out = &again;
-  ASSERT_FALSE(chase(StepBudget(2), resume).ok());
+  ASSERT_FALSE(chase(WithStepBudget(resume, 2)).ok());
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->phase, ChaseCheckpoint::kSetChaseProbePhase);
   EXPECT_EQ(again->state.ToString(), "Q(X, Y) :- r(X), r(Y), p(X, Z#0), p(Y, Z#1).");
@@ -354,7 +351,7 @@ TEST(ResumeFreshNames, OutOfRangeSuffixIsRejected) {
     ChaseCheckpoint parked{ChaseCheckpoint::kSetChasePhase, "", Q(state), {}, 1};
     ChaseRuntime resume;
     resume.resume = &parked;
-    Result<ChaseOutcome> resumed = SetChase(TwoRows(), OneNullPerRow(), {}, resume);
+    Result<ChaseOutcome> resumed = SetChase(TwoRows(), OneNullPerRow(), resume);
     ASSERT_FALSE(resumed.ok()) << state;
     EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument) << state;
     EXPECT_EQ(Term::FreshCounterForTesting(), mark) << state;
@@ -379,10 +376,9 @@ TEST(ResumeFreshNames, OutOfRangeSuffixIsRejected) {
 }
 
 TEST(ChaseCheckpointTest, MemoStampsSubjectAndIgnoresMismatches) {
-  ChaseOptions options;
-  options.budget.max_chase_steps = 1;
-  ChaseMemo memo(Example41Sigma(), Semantics::kSet, Example41Schema(), options);
+  ChaseMemo memo(Example41Sigma(), Semantics::kSet, Example41Schema(), {});
   ChaseRuntime runtime;
+  runtime.budget.max_chase_steps = 1;
   std::optional<ChaseCheckpoint> checkpoint;
   runtime.checkpoint_out = &checkpoint;
   Result<ChaseOutcome> chased = memo.Chase(StepHungryP(), runtime);

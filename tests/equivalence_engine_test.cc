@@ -28,13 +28,13 @@ TEST(EquivalenceEngine, DecidesExample41PerSemantics) {
   ConjunctiveQuery q4 = Q("Q4(X) :- p(X, Y).");
   EquivalenceEngine engine;
   for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
-    EquivRequest request{sem, Example41Sigma(), Example41Schema(), {}};
+    EquivRequest request{sem, Example41Sigma(), Example41Schema()};
     EquivVerdict verdict = Unwrap(engine.Equivalent(q1, q4, request));
     EXPECT_EQ(verdict.equivalent, sem == Semantics::kSet) << SemanticsToString(sem);
     EXPECT_EQ(verdict.semantics, sem);
   }
   // The set-semantics verdict specifically is "equivalent".
-  EquivRequest set_request{Semantics::kSet, Example41Sigma(), Example41Schema(), {}};
+  EquivRequest set_request{Semantics::kSet, Example41Sigma(), Example41Schema()};
   EXPECT_TRUE(Unwrap(engine.Equivalent(q1, q4, set_request)).equivalent);
 }
 
@@ -44,7 +44,7 @@ TEST(EquivalenceEngine, VerdictCarriesTracesAndWitness) {
   ConjunctiveQuery q2 = Q("Q2(X) :- a(X), b(X).");
   EquivalenceEngine engine;
   EquivVerdict v =
-      Unwrap(engine.Equivalent(q1, q2, EquivRequest{Semantics::kSet, sigma, {}, {}}));
+      Unwrap(engine.Equivalent(q1, q2, EquivRequest{Semantics::kSet, sigma, {}}));
   EXPECT_TRUE(v.equivalent);
   // The verdict carries no traces (its chases are memoized); the uncached
   // ExplainEquivalence does. Q1's chase applies the tgd once, Q2's none.
@@ -78,7 +78,7 @@ TEST(EquivalenceEngine, BothChasesFailingMeansEquivalent) {
   ConjunctiveQuery q2 = Q("Q2(X) :- s(X, 1), s(X, 2), p(X, Y).");
   EquivalenceEngine engine;
   EquivVerdict v = Unwrap(
-      engine.Equivalent(q1, q2, EquivRequest{Semantics::kSet, sigma, {}, {}}));
+      engine.Equivalent(q1, q2, EquivRequest{Semantics::kSet, sigma, {}}));
   EXPECT_TRUE(v.q1_failed);
   EXPECT_TRUE(v.q2_failed);
   EXPECT_TRUE(v.equivalent);  // both empty on every D |= Σ
@@ -92,11 +92,11 @@ TEST(EquivalenceEngine, EmptySigmaBagMatchesTheorem21) {
   ConjunctiveQuery c = Q("R(X) :- p(X, Y), p(Y, Z), p(X, W).");
   EquivalenceEngine engine;
   EXPECT_TRUE(
-      Unwrap(engine.Equivalent(a, b, EquivRequest{Semantics::kBag, {}, {}, {}}))
+      Unwrap(engine.Equivalent(a, b, EquivRequest{Semantics::kBag, {}, {}}))
           .equivalent);
   EXPECT_EQ(BagEquivalent(a, b), true);
   EXPECT_FALSE(
-      Unwrap(engine.Equivalent(a, c, EquivRequest{Semantics::kBag, {}, {}, {}}))
+      Unwrap(engine.Equivalent(a, c, EquivRequest{Semantics::kBag, {}, {}}))
           .equivalent);
   EXPECT_EQ(BagEquivalent(a, c), false);
   // And the BS wrapper still implements Theorem 2.1(2) duplicate-blindness.
@@ -109,7 +109,7 @@ TEST(EquivalenceEngine, RepeatCallsHitTheChaseMemo) {
       Q("Q1(X) :- p(X, Y), t(X, Y, W), s(X, Z), r(X), u(X, U).");
   ConjunctiveQuery q4 = Q("Q4(X) :- p(X, Y).");
   EquivalenceEngine engine;
-  EquivRequest request{Semantics::kSet, Example41Sigma(), Example41Schema(), {}};
+  EquivRequest request{Semantics::kSet, Example41Sigma(), Example41Schema()};
   Unwrap(engine.Equivalent(q1, q4, request));
   EquivalenceEngine::CacheStats first = engine.cache_stats();
   EXPECT_EQ(first.contexts, 1u);
@@ -122,19 +122,54 @@ TEST(EquivalenceEngine, RepeatCallsHitTheChaseMemo) {
   EXPECT_EQ(second.hits, 2u);
 }
 
+TEST(EquivalenceEngine, BudgetIsPerCallMemoIsPerContext) {
+  // The budget travels with each call; the memo belongs to the context. A
+  // call that runs out of steps leaves nothing behind, a roomy call warms
+  // the memo, and a later call under the same tight budget is answered
+  // from it — all through one memo context.
+  ConjunctiveQuery q = Q("P(X) :- p(X, Y).");  // five steps under S
+  ConjunctiveQuery renamed = Q("P(A) :- p(A, B).");
+  for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
+    SCOPED_TRACE(SemanticsToString(sem));
+    EquivalenceEngine engine;
+    EquivRequest tight{sem, Example41Sigma(), Example41Schema()};
+    tight.context.budget.max_chase_steps = 1;
+    EquivRequest roomy{sem, Example41Sigma(), Example41Schema()};
+
+    EquivVerdict cold = Unwrap(engine.Equivalent(q, renamed, tight), "cold");
+    EXPECT_EQ(cold.verdict, Verdict::kUnknown);
+    ASSERT_TRUE(cold.exhaustion.has_value());
+    EXPECT_EQ(cold.exhaustion->limit, "max_chase_steps");
+    EXPECT_EQ(engine.cache_stats().contexts, 1u);
+    EXPECT_EQ(engine.cache_stats().entries, 0u);
+
+    EXPECT_EQ(Unwrap(engine.Equivalent(q, renamed, roomy), "roomy").verdict,
+              Verdict::kEquivalent);
+    EquivalenceEngine::CacheStats warm = engine.cache_stats();
+    EXPECT_EQ(warm.contexts, 1u);
+
+    EXPECT_EQ(Unwrap(engine.Equivalent(q, renamed, tight), "repeat").verdict,
+              Verdict::kEquivalent);
+    EquivalenceEngine::CacheStats repeat = engine.cache_stats();
+    EXPECT_EQ(repeat.contexts, 1u);
+    EXPECT_EQ(repeat.misses, warm.misses);  // nothing chased under the cap
+    EXPECT_EQ(repeat.hits, warm.hits + 2);
+  }
+}
+
 TEST(EquivalenceEngine, DistinctSigmaDistinctContexts) {
   ConjunctiveQuery a = Q("Q(X) :- a(X).");
   ConjunctiveQuery b = Q("P(X) :- a(X), b(X).");
   EquivalenceEngine engine;
-  Unwrap(engine.Equivalent(a, b, EquivRequest{Semantics::kSet, {}, {}, {}}));
+  Unwrap(engine.Equivalent(a, b, EquivRequest{Semantics::kSet, {}, {}}));
   Unwrap(engine.Equivalent(
-      a, b, EquivRequest{Semantics::kSet, Sigma({"a(X) -> b(X)."}), {}, {}}));
+      a, b, EquivRequest{Semantics::kSet, Sigma({"a(X) -> b(X)."}), {}}));
   EXPECT_EQ(engine.cache_stats().contexts, 2u);
 }
 
 TEST(EquivalenceEngine, ExpiredDeadlineReportsResourceExhausted) {
   EquivalenceEngine engine;
-  EquivRequest request{Semantics::kSet, Sigma({"a(X) -> b(X)."}), {}, {}};
+  EquivRequest request{Semantics::kSet, Sigma({"a(X) -> b(X)."}), {}};
   request.context.budget.deadline =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
   Result<EquivVerdict> v =

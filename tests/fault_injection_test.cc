@@ -201,7 +201,7 @@ TEST(FaultSites, ChaseStepFiresInsideSetChase) {
   std::optional<ChaseCheckpoint> checkpoint;
   runtime.checkpoint_out = &checkpoint;
   Result<ChaseOutcome> chased =
-      SetChase(StepHungryP(), Example41Sigma(), {}, runtime);
+      SetChase(StepHungryP(), Example41Sigma(), runtime);
   ASSERT_FALSE(chased.ok());
   EXPECT_EQ(chased.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(chased.status().message().find("injected"), std::string::npos);

@@ -152,7 +152,7 @@ TEST(SharedEngineReformulation, ResultsDoNotDependOnTheEngineOrThreadCount) {
     // Warm: checks on the same context, a reformulation of another query,
     // and this query once already.
     EquivalenceEngine warm;
-    EquivRequest request{f.semantics, f.sigma, f.schema, {}};
+    EquivRequest request{f.semantics, f.sigma, f.schema};
     Unwrap(warm.Equivalent(f.q, f.other, request));
     Unwrap(warm.Equivalent(f.other, f.other, request));
     RunFixture(f.views.size() == 0 ? Fixture{f.name, f.other, f.sigma, f.semantics,

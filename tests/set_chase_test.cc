@@ -68,12 +68,12 @@ TEST(SetChase, ChaseFailureOnConstantClash) {
 TEST(SetChase, NonTerminatingChaseHitsBudget) {
   ConjunctiveQuery q = Q("Q(X) :- p(X, Y).");
   DependencySet sigma = Sigma({"p(X, Y) -> p(Y, Z)."});  // not weakly acyclic
-  ChaseOptions options;
-  options.budget.max_chase_steps = 50;
-  Result<ChaseOutcome> out = SetChase(q, sigma, options);
+  ChaseRuntime runtime;
+  runtime.budget.max_chase_steps = 50;
+  Result<ChaseOutcome> out = SetChase(q, sigma, runtime);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_FALSE(Unwrap(SetChaseTerminates(q, sigma, options)));
+  EXPECT_FALSE(Unwrap(SetChaseTerminates(q, sigma, runtime.budget)));
   // The diagnostic distinguishes divergence from a too-small budget.
   EXPECT_NE(out.status().message().find("NOT weakly acyclic"), std::string::npos)
       << out.status().ToString();
@@ -84,9 +84,9 @@ TEST(SetChase, BudgetDiagnosticForWeaklyAcyclicSigma) {
   // raising the budget will terminate.
   ConjunctiveQuery q = Q("Q(X) :- p(X, Y).");
   DependencySet sigma = Sigma({"p(X, Y) -> r(X)."});
-  ChaseOptions options;
-  options.budget.max_chase_steps = 0;
-  Result<ChaseOutcome> out = SetChase(q, sigma, options);
+  ChaseRuntime runtime;
+  runtime.budget.max_chase_steps = 0;
+  Result<ChaseOutcome> out = SetChase(q, sigma, runtime);
   ASSERT_FALSE(out.ok());
   EXPECT_NE(out.status().message().find("is weakly acyclic"), std::string::npos)
       << out.status().ToString();

@@ -101,10 +101,14 @@ DependencySet RandomSigma(Rng* rng, DependencySet* connected_only = nullptr) {
   return Sigma(picked);
 }
 
-ChaseOptions Options(size_t max_steps = 64) {
-  ChaseOptions options;
-  options.budget.max_chase_steps = max_steps;
-  return options;
+/// The per-run step budget: a random Σ need not terminate.
+constexpr size_t kMaxSteps = 64;
+
+/// A runtime whose budget allows `max_steps` chase steps.
+ChaseRuntime Steps(size_t max_steps = kMaxSteps) {
+  ChaseRuntime runtime;
+  runtime.budget.max_chase_steps = max_steps;
+  return runtime;
 }
 
 /// The conservativity assertion: both runs succeeded with byte-identical
@@ -144,9 +148,9 @@ TEST_P(SeededTest, SoundChaseSlicedMatchesFullUnderAllSemantics) {
     for (Semantics sem :
          {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
       Term::ResetFreshCounterForTesting();
-      Result<ChaseOutcome> sliced = SoundChase(q, sigma, sem, schema, Options());
+      Result<ChaseOutcome> sliced = SoundChase(q, sigma, sem, schema, Steps());
       Term::ResetFreshCounterForTesting();
-      Result<ChaseOutcome> full = ChasePlan(sigma, sem, schema, Options()).RunFull(q);
+      Result<ChaseOutcome> full = ChasePlan(sigma, sem, schema).RunFull(q, Steps());
       ExpectIdenticalOutcome(sliced, full,
                              std::string(SemanticsToString(sem)) + " " +
                                  q.ToString() + " under " + SigmaToString(sigma));
@@ -166,11 +170,11 @@ TEST_P(SeededTest, ChasePlanSlicedMatchesFull) {
     for (Semantics sem :
          {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
       Term::ResetFreshCounterForTesting();
-      ChasePlan sliced_plan(sigma, sem, schema, Options());
-      Result<ChaseOutcome> sliced = sliced_plan.Run(q);
+      ChasePlan sliced_plan(sigma, sem, schema);
+      Result<ChaseOutcome> sliced = sliced_plan.Run(q, Steps());
       Term::ResetFreshCounterForTesting();
-      ChasePlan full_plan(sigma, sem, schema, Options());
-      Result<ChaseOutcome> full = full_plan.RunFull(q);
+      ChasePlan full_plan(sigma, sem, schema);
+      Result<ChaseOutcome> full = full_plan.RunFull(q, Steps());
       ExpectIdenticalOutcome(sliced, full,
                              std::string("plan ") + SemanticsToString(sem) +
                                  " " + q.ToString() + " under " +
@@ -196,10 +200,10 @@ TEST_P(SeededTest, InjectedFaultsStopSlicedAndFullIdentically) {
          {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
       auto run = [&](bool sliced) -> std::pair<Result<ChaseOutcome>, std::string> {
         Term::ResetFreshCounterForTesting();
-        ChasePlan plan(sigma, sem, schema, Options());
+        ChasePlan plan(sigma, sem, schema);
         FaultInjector faults(7);  // fresh injector per run: same schedule
         faults.Arm(fault_sites::kChaseStep, spec);
-        ChaseRuntime runtime;
+        ChaseRuntime runtime = Steps();
         runtime.faults = &faults;
         std::optional<ChaseCheckpoint> checkpoint;
         runtime.checkpoint_out = &checkpoint;
@@ -242,7 +246,6 @@ TEST_P(SeededTest, CandBPinnedEnvelopeMatchesFull) {
       auto run = [&](const DependencySet& deps) -> Result<CandBResult> {
         Term::ResetFreshCounterForTesting();
         CandBOptions options;
-        options.chase = Options();
         return ChaseAndBackchase(q, deps, sem, schema, options);
       };
       Result<CandBResult> sliced = run(sigma);
@@ -268,11 +271,11 @@ TEST_P(SeededTest, CandBPinnedEnvelopeMatchesFull) {
       EXPECT_EQ(sliced->candidates_examined, full->candidates_examined)
           << context;
 
-      ChasePlan reference(sigma, sem, schema, Options());
-      Result<ChaseOutcome> chased_q = reference.RunFull(q);
+      ChasePlan reference(sigma, sem, schema);
+      Result<ChaseOutcome> chased_q = reference.RunFull(q, Steps());
       if (!chased_q.ok() || chased_q->failed) continue;
       for (const ConjunctiveQuery& r : sliced->reformulations) {
-        Result<ChaseOutcome> chased_r = reference.RunFull(r);
+        Result<ChaseOutcome> chased_r = reference.RunFull(r, Steps());
         ASSERT_TRUE(chased_r.ok()) << context << " " << r.ToString();
         EXPECT_TRUE(
             ChasedEquivalent(chased_q->result, chased_r->result, sem, schema))
@@ -301,9 +304,9 @@ TEST(SigmaSlicePinned, IrrelevantDependenciesArePrunedAndCounted) {
 
   // Dynamic view: ChasePlan::Run takes the sliced path and reports the
   // slice.kept / slice.pruned counters.
-  ChasePlan plan(sigma, Semantics::kSet, FullSchema(), Options());
+  ChasePlan plan(sigma, Semantics::kSet, FullSchema());
   MetricsRegistry metrics;
-  ChaseRuntime runtime;
+  ChaseRuntime runtime = Steps();
   runtime.metrics = &metrics;
   Term::ResetFreshCounterForTesting();
   Result<ChaseOutcome> sliced = plan.Run(q, runtime);
@@ -319,7 +322,7 @@ TEST(SigmaSlicePinned, IrrelevantDependenciesArePrunedAndCounted) {
 
   // And the verdict still matches the full chase.
   Term::ResetFreshCounterForTesting();
-  Result<ChaseOutcome> full = plan.RunFull(q);
+  Result<ChaseOutcome> full = plan.RunFull(q, Steps());
   ExpectIdenticalOutcome(sliced, full, "pinned prune");
 }
 
@@ -331,7 +334,7 @@ TEST(SigmaSlicePinned, SliceSignatureKeysDistinctChaseMemoEntries) {
       "p(X, Y) -> r(X).",
       "u(X, Y) -> v(X).",
   });
-  ChasePlan plan(sigma, Semantics::kSet, FullSchema(), Options());
+  ChasePlan plan(sigma, Semantics::kSet, FullSchema());
   SigmaSlice for_p = plan.SliceFor(Q("Q(X) :- p(X, Y)."));
   SigmaSlice for_u = plan.SliceFor(Q("Q(X) :- u(X, Y)."));
   SigmaSlice for_p_again = plan.SliceFor(Q("Q2(A) :- p(A, B)."));

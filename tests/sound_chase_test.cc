@@ -195,9 +195,9 @@ TEST(SoundChase, BudgetExhaustionSurfaces) {
   Schema schema;
   schema.Relation("p", 2, /*set_valued=*/true);
   ConjunctiveQuery q = Q("Q(X) :- p(X, Y).");
-  ChaseOptions options;
-  options.budget.max_chase_steps = 20;
-  Result<ChaseOutcome> out = SoundChase(q, sigma, Semantics::kBag, schema, options);
+  ChaseRuntime runtime;
+  runtime.budget.max_chase_steps = 20;
+  Result<ChaseOutcome> out = SoundChase(q, sigma, Semantics::kBag, schema, runtime);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
 }

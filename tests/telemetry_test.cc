@@ -178,8 +178,7 @@ TEST(TelemetryEngineTest, MemoMetricsMatchChaseMemoStats) {
   MetricsRegistry registry;
   ChaseRuntime runtime;
   runtime.metrics = &registry;
-  ChaseMemo memo(Example41Sigma(), Semantics::kSet, Example41Schema(),
-                 ChaseOptions{});
+  ChaseMemo memo(Example41Sigma(), Semantics::kSet, Example41Schema(), {});
   ConjunctiveQuery q = Q("Q(X) :- p(X, Y).");
   Unwrap(memo.Chase(q, runtime), "first chase");
   Unwrap(memo.Chase(q, runtime), "repeat chase");
@@ -236,7 +235,7 @@ TEST(TelemetryEngineTest, EngineVerdictCountersBalance) {
   DependencySet sigma = Example41Sigma();
   Schema schema = Example41Schema();
 
-  EquivRequest request{Semantics::kSet, sigma, schema, {}};
+  EquivRequest request{Semantics::kSet, sigma, schema};
   request.context.metrics = &registry;
   Unwrap(engine.Equivalent(Q("Q(X) :- p(X, Y)."), Q("Q(A) :- p(A, B)."),
                            request),

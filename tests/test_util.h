@@ -50,12 +50,10 @@ inline Result<bool> EngineEquivalent(const ConjunctiveQuery& q1,
                                      const DependencySet& sigma,
                                      Semantics semantics = Semantics::kSet,
                                      const Schema& schema = {},
-                                     const ChaseOptions& options = {}) {
+                                     const ResourceBudget& budget = {}) {
   EquivalenceEngine engine;
-  EquivRequest request{semantics, sigma, schema, options};
-  // The engine takes its budget from the context; mirror the legacy
-  // ChaseOptions budget there so wrapper callers keep their caps.
-  request.context.budget = options.budget;
+  EquivRequest request{semantics, sigma, schema};
+  request.context.budget = budget;
   SQLEQ_ASSIGN_OR_RETURN(EquivVerdict verdict,
                          engine.Equivalent(q1, q2, request));
   return VerdictToBool(verdict);

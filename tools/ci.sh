@@ -5,6 +5,12 @@
 # examples/scripts/*.sqleq must exit sqleq-lint with its expected code
 # (examples/scripts/lint_expected.txt, default 0 = clean).
 #
+# The default run also compiles the end-to-end benchmark without running
+# it: e2ebench/ is configured into its own build directory next to the main
+# one (<build-dir>-e2ebench) and only its `e2ebench` and `sqleqd` targets are
+# built, so a src/ API change that breaks the benchmark's compile fails CI
+# even when e2ebench-smoke is not run.
+#
 # usage: tools/ci.sh [build-dir]
 #        tools/ci.sh bench-smoke [build-dir]
 #        tools/ci.sh service-smoke [build-dir]
@@ -586,6 +592,10 @@ cmake -B "${BUILD_DIR}" -S .
 
 echo "== build =="
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
+
+echo "== build e2ebench (compile only) =="
+cmake -B "${BUILD_DIR}-e2ebench" -S e2ebench
+cmake --build "${BUILD_DIR}-e2ebench" -j "$(nproc)" --target e2ebench sqleqd
 
 echo "== ctest =="
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j
