@@ -12,6 +12,7 @@
 #include "equivalence/containment.h"
 #include "equivalence/engine.h"
 #include "ir/parser.h"
+#include "workload/schema_templates.h"
 
 namespace sqleq {
 namespace {
@@ -121,6 +122,48 @@ void BM_SigmaEquivalence_Sliced(benchmark::State& state) {
   state.counters["equivalent"] = verdict ? 1 : 0;
 }
 SQLEQ_BENCHMARK(BM_SigmaEquivalence_Sliced)->Arg(0)->Arg(4)->Arg(16)->Arg(64);
+
+// The per-call cost of an engine whose memo answers both chases: context
+// lookup, the Σ-lint pre-flight, two memo hits and the decision. Arg 0 is
+// the warehouse catalog (15 dependencies), arg 1 tpch plus the Appendix H
+// m = 6 family (67); check-resident and check-spill in e2ebench serve these
+// Σ. The request is built once: the copy of Σ and the schema that sqleqd's
+// check handler makes per request is not timed.
+void BM_EngineEquivalent_MemoHit(benchmark::State& state) {
+  const bool deep = state.range(0) == 1;
+  workload::SchemaTemplate t =
+      bench::Must(workload::MakeSchemaTemplate(deep ? "tpch" : "warehouse"));
+  Schema schema = t.catalog.schema;
+  DependencySet sigma = t.catalog.sigma;
+  if (deep) {
+    bench::AppendixHFamily h = bench::MakeAppendixHFamily(6);
+    for (const RelationInfo& r : h.schema.Relations()) {
+      schema.Relation(r.name, r.arity, r.set_valued);
+    }
+    sigma.insert(sigma.end(), h.sigma.begin(), h.sigma.end());
+  }
+  const ConjunctiveQuery q1 = bench::Must(ParseQuery(
+      deep ? "Q(K, S) :- lineitem(K, L, P, S, N), orders(K, C, T, R), customer(C, M, G)."
+           : "Q(M) :- fact(I, T, C, P, G, M), dim_time(T, Y), dim_cust(C, N, S)."));
+  const ConjunctiveQuery q2 = bench::Must(ParseQuery(
+      deep ? "P(A, B) :- customer(E, F, H), orders(A, E, U, V), lineitem(A, W, X, B, Z)."
+           : "P(N) :- dim_cust(B, O, R), fact(J, U, B, W, X, N), dim_time(U, Z)."));
+  const EquivRequest request(Semantics::kSet, sigma, schema);
+  EquivalenceEngine engine;
+  bench::Must(engine.Equivalent(q1, q2, request));
+  bool verdict = false;
+  for (auto _ : state) {
+    EquivVerdict v = bench::Must(engine.Equivalent(q1, q2, request));
+    verdict = v.equivalent;
+    benchmark::DoNotOptimize(v);
+  }
+  const EquivalenceEngine::CacheStats stats = engine.cache_stats();
+  state.counters["sigma"] = static_cast<double>(sigma.size());
+  state.counters["contexts"] = static_cast<double>(stats.contexts);
+  state.counters["misses"] = static_cast<double>(stats.misses);
+  state.counters["equivalent"] = verdict ? 1 : 0;
+}
+SQLEQ_BENCHMARK(BM_EngineEquivalent_MemoHit)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace sqleq

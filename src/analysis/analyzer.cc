@@ -1,6 +1,6 @@
 #include "analysis/analyzer.h"
 
-#include <set>
+#include <algorithm>
 #include <unordered_set>
 
 #include "analysis/sigma_graph.h"
@@ -75,23 +75,38 @@ void CheckTermination(AnalysisReport& report, const AnalyzeOptions& opts,
   Emit(report, opts, "sigma-not-weakly-acyclic", Severity::kInfo, "sigma", message);
 }
 
-/// Schema checks over one atom list; `seen` deduplicates per (subject,
-/// predicate) so a relation misspelled five times reports once.
+/// True if an atom of `earlier`, or one before `atoms[k]`, has atoms[k]'s
+/// predicate: the schema checks report each predicate once per subject, so
+/// a relation misspelled five times reports once.
+bool PredicateSeen(const std::vector<Atom>& atoms, size_t k,
+                   const std::vector<Atom>* earlier) {
+  const std::string& predicate = atoms[k].predicate();
+  auto same = [&predicate](const Atom& a) { return a.predicate() == predicate; };
+  if (earlier != nullptr && std::any_of(earlier->begin(), earlier->end(), same)) {
+    return true;
+  }
+  return std::any_of(atoms.begin(), atoms.begin() + k, same);
+}
+
+/// Schema checks over one atom list of a subject whose atoms `earlier`
+/// (optional) were already checked. `subject()` renders the subject, only
+/// when a diagnostic is emitted.
+template <typename SubjectFn>
 void CheckAtomsAgainstSchema(AnalysisReport& report, const AnalyzeOptions& opts,
                              const Schema& schema, const std::vector<Atom>& atoms,
-                             const std::string& subject,
-                             std::set<std::string>* seen) {
-  for (const Atom& atom : atoms) {
-    if (!seen->insert(atom.predicate()).second) continue;
+                             const std::vector<Atom>* earlier, SubjectFn subject) {
+  for (size_t k = 0; k < atoms.size(); ++k) {
+    if (PredicateSeen(atoms, k, earlier)) continue;
+    const Atom& atom = atoms[k];
     if (!schema.HasRelation(atom.predicate())) {
-      Emit(report, opts, "unknown-relation", Severity::kError, subject,
+      Emit(report, opts, "unknown-relation", Severity::kError, subject(),
            "atom over '" + atom.predicate() + "' which is not in the schema",
            "CREATE the relation or fix the predicate name");
       continue;
     }
     size_t expected = schema.ArityOf(atom.predicate());
     if (atom.arity() != expected) {
-      Emit(report, opts, "arity-mismatch", Severity::kError, subject,
+      Emit(report, opts, "arity-mismatch", Severity::kError, subject(),
            "atom '" + atom.predicate() + "' has arity " +
                std::to_string(atom.arity()) + " but the schema declares " +
                std::to_string(expected));
@@ -102,11 +117,11 @@ void CheckAtomsAgainstSchema(AnalysisReport& report, const AnalyzeOptions& opts,
 void CheckDependencyAgainstSchema(AnalysisReport& report, const AnalyzeOptions& opts,
                                   const Schema& schema, const Dependency& dep,
                                   size_t index) {
-  std::string subject = DependencySubject(dep, index);
-  std::set<std::string> seen;
-  CheckAtomsAgainstSchema(report, opts, schema, dep.body(), subject, &seen);
+  auto subject = [&dep, index] { return DependencySubject(dep, index); };
+  CheckAtomsAgainstSchema(report, opts, schema, dep.body(), nullptr, subject);
   if (dep.IsTgd()) {
-    CheckAtomsAgainstSchema(report, opts, schema, dep.tgd().head(), subject, &seen);
+    CheckAtomsAgainstSchema(report, opts, schema, dep.tgd().head(), &dep.body(),
+                            subject);
   }
 }
 
@@ -202,19 +217,79 @@ void CheckImplication(AnalysisReport& report, const AnalyzeOptions& opts,
   }
 }
 
+/// AnalyzeDependencies' syntactic checks in its emission order. Each check
+/// `opts` enables writes its findings into a fresh report, which is handed
+/// to `found` with the AnalyzeOptions switch that gates the check.
+template <typename Found>
+void RunSyntacticSigmaChecks(const Schema& schema, const DependencySet& sigma,
+                             const AnalyzeOptions& opts, Found found) {
+  auto run = [&opts, &found](bool AnalyzeOptions::*check, auto analyze) {
+    if (!(opts.*check)) return;
+    AnalysisReport findings;
+    analyze(findings);
+    found(check, std::move(findings));
+  };
+  run(&AnalyzeOptions::check_termination,
+      [&](AnalysisReport& r) { CheckTermination(r, opts, sigma); });
+  for (size_t i = 0; i < sigma.size(); ++i) {
+    if (schema.size() > 0) {
+      run(&AnalyzeOptions::check_schema, [&](AnalysisReport& r) {
+        CheckDependencyAgainstSchema(r, opts, schema, sigma[i], i);
+      });
+    }
+    run(&AnalyzeOptions::check_regularization,
+        [&](AnalysisReport& r) { CheckRegularization(r, opts, sigma[i], i); });
+    run(&AnalyzeOptions::check_satisfiability,
+        [&](AnalysisReport& r) { CheckEgdSatisfiability(r, opts, sigma[i], i); });
+  }
+}
+
+bool OccursIn(Term t, const std::vector<Atom>& atoms) {
+  return std::any_of(atoms.begin(), atoms.end(), [t](const Atom& a) {
+    return std::find(a.args().begin(), a.args().end(), t) != a.args().end();
+  });
+}
+
+/// AnalyzeQueryParts' checks, appended to `report`. A query they find clean
+/// costs no allocation: the subject is rendered only for a diagnostic.
+void CheckQueryParts(AnalysisReport& report, const AnalyzeOptions& opts,
+                     const Schema& schema, const std::string& name,
+                     const std::vector<Term>& head, const std::vector<Atom>& body) {
+  auto subject = [&name] { return "query " + name; };
+  if (body.empty()) {
+    Emit(report, opts, "query-empty-body", Severity::kError, subject(),
+         "conjunctive queries need at least one body atom");
+    return;
+  }
+  if (opts.check_safety) {
+    std::string uncovered;
+    for (auto it = head.begin(); it != head.end(); ++it) {
+      if (!it->IsVariable() || OccursIn(*it, body)) continue;
+      if (std::find(head.begin(), it, *it) != it) continue;  // listed already
+      if (!uncovered.empty()) uncovered += ", ";
+      uncovered += it->ToString();
+    }
+    if (!uncovered.empty()) {
+      Emit(report, opts, "query-unsafe-head", Severity::kError, subject(),
+           "head variable(s) " + uncovered +
+               " do not occur in the body (range-unrestricted)",
+           "add a body atom binding them or drop them from the head");
+    }
+  }
+  if (opts.check_schema && schema.size() > 0) {
+    CheckAtomsAgainstSchema(report, opts, schema, body, nullptr, subject);
+  }
+}
+
 }  // namespace
 
 AnalysisReport AnalyzeDependencies(const Schema& schema, const DependencySet& sigma,
                                    const AnalyzeOptions& opts) {
   AnalysisReport report;
-  if (opts.check_termination) CheckTermination(report, opts, sigma);
-  for (size_t i = 0; i < sigma.size(); ++i) {
-    if (opts.check_schema && schema.size() > 0) {
-      CheckDependencyAgainstSchema(report, opts, schema, sigma[i], i);
-    }
-    if (opts.check_regularization) CheckRegularization(report, opts, sigma[i], i);
-    if (opts.check_satisfiability) CheckEgdSatisfiability(report, opts, sigma[i], i);
-  }
+  RunSyntacticSigmaChecks(schema, sigma, opts,
+                          [&report](bool AnalyzeOptions::*, AnalysisReport findings) {
+                            report.Merge(std::move(findings));
+                          });
   if (opts.check_implication) {
     for (size_t i = 0; i < sigma.size(); ++i) CheckImplication(report, opts, sigma, i);
   }
@@ -226,38 +301,7 @@ AnalysisReport AnalyzeQueryParts(const Schema& schema, const std::string& name,
                                  const std::vector<Atom>& body,
                                  const AnalyzeOptions& opts) {
   AnalysisReport report;
-  std::string subject = "query " + name;
-  if (body.empty()) {
-    Emit(report, opts, "query-empty-body", Severity::kError, subject,
-         "conjunctive queries need at least one body atom");
-    return report;
-  }
-  if (opts.check_safety) {
-    std::unordered_set<Term, TermHash> body_vars;
-    for (const Atom& atom : body) {
-      for (Term t : atom.args()) {
-        if (t.IsVariable()) body_vars.insert(t);
-      }
-    }
-    std::string uncovered;
-    std::unordered_set<Term, TermHash> reported;
-    for (Term t : head) {
-      if (!t.IsVariable() || body_vars.count(t) > 0) continue;
-      if (!reported.insert(t).second) continue;
-      if (!uncovered.empty()) uncovered += ", ";
-      uncovered += t.ToString();
-    }
-    if (!uncovered.empty()) {
-      Emit(report, opts, "query-unsafe-head", Severity::kError, subject,
-           "head variable(s) " + uncovered +
-               " do not occur in the body (range-unrestricted)",
-           "add a body atom binding them or drop them from the head");
-    }
-  }
-  if (opts.check_schema && schema.size() > 0) {
-    std::set<std::string> seen;
-    CheckAtomsAgainstSchema(report, opts, schema, body, subject, &seen);
-  }
+  CheckQueryParts(report, opts, schema, name, head, body);
   return report;
 }
 
@@ -338,6 +382,43 @@ AnalysisReport AnalyzeProgram(const Schema& schema, const DependencySet& sigma,
       bodies.push_back(QueryBodyRef{q.name(), q.body()});
     }
     report.Merge(AnalyzeSigmaSlicing(schema, sigma, bodies, opts));
+  }
+  return report;
+}
+
+SigmaPreflight::SigmaPreflight(const Schema& schema, const DependencySet& sigma)
+    : schema_(schema), sigma_(sigma) {
+  RunSyntacticSigmaChecks(
+      schema, sigma, AnalyzeOptions::Preflight(),
+      [this](bool AnalyzeOptions::*check, AnalysisReport findings) {
+        for (Diagnostic& d : findings.diagnostics) {
+          findings_.push_back(Finding{check, std::move(d)});
+        }
+      });
+}
+
+AnalysisReport SigmaPreflight::Analyze(
+    std::span<const ConjunctiveQuery* const> queries,
+    const AnalyzeOptions& opts) const {
+  AnalysisReport report;
+  for (const Finding& f : findings_) {
+    if (!(opts.*f.check)) continue;
+    const Diagnostic& d = f.diagnostic;
+    Emit(report, opts, d.code, d.severity, d.subject, d.message, d.fix_hint);
+  }
+  if (opts.check_implication) {
+    for (size_t i = 0; i < sigma_.size(); ++i) CheckImplication(report, opts, sigma_, i);
+  }
+  for (const ConjunctiveQuery* q : queries) {
+    CheckQueryParts(report, opts, schema_, q->name(), q->head(), q->body());
+  }
+  if (opts.check_slicing) {
+    std::vector<QueryBodyRef> bodies;
+    bodies.reserve(queries.size());
+    for (const ConjunctiveQuery* q : queries) {
+      bodies.push_back(QueryBodyRef{q->name(), q->body()});
+    }
+    report.Merge(AnalyzeSigmaSlicing(schema_, sigma_, bodies, opts));
   }
   return report;
 }

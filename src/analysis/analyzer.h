@@ -27,6 +27,7 @@
 #ifndef SQLEQ_ANALYSIS_ANALYZER_H_
 #define SQLEQ_ANALYSIS_ANALYZER_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,36 @@ AnalysisReport AnalyzeSigmaSlicing(const Schema& schema, const DependencySet& si
 AnalysisReport AnalyzeProgram(const Schema& schema, const DependencySet& sigma,
                               const std::vector<ConjunctiveQuery>& queries,
                               const AnalyzeOptions& opts = {});
+
+/// The engine pre-flight against one fixed (schema, Σ), the pair a chase
+/// context holds. Construction runs AnalyzeDependencies' syntactic checks
+/// (termination, schema, regularization, satisfiability) once; each
+/// Analyze call replays their findings and analyzes only its queries. The
+/// chase-based implication check and the slicing report depend on the
+/// call's budget or queries, so Analyze runs them afresh when `opts` asks.
+class SigmaPreflight {
+ public:
+  /// `schema` and `sigma` must outlive this object.
+  SigmaPreflight(const Schema& schema, const DependencySet& sigma);
+
+  /// The report AnalyzeProgram(schema, sigma, queries, opts) returns, with
+  /// the same findings in the same order, the same warnings_as_errors
+  /// escalation, and the same analysis.diag.<code> counts in opts.metrics.
+  /// Allocates nothing when neither Σ nor the queries have findings.
+  AnalysisReport Analyze(std::span<const ConjunctiveQuery* const> queries,
+                         const AnalyzeOptions& opts) const;
+
+ private:
+  /// A Σ finding, un-escalated, with the AnalyzeOptions switch gating it.
+  struct Finding {
+    bool AnalyzeOptions::*check;
+    Diagnostic diagnostic;
+  };
+
+  const Schema& schema_;
+  const DependencySet& sigma_;
+  std::vector<Finding> findings_;
+};
 
 }  // namespace sqleq
 

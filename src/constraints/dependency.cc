@@ -1,6 +1,7 @@
 #include "constraints/dependency.h"
 
 #include <cassert>
+#include <functional>
 #include <unordered_set>
 
 #include "ir/parser.h"
@@ -117,6 +118,17 @@ Dependency Dependency::WithLabel(std::string label) const {
 
 const std::vector<Atom>& Dependency::body() const {
   return IsTgd() ? tgd_[0].body() : egd_[0].body();
+}
+
+size_t Dependency::Hash() const {
+  size_t h = std::hash<std::string>()(label_) * 31u + static_cast<size_t>(kind_);
+  for (const Atom& a : body()) h = h * 1000003u + a.Hash();
+  if (IsTgd()) {
+    for (const Atom& a : tgd_[0].head()) h = h * 1000003u + a.Hash();
+  } else {
+    h = (h * 1000003u + egd_[0].left().Hash()) * 1000003u + egd_[0].right().Hash();
+  }
+  return h;
 }
 
 std::string Dependency::ToString() const {

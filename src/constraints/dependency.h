@@ -38,6 +38,9 @@ class Tgd {
   /// "p(X, Y) -> EXISTS Z: s(X, Z)".
   std::string ToString() const;
 
+  /// Structural: the same body and head atoms, in order.
+  friend bool operator==(const Tgd&, const Tgd&) = default;
+
  private:
   Tgd(std::vector<Atom> body, std::vector<Atom> head)
       : body_(std::move(body)), head_(std::move(head)) {}
@@ -59,6 +62,9 @@ class Egd {
 
   /// "r(X, Y), r(X, Z) -> Y = Z".
   std::string ToString() const;
+
+  /// Structural: the same body atoms, in order, and the same sides.
+  friend bool operator==(const Egd&, const Egd&) = default;
 
  private:
   Egd(std::vector<Atom> body, Term left, Term right)
@@ -94,6 +100,12 @@ class Dependency {
 
   /// "[label] body -> head".
   std::string ToString() const;
+
+  /// Structural equality (kind, label, atoms, egd sides) and a hash
+  /// consistent with it. Neither renders the dependency, so a chase
+  /// context can be looked up by its Σ without a string per call.
+  friend bool operator==(const Dependency&, const Dependency&) = default;
+  size_t Hash() const;
 
  private:
   Dependency(Kind kind, std::vector<Tgd> tgd, std::vector<Egd> egd, std::string label)

@@ -9,8 +9,9 @@
 namespace sqleq {
 namespace {
 
-/// Context fingerprint for memo sharing: everything a chase outcome depends
-/// on. Deadline and the budget caps are excluded on purpose:
+/// The rendered context, naming its records in a disk tier: everything a
+/// chase outcome depends on. Deadline and the budget caps are excluded on
+/// purpose:
 /// a budget-exhausted chase is a Status (never memoized), so every cached
 /// outcome is a completed chase whose result is budget-independent — which
 /// lets a narrowed-budget request (the degraded admission lane, a client
@@ -26,6 +27,14 @@ std::string ContextKey(Semantics semantics, const DependencySet& sigma,
   // stays so every context's disk-tier prefix (a hash of this key) is stable.
   key += "\nK";
   return key;
+}
+
+/// Structural hash of a context, consistent with ChaseContext::Matches.
+size_t ContextHash(Semantics semantics, const DependencySet& sigma,
+                   const Schema& schema) {
+  size_t h = static_cast<size_t>(semantics);
+  for (const Dependency& d : sigma) h = h * 1000003u + d.Hash();
+  return h * 1000003u + schema.Hash();
 }
 
 }  // namespace
@@ -79,30 +88,55 @@ ChasedDecision DecideChased(const ChaseOutcome& c1, const ChaseOutcome& c2,
   return out;
 }
 
-std::shared_ptr<ChaseMemo> EquivalenceEngine::MemoFor(Semantics semantics,
-                                                      const DependencySet& sigma,
-                                                      const Schema& schema) {
-  std::string key = ContextKey(semantics, sigma, schema);
+ChaseContext::ChaseContext(Semantics semantics, const DependencySet& sigma,
+                           const Schema& schema, size_t memo_byte_limit)
+    : key_(ContextKey(semantics, sigma, schema)),
+      memo_(sigma, semantics, schema, {}, memo_byte_limit),
+      sigma_lint_(memo_.plan().schema(), memo_.plan().sigma()) {}
+
+bool ChaseContext::Matches(Semantics semantics, const DependencySet& sigma,
+                           const Schema& schema) const {
+  const ChasePlan& plan = memo_.plan();
+  return plan.semantics() == semantics && plan.sigma() == sigma &&
+         plan.schema() == schema;
+}
+
+Status ChaseContext::Preflight(const RunOptions& options,
+                               std::span<const ConjunctiveQuery* const> queries) const {
+  if (!options.analyze.enabled) return Status::OK();
+  AnalyzeOptions analyze = options.analyze;
+  if (analyze.budget == ResourceBudget{}) analyze.budget = options.context.budget;
+  if (analyze.metrics == nullptr) analyze.metrics = options.context.metrics;
+  return ReportToStatus(sigma_lint_.Analyze(queries, analyze));
+}
+
+std::shared_ptr<ChaseContext> EquivalenceEngine::ContextFor(Semantics semantics,
+                                                            const DependencySet& sigma,
+                                                            const Schema& schema) {
+  const size_t hash = ContextHash(semantics, sigma, schema);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = memos_.find(key);
-  if (it != memos_.end()) return it->second;
-  std::shared_ptr<ChaseMemo> memo(
-      new ChaseMemo(sigma, semantics, schema, {}, memo_byte_limit_));
-  if (memo_store_ != nullptr) memo->AttachStore(memo_store_, key);
-  memos_.emplace(std::move(key), memo);
-  return memo;
+  auto [first, last] = contexts_.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    if (it->second->Matches(semantics, sigma, schema)) return it->second;
+  }
+  auto context = std::make_shared<ChaseContext>(semantics, sigma, schema, memo_byte_limit_);
+  if (memo_store_ != nullptr) context->memo().AttachStore(memo_store_, context->key());
+  contexts_.emplace(hash, context);
+  return context;
 }
 
 void EquivalenceEngine::set_memo_byte_limit(size_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   memo_byte_limit_ = bytes;
-  for (auto& [key, memo] : memos_) memo->set_byte_limit(bytes);
+  for (auto& [hash, context] : contexts_) context->memo().set_byte_limit(bytes);
 }
 
 void EquivalenceEngine::set_memo_store(std::shared_ptr<MemoStore> store) {
   std::lock_guard<std::mutex> lock(mu_);
   memo_store_ = std::move(store);
-  for (auto& [key, memo] : memos_) memo->AttachStore(memo_store_, key);
+  for (auto& [hash, context] : contexts_) {
+    context->memo().AttachStore(memo_store_, context->key());
+  }
 }
 
 Result<EquivVerdict> EquivalenceEngine::Equivalent(const ConjunctiveQuery& q1,
@@ -125,15 +159,14 @@ Result<EquivVerdict> EquivalenceEngine::Equivalent(const ConjunctiveQuery& q1,
     }
     return v;
   };
-  if (request.analyze.enabled) {  // spares copying q1 and q2 when it is off
-    SQLEQ_RETURN_IF_ERROR(
-        RunPreflight(request, request.schema, request.sigma, {q1, q2}));
-  }
+  std::shared_ptr<ChaseContext> context =
+      ContextFor(request.semantics, request.sigma, request.schema);
+  const ConjunctiveQuery* queries[] = {&q1, &q2};
+  SQLEQ_RETURN_IF_ERROR(context->Preflight(request, queries));
   // One budget governs the call, threaded per run through the runtime
   // rather than held by the memo's plan — so calls with different budgets
   // share one memo and its compiled kernels (see ContextKey above).
-  std::shared_ptr<ChaseMemo> memo =
-      MemoFor(request.semantics, request.sigma, request.schema);
+  ChaseMemo& memo = context->memo();
   ChaseRuntime runtime(ctx);
   runtime.resume = request.resume;  // subject-stamped: applied to its own query only
   std::optional<ChaseCheckpoint> checkpoint;
@@ -155,7 +188,7 @@ Result<EquivVerdict> EquivalenceEngine::Equivalent(const ConjunctiveQuery& q1,
 
   Status guard = ctx.budget.CheckDeadline("equivalence chase of Q1");
   if (!guard.ok()) return counted(unknown(guard, "chase of Q1"));
-  Result<ChaseOutcome> c1_result = memo->Chase(q1, runtime);
+  Result<ChaseOutcome> c1_result = memo.Chase(q1, runtime);
   if (!c1_result.ok()) {
     if (!IsAnytimeStop(c1_result.status())) return c1_result.status();
     return counted(unknown(c1_result.status(), "chase of Q1"));
@@ -163,7 +196,7 @@ Result<EquivVerdict> EquivalenceEngine::Equivalent(const ConjunctiveQuery& q1,
   ChaseOutcome c1 = std::move(*c1_result);
   guard = ctx.budget.CheckDeadline("equivalence chase of Q2");
   if (!guard.ok()) return counted(unknown(guard, "chase of Q2"));
-  Result<ChaseOutcome> c2_result = memo->Chase(q2, runtime);
+  Result<ChaseOutcome> c2_result = memo.Chase(q2, runtime);
   if (!c2_result.ok()) {
     if (!IsAnytimeStop(c2_result.status())) return c2_result.status();
     return counted(unknown(c2_result.status(), "chase of Q2"));
@@ -196,13 +229,14 @@ Result<EquivVerdict> EquivalenceEngine::EquivalentWithRetry(
 EquivalenceEngine::CacheStats EquivalenceEngine::cache_stats() const {
   CacheStats out;
   std::lock_guard<std::mutex> lock(mu_);
-  out.contexts = memos_.size();
-  for (const auto& [key, memo] : memos_) {
-    ChaseMemo::Stats s = memo->stats();
+  out.contexts = contexts_.size();
+  for (const auto& [hash, context] : contexts_) {
+    ChaseMemo& memo = context->memo();
+    ChaseMemo::Stats s = memo.stats();
     out.hits += s.hits;
     out.misses += s.misses;
     out.entries += s.entries;
-    SigmaPlan::Stats kernels = memo->plan().stats().kernels;
+    SigmaPlan::Stats kernels = memo.plan().stats().kernels;
     out.compiled_kernels += kernels.tgd_kernels + kernels.egd_kernels;
     out.pattern_atoms += kernels.pattern_atoms;
   }

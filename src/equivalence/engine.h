@@ -6,20 +6,23 @@
 //       engine.Equivalent(q1, q2, {Semantics::kBag, sigma, schema}));
 //   if (v.equivalent) { ... v.witness_forward ... }
 //
-// The engine owns a chase memo per (Σ, semantics, schema) context, so
-// repeated calls against the same constraint theory — the common shape in
-// minimization and rewriting loops — chase each distinct query once. Each
-// memo chases through a per-context compiled ChasePlan (chase/chase_plan.h),
-// so the Σ kernels are compiled once per context, not once per call.
-// Reformulation (reformulation/candb.h, views.h) takes its memo from the
-// same table (MemoFor), so checks and reformulations of one context share
-// outcomes, the byte limit and the disk tier.
+// The engine owns a ChaseContext per (semantics, Σ, schema), so repeated
+// calls against the same constraint theory — the common shape in
+// minimization and rewriting loops and in the sqleqd server — chase each
+// distinct query once. A context is built on first use: its memo chases
+// through a compiled ChasePlan (chase/chase_plan.h), and the Σ half of the
+// Σ-lint pre-flight is analyzed then, so neither the Σ kernels nor the Σ
+// checks are redone per call. Reformulation (reformulation/candb.h,
+// views.h) takes its context from the same table (ContextFor), so checks
+// and reformulations of one context share outcomes, the byte limit and the
+// disk tier.
 #ifndef SQLEQ_EQUIVALENCE_ENGINE_H_
 #define SQLEQ_EQUIVALENCE_ENGINE_H_
 
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -130,6 +133,45 @@ struct ChasedDecision {
 ChasedDecision DecideChased(const ChaseOutcome& c1, const ChaseOutcome& c2,
                             Semantics semantics, const Schema& schema);
 
+/// Everything fixed by one (semantics, Σ, schema): the chase memo, whose
+/// compiled plan holds the context's Σ and schema, and the Σ half of the
+/// Σ-lint pre-flight. EquivalenceEngine::ContextFor builds each once.
+class ChaseContext {
+ public:
+  ChaseContext(Semantics semantics, const DependencySet& sigma, const Schema& schema,
+               size_t memo_byte_limit);
+
+  /// Thread-safe; a memo holds no budget (callers pass theirs per run
+  /// through ChaseRuntime::budget), so calls differing only in budget share
+  /// cached chases.
+  ChaseMemo& memo() { return memo_; }
+
+  /// The rendered (semantics, Σ, schema) that names the context's records
+  /// in a disk tier (ChaseMemo::AttachStore). Rendered once, at creation.
+  const std::string& key() const { return key_; }
+
+  /// True iff this is the context of (semantics, sigma, schema): compares
+  /// structurally against the plan's Σ and schema, without rendering.
+  bool Matches(Semantics semantics, const DependencySet& sigma,
+               const Schema& schema) const;
+
+  /// The Σ-lint pre-flight of one engine call over `queries`; a no-op when
+  /// options.analyze.enabled is false. The same Status, and the same
+  /// analysis.diag.<code> counts, as a fresh
+  /// ReportToStatus(AnalyzeProgram(schema, Σ, queries, analyze)): the Σ
+  /// findings are replayed (filtered by the call's switches, escalated
+  /// under warnings_as_errors, counted) and only the queries are analyzed.
+  /// An analyze budget left at its default takes options.context.budget,
+  /// and a null analyze.metrics takes options.context.metrics.
+  Status Preflight(const RunOptions& options,
+                   std::span<const ConjunctiveQuery* const> queries) const;
+
+ private:
+  std::string key_;
+  ChaseMemo memo_;
+  SigmaPreflight sigma_lint_;
+};
+
 class EquivalenceEngine {
  public:
   EquivalenceEngine() = default;
@@ -184,18 +226,21 @@ class EquivalenceEngine {
   /// store to a fresh engine). nullptr detaches.
   void set_memo_store(std::shared_ptr<MemoStore> store);
 
-  /// The memo for one chase context, created (with the engine's byte limit
-  /// and disk store) on first use; Equivalent() and reformulation chase
-  /// through it. A memo holds no budget: callers pass theirs per run
-  /// through ChaseRuntime::budget, so calls differing only in budget share
-  /// cached chases.
-  std::shared_ptr<ChaseMemo> MemoFor(Semantics semantics,
-                                     const DependencySet& sigma,
-                                     const Schema& schema);
+  /// The context of (semantics, sigma, schema), created (with the engine's
+  /// byte limit and disk store) on first use; Equivalent() and
+  /// reformulation pre-flight and chase through it. The lookup hashes the
+  /// inputs structurally (dependency kinds, labels, predicates, term intern
+  /// ids, egd sides, schema relations) and confirms a hit by structural
+  /// equality, so a call renders nothing; the disk-tier key is rendered
+  /// only when a context is created.
+  std::shared_ptr<ChaseContext> ContextFor(Semantics semantics,
+                                           const DependencySet& sigma,
+                                           const Schema& schema);
 
  private:
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<ChaseMemo>> memos_;
+  /// Keyed by the structural hash; equal hashes are told apart by Matches.
+  std::unordered_multimap<size_t, std::shared_ptr<ChaseContext>> contexts_;
   size_t memo_byte_limit_ = 0;
   std::shared_ptr<MemoStore> memo_store_;
 };

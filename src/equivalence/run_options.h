@@ -12,15 +12,16 @@
 //     before any chase runs and kError findings are rejected as
 //     FailedPrecondition instead of burning the chase budget. Set
 //     analyze.enabled = false to skip, warnings_as_errors = true to refuse
-//     what the engines would merely auto-correct.
+//     what the engines would merely auto-correct. ChaseContext::Preflight
+//     (equivalence/engine.h) runs it: the Σ half is analyzed once per
+//     chase context and replayed, so every call gates and counts as a
+//     fresh analysis would while only its queries are analyzed.
 //
 // RewriteOptions IS-A CandBOptions (no `.candb` path segment). The `resume`
 // checkpoint pointers stay on the concrete structs — their types differ per
 // entry point (ChaseCheckpoint vs CandBCheckpoint).
 #ifndef SQLEQ_EQUIVALENCE_RUN_OPTIONS_H_
 #define SQLEQ_EQUIVALENCE_RUN_OPTIONS_H_
-
-#include <vector>
 
 #include "analysis/analyzer.h"
 #include "util/engine_context.h"
@@ -31,22 +32,6 @@ struct RunOptions {
   EngineContext context;
   AnalyzeOptions analyze = AnalyzeOptions::Preflight();
 };
-
-/// The Σ-lint pre-flight of one engine call (no-op when analyze.enabled is
-/// false): analyzes `queries` against `schema` and `sigma` and rejects
-/// kError findings as FailedPrecondition. An analyze budget left at its
-/// default takes `options.context.budget`, and a null analyze.metrics takes
-/// `options.context.metrics`, so every engine's pre-flight counts
-/// `analysis.diag.<code>` in the call's registry.
-inline Status RunPreflight(const RunOptions& options, const Schema& schema,
-                           const DependencySet& sigma,
-                           const std::vector<ConjunctiveQuery>& queries) {
-  if (!options.analyze.enabled) return Status::OK();
-  AnalyzeOptions analyze = options.analyze;
-  if (analyze.budget == ResourceBudget{}) analyze.budget = options.context.budget;
-  if (analyze.metrics == nullptr) analyze.metrics = options.context.metrics;
-  return ReportToStatus(AnalyzeProgram(schema, sigma, queries, analyze));
-}
 
 }  // namespace sqleq
 

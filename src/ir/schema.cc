@@ -1,6 +1,7 @@
 #include "ir/schema.h"
 
 #include <cassert>
+#include <functional>
 
 namespace sqleq {
 
@@ -99,6 +100,23 @@ std::vector<std::string> Schema::RelationNames() const {
   out.reserve(relations_.size());
   for (const auto& [name, _] : relations_) out.push_back(name);
   return out;
+}
+
+size_t Schema::Hash() const {
+  std::hash<std::string> hash_string;
+  size_t h = relations_.size();
+  for (const auto& [_, info] : relations_) {
+    h = h * 1000003u + hash_string(info.name);
+    h = h * 31u + info.arity * 2u + (info.set_valued ? 1u : 0u);
+    for (const std::string& attribute : info.attributes) {
+      h = h * 1000003u + hash_string(attribute);
+    }
+    for (const std::vector<size_t>& key : info.declared_keys) {
+      h = h * 1000003u + key.size();
+      for (size_t position : key) h = h * 31u + position;
+    }
+  }
+  return h;
 }
 
 std::string Schema::ToString() const {

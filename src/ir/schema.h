@@ -25,6 +25,8 @@ struct RelationInfo {
   /// declarative convenience; the corresponding egds are generated by
   /// constraints::MakeKeyEgd and key reasoning uses the egds in Σ.
   std::vector<std::vector<size_t>> declared_keys;
+
+  friend bool operator==(const RelationInfo&, const RelationInfo&) = default;
 };
 
 /// A database schema: a finite set of relation symbols and their arities.
@@ -65,6 +67,11 @@ class Schema {
   size_t size() const { return relations_.size(); }
 
   std::string ToString() const;
+
+  /// Structural equality over every relation's metadata, and a hash
+  /// consistent with it; neither renders the schema.
+  friend bool operator==(const Schema&, const Schema&) = default;
+  size_t Hash() const;
 
  private:
   std::map<std::string, RelationInfo> relations_;

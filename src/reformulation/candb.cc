@@ -156,7 +156,8 @@ Result<CandBResult> ChaseAndBackchase(EquivalenceEngine& engine,
     };
     return lattice;
   };
-  return RunBackchase(engine, q, sigma, semantics, schema, options, "candb", {q},
+  const ConjunctiveQuery* preflight[] = {&q};
+  return RunBackchase(engine, q, sigma, semantics, schema, options, "candb", preflight,
                       build);
 }
 

@@ -7,7 +7,7 @@
 //
 // Sound chase outcomes are pure functions of (Q, Σ, semantics, schema)
 // (Thms 5.1 / G.1), so C&B chases through the memo equivalence checks use
-// (EquivalenceEngine::MemoFor): a repeated or Σ-equivalent query's chases
+// (EquivalenceEngine::ContextFor): a repeated or Σ-equivalent query's chases
 // are memory- or disk-tier hits, bounded by the engine's byte limit.
 //
 // The backchase phase sweeps the 2^|body(U)| subquery lattice serially in

@@ -11,15 +11,17 @@ Result<CandBResult> RunBackchase(EquivalenceEngine& engine, const ConjunctiveQue
                                  const DependencySet& sigma, Semantics semantics,
                                  const Schema& schema, const CandBOptions& options,
                                  const char* span_name,
-                                 const std::vector<ConjunctiveQuery>& preflight,
+                                 std::span<const ConjunctiveQuery* const> preflight,
                                  LatticeBuilder build) {
   const EngineContext& ctx = options.context;
   TraceSpan call_span(ctx.trace, span_name);
-  SQLEQ_RETURN_IF_ERROR(RunPreflight(options, schema, sigma, preflight));
-  // The engine's memo for this chase context: its compiled plan serves the
-  // universal-plan chase and every candidate, and its entries outlive the
-  // call. One budget governs the whole call, passed per run.
-  std::shared_ptr<ChaseMemo> memo = engine.MemoFor(semantics, sigma, schema);
+  // The engine's context for (semantics, Σ, schema): its pre-flight has the
+  // Σ half analyzed already, its memo's compiled plan serves the
+  // universal-plan chase and every candidate, and the memo's entries
+  // outlive the call. One budget governs the whole call, passed per run.
+  std::shared_ptr<ChaseContext> context = engine.ContextFor(semantics, sigma, schema);
+  SQLEQ_RETURN_IF_ERROR(context->Preflight(options, preflight));
+  ChaseMemo& memo = context->memo();
   const ChaseRuntime runtime(ctx);
 
   const CandBCheckpoint* resume = options.resume;
@@ -39,7 +41,7 @@ Result<CandBResult> RunBackchase(EquivalenceEngine& engine, const ConjunctiveQue
     }
     std::optional<ChaseCheckpoint> chase_checkpoint;
     chase_runtime.checkpoint_out = &chase_checkpoint;
-    Result<ChaseOutcome> chased = memo->Chase(q, chase_runtime);
+    Result<ChaseOutcome> chased = memo.Chase(q, chase_runtime);
     if (!chased.ok()) {
       if (!IsAnytimeStop(chased.status())) return chased.status();
       // The plan does not exist yet: no reformulation can be confirmed.
@@ -60,7 +62,7 @@ Result<CandBResult> RunBackchase(EquivalenceEngine& engine, const ConjunctiveQue
   }
   const ConjunctiveQuery& u = out.universal_plan;
 
-  SQLEQ_ASSIGN_OR_RETURN(CandidateLattice lattice, build(u, *memo, runtime));
+  SQLEQ_ASSIGN_OR_RETURN(CandidateLattice lattice, build(u, memo, runtime));
   SweepOutput swept;
   if (!lattice.stopped.ok()) {
     // Cut at the sweep's start — or at the incoming resume point, which is

@@ -1,15 +1,15 @@
 // The one code path behind ChaseAndBackchase (candb.cc) and RewriteWithViews
-// (views.cc): Σ-lint pre-flight; the universal-plan chase U = (Q)Σ,X
-// through the engine's memo for the call's chase context, packaged as a
-// kChasePhase partial result when it stops early; the call's ChaseRuntime;
-// the lattice sweep (backchase.h); and the result and checkpoint tail. A
-// caller supplies only its candidate lattice over U. Internal to
-// src/reformulation.
+// (views.cc): the engine's chase context for the call and its Σ-lint
+// pre-flight; the universal-plan chase U = (Q)Σ,X through the context's
+// memo, packaged as a kChasePhase partial result when it stops early; the
+// call's ChaseRuntime; the lattice sweep (backchase.h); and the result and
+// checkpoint tail. A caller supplies only its candidate lattice over U.
+// Internal to src/reformulation.
 #ifndef SQLEQ_REFORMULATION_REFORMULATE_H_
 #define SQLEQ_REFORMULATION_REFORMULATE_H_
 
 #include <functional>
-#include <vector>
+#include <span>
 
 #include "chase/chase_cache.h"
 #include "reformulation/candb.h"
@@ -43,7 +43,7 @@ Result<CandBResult> RunBackchase(EquivalenceEngine& engine, const ConjunctiveQue
                                  const DependencySet& sigma, Semantics semantics,
                                  const Schema& schema, const CandBOptions& options,
                                  const char* span_name,
-                                 const std::vector<ConjunctiveQuery>& preflight,
+                                 std::span<const ConjunctiveQuery* const> preflight,
                                  LatticeBuilder build);
 
 }  // namespace sqleq

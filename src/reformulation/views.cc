@@ -176,12 +176,14 @@ Result<RewriteResult> RewriteWithViews(EquivalenceEngine& engine,
   }
   // Pre-flight Q and every view definition: a bad view body would otherwise
   // surface deep inside candidate expansion chases.
-  std::vector<ConjunctiveQuery> preflight{q};
+  std::vector<ConjunctiveQuery> definitions;
+  std::vector<const ConjunctiveQuery*> preflight{&q};
   if (options.analyze.enabled) {
     for (const std::string& name : views.names()) {
       SQLEQ_ASSIGN_OR_RETURN(ConjunctiveQuery def, views.Get(name));
-      preflight.push_back(std::move(def));
+      definitions.push_back(std::move(def));
     }
+    for (const ConjunctiveQuery& def : definitions) preflight.push_back(&def);
   }
 
   // Candidate atoms: view atoms induced by homomorphisms view-body → U,

@@ -135,8 +135,10 @@ void Server::AcceptLoop() {
     if (!ProbeSite(options_.faults, nullptr, fault_sites::kServiceAccept).ok()) {
       continue;  // injected accept failure: the dropped TcpConn closes itself
     }
-    // Join the connections that closed since the last accept: an exited,
-    // unjoined thread keeps its stack mapped.
+    // Join the connections that closed since the last accept, before this
+    // one's thread starts: an exited, unjoined thread keeps its stack
+    // mapped, and one still exiting holds its malloc arena, so a thread
+    // started beside it reserves a fresh arena (64 MiB of address space).
     std::vector<std::thread> finished;
     {
       std::lock_guard<std::mutex> lock(conns_mu_);
@@ -149,9 +151,10 @@ void Server::AcceptLoop() {
         conn_threads_.pop_back();
       }
       finished_conns_.clear();
-      conn_threads_.emplace_back(&Server::ServeConnection, this, std::move(*conn));
     }
     for (std::thread& t : finished) t.join();
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    conn_threads_.emplace_back(&Server::ServeConnection, this, std::move(*conn));
   }
 }
 

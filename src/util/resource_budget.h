@@ -63,8 +63,8 @@ struct ResourceBudget {
   /// "steps=5000 candidates=1048576 deadline=unset".
   std::string ToString() const;
 
-  /// Memberwise equality; the engine pre-flight (RunPreflight,
-  /// equivalence/run_options.h) uses `b == ResourceBudget{}` to detect an
+  /// Memberwise equality; the engine pre-flight (ChaseContext::Preflight,
+  /// equivalence/engine.h) uses `b == ResourceBudget{}` to detect an
   /// analyze budget left at its default.
   friend bool operator==(const ResourceBudget&, const ResourceBudget&) =
       default;

@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <optional>
+
 #include "analysis/diagnostic.h"
 #include "equivalence/engine.h"
 #include "ir/parser.h"
 #include "reformulation/candb.h"
 #include "test_util.h"
+#include "util/telemetry.h"
 
 namespace sqleq {
 namespace {
@@ -379,6 +384,134 @@ TEST(Preflight, StratifiedSigmaIsAcceptedDespiteFailingWeakAcyclicity) {
                        }),
                        Schema()};
   EXPECT_TRUE(engine.Equivalent(q, q, request).ok());
+}
+
+TEST(Preflight, RepeatCallsOnOneContextGateAndCountLikeTheFirst) {
+  // The Σ half of the pre-flight is analyzed once per chase context and
+  // replayed; every call on the context must still gate and count like a
+  // fresh AnalyzeProgram. The fixtures share one engine, so the strict and
+  // the default unregularized fixture meet the same context.
+  struct Fixture {
+    std::string name;
+    DependencySet sigma;
+    Schema schema;
+    ConjunctiveQuery q;
+    bool strict = false;
+  };
+  Schema only_p;
+  only_p.Relation("p", 2);
+  const std::vector<Fixture> fixtures = {
+      {"non-terminating", Sigma({"e(X, Y) -> e(Y, Z)."}), Schema(),
+       Q("Q(X) :- e(X, Y).")},
+      {"unregularized, strict", Sigma({"p(X, Y) -> r(X, Z1), s(X, Z2)."}), Schema(),
+       Q("Q(X) :- p(X, Y)."), true},
+      {"unregularized", Sigma({"p(X, Y) -> r(X, Z1), s(X, Z2)."}), Schema(),
+       Q("Q(X) :- p(X, Y).")},
+      {"egd constant clash", Sigma({"p(X) -> 1 = 2."}), Schema(), Q("Q(X) :- p(X).")},
+      {"unknown relation", Sigma({"p(X, Y) -> r(X)."}), only_p, Q("Q(X) :- p(X, Y).")},
+      {"stratified, not weakly acyclic",
+       Sigma({"p(X, 1) -> q(X, Z, 2).", "q(X, Y, 3) -> p(Y, 1)."}), Schema(),
+       Q("Q(X) :- p(X, 1).")},
+  };
+  auto diag_counts = [](const MetricsRegistry& metrics) {
+    std::map<std::string, uint64_t> out;
+    for (const auto& [name, value] : metrics.Snapshot().counters) {
+      if (name.rfind(metric::kAnalysisDiagPrefix, 0) == 0) out[name] = value;
+    }
+    return out;
+  };
+  // The Status and counts of a fresh analysis of `queries`.
+  auto fresh = [&](const Fixture& f, const std::vector<ConjunctiveQuery>& queries) {
+    MetricsRegistry metrics;
+    AnalyzeOptions opts;
+    opts.warnings_as_errors = f.strict;
+    opts.metrics = &metrics;
+    Status status = ReportToStatus(AnalyzeProgram(f.schema, f.sigma, queries, opts));
+    return std::make_pair(status, diag_counts(metrics));
+  };
+  // A call the pre-flight passes must not be a lint rejection, and must
+  // answer the same every time.
+  auto expect_gated_like = [](const Status& got, const Status& expected,
+                              const Status& first, const std::string& where) {
+    if (!expected.ok()) {
+      EXPECT_EQ(got.ToString(), expected.ToString()) << where;
+    } else {
+      EXPECT_EQ(got.message().find("sigma-lint"), std::string::npos) << where;
+      EXPECT_EQ(got.ToString(), first.ToString()) << where;
+    }
+  };
+
+  EquivalenceEngine engine;
+  for (const Fixture& f : fixtures) {
+    const auto [equiv_status, equiv_counts] = fresh(f, {f.q, f.q});
+    const auto [candb_status, candb_counts] = fresh(f, {f.q});
+    EXPECT_FALSE(equiv_counts.empty()) << f.name << ": the fixture finds nothing";
+    std::optional<Status> first_equiv, first_candb;
+    for (int call = 0; call < 3; ++call) {
+      const std::string where = f.name + ", call " + std::to_string(call);
+
+      MetricsRegistry equiv_metrics;
+      EquivRequest request{Semantics::kSet, f.sigma, f.schema};
+      request.analyze.warnings_as_errors = f.strict;
+      request.context.metrics = &equiv_metrics;
+      Result<EquivVerdict> verdict = engine.Equivalent(f.q, f.q, request);
+      if (!first_equiv.has_value()) first_equiv = verdict.status();
+      expect_gated_like(verdict.status(), equiv_status, *first_equiv,
+                        where + " (Equivalent)");
+      EXPECT_EQ(diag_counts(equiv_metrics), equiv_counts) << where << " (Equivalent)";
+
+      MetricsRegistry candb_metrics;
+      CandBOptions options;
+      options.analyze.warnings_as_errors = f.strict;
+      options.context.metrics = &candb_metrics;
+      Result<CandBResult> result =
+          ChaseAndBackchase(engine, f.q, f.sigma, Semantics::kSet, f.schema, options);
+      if (!first_candb.has_value()) first_candb = result.status();
+      expect_gated_like(result.status(), candb_status, *first_candb,
+                        where + " (ChaseAndBackchase)");
+      EXPECT_EQ(diag_counts(candb_metrics), candb_counts)
+          << where << " (ChaseAndBackchase)";
+    }
+  }
+}
+
+TEST(SigmaPreflight, MatchesAnalyzeProgramUnderEveryOptionSet) {
+  // The replayed Σ half filters by the call's switches, escalates and runs
+  // the chase-based checks as a fresh AnalyzeProgram does.
+  Schema schema;
+  schema.Relation("p", 2).Relation("r", 1);
+  DependencySet sigma = Sigma({
+      "e(X, Y) -> e(Y, Z).",
+      "p(X, Y) -> r(X), s(X, Z2).",
+      "p(X, Y), p(X, Z) -> 1 = 2.",
+      "p(X, Y) -> r(X).",
+      "p(X, Y) -> q(X, Y, Y, Z).",
+  });
+  std::vector<ConjunctiveQuery> queries = {Q("Q(X, Y) :- p(X, Y), t(X)."),
+                                           Q("P(X, Y) :- p(X, Y), p(Y, X).")};
+  ConjunctiveQuery unsafe = queries[0].WithBody({queries[0].body()[1]});
+  queries.push_back(unsafe);
+  const std::vector<const ConjunctiveQuery*> pointers = {&queries[0], &queries[1],
+                                                         &queries[2]};
+  SigmaPreflight preflight(schema, sigma);
+  bool AnalyzeOptions::*const switches[] = {
+      &AnalyzeOptions::check_termination,  &AnalyzeOptions::check_safety,
+      &AnalyzeOptions::check_schema,       &AnalyzeOptions::check_regularization,
+      &AnalyzeOptions::check_satisfiability, &AnalyzeOptions::check_implication,
+      &AnalyzeOptions::check_slicing,      &AnalyzeOptions::warnings_as_errors};
+  for (size_t i = 0; i <= std::size(switches); ++i) {
+    // Preflight() with one switch flipped (i == size: Preflight() itself).
+    AnalyzeOptions opts = AnalyzeOptions::Preflight();
+    if (i < std::size(switches)) opts.*switches[i] = !(opts.*switches[i]);
+    MetricsRegistry expected_metrics, got_metrics;
+    opts.metrics = &expected_metrics;
+    AnalysisReport expected = AnalyzeProgram(schema, sigma, queries, opts);
+    opts.metrics = &got_metrics;
+    AnalysisReport got = preflight.Analyze(pointers, opts);
+    EXPECT_EQ(got.ToString(), expected.ToString()) << "switch " << i;
+    EXPECT_EQ(got_metrics.Snapshot().counters, expected_metrics.Snapshot().counters)
+        << "switch " << i;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "equivalence/bag_equivalence.h"
 #include "equivalence/bag_set_equivalence.h"
 #include "equivalence/explain.h"
+#include "service/session.h"
 #include "test_util.h"
 
 namespace sqleq {
@@ -165,6 +166,55 @@ TEST(EquivalenceEngine, DistinctSigmaDistinctContexts) {
   Unwrap(engine.Equivalent(
       a, b, EquivRequest{Semantics::kSet, Sigma({"a(X) -> b(X)."}), {}}));
   EXPECT_EQ(engine.cache_stats().contexts, 2u);
+}
+
+TEST(EquivalenceEngine, ContextIdentityIsStructural) {
+  // The same DDL applied in two sessions builds equal Σ and schemas apart;
+  // the engine finds one context for both.
+  const std::string ddl =
+      "CREATE TABLE r (a INT PRIMARY KEY, b INT);"
+      "CREATE TABLE s (c INT, d INT, FOREIGN KEY (c) REFERENCES r (a));";
+  service::Session first;
+  service::Session second;
+  ASSERT_TRUE(first.ApplyDdl(ddl).ok());
+  ASSERT_TRUE(second.ApplyDdl(ddl).ok());
+  ASSERT_FALSE(first.catalog().sigma.empty());
+  EquivalenceEngine shared;
+  const ConjunctiveQuery s_query = Q("Q(X) :- s(X, Y).");
+  for (const service::Session* session : {&first, &second}) {
+    Unwrap(shared.Equivalent(s_query, s_query,
+                             EquivRequest{Semantics::kSet, session->catalog().sigma,
+                                          session->catalog().schema}));
+  }
+  EXPECT_EQ(shared.cache_stats().contexts, 1u);
+
+  // Each variant differs from the base in one respect and gets its own
+  // context; the base, asked again, does not.
+  const DependencySet sigma = Sigma({"p(X, Y) -> r(X).", "r(X), r(Y) -> X = Y."});
+  Schema schema;
+  ASSERT_TRUE(schema.AddRelation("p", 2, {"a", "b"}).ok());
+  ASSERT_TRUE(schema.AddRelation("r", 1, {"a"}).ok());
+
+  DependencySet relabelled = sigma;
+  relabelled[0] = sigma[0].WithLabel("other");
+  const DependencySet one_term = Sigma({"p(X, Y) -> r(Y).", "r(X), r(Y) -> X = Y."});
+  const DependencySet reordered = {sigma[1], sigma[0]};
+  Schema renamed_attribute;
+  ASSERT_TRUE(renamed_attribute.AddRelation("p", 2, {"a", "c"}).ok());
+  ASSERT_TRUE(renamed_attribute.AddRelation("r", 1, {"a"}).ok());
+
+  EquivalenceEngine engine;
+  const ConjunctiveQuery q = Q("Q(X) :- p(X, Y).");
+  auto contexts_after = [&](const DependencySet& sig, const Schema& sch) {
+    Unwrap(engine.Equivalent(q, q, EquivRequest{Semantics::kSet, sig, sch}));
+    return engine.cache_stats().contexts;
+  };
+  EXPECT_EQ(contexts_after(sigma, schema), 1u);
+  EXPECT_EQ(contexts_after(relabelled, schema), 2u);
+  EXPECT_EQ(contexts_after(one_term, schema), 3u);
+  EXPECT_EQ(contexts_after(reordered, schema), 4u);
+  EXPECT_EQ(contexts_after(sigma, renamed_attribute), 5u);
+  EXPECT_EQ(contexts_after(sigma, schema), 5u);
 }
 
 TEST(EquivalenceEngine, ExpiredDeadlineReportsResourceExhausted) {

@@ -145,7 +145,7 @@ std::vector<Fixture> Fixtures() {
   return out;
 }
 
-TEST(SharedEngineReformulation, ResultsDoNotDependOnTheEngineOrThreadCount) {
+TEST(SharedEngineReformulation, ResultsDoNotDependOnTheEngineOrMemoTier) {
   for (const Fixture& f : Fixtures()) {
     const Outcome reference = RunFixture(f, nullptr);
 

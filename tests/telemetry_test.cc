@@ -262,7 +262,7 @@ ConjunctiveQuery DistinctAtomQuery(int n) {
   return Q(text);
 }
 
-TEST(TelemetryEngineTest, IdenticalTotalsAtEveryThreadCount) {
+TEST(TelemetryEngineTest, IdenticalCallsRecordIdenticalTotals) {
   // Two identical calls record identical counter totals and span multisets.
   ConjunctiveQuery q = DistinctAtomQuery(5);
   auto run = [&q] {
