@@ -114,7 +114,7 @@ void BM_SigmaEquivalence_Sliced(benchmark::State& state) {
     EquivRequest request(Semantics::kSet, sigma, schema);
     for (const auto& [q1, q2] : pairs) {
       EquivVerdict v = bench::Must(engine.Equivalent(q1, q2, request));
-      verdict = v.equivalent;
+      verdict = v.verdict == Verdict::kEquivalent;
       benchmark::DoNotOptimize(v);
     }
   }
@@ -154,7 +154,7 @@ void BM_EngineEquivalent_MemoHit(benchmark::State& state) {
   bool verdict = false;
   for (auto _ : state) {
     EquivVerdict v = bench::Must(engine.Equivalent(q1, q2, request));
-    verdict = v.equivalent;
+    verdict = v.verdict == Verdict::kEquivalent;
     benchmark::DoNotOptimize(v);
   }
   const EquivalenceEngine::CacheStats stats = engine.cache_stats();

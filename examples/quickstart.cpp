@@ -41,7 +41,7 @@ sqleq::Result<bool> Equivalent(const sqleq::ConjunctiveQuery& q1,
   SQLEQ_ASSIGN_OR_RETURN(
       sqleq::EquivVerdict verdict,
       engine.Equivalent(q1, q2, sqleq::EquivRequest{semantics, sigma, schema}));
-  return verdict.equivalent;
+  return sqleq::VerdictToBool(verdict);
 }
 
 }  // namespace

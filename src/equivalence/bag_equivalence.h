@@ -12,9 +12,8 @@
 
 namespace sqleq {
 
-/// Theorem 2.1(1): isomorphism test. DEPRECATED: thin wrapper over
-/// EquivalenceEngine (equivalence/engine.h) with Σ = ∅; use the engine for
-/// the verdict's evidence and Result-based error reporting.
+/// Theorem 2.1(1): Q1 ≡B Q2 iff they are isomorphic. Σ = ∅ only; under a Σ,
+/// decide with EquivalenceEngine (equivalence/engine.h).
 bool BagEquivalent(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2);
 
 /// Theorem 4.2: bag equivalence on all instances satisfying only the

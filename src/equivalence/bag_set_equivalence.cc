@@ -1,16 +1,11 @@
 #include "equivalence/bag_set_equivalence.h"
 
-#include "equivalence/engine.h"
+#include "equivalence/isomorphism.h"
 
 namespace sqleq {
 
 bool BagSetEquivalent(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
-  // Routed through the facade (Σ = ∅, so the chase is a no-op and the test
-  // degenerates to Theorem 2.1(2)'s canonical-representation isomorphism).
-  EquivalenceEngine engine;
-  Result<EquivVerdict> verdict =
-      engine.Equivalent(q1, q2, EquivRequest{Semantics::kBagSet, {}, Schema()});
-  return verdict.ok() && verdict->equivalent;
+  return AreIsomorphic(q1.CanonicalRepresentation(), q2.CanonicalRepresentation());
 }
 
 }  // namespace sqleq

@@ -8,9 +8,9 @@
 
 namespace sqleq {
 
-/// Theorem 2.1(2). DEPRECATED: thin wrapper over EquivalenceEngine
-/// (equivalence/engine.h) with Σ = ∅; use the engine for the verdict's
-/// evidence and Result-based error reporting.
+/// Theorem 2.1(2): Q1 ≡BS Q2 iff their canonical representations are
+/// isomorphic. Σ = ∅ only; under a Σ, decide with EquivalenceEngine
+/// (equivalence/engine.h).
 bool BagSetEquivalent(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2);
 
 }  // namespace sqleq

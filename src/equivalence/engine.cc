@@ -1,7 +1,5 @@
 #include "equivalence/engine.h"
 
-#include "chase/homomorphism.h"
-#include "chase/sound_chase.h"
 #include "equivalence/bag_equivalence.h"
 #include "equivalence/containment.h"
 #include "equivalence/isomorphism.h"
@@ -52,40 +50,12 @@ bool ChasedEquivalent(const ConjunctiveQuery& c1, const ConjunctiveQuery& c2,
   return false;
 }
 
-ChasedDecision DecideChased(const ChaseOutcome& c1, const ChaseOutcome& c2,
-                            Semantics semantics, const Schema& schema) {
-  ChasedDecision out;
-  if (c1.failed || c2.failed) {
-    // A failed chase means the query is empty on every instance of Σ; two
-    // queries are then equivalent iff both fail.
-    out.equivalent = c1.failed == c2.failed;
-    return out;
-  }
-  switch (semantics) {
-    case Semantics::kSet: {
-      // No rename-apart: the matcher keeps pattern variables (slots) apart
-      // from target terms, so c1 and c2 may share names.
-      out.witness_forward = FindContainmentMapping(c2.result, c1.result);
-      out.witness_backward = FindContainmentMapping(c1.result, c2.result);
-      out.equivalent =
-          out.witness_forward.has_value() && out.witness_backward.has_value();
-      break;
-    }
-    case Semantics::kBag: {
-      ConjunctiveQuery n1 = NormalizeForBag(c1.result, schema);
-      ConjunctiveQuery n2 = NormalizeForBag(c2.result, schema);
-      out.witness_forward = FindIsomorphism(n1, n2);
-      out.equivalent = out.witness_forward.has_value();
-      break;
-    }
-    case Semantics::kBagSet: {
-      out.witness_forward = FindIsomorphism(c1.result.CanonicalRepresentation(),
-                                            c2.result.CanonicalRepresentation());
-      out.equivalent = out.witness_forward.has_value();
-      break;
-    }
-  }
-  return out;
+bool ChasedEquivalent(const ChaseOutcome& c1, const ChaseOutcome& c2,
+                      Semantics semantics, const Schema& schema) {
+  // A failed chase means the query is empty on every instance of Σ; two
+  // queries are then equivalent iff both fail.
+  if (c1.failed || c2.failed) return c1.failed == c2.failed;
+  return ChasedEquivalent(c1.result, c2.result, semantics, schema);
 }
 
 ChaseContext::ChaseContext(Semantics semantics, const DependencySet& sigma,
@@ -172,44 +142,40 @@ Result<EquivVerdict> EquivalenceEngine::Equivalent(const ConjunctiveQuery& q1,
   std::optional<ChaseCheckpoint> checkpoint;
   runtime.checkpoint_out = &checkpoint;
 
+  EquivVerdict verdict;
+  verdict.semantics = request.semantics;
   // Anytime conversion: a chase stopped by budget/deadline/cancellation/
-  // fault yields a kUnknown verdict echoing the inputs, not an error.
-  auto unknown = [&](const Status& status, std::string phase) -> EquivVerdict {
-    EquivVerdict out{/*equivalent=*/false, request.semantics,
-                     q1,                   q2,
-                     /*q1_failed=*/false,  /*q2_failed=*/false,
-                     std::nullopt,         std::nullopt,
-                     Verdict::kUnknown,    std::nullopt,
-                     std::nullopt};
-    out.exhaustion = InferExhaustion(status, std::move(phase));
-    out.checkpoint = std::move(checkpoint);
-    return out;
+  // fault yields a kUnknown verdict, not an error.
+  auto unknown = [&](const Status& status, const char* phase) -> EquivVerdict {
+    verdict.verdict = Verdict::kUnknown;
+    verdict.exhaustion = InferExhaustion(status, phase);
+    verdict.checkpoint = std::move(checkpoint);
+    return counted(std::move(verdict));
   };
 
-  Status guard = ctx.budget.CheckDeadline("equivalence chase of Q1");
-  if (!guard.ok()) return counted(unknown(guard, "chase of Q1"));
-  Result<ChaseOutcome> c1_result = memo.Chase(q1, runtime);
-  if (!c1_result.ok()) {
-    if (!IsAnytimeStop(c1_result.status())) return c1_result.status();
-    return counted(unknown(c1_result.status(), "chase of Q1"));
+  // The memo's shared outcomes, uncopied and in canonical variable space:
+  // the decision is isomorphism-invariant, so nothing maps them back onto
+  // the callers' names.
+  constexpr const char* kPhases[] = {"chase of Q1", "chase of Q2"};
+  constexpr const char* kDeadlineSites[] = {"equivalence chase of Q1",
+                                            "equivalence chase of Q2"};
+  std::shared_ptr<const ChaseOutcome> chased[2];
+  for (int i = 0; i < 2; ++i) {
+    Status guard = ctx.budget.CheckDeadline(kDeadlineSites[i]);
+    if (!guard.ok()) return unknown(guard, kPhases[i]);
+    Result<std::shared_ptr<const ChaseOutcome>> outcome =
+        memo.ChaseCanonical(*queries[i], /*out_key=*/nullptr, runtime);
+    if (!outcome.ok()) {
+      if (!IsAnytimeStop(outcome.status())) return outcome.status();
+      return unknown(outcome.status(), kPhases[i]);
+    }
+    chased[i] = *std::move(outcome);
   }
-  ChaseOutcome c1 = std::move(*c1_result);
-  guard = ctx.budget.CheckDeadline("equivalence chase of Q2");
-  if (!guard.ok()) return counted(unknown(guard, "chase of Q2"));
-  Result<ChaseOutcome> c2_result = memo.Chase(q2, runtime);
-  if (!c2_result.ok()) {
-    if (!IsAnytimeStop(c2_result.status())) return c2_result.status();
-    return counted(unknown(c2_result.status(), "chase of Q2"));
-  }
-  ChaseOutcome c2 = std::move(*c2_result);
-
-  ChasedDecision d = DecideChased(c1, c2, request.semantics, request.schema);
-  const Verdict verdict = d.equivalent ? Verdict::kEquivalent : Verdict::kNotEquivalent;
-  return counted(EquivVerdict{d.equivalent, request.semantics, std::move(c1.result),
-                              std::move(c2.result), c1.failed, c2.failed,
-                              std::move(d.witness_forward),
-                              std::move(d.witness_backward), verdict,
-                              std::nullopt, std::nullopt});
+  verdict.verdict =
+      ChasedEquivalent(*chased[0], *chased[1], request.semantics, request.schema)
+          ? Verdict::kEquivalent
+          : Verdict::kNotEquivalent;
+  return counted(std::move(verdict));
 }
 
 Result<EquivVerdict> EquivalenceEngine::EquivalentWithRetry(

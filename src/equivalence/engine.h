@@ -4,7 +4,11 @@
 //   EquivalenceEngine engine;
 //   SQLEQ_ASSIGN_OR_RETURN(EquivVerdict v,
 //       engine.Equivalent(q1, q2, {Semantics::kBag, sigma, schema}));
-//   if (v.equivalent) { ... v.witness_forward ... }
+//   if (v.verdict == Verdict::kEquivalent) { ... }
+//
+// The verdict carries no evidence. ExplainEquivalence
+// (equivalence/explain.h) returns the chase results, their traces and the
+// witness mappings for one pair.
 //
 // The engine owns a ChaseContext per (semantics, Σ, schema), so repeated
 // calls against the same constraint theory — the common shape in
@@ -67,33 +71,16 @@ struct EquivRequest : RunOptions {
         schema(std::move(schema_in)) {}
 };
 
-/// The decision plus its evidence: sound-chase results for both inputs
-/// (remapped onto the callers' variables) and — when equivalent — the
-/// witness mapping between the chase results (isomorphism under B/BS, the
-/// Q2→Q1 containment mapping under S, with witness_backward the Q1→Q2
-/// direction). Chase traces come from ExplainEquivalence
-/// (equivalence/explain.h), which chases uncached.
+/// The decision of one check. kUnknown means an anytime condition (budget,
+/// deadline, cancellation, injected fault) stopped a chase before the
+/// decision: `exhaustion` says what tripped, and `checkpoint` (when a chase
+/// got far enough to capture one) resumes the interrupted chase via
+/// EquivRequest::resume. Evidence (chase results, traces, witnesses) comes
+/// from ExplainEquivalence (equivalence/explain.h), which chases uncached
+/// in the callers' variable names.
 struct EquivVerdict {
-  bool equivalent;
-  Semantics semantics;
-
-  // ConjunctiveQuery has no default constructor, so EquivVerdict is built
-  // by aggregate initialization (trailing members below carry defaults).
-  ConjunctiveQuery chased_q1;
-  ConjunctiveQuery chased_q2;
-  bool q1_failed;
-  bool q2_failed;
-
-  std::optional<TermMap> witness_forward;
-  std::optional<TermMap> witness_backward;
-
-  /// Three-valued outcome. kUnknown means an anytime condition (budget,
-  /// deadline, cancellation, injected fault) stopped a chase before the
-  /// decision: `equivalent` is then false-but-meaningless, chased_q1/q2 echo
-  /// the inputs, `exhaustion` says what tripped, and `checkpoint` (when a
-  /// chase got far enough to capture one) resumes the interrupted chase via
-  /// EquivRequest::resume.
   Verdict verdict = Verdict::kNotEquivalent;
+  Semantics semantics = Semantics::kSet;
   std::optional<ExhaustionInfo> exhaustion;
   std::optional<ChaseCheckpoint> checkpoint;
 };
@@ -103,7 +90,7 @@ struct EquivVerdict {
 /// cancellation, kResourceExhausted otherwise). For Result<bool> APIs that
 /// predate the anytime contract.
 inline Result<bool> VerdictToBool(const EquivVerdict& v) {
-  if (v.verdict != Verdict::kUnknown) return v.equivalent;
+  if (v.verdict != Verdict::kUnknown) return v.verdict == Verdict::kEquivalent;
   std::string msg = v.exhaustion.has_value() ? v.exhaustion->ToString()
                                              : "equivalence undecided";
   if (v.exhaustion.has_value() && v.exhaustion->limit == "cancelled") {
@@ -120,18 +107,13 @@ inline Result<bool> VerdictToBool(const EquivVerdict& v) {
 bool ChasedEquivalent(const ConjunctiveQuery& c1, const ConjunctiveQuery& c2,
                       Semantics semantics, const Schema& schema);
 
-/// The post-chase decision with its witnesses, shared by
+/// ChasedEquivalent on two chase outcomes, the decision of
 /// EquivalenceEngine::Equivalent and ExplainEquivalence. Two failed chases
 /// are equivalent (both queries are empty on every instance of Σ), one is
-/// not, and neither carries a witness; otherwise the semantics' test
-/// decides, as in ChasedEquivalent, and records its witness mappings.
-struct ChasedDecision {
-  bool equivalent = false;
-  std::optional<TermMap> witness_forward;
-  std::optional<TermMap> witness_backward;
-};
-ChasedDecision DecideChased(const ChaseOutcome& c1, const ChaseOutcome& c2,
-                            Semantics semantics, const Schema& schema);
+/// not; otherwise ChasedEquivalent decides on the results, in any variable
+/// naming.
+bool ChasedEquivalent(const ChaseOutcome& c1, const ChaseOutcome& c2,
+                      Semantics semantics, const Schema& schema);
 
 /// Everything fixed by one (semantics, Σ, schema): the chase memo, whose
 /// compiled plan holds the context's Σ and schema, and the Σ half of the
@@ -178,13 +160,14 @@ class EquivalenceEngine {
   EquivalenceEngine(const EquivalenceEngine&) = delete;
   EquivalenceEngine& operator=(const EquivalenceEngine&) = delete;
 
-  /// Decides q1 ≡Σ,X q2 per the request and assembles the evidence.
-  /// Anytime contract (docs/robustness.md): when a chase trips the budget,
-  /// the deadline, cancellation, or an injected fault, the call returns OK
-  /// with verdict = kUnknown (plus exhaustion and, usually, a resumable
-  /// checkpoint) instead of an error. Non-anytime failures (bad inputs,
-  /// Σ-lint rejections) remain errors. Thread-safe; concurrent calls share
-  /// the memo caches.
+  /// Decides q1 ≡Σ,X q2 per the request on the memo's shared outcomes
+  /// (ChaseMemo::ChaseCanonical): nothing is copied or renamed back onto
+  /// the callers' variables. Anytime contract (docs/robustness.md): when a
+  /// chase trips the budget, the deadline, cancellation, or an injected
+  /// fault, the call returns OK with verdict = kUnknown (plus exhaustion
+  /// and, usually, a resumable checkpoint) instead of an error.
+  /// Non-anytime failures (bad inputs, Σ-lint rejections) remain errors.
+  /// Thread-safe; concurrent calls share the memo caches.
   Result<EquivVerdict> Equivalent(const ConjunctiveQuery& q1,
                                   const ConjunctiveQuery& q2,
                                   const EquivRequest& request);

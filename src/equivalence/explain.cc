@@ -1,8 +1,10 @@
 #include "equivalence/explain.h"
 
+#include "chase/homomorphism.h"
 #include "chase/sound_chase.h"
 #include "db/satisfaction.h"
 #include "equivalence/engine.h"
+#include "equivalence/isomorphism.h"
 #include "ir/printer.h"
 
 namespace sqleq {
@@ -51,6 +53,32 @@ Result<std::optional<std::string>> FindCounterexample(const ConjunctiveQuery& q1
   return std::optional<std::string>();
 }
 
+/// The witness mappings between two chase results, each set when it exists:
+/// under S the Q2→Q1 containment mapping (forward) and the Q1→Q2 one
+/// (backward), so an inequivalent pair still shows the direction that
+/// holds; under B the isomorphism between the results with duplicate
+/// set-valued atoms dropped; under BS the isomorphism between their
+/// canonical representations.
+void FindWitnesses(const ConjunctiveQuery& c1, const ConjunctiveQuery& c2,
+                   const Schema& schema, EquivalenceExplanation* out) {
+  switch (out->semantics) {
+    case Semantics::kSet:
+      // No rename-apart: the matcher keeps pattern variables (slots) apart
+      // from target terms, so c1 and c2 may share names.
+      out->witness_forward = FindContainmentMapping(c2, c1);
+      out->witness_backward = FindContainmentMapping(c1, c2);
+      return;
+    case Semantics::kBag:
+      out->witness_forward =
+          FindIsomorphism(NormalizeForBag(c1, schema), NormalizeForBag(c2, schema));
+      return;
+    case Semantics::kBagSet:
+      out->witness_forward =
+          FindIsomorphism(c1.CanonicalRepresentation(), c2.CanonicalRepresentation());
+      return;
+  }
+}
+
 }  // namespace
 
 std::string EquivalenceExplanation::ToString() const {
@@ -95,15 +123,21 @@ Result<EquivalenceExplanation> ExplainEquivalence(const ConjunctiveQuery& q1,
   SQLEQ_ASSIGN_OR_RETURN(ChaseOutcome c1, SoundChase(q1, sigma, semantics, schema, runtime));
   SQLEQ_ASSIGN_OR_RETURN(ChaseOutcome c2, SoundChase(q2, sigma, semantics, schema, runtime));
 
-  ChasedDecision d = DecideChased(c1, c2, semantics, schema);
-  EquivalenceExplanation out{semantics,           d.equivalent,
-                             c1.result,           c2.result,
-                             std::move(c1.trace), std::move(c2.trace),
-                             c1.failed,           c2.failed,
-                             std::move(d.witness_forward), std::move(d.witness_backward),
-                             {}};
+  // The decision EquivalenceEngine::Equivalent makes; the rest is evidence.
+  EquivalenceExplanation out{semantics,
+                             ChasedEquivalent(c1, c2, semantics, schema),
+                             c1.result,
+                             c2.result,
+                             std::move(c1.trace),
+                             std::move(c2.trace),
+                             c1.failed,
+                             c2.failed,
+                             /*witness_forward=*/{},
+                             /*witness_backward=*/{},
+                             /*counterexample=*/{}};
   if (c1.failed || c2.failed) return out;
 
+  FindWitnesses(out.chased_q1, out.chased_q2, schema, &out);
   if (!out.equivalent) {
     // The chase results witness the difference more often than the inputs
     // (their canonical databases satisfy most of Σ).

@@ -81,7 +81,7 @@ Result<FleetClient::PooledConn> FleetClient::Checkout(size_t shard,
       RequestSpec hello("hello");
       hello.Int("max_protocol",
                 static_cast<uint64_t>(ToInt(options_.max_protocol)));
-      Result<std::string> line = EncodeRequest(hello, options_.max_protocol);
+      Result<std::string> line = EncodeRequest(hello);
       if (!line.ok()) return line.status();
       Result<JsonValue> response = pooled.conn->Call(*line);
       if (!response.ok()) return response.status();
@@ -271,8 +271,7 @@ Result<JsonValue> FleetClient::Call(const std::string& request_line,
 
 Result<JsonValue> FleetClient::Call(const RequestSpec& spec,
                                     std::string* raw_response) {
-  SQLEQ_ASSIGN_OR_RETURN(std::string line,
-                         EncodeRequest(spec, options_.max_protocol));
+  SQLEQ_ASSIGN_OR_RETURN(std::string line, EncodeRequest(spec));
   return Call(line, raw_response);
 }
 
@@ -294,8 +293,7 @@ Result<JsonValue> FleetClient::FleetStats(const std::string& id) {
 
 Result<JsonValue> FleetClient::FleetStatsInternal(const std::string& id,
                                                   std::string* raw_response) {
-  SQLEQ_ASSIGN_OR_RETURN(std::string line,
-                         EncodeRequest(RequestSpec("stats", id), options_.max_protocol));
+  SQLEQ_ASSIGN_OR_RETURN(std::string line, EncodeRequest(RequestSpec("stats", id)));
   uint64_t memo_hits = 0, memo_misses = 0, memo_entries = 0, memo_contexts = 0;
   std::string per_shard = "[";
   for (size_t shard = 0; shard < ring_.size(); ++shard) {

@@ -87,7 +87,7 @@ class FleetClient {
   Result<JsonValue> Call(const std::string& request_line,
                          std::string* raw_response = nullptr);
 
-  /// EncodeRequest(spec) under the client's max protocol, then Call.
+  /// EncodeRequest(spec), then Call.
   Result<JsonValue> Call(const RequestSpec& spec,
                          std::string* raw_response = nullptr);
 

@@ -24,13 +24,9 @@ StatusCode ParseStatusCode(std::string_view name) {
 
 }  // namespace
 
-std::optional<ProtocolVersion> MinVersionForVerb(std::string_view cmd) {
-  if (cmd == "hello" || cmd == "ddl" || cmd == "relation" || cmd == "dep" ||
-      cmd == "check" || cmd == "reformulate" || cmd == "lint" ||
-      cmd == "stats") {
-    return ProtocolVersion::kV1;
-  }
-  return std::nullopt;
+bool IsKnownVerb(std::string_view cmd) {
+  return cmd == "hello" || cmd == "ddl" || cmd == "relation" || cmd == "dep" ||
+         cmd == "check" || cmd == "reformulate" || cmd == "lint" || cmd == "stats";
 }
 
 ProtocolVersion NegotiateVersion(std::optional<double> requested_max) {
@@ -111,17 +107,9 @@ JsonObject& JsonObject::Raw(std::string_view key, std::string_view raw_json) {
 
 std::string JsonObject::Build() const { return "{" + fields_ + "}"; }
 
-Result<std::string> EncodeRequest(const RequestSpec& spec,
-                                  ProtocolVersion version) {
-  std::optional<ProtocolVersion> min = MinVersionForVerb(spec.cmd());
-  if (!min.has_value()) {
+Result<std::string> EncodeRequest(const RequestSpec& spec) {
+  if (!IsKnownVerb(spec.cmd())) {
     return Status::InvalidArgument("unknown request verb \"" + spec.cmd() + "\"");
-  }
-  if (ToInt(*min) > ToInt(version)) {
-    return Status::InvalidArgument(
-        "verb \"" + spec.cmd() + "\" requires protocol >= " +
-        std::to_string(ToInt(*min)) + " (connection negotiated " +
-        std::to_string(ToInt(version)) + ")");
   }
   JsonObject out;
   if (!spec.id().empty()) out.Str("id", spec.id());

@@ -37,11 +37,10 @@ inline constexpr ProtocolVersion kMaxProtocolVersion = ProtocolVersion::kV2;
 
 inline constexpr int ToInt(ProtocolVersion v) { return static_cast<int>(v); }
 
-/// The lowest protocol version that carries verb `cmd`, or nullopt when the
-/// verb is unknown at every version (the server's unknown-command error).
-/// This table is the single source of truth for verb availability; both the
-/// server's dispatch gate and EncodeRequest validate against it.
-std::optional<ProtocolVersion> MinVersionForVerb(std::string_view cmd);
+/// True for the verbs sqleqd serves: hello ddl relation dep check
+/// reformulate lint stats. Every one is available at every protocol
+/// version; EncodeRequest refuses any other.
+bool IsKnownVerb(std::string_view cmd);
 
 /// Version negotiation, applied by the server to hello's "max_protocol"
 /// field and by clients to the "protocol" echoed back: absent means v1
@@ -123,10 +122,8 @@ class RequestSpec {
 };
 
 /// Renders `spec` as one request line: {"id":...,"cmd":...,<fields...>}
-/// (id omitted when empty). InvalidArgument when the verb is unknown, or
-/// known but newer than `version`.
-Result<std::string> EncodeRequest(const RequestSpec& spec,
-                                  ProtocolVersion version = kMaxProtocolVersion);
+/// (id omitted when empty). InvalidArgument when the verb is unknown.
+Result<std::string> EncodeRequest(const RequestSpec& spec);
 
 // ---- Response decoding (client side). ----
 

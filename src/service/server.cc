@@ -273,19 +273,6 @@ void Server::ServeConnection(TcpConn conn) {
 
 std::string Server::Dispatch(Session& session, const Request& request,
                              bool degraded) {
-  std::optional<ProtocolVersion> min = MinVersionForVerb(request.cmd);
-  if (!min.has_value()) {
-    return ErrorResponse(request.id,
-                         Status::InvalidArgument("unknown command \"" + request.cmd + "\""));
-  }
-  if (ToInt(*min) > ToInt(session.protocol())) {
-    return ErrorResponse(
-        request.id,
-        Status::FailedPrecondition(
-            "command \"" + request.cmd + "\" requires protocol >= " +
-            std::to_string(ToInt(*min)) +
-            " (negotiate with hello max_protocol)"));
-  }
   if (request.cmd == "hello") return HandleHello(session, request);
   if (request.cmd == "ddl") return HandleDdl(session, request);
   if (request.cmd == "relation") return HandleRelation(session, request);
@@ -487,13 +474,7 @@ std::string Server::HandleLint(Session& session, const Request& request,
                                bool degraded) {
   AnalyzeOptions opts = AnalyzeOptions::Full();
   opts.warnings_as_errors = OptionalBool(request.body, "strict", false);
-  opts.budget = options_.default_budget;
-  if (degraded) {
-    opts.budget.max_chase_steps =
-        std::min(opts.budget.max_chase_steps, options_.degraded_chase_steps);
-    opts.budget.max_candidates =
-        std::min(opts.budget.max_candidates, options_.degraded_candidates);
-  }
+  opts.budget = ContextFor(request.body, /*local=*/nullptr, degraded).budget;
 
   std::vector<ConjunctiveQuery> queries;
   if (const JsonValue* list = request.body.Find("queries");

@@ -452,7 +452,7 @@ Result<std::string> ScriptEngine::ExecEquiv(std::string_view rest, bool explain)
            SemanticsToString(sem) + " semantics (given Sigma)\n" +
            IncompleteLine(verdict.exhaustion);
   }
-  return args.first[0] + (verdict.equivalent ? " == " : " != ") + args.first[1] +
+  return args.first[0] + (verdict.verdict == Verdict::kEquivalent ? " == " : " != ") + args.first[1] +
          "  under " + SemanticsToString(sem) + " semantics (given Sigma)\n";
 }
 

@@ -185,7 +185,6 @@ TEST(AnytimeEngine, StepBudgetYieldsUnknownWithResumableCheckpoint) {
   roomy.resume = &*verdict.checkpoint;
   EquivVerdict resumed = Unwrap(engine.Equivalent(q1, q1, roomy), "resumed");
   EXPECT_EQ(resumed.verdict, Verdict::kEquivalent);
-  EXPECT_TRUE(resumed.equivalent);
 }
 
 TEST(AnytimeEngine, RetryPolicyDecidesUnderAllSemantics) {
@@ -204,7 +203,7 @@ TEST(AnytimeEngine, RetryPolicyDecidesUnderAllSemantics) {
     // Reference: the same question with no budget pressure.
     EquivRequest roomy{sem, Example41Sigma(), Example41Schema()};
     EquivVerdict want = Unwrap(engine.Equivalent(q1, q2, roomy), "reference");
-    EXPECT_EQ(verdict.equivalent, want.equivalent) << SemanticsToString(sem);
+    EXPECT_EQ(verdict.verdict, want.verdict) << SemanticsToString(sem);
   }
 }
 

@@ -1,6 +1,6 @@
-// Tests for the EquivalenceEngine facade: evidence (chase results and
-// witnesses; traces come from ExplainEquivalence), chase-memo reuse across
-// calls, and ResourceBudget deadline enforcement.
+// Tests for the EquivalenceEngine facade: verdicts, chase-memo reuse across
+// calls, and ResourceBudget deadline enforcement. The evidence behind a
+// verdict (chase results, traces, witnesses) comes from ExplainEquivalence.
 #include "equivalence/engine.h"
 
 #include <gtest/gtest.h>
@@ -31,12 +31,14 @@ TEST(EquivalenceEngine, DecidesExample41PerSemantics) {
   for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
     EquivRequest request{sem, Example41Sigma(), Example41Schema()};
     EquivVerdict verdict = Unwrap(engine.Equivalent(q1, q4, request));
-    EXPECT_EQ(verdict.equivalent, sem == Semantics::kSet) << SemanticsToString(sem);
+    EXPECT_EQ(verdict.verdict == Verdict::kEquivalent, sem == Semantics::kSet)
+        << SemanticsToString(sem);
     EXPECT_EQ(verdict.semantics, sem);
   }
   // The set-semantics verdict specifically is "equivalent".
   EquivRequest set_request{Semantics::kSet, Example41Sigma(), Example41Schema()};
-  EXPECT_TRUE(Unwrap(engine.Equivalent(q1, q4, set_request)).equivalent);
+  EXPECT_EQ(Unwrap(engine.Equivalent(q1, q4, set_request)).verdict,
+            Verdict::kEquivalent);
 }
 
 TEST(EquivalenceEngine, VerdictCarriesTracesAndWitness) {
@@ -46,31 +48,35 @@ TEST(EquivalenceEngine, VerdictCarriesTracesAndWitness) {
   EquivalenceEngine engine;
   EquivVerdict v =
       Unwrap(engine.Equivalent(q1, q2, EquivRequest{Semantics::kSet, sigma, {}}));
-  EXPECT_TRUE(v.equivalent);
-  // The verdict carries no traces (its chases are memoized); the uncached
-  // ExplainEquivalence does. Q1's chase applies the tgd once, Q2's none.
+  EXPECT_EQ(v.verdict, Verdict::kEquivalent);
+  // The verdict carries no evidence (its chases are memoized, in canonical
+  // variable space); the uncached ExplainEquivalence does. Q1's chase
+  // applies the tgd once, Q2's none.
   EquivalenceExplanation e =
       Unwrap(ExplainEquivalence(q1, q2, sigma, Semantics::kSet, Schema()));
   EXPECT_TRUE(e.equivalent);
   EXPECT_EQ(e.trace_q1.size(), 1u);
   EXPECT_TRUE(e.trace_q2.empty());
-  // The chased queries are remapped onto the callers' variables.
-  EXPECT_EQ(v.chased_q1.name(), "Q1");
-  EXPECT_EQ(v.chased_q1.body().size(), 2u);
-  ASSERT_EQ(v.chased_q1.head().size(), 1u);
-  EXPECT_EQ(v.chased_q1.head()[0], Term::Var("X"));
+  // The chased queries are in the callers' variables.
+  EXPECT_EQ(e.chased_q1.name(), "Q1");
+  EXPECT_EQ(e.chased_q1.body().size(), 2u);
+  ASSERT_EQ(e.chased_q1.head().size(), 1u);
+  EXPECT_EQ(e.chased_q1.head()[0], Term::Var("X"));
   // Set semantics: containment mappings both ways.
-  EXPECT_TRUE(v.witness_forward.has_value());
-  EXPECT_TRUE(v.witness_backward.has_value());
+  EXPECT_TRUE(e.witness_forward.has_value());
+  EXPECT_TRUE(e.witness_backward.has_value());
 }
 
 TEST(EquivalenceEngine, NonEquivalentVerdictHasNoWitness) {
+  ConjunctiveQuery q1 = Q("Q1(X) :- p(X, Y).");
+  ConjunctiveQuery q2 = Q("Q2(X) :- p(Y, X).");
   EquivalenceEngine engine;
-  EquivVerdict v = Unwrap(engine.Equivalent(
-      Q("Q1(X) :- p(X, Y)."), Q("Q2(X) :- p(Y, X)."), EquivRequest{}));
-  EXPECT_FALSE(v.equivalent);
-  EXPECT_FALSE(v.witness_forward.has_value());
-  EXPECT_FALSE(v.witness_backward.has_value());
+  EXPECT_EQ(Unwrap(engine.Equivalent(q1, q2, EquivRequest{})).verdict,
+            Verdict::kNotEquivalent);
+  EquivalenceExplanation e = Unwrap(ExplainEquivalence(q1, q2, {}, Semantics::kSet, {}));
+  EXPECT_FALSE(e.equivalent);
+  EXPECT_FALSE(e.witness_forward.has_value());
+  EXPECT_FALSE(e.witness_backward.has_value());
 }
 
 TEST(EquivalenceEngine, BothChasesFailingMeansEquivalent) {
@@ -80,9 +86,11 @@ TEST(EquivalenceEngine, BothChasesFailingMeansEquivalent) {
   EquivalenceEngine engine;
   EquivVerdict v = Unwrap(
       engine.Equivalent(q1, q2, EquivRequest{Semantics::kSet, sigma, {}}));
-  EXPECT_TRUE(v.q1_failed);
-  EXPECT_TRUE(v.q2_failed);
-  EXPECT_TRUE(v.equivalent);  // both empty on every D |= Σ
+  EXPECT_EQ(v.verdict, Verdict::kEquivalent);  // both empty on every D |= Σ
+  EquivalenceExplanation e = Unwrap(ExplainEquivalence(q1, q2, sigma, Semantics::kSet, {}));
+  EXPECT_TRUE(e.q1_failed);
+  EXPECT_TRUE(e.q2_failed);
+  EXPECT_TRUE(e.equivalent);
 }
 
 TEST(EquivalenceEngine, EmptySigmaBagMatchesTheorem21) {
@@ -92,13 +100,11 @@ TEST(EquivalenceEngine, EmptySigmaBagMatchesTheorem21) {
   ConjunctiveQuery b = Q("P(A) :- p(B, C), p(A, B).");
   ConjunctiveQuery c = Q("R(X) :- p(X, Y), p(Y, Z), p(X, W).");
   EquivalenceEngine engine;
-  EXPECT_TRUE(
-      Unwrap(engine.Equivalent(a, b, EquivRequest{Semantics::kBag, {}, {}}))
-          .equivalent);
+  EXPECT_EQ(Unwrap(engine.Equivalent(a, b, EquivRequest{Semantics::kBag, {}, {}})).verdict,
+            Verdict::kEquivalent);
   EXPECT_EQ(BagEquivalent(a, b), true);
-  EXPECT_FALSE(
-      Unwrap(engine.Equivalent(a, c, EquivRequest{Semantics::kBag, {}, {}}))
-          .equivalent);
+  EXPECT_EQ(Unwrap(engine.Equivalent(a, c, EquivRequest{Semantics::kBag, {}, {}})).verdict,
+            Verdict::kNotEquivalent);
   EXPECT_EQ(BagEquivalent(a, c), false);
   // And the BS wrapper still implements Theorem 2.1(2) duplicate-blindness.
   EXPECT_TRUE(BagSetEquivalent(Q("Q(X) :- p(X, Y)."), Q("Q(X) :- p(X, Y), p(X, Y).")));
@@ -227,7 +233,6 @@ TEST(EquivalenceEngine, ExpiredDeadlineReportsResourceExhausted) {
   // Anytime contract: the expired deadline yields kUnknown, not an error.
   ASSERT_TRUE(v.ok()) << v.status().ToString();
   EXPECT_EQ(v->verdict, Verdict::kUnknown);
-  EXPECT_FALSE(v->equivalent);
   ASSERT_TRUE(v->exhaustion.has_value());
   EXPECT_EQ(v->exhaustion->limit, "deadline");
   EXPECT_NE(v->exhaustion->progress.find("deadline"), std::string::npos)

@@ -437,7 +437,7 @@ TEST(MemoStore, EngineContextPrefixIsStable) {
   EquivRequest request(Semantics::kSet, testing::Sigma({"p(X, Y) -> r(X)."}), schema);
   EquivVerdict verdict = Unwrap(
       engine.Equivalent(Q("Q1(X) :- p(X, Y)."), Q("Q2(X) :- p(X, Y), r(X)."), request));
-  EXPECT_TRUE(verdict.equivalent);
+  EXPECT_EQ(verdict.verdict, Verdict::kEquivalent);
   const std::string prefix = "ctx:106dc1817e67e86d|";
   std::optional<std::string> sentinel = Unwrap(store->Get(prefix + "@context"));
   ASSERT_TRUE(sentinel.has_value());
@@ -461,7 +461,7 @@ TEST(MemoStore, V1RecordsCountAsCorruptAndAreRechased) {
   {
     EquivalenceEngine engine;
     engine.set_memo_store(warm);
-    ASSERT_TRUE(Unwrap(engine.Equivalent(q1, q2, request)).equivalent);
+    ASSERT_EQ(Unwrap(engine.Equivalent(q1, q2, request)).verdict, Verdict::kEquivalent);
   }
   std::vector<std::string> payloads = ReadPayloads(OnlySegment(warm_dir, warm.get()));
   ASSERT_EQ(payloads.size(), 3u);  // the context sentinel and two outcomes
@@ -484,9 +484,9 @@ TEST(MemoStore, V1RecordsCountAsCorruptAndAreRechased) {
   EXPECT_EQ(store->stats().entries, 0u);
   EquivalenceEngine engine;
   engine.set_memo_store(store);
+  // Equivalent: the doctored "failed" record of Q2 was not read.
   EquivVerdict verdict = Unwrap(engine.Equivalent(q1, q2, request));
-  EXPECT_TRUE(verdict.equivalent);
-  EXPECT_FALSE(verdict.q2_failed);
+  EXPECT_EQ(verdict.verdict, Verdict::kEquivalent);
   EXPECT_EQ(engine.cache_stats().misses, 2u);
   // The recomputed outcomes are written back as v2 records.
   EXPECT_EQ(store->stats().entries, payloads.size());

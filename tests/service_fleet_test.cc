@@ -207,15 +207,15 @@ TEST(FleetRouting, CanonicalSignatureIsOrderAndRenamingInvariant) {
 
 // ---- Protocol versioning. ----
 
-TEST(FleetProtocol, MinVersionTableGatesTheFleetVerbs) {
-  for (const char* v1_verb : {"hello", "ddl", "relation", "dep", "check",
-                              "reformulate", "lint", "stats"}) {
-    EXPECT_EQ(MinVersionForVerb(v1_verb), ProtocolVersion::kV1) << v1_verb;
+TEST(FleetProtocol, IsKnownVerbNamesTheServedVerbs) {
+  for (const char* verb : {"hello", "ddl", "relation", "dep", "check",
+                           "reformulate", "lint", "stats"}) {
+    EXPECT_TRUE(IsKnownVerb(verb)) << verb;
   }
-  // The peer memo verbs are gone: unknown at every version.
-  EXPECT_FALSE(MinVersionForVerb(kRemovedFetchVerb).has_value());
-  EXPECT_FALSE(MinVersionForVerb(kRemovedOfferVerb).has_value());
-  EXPECT_FALSE(MinVersionForVerb("no-such-verb").has_value());
+  // The peer memo verbs are gone.
+  EXPECT_FALSE(IsKnownVerb(kRemovedFetchVerb));
+  EXPECT_FALSE(IsKnownVerb(kRemovedOfferVerb));
+  EXPECT_FALSE(IsKnownVerb("no-such-verb"));
 }
 
 TEST(FleetProtocol, NegotiateVersionClampsIntoSupportedRange) {
@@ -226,23 +226,22 @@ TEST(FleetProtocol, NegotiateVersionClampsIntoSupportedRange) {
   EXPECT_EQ(NegotiateVersion(99.0), kMaxProtocolVersion);  // future client
 }
 
-TEST(FleetProtocol, EncodeRequestEnforcesTheVersionTable) {
-  std::string line = Unwrap(EncodeRequest(
-      RequestSpec("check", "7").Str("q1", "a").Str("q2", "b"), ProtocolVersion::kV1));
+TEST(FleetProtocol, EncodeRequestRefusesUnknownVerbs) {
+  std::string line =
+      Unwrap(EncodeRequest(RequestSpec("check", "7").Str("q1", "a").Str("q2", "b")));
   Request request = Unwrap(ParseRequest(line));
   EXPECT_EQ(request.id, "7");
   EXPECT_EQ(request.cmd, "check");
   EXPECT_EQ(Unwrap(RequireString(request.body, "q1")), "a");
 
-  // An unknown verb never encodes, at any version — the removed peer memo
-  // verbs included.
-  for (ProtocolVersion version : {ProtocolVersion::kV1, ProtocolVersion::kV2}) {
-    EXPECT_FALSE(EncodeRequest(RequestSpec(kRemovedFetchVerb).Str("key", "k"), version).ok());
-    EXPECT_FALSE(EncodeRequest(
-                     RequestSpec(kRemovedOfferVerb).Str("key", "k").Str("body", "b"), version)
-                     .ok());
-  }
-  EXPECT_FALSE(EncodeRequest(RequestSpec("frobnicate")).ok());
+  // An unknown verb never encodes, the removed peer memo verbs included.
+  EXPECT_FALSE(EncodeRequest(RequestSpec(kRemovedFetchVerb).Str("key", "k")).ok());
+  EXPECT_FALSE(
+      EncodeRequest(RequestSpec(kRemovedOfferVerb).Str("key", "k").Str("body", "b")).ok());
+  Result<std::string> unknown = EncodeRequest(RequestSpec("frobnicate"));
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(unknown.status().message(), "unknown request verb \"frobnicate\"");
 }
 
 TEST(FleetProtocol, NotOwnerResponseDecodesToARedirect) {

@@ -112,6 +112,7 @@ TEST(Service, HelloAndSessionState) {
   JsonValue bad =
       Unwrap(client.Call(JsonObject().Str("cmd", "no-such-cmd").Build(), &raw));
   EXPECT_FALSE(Field(bad, "ok")->boolean);
+  EXPECT_NE(raw.find(R"(unknown command \"no-such-cmd\")"), std::string::npos) << raw;
   JsonValue still_alive = Unwrap(client.Call(JsonObject().Str("cmd", "hello").Build()));
   EXPECT_TRUE(Field(still_alive, "ok")->boolean);
   server.Stop();
@@ -711,6 +712,47 @@ TEST(Service, CheckRejectsAResumeThatWouldExhaustFreshNames) {
   ASSERT_FALSE(Field(response, "ok")->boolean);
   EXPECT_EQ(Field(response, "error")->Find("code")->string, "InvalidArgument");
   EXPECT_EQ(Term::FreshCounterForTesting(), mark);
+  server.Stop();
+}
+
+TEST(Service, LintHonorsTheRequestsNarrowedChaseBudget) {
+  // A request may narrow max_chase_steps (docs/service.md, "Budgets"),
+  // lint's chase-based implication check included. Σ's third dependency is
+  // implied by the first two: the check chases p(X, Y) two steps to see it,
+  // so a one-step lint gives up and says so.
+  Server server;
+  ASSERT_TRUE(server.Start().ok());
+  Connection client = Dial(server);
+  Unwrap(client.Call(
+      JsonObject().Str("cmd", "relation").Str("name", "p").Int("arity", 2).Build()));
+  for (const char* unary : {"r", "s"}) {
+    Unwrap(client.Call(
+        JsonObject().Str("cmd", "relation").Str("name", unary).Int("arity", 1).Build()));
+  }
+  for (const char* dep : {"p(X, Y) -> r(X).", "r(X) -> s(X).", "p(X, Y) -> s(X)."}) {
+    Unwrap(client.Call(JsonObject().Str("cmd", "dep").Str("text", dep).Build()));
+  }
+  auto lint_codes = [&client](std::optional<uint64_t> max_chase_steps) {
+    JsonObject request;
+    request.Str("cmd", "lint");
+    if (max_chase_steps.has_value()) request.Int("max_chase_steps", *max_chase_steps);
+    JsonValue response = Unwrap(client.Call(request.Build()));
+    EXPECT_TRUE(Field(response, "ok")->boolean);
+    std::vector<std::string> codes;
+    for (const JsonValue& d : Field(response, "diagnostics")->array) {
+      codes.push_back(d.Find("code")->string);
+    }
+    return codes;
+  };
+  auto has = [](const std::vector<std::string>& codes, const char* code) {
+    return std::find(codes.begin(), codes.end(), code) != codes.end();
+  };
+  const std::vector<std::string> full = lint_codes(std::nullopt);
+  EXPECT_TRUE(has(full, "dependency-implied"));
+  EXPECT_FALSE(has(full, "analysis-incomplete"));
+  const std::vector<std::string> narrowed = lint_codes(1);
+  EXPECT_TRUE(has(narrowed, "analysis-incomplete"));
+  EXPECT_FALSE(has(narrowed, "dependency-implied"));
   server.Stop();
 }
 
