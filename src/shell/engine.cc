@@ -452,8 +452,9 @@ Result<std::string> ScriptEngine::ExecEquiv(std::string_view rest, bool explain)
            SemanticsToString(sem) + " semantics (given Sigma)\n" +
            IncompleteLine(verdict.exhaustion);
   }
-  return args.first[0] + (verdict.verdict == Verdict::kEquivalent ? " == " : " != ") + args.first[1] +
-         "  under " + SemanticsToString(sem) + " semantics (given Sigma)\n";
+  const char* op = verdict.verdict == Verdict::kEquivalent ? " == " : " != ";
+  return args.first[0] + op + args.first[1] + "  under " + SemanticsToString(sem) +
+         " semantics (given Sigma)\n";
 }
 
 Result<std::string> ScriptEngine::ExecExplainSlice(std::string_view rest) {
