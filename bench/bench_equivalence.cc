@@ -12,6 +12,8 @@
 #include "equivalence/containment.h"
 #include "equivalence/engine.h"
 #include "ir/parser.h"
+#include "sql/render.h"
+#include "sql/translate.h"
 #include "workload/schema_templates.h"
 
 namespace sqleq {
@@ -164,6 +166,29 @@ void BM_EngineEquivalent_MemoHit(benchmark::State& state) {
   state.counters["equivalent"] = verdict ? 1 : 0;
 }
 SQLEQ_BENCHMARK(BM_EngineEquivalent_MemoHit)->Arg(0)->Arg(1);
+
+// The SQL front-end on its own: one TranslateSql (tokenize, parse,
+// translate, no column cache) of a rendered join. Arg 0 is a warehouse
+// 3-table join, arg 1 a tpch 5-table join; sqleqd translates two queries of
+// this shape per check.
+void BM_TranslateSql(benchmark::State& state) {
+  const bool deep = state.range(0) == 1;
+  const workload::SchemaTemplate t =
+      bench::Must(workload::MakeSchemaTemplate(deep ? "tpch" : "warehouse"));
+  const ConjunctiveQuery q = bench::Must(ParseQuery(
+      deep ? "Q(O, B) :- lineitem(O, L, P, S, 7), orders(O, C, T, R), "
+             "customer(C, N, M), nation(N, G, A), region(G, B)."
+           : "Q(M) :- fact(I, T, C, P, G, M), dim_time(T, 2024), dim_cust(C, N, S)."));
+  const std::string text = bench::Must(sql::RenderSql(q, t.catalog.schema));
+  size_t atoms = 0;
+  for (auto _ : state) {
+    sql::TranslatedQuery translated = bench::Must(sql::TranslateSql(text, t.catalog));
+    atoms = translated.cq->body().size();
+    benchmark::DoNotOptimize(translated);
+  }
+  state.counters["atoms"] = static_cast<double>(atoms);
+}
+SQLEQ_BENCHMARK(BM_TranslateSql)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace sqleq

@@ -112,7 +112,15 @@ void EquivalenceEngine::set_memo_store(std::shared_ptr<MemoStore> store) {
 Result<EquivVerdict> EquivalenceEngine::Equivalent(const ConjunctiveQuery& q1,
                                                    const ConjunctiveQuery& q2,
                                                    const EquivRequest& request) {
-  const EngineContext& ctx = request.context;
+  return Equivalent(q1, q2, *ContextFor(request.semantics, request.sigma, request.schema),
+                    request);
+}
+
+Result<EquivVerdict> EquivalenceEngine::Equivalent(const ConjunctiveQuery& q1,
+                                                   const ConjunctiveQuery& q2,
+                                                   ChaseContext& context,
+                                                   const EquivOptions& options) {
+  const EngineContext& ctx = options.context;
   TraceSpan engine_span(ctx.trace, "engine.equivalent");
   if (ctx.metrics != nullptr) {
     ctx.metrics->counter(metric::kEngineEquivCalls).Add();
@@ -129,21 +137,19 @@ Result<EquivVerdict> EquivalenceEngine::Equivalent(const ConjunctiveQuery& q1,
     }
     return v;
   };
-  std::shared_ptr<ChaseContext> context =
-      ContextFor(request.semantics, request.sigma, request.schema);
   const ConjunctiveQuery* queries[] = {&q1, &q2};
-  SQLEQ_RETURN_IF_ERROR(context->Preflight(request, queries));
+  SQLEQ_RETURN_IF_ERROR(context.Preflight(options, queries));
   // One budget governs the call, threaded per run through the runtime
   // rather than held by the memo's plan — so calls with different budgets
   // share one memo and its compiled kernels (see ContextKey above).
-  ChaseMemo& memo = context->memo();
+  ChaseMemo& memo = context.memo();
   ChaseRuntime runtime(ctx);
-  runtime.resume = request.resume;  // subject-stamped: applied to its own query only
+  runtime.resume = options.resume;  // subject-stamped: applied to its own query only
   std::optional<ChaseCheckpoint> checkpoint;
   runtime.checkpoint_out = &checkpoint;
 
   EquivVerdict verdict;
-  verdict.semantics = request.semantics;
+  verdict.semantics = context.semantics();
   // Anytime conversion: a chase stopped by budget/deadline/cancellation/
   // fault yields a kUnknown verdict, not an error.
   auto unknown = [&](const Status& status, const char* phase) -> EquivVerdict {
@@ -171,10 +177,13 @@ Result<EquivVerdict> EquivalenceEngine::Equivalent(const ConjunctiveQuery& q1,
     }
     chased[i] = *std::move(outcome);
   }
-  verdict.verdict =
-      ChasedEquivalent(*chased[0], *chased[1], request.semantics, request.schema)
-          ? Verdict::kEquivalent
-          : Verdict::kNotEquivalent;
+  // One shared outcome means equal canonical keys: the queries are
+  // isomorphic, so equivalent under S, B and BS, failed chases included.
+  verdict.verdict = chased[0] == chased[1] ||
+                            ChasedEquivalent(*chased[0], *chased[1],
+                                             context.semantics(), context.schema())
+                        ? Verdict::kEquivalent
+                        : Verdict::kNotEquivalent;
   return counted(std::move(verdict));
 }
 

@@ -47,20 +47,26 @@
 
 namespace sqleq {
 
-/// Everything one equivalence decision depends on. Defaults: set semantics,
-/// no dependencies, empty schema, and a default EngineContext (whose
-/// ResourceBudget bounds the chases and supplies the optional deadline).
-/// The per-call environment (`context`) and Σ-lint pre-flight (`analyze`)
-/// are the shared RunOptions base (equivalence/run_options.h).
-struct EquivRequest : RunOptions {
-  Semantics semantics = Semantics::kSet;
-  DependencySet sigma;
-  Schema schema;
+/// The per-call options of a check in an already resolved ChaseContext
+/// (EquivalenceEngine::Equivalent's context overload): the shared RunOptions
+/// base (equivalence/run_options.h) — the per-call environment (`context`,
+/// whose ResourceBudget bounds the chases and supplies the optional
+/// deadline) and the Σ-lint pre-flight (`analyze`) — plus a resume point.
+struct EquivOptions : RunOptions {
   /// Anytime hook (docs/robustness.md): a chase checkpoint to resume from.
   /// The checkpoint is subject-stamped with its query's canonical key, so it
   /// is applied only to the chase it belongs to (the other query starts
   /// cold). Fault injection and cancellation live in `context`.
   const ChaseCheckpoint* resume = nullptr;
+};
+
+/// Everything one equivalence decision depends on: the call's options plus
+/// the (semantics, Σ, schema) whose context it runs in. Defaults: set
+/// semantics, no dependencies, empty schema.
+struct EquivRequest : EquivOptions {
+  Semantics semantics = Semantics::kSet;
+  DependencySet sigma;
+  Schema schema;
 
   EquivRequest() = default;
   /// Positional shorthand: `EquivRequest{semantics, sigma, schema}`.
@@ -128,6 +134,11 @@ class ChaseContext {
   /// cached chases.
   ChaseMemo& memo() { return memo_; }
 
+  /// The context's semantics, Σ and schema, as its plan holds them.
+  Semantics semantics() const { return memo_.plan().semantics(); }
+  const DependencySet& sigma() const { return memo_.plan().sigma(); }
+  const Schema& schema() const { return memo_.plan().schema(); }
+
   /// The rendered (semantics, Σ, schema) that names the context's records
   /// in a disk tier (ChaseMemo::AttachStore). Rendered once, at creation.
   const std::string& key() const { return key_; }
@@ -160,14 +171,24 @@ class EquivalenceEngine {
   EquivalenceEngine(const EquivalenceEngine&) = delete;
   EquivalenceEngine& operator=(const EquivalenceEngine&) = delete;
 
-  /// Decides q1 ≡Σ,X q2 per the request on the memo's shared outcomes
-  /// (ChaseMemo::ChaseCanonical): nothing is copied or renamed back onto
-  /// the callers' variables. Anytime contract (docs/robustness.md): when a
-  /// chase trips the budget, the deadline, cancellation, or an injected
-  /// fault, the call returns OK with verdict = kUnknown (plus exhaustion
-  /// and, usually, a resumable checkpoint) instead of an error.
-  /// Non-anytime failures (bad inputs, Σ-lint rejections) remain errors.
-  /// Thread-safe; concurrent calls share the memo caches.
+  /// Decides q1 ≡Σ,X q2 in `context` (whose semantics, Σ and schema it is)
+  /// on the memo's shared outcomes (ChaseMemo::ChaseCanonical): nothing is
+  /// copied or renamed back onto the callers' variables, and two queries
+  /// whose lookups share one outcome (equal canonical keys, so isomorphic)
+  /// are equivalent without a decision. Anytime contract
+  /// (docs/robustness.md): when a chase trips the budget, the deadline,
+  /// cancellation, or an injected fault, the call returns OK with verdict =
+  /// kUnknown (plus exhaustion and, usually, a resumable checkpoint) instead
+  /// of an error. Non-anytime failures (bad inputs, Σ-lint rejections)
+  /// remain errors. Thread-safe; concurrent calls share the memo caches.
+  /// A caller that checks many pairs against one catalog (the sqleqd
+  /// session) resolves the context once and passes it here.
+  Result<EquivVerdict> Equivalent(const ConjunctiveQuery& q1,
+                                  const ConjunctiveQuery& q2, ChaseContext& context,
+                                  const EquivOptions& options);
+
+  /// Equivalent() in ContextFor(request.semantics, request.sigma,
+  /// request.schema).
   Result<EquivVerdict> Equivalent(const ConjunctiveQuery& q1,
                                   const ConjunctiveQuery& q2,
                                   const EquivRequest& request);

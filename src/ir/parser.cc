@@ -1,6 +1,7 @@
 #include "ir/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <optional>
 #include <string>
 
@@ -156,7 +157,13 @@ class Parser {
     }
     if (t.kind == TokKind::kNumber) {
       Next();
-      return Term::Int(std::stoll(t.text));
+      int64_t v = 0;
+      auto [end, ec] = std::from_chars(t.text.data(), t.text.data() + t.text.size(), v);
+      if (ec != std::errc() || end != t.text.data() + t.text.size()) {
+        return Status::InvalidArgument("integer literal out of range near offset " +
+                                       std::to_string(t.pos));
+      }
+      return Term::Int(v);
     }
     if (t.kind == TokKind::kString) {
       Next();

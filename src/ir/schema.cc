@@ -78,6 +78,11 @@ Result<RelationInfo> Schema::GetRelation(const std::string& name) const {
   return it->second;
 }
 
+const RelationInfo* Schema::FindRelation(std::string_view name) const {
+  auto it = relations_.find(name);
+  return it == relations_.end() ? nullptr : &it->second;
+}
+
 size_t Schema::ArityOf(const std::string& name) const {
   auto it = relations_.find(name);
   return it == relations_.end() ? 0 : it->second.arity;

@@ -3,8 +3,10 @@
 #ifndef SQLEQ_IR_SCHEMA_H_
 #define SQLEQ_IR_SCHEMA_H_
 
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -52,6 +54,10 @@ class Schema {
   bool HasRelation(const std::string& name) const;
   Result<RelationInfo> GetRelation(const std::string& name) const;
 
+  /// The relation named `name`, or nullptr if unknown; no copy. Valid until
+  /// the schema next changes.
+  const RelationInfo* FindRelation(std::string_view name) const;
+
   /// Arity of `name`; 0 if unknown (use HasRelation to distinguish).
   size_t ArityOf(const std::string& name) const;
 
@@ -74,7 +80,7 @@ class Schema {
   size_t Hash() const;
 
  private:
-  std::map<std::string, RelationInfo> relations_;
+  std::map<std::string, RelationInfo, std::less<>> relations_;
 };
 
 }  // namespace sqleq

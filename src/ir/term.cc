@@ -16,10 +16,16 @@ namespace {
 // (entries are small, contention is negligible for this workload). Deques
 // keep element addresses stable, so name()/value() references stay valid
 // across later interning.
+/// Transparent, so a lookup by string_view builds no std::string.
+struct NameHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const { return std::hash<std::string_view>()(s); }
+};
+
 struct VarTable {
   std::mutex mu;
   std::deque<std::string> names;
-  std::unordered_map<std::string, int32_t> index;
+  std::unordered_map<std::string, int32_t, NameHash, std::equal_to<>> index;
 };
 
 struct ConstTable {
@@ -56,7 +62,7 @@ Term Term::Var(std::string_view name) {
   assert(!name.empty());
   VarTable& t = Vars();
   std::lock_guard<std::mutex> lock(t.mu);
-  auto it = t.index.find(std::string(name));
+  auto it = t.index.find(name);
   if (it != t.index.end()) return Term(Kind::kVariable, it->second);
   int32_t id = static_cast<int32_t>(t.names.size());
   t.names.emplace_back(name);

@@ -94,10 +94,10 @@ Result<CandBCheckpoint> CandBCheckpoint::Deserialize(std::string_view text) {
   return cp;
 }
 
-Result<CandBResult> ChaseAndBackchase(EquivalenceEngine& engine,
-                                      const ConjunctiveQuery& q,
-                                      const DependencySet& sigma, Semantics semantics,
-                                      const Schema& schema, const CandBOptions& options) {
+Result<CandBResult> ChaseAndBackchase(ChaseContext& context, const ConjunctiveQuery& q,
+                                      const CandBOptions& options) {
+  const Semantics semantics = context.semantics();
+  const Schema& schema = context.schema();
   auto build = [&](const ConjunctiveQuery& u, ChaseMemo& memo,
                    const ChaseRuntime& runtime) -> Result<CandidateLattice> {
     const size_t n = u.body().size();
@@ -141,9 +141,9 @@ Result<CandBResult> ChaseAndBackchase(EquivalenceEngine& engine,
           ChasedEquivalent(cand_chased->result, u, semantics, schema);
       if (equivalent && options.verify_sigma_minimality) {
         // The Def 3.1 filter chases outside the memo, under the call's budget.
-        SQLEQ_ASSIGN_OR_RETURN(bool minimal,
-                               IsSigmaMinimal(*candidate, sigma, semantics, schema,
-                                              options.context.budget));
+        SQLEQ_ASSIGN_OR_RETURN(
+            bool minimal, IsSigmaMinimal(*candidate, context.sigma(), semantics, schema,
+                                         options.context.budget));
         equivalent = minimal;
       }
       if (equivalent) {
@@ -157,8 +157,14 @@ Result<CandBResult> ChaseAndBackchase(EquivalenceEngine& engine,
     return lattice;
   };
   const ConjunctiveQuery* preflight[] = {&q};
-  return RunBackchase(engine, q, sigma, semantics, schema, options, "candb", preflight,
-                      build);
+  return RunBackchase(context, q, options, "candb", preflight, build);
+}
+
+Result<CandBResult> ChaseAndBackchase(EquivalenceEngine& engine,
+                                      const ConjunctiveQuery& q,
+                                      const DependencySet& sigma, Semantics semantics,
+                                      const Schema& schema, const CandBOptions& options) {
+  return ChaseAndBackchase(*engine.ContextFor(semantics, sigma, schema), q, options);
 }
 
 Result<CandBResult> ChaseAndBackchase(const ConjunctiveQuery& q,

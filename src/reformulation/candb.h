@@ -47,6 +47,7 @@ namespace sqleq {
 
 class FaultInjector;
 class CancellationToken;
+class ChaseContext;
 class EquivalenceEngine;
 
 /// Where an interrupted C&B call stopped and everything needed to finish it.
@@ -107,12 +108,17 @@ struct CandBResult {
   std::optional<CandBCheckpoint> checkpoint;
 };
 
-/// Runs chase & backchase for `q` under Σ and the given semantics, chasing
-/// through `engine`'s memo for the chase context. Sound and complete
+/// Runs chase & backchase for `q` in `context` (equivalence/engine.h): under
+/// its Σ, semantics and schema, chasing through its memo. Sound and complete
 /// whenever set chase terminates on the inputs (Thms A.1, 6.4, K.1) —
 /// guarded by the chase step budget. Anytime stops (budget, deadline,
 /// cancellation, injected faults) return partial results, not errors — see
-/// the header comment. Thread-safe: concurrent calls may share one engine.
+/// the header comment. Thread-safe: concurrent calls may share one context.
+Result<CandBResult> ChaseAndBackchase(ChaseContext& context, const ConjunctiveQuery& q,
+                                      const CandBOptions& options = {});
+
+/// ChaseAndBackchase in `engine`'s context for (semantics, Σ, schema)
+/// (EquivalenceEngine::ContextFor).
 Result<CandBResult> ChaseAndBackchase(EquivalenceEngine& engine,
                                       const ConjunctiveQuery& q,
                                       const DependencySet& sigma, Semantics semantics,

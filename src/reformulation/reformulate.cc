@@ -1,27 +1,23 @@
 #include "reformulation/reformulate.h"
 
-#include <memory>
 #include <utility>
 
 #include "equivalence/engine.h"
 
 namespace sqleq {
 
-Result<CandBResult> RunBackchase(EquivalenceEngine& engine, const ConjunctiveQuery& q,
-                                 const DependencySet& sigma, Semantics semantics,
-                                 const Schema& schema, const CandBOptions& options,
-                                 const char* span_name,
+Result<CandBResult> RunBackchase(ChaseContext& context, const ConjunctiveQuery& q,
+                                 const CandBOptions& options, const char* span_name,
                                  std::span<const ConjunctiveQuery* const> preflight,
                                  LatticeBuilder build) {
   const EngineContext& ctx = options.context;
   TraceSpan call_span(ctx.trace, span_name);
-  // The engine's context for (semantics, Σ, schema): its pre-flight has the
-  // Σ half analyzed already, its memo's compiled plan serves the
-  // universal-plan chase and every candidate, and the memo's entries
-  // outlive the call. One budget governs the whole call, passed per run.
-  std::shared_ptr<ChaseContext> context = engine.ContextFor(semantics, sigma, schema);
-  SQLEQ_RETURN_IF_ERROR(context->Preflight(options, preflight));
-  ChaseMemo& memo = context->memo();
+  // The context's pre-flight has the Σ half analyzed already, its memo's
+  // compiled plan serves the universal-plan chase and every candidate, and
+  // the memo's entries outlive the call. One budget governs the whole call,
+  // passed per run.
+  SQLEQ_RETURN_IF_ERROR(context.Preflight(options, preflight));
+  ChaseMemo& memo = context.memo();
   const ChaseRuntime runtime(ctx);
 
   const CandBCheckpoint* resume = options.resume;

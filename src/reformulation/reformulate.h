@@ -1,7 +1,6 @@
 // The one code path behind ChaseAndBackchase (candb.cc) and RewriteWithViews
-// (views.cc): the engine's chase context for the call and its Σ-lint
-// pre-flight; the universal-plan chase U = (Q)Σ,X through the context's
-// memo, packaged as a kChasePhase partial result when it stops early; the
+// (views.cc): the call's resolved chase context and its Σ-lint pre-flight;
+// the universal-plan chase U = (Q)Σ,X through the context's memo, packaged as a kChasePhase partial result when it stops early; the
 // call's ChaseRuntime; the lattice sweep (backchase.h); and the result and
 // checkpoint tail. A caller supplies only its candidate lattice over U.
 // Internal to src/reformulation.
@@ -36,13 +35,12 @@ struct CandidateLattice {
 using LatticeBuilder = FunctionRef<Result<CandidateLattice>(
     const ConjunctiveQuery& u, ChaseMemo& memo, const ChaseRuntime& runtime)>;
 
-/// Runs one reformulation call. `preflight` is what the Σ-lint checks (q,
-/// plus any view definitions); `span_name` names the call's trace span. The
-/// result's `reformulations` are the sweep's accepted candidates.
-Result<CandBResult> RunBackchase(EquivalenceEngine& engine, const ConjunctiveQuery& q,
-                                 const DependencySet& sigma, Semantics semantics,
-                                 const Schema& schema, const CandBOptions& options,
-                                 const char* span_name,
+/// Runs one reformulation call in `context` (whose semantics, Σ and schema
+/// it is). `preflight` is what the Σ-lint checks (q, plus any view
+/// definitions); `span_name` names the call's trace span. The result's
+/// `reformulations` are the sweep's accepted candidates.
+Result<CandBResult> RunBackchase(ChaseContext& context, const ConjunctiveQuery& q,
+                                 const CandBOptions& options, const char* span_name,
                                  std::span<const ConjunctiveQuery* const> preflight,
                                  LatticeBuilder build);
 

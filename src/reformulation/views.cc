@@ -287,8 +287,8 @@ Result<RewriteResult> RewriteWithViews(EquivalenceEngine& engine,
     return lattice;
   };
   SQLEQ_ASSIGN_OR_RETURN(CandBResult run,
-                         RunBackchase(engine, q, sigma, semantics, schema, options,
-                                      "rewrite.views", preflight, build));
+                         RunBackchase(*engine.ContextFor(semantics, sigma, schema), q,
+                                      options, "rewrite.views", preflight, build));
   return RewriteResult{std::move(run.reformulations), std::move(run.universal_plan),
                        run.candidates_examined,        run.chase_cache_hits,
                        run.chase_cache_misses,         run.complete,

@@ -369,10 +369,7 @@ std::string Server::HandleCheck(Session& session, const Request& request,
   if (!q2.ok()) return ErrorResponse(request.id, q2.status());
 
   MetricsRegistry local;
-  EquivRequest equiv;
-  equiv.semantics = semantics;
-  equiv.sigma = session.catalog().sigma;
-  equiv.schema = session.catalog().schema;
+  EquivOptions equiv;
   equiv.context = ContextFor(request.body, &local, degraded);
 
   std::optional<ChaseCheckpoint> resume;
@@ -383,7 +380,10 @@ std::string Server::HandleCheck(Session& session, const Request& request,
     equiv.resume = &*resume;
   }
 
-  Result<EquivVerdict> verdict = engine()->Equivalent(*q1, *q2, equiv);
+  // The session holds the catalog's context: no copy of Σ or the schema.
+  std::shared_ptr<EquivalenceEngine> shared = engine();
+  Result<EquivVerdict> verdict =
+      shared->Equivalent(*q1, *q2, session.ContextIn(shared, semantics), equiv);
   if (!verdict.ok()) return ErrorResponse(request.id, verdict.status());
 
   JsonObject out;
@@ -436,8 +436,7 @@ std::string Server::HandleReformulate(Session& session, const Request& request,
   }
 
   Result<CandBResult> result =
-      ChaseAndBackchase(*engine(), *q, session.catalog().sigma, semantics,
-                        session.catalog().schema, options);
+      ChaseAndBackchase(session.ContextIn(engine(), semantics), *q, options);
   if (!result.ok()) return ErrorResponse(request.id, result.status());
 
   std::vector<std::string> reformulations;

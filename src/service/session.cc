@@ -25,11 +25,14 @@ Status Session::ApplyDdl(std::string_view script) {
     SQLEQ_RETURN_IF_ERROR(sql::ApplyCreateTable(*create, &staged));
   }
   catalog_ = std::move(staged);
+  CatalogChanged();
   return Status::OK();
 }
 
 Status Session::AddRelation(const std::string& name, size_t arity, bool set_valued) {
-  return catalog_.schema.AddRelation(name, arity, {}, set_valued);
+  SQLEQ_RETURN_IF_ERROR(catalog_.schema.AddRelation(name, arity, {}, set_valued));
+  CatalogChanged();
+  return Status::OK();
 }
 
 Result<size_t> Session::AddDependency(std::string_view text, std::string label) {
@@ -37,7 +40,26 @@ Result<size_t> Session::AddDependency(std::string_view text, std::string label) 
   SQLEQ_ASSIGN_OR_RETURN(std::vector<Dependency> deps,
                          ParseDependency(text, std::move(label)));
   for (Dependency& dep : deps) catalog_.sigma.push_back(std::move(dep));
+  CatalogChanged();
   return deps.size();
+}
+
+void Session::CatalogChanged() {
+  columns_.Clear();
+  for (std::shared_ptr<ChaseContext>& context : contexts_) context.reset();
+}
+
+ChaseContext& Session::ContextIn(const std::shared_ptr<EquivalenceEngine>& engine,
+                                 Semantics semantics) {
+  if (engine_.owner_before(engine) || engine.owner_before(engine_)) {
+    engine_ = engine;
+    for (std::shared_ptr<ChaseContext>& context : contexts_) context.reset();
+  }
+  std::shared_ptr<ChaseContext>& context = contexts_[static_cast<size_t>(semantics)];
+  if (context == nullptr) {
+    context = engine->ContextFor(semantics, catalog_.sigma, catalog_.schema);
+  }
+  return *context;
 }
 
 Result<ConjunctiveQuery> Session::ResolveQuery(std::string_view text,
@@ -45,7 +67,7 @@ Result<ConjunctiveQuery> Session::ResolveQuery(std::string_view text,
   std::string_view trimmed = Trim(text);
   if (StartsWithIgnoreCase(trimmed, "SELECT")) {
     SQLEQ_ASSIGN_OR_RETURN(sql::TranslatedQuery translated,
-                           sql::TranslateSql(trimmed, catalog_, name));
+                           sql::TranslateSql(trimmed, catalog_, name, &columns_));
     if (translated.is_aggregate) {
       return Status::Unsupported(
           "aggregate queries are outside the service protocol (CQ-only)");

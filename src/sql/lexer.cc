@@ -7,12 +7,13 @@ namespace sql {
 
 Result<std::vector<Token>> Tokenize(std::string_view input) {
   std::vector<Token> out;
+  out.reserve(input.size() / 4 + 1);
   size_t i = 0;
   while (true) {
     while (i < input.size() && std::isspace(static_cast<unsigned char>(input[i]))) ++i;
     size_t pos = i;
     if (i >= input.size()) {
-      out.push_back({TokenKind::kEnd, "", pos});
+      out.push_back({TokenKind::kEnd, {}, pos});
       return out;
     }
     char c = input[i];
@@ -22,14 +23,14 @@ Result<std::vector<Token>> Tokenize(std::string_view input) {
                                   input[i] == '_')) {
         ++i;
       }
-      out.push_back({TokenKind::kIdent, std::string(input.substr(start, i - start)), pos});
+      out.push_back({TokenKind::kIdent, input.substr(start, i - start), pos});
     } else if (std::isdigit(static_cast<unsigned char>(c)) ||
                (c == '-' && i + 1 < input.size() &&
                 std::isdigit(static_cast<unsigned char>(input[i + 1])))) {
       size_t start = i;
       if (c == '-') ++i;
       while (i < input.size() && std::isdigit(static_cast<unsigned char>(input[i]))) ++i;
-      out.push_back({TokenKind::kNumber, std::string(input.substr(start, i - start)), pos});
+      out.push_back({TokenKind::kNumber, input.substr(start, i - start), pos});
     } else if (c == '\'') {
       ++i;
       size_t start = i;
@@ -38,7 +39,7 @@ Result<std::vector<Token>> Tokenize(std::string_view input) {
         return Status::InvalidArgument("unterminated string literal at offset " +
                                        std::to_string(pos));
       }
-      out.push_back({TokenKind::kString, std::string(input.substr(start, i - start)), pos});
+      out.push_back({TokenKind::kString, input.substr(start, i - start), pos});
       ++i;
     } else {
       TokenKind kind;
@@ -68,7 +69,7 @@ Result<std::vector<Token>> Tokenize(std::string_view input) {
           return Status::InvalidArgument(std::string("unexpected character '") + c +
                                          "' at offset " + std::to_string(pos));
       }
-      out.push_back({kind, std::string(1, c), pos});
+      out.push_back({kind, input.substr(i, 1), pos});
       ++i;
     }
   }

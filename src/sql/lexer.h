@@ -2,7 +2,6 @@
 #ifndef SQLEQ_SQL_LEXER_H_
 #define SQLEQ_SQL_LEXER_H_
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -26,13 +25,16 @@ enum class TokenKind {
   kEnd,
 };
 
+/// `text` views the tokenized input (for kString, the characters between the
+/// quotes), so tokens are valid only while that input is.
 struct Token {
   TokenKind kind = TokenKind::kEnd;
-  std::string text;
+  std::string_view text;
   size_t pos = 0;
 };
 
-/// Tokenizes `input`; always ends with a kEnd token on success.
+/// Tokenizes `input`; always ends with a kEnd token on success. The tokens
+/// view `input`.
 Result<std::vector<Token>> Tokenize(std::string_view input);
 
 }  // namespace sql

@@ -1,5 +1,7 @@
 #include "sql/sql_parser.h"
 
+#include <charconv>
+
 #include "sql/lexer.h"
 #include "util/string_util.h"
 
@@ -46,7 +48,7 @@ class Parser {
       return Status::InvalidArgument("expected " + std::string(what) + " near offset " +
                                      std::to_string(Peek().pos));
     }
-    return Next().text;
+    return std::string(Next().text);
   }
 
   Result<ColumnRef> ParseColumnRef() {
@@ -65,10 +67,17 @@ class Parser {
 
   Result<Literal> ParseLiteral() {
     if (At(TokenKind::kNumber)) {
-      return Literal{Value(static_cast<int64_t>(std::stoll(Next().text)))};
+      const Token& t = Next();
+      int64_t v = 0;
+      auto [end, ec] = std::from_chars(t.text.data(), t.text.data() + t.text.size(), v);
+      if (ec != std::errc() || end != t.text.data() + t.text.size()) {
+        return Status::InvalidArgument("integer literal out of range near offset " +
+                                       std::to_string(t.pos));
+      }
+      return Literal{Value(v)};
     }
     if (At(TokenKind::kString)) {
-      return Literal{Value(Next().text)};
+      return Literal{Value(std::string(Next().text))};
     }
     return Status::InvalidArgument("expected a literal near offset " +
                                    std::to_string(Peek().pos));
@@ -80,7 +89,7 @@ class Parser {
 
   bool AtAggregateCall() const {
     if (!At(TokenKind::kIdent) || Peek(1).kind != TokenKind::kLParen) return false;
-    const std::string& f = Peek().text;
+    std::string_view f = Peek().text;
     return EqualsIgnoreCase(f, "SUM") || EqualsIgnoreCase(f, "COUNT") ||
            EqualsIgnoreCase(f, "MAX") || EqualsIgnoreCase(f, "MIN");
   }
@@ -123,7 +132,7 @@ class Parser {
       SQLEQ_ASSIGN_OR_RETURN(ref.alias, ExpectIdent("a table alias"));
     } else if (At(TokenKind::kIdent) && !AtKeyword("WHERE") && !AtKeyword("GROUP") &&
                !AtKeyword("JOIN") && !AtKeyword("INNER") && !AtKeyword("ON")) {
-      ref.alias = Next().text;
+      ref.alias = std::string(Next().text);
     } else {
       ref.alias = ref.table;
     }

@@ -93,6 +93,38 @@ TEST(EquivalenceEngine, BothChasesFailingMeansEquivalent) {
   EXPECT_TRUE(e.equivalent);
 }
 
+TEST(EquivalenceEngine, RenamingSharesOneOutcomeUnderEverySemantics) {
+  // A query and its renaming have one canonical key, so the second lookup
+  // returns the first one's memo outcome and the pair is equivalent under
+  // S, B and BS without a decision — also when both chases fail.
+  const DependencySet sigma =
+      Sigma({"s(A, B), s(A, C) -> B = C.", "p(X, Y) -> s(X, Y)."});
+  Schema schema;
+  schema.Relation("p", 2).Relation("s", 2);
+  const std::pair<ConjunctiveQuery, ConjunctiveQuery> pairs[] = {
+      {Q("Q1(X) :- p(X, Y), s(Y, Z)."), Q("Q2(A) :- s(B, C), p(A, B).")},
+      {Q("Q1(X) :- s(X, 4), s(X, 5)."), Q("Q2(Y) :- s(Y, 5), s(Y, 4).")},
+  };
+  for (Semantics sem : {Semantics::kSet, Semantics::kBag, Semantics::kBagSet}) {
+    for (const auto& [a, b] : pairs) {
+      EquivalenceEngine engine;
+      std::shared_ptr<ChaseContext> context = engine.ContextFor(sem, sigma, schema);
+      EquivVerdict v = Unwrap(engine.Equivalent(a, b, *context, EquivOptions{}));
+      EXPECT_EQ(v.verdict, Verdict::kEquivalent)
+          << SemanticsToString(sem) << " " << a.ToString();
+      EXPECT_EQ(v.semantics, sem);
+      ChaseMemo::Stats stats = context->memo().stats();
+      EXPECT_EQ(stats.misses, 1u);
+      EXPECT_EQ(stats.hits, 1u);
+      // The evidence agrees, failed chases included.
+      EquivalenceExplanation e = Unwrap(ExplainEquivalence(a, b, sigma, sem, schema));
+      EXPECT_TRUE(e.equivalent);
+      EXPECT_EQ(e.q1_failed, &a == &pairs[1].first);
+      EXPECT_EQ(e.q2_failed, e.q1_failed);
+    }
+  }
+}
+
 TEST(EquivalenceEngine, EmptySigmaBagMatchesTheorem21) {
   // With Σ = ∅ the facade's kBag verdict is Theorem 2.1(1) isomorphism —
   // exactly what the legacy bool entry point reports.

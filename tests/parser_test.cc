@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "ir/printer.h"
 #include "test_util.h"
 
@@ -43,6 +45,27 @@ TEST(ParseQuery, NegativeIntegerConstant) {
   Result<ConjunctiveQuery> q = ParseQuery("Q(X) :- p(X, -5).");
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(q->body()[0].args()[1], Term::Int(-5));
+}
+
+TEST(ParseQuery, IntegerLiteralsAtTheInt64Bounds) {
+  Result<ConjunctiveQuery> max = ParseQuery("Q(X) :- p(X, 9223372036854775807).");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->body()[0].args()[1], Term::Int(INT64_MAX));
+  Result<ConjunctiveQuery> min = ParseQuery("Q(X) :- p(X, -9223372036854775808).");
+  ASSERT_TRUE(min.ok()) << min.status().ToString();
+  EXPECT_EQ(min->body()[0].args()[1], Term::Int(INT64_MIN));
+  // One past either bound is an InvalidArgument naming the literal's offset.
+  for (const char* text :
+       {"Q(X) :- p(X, 9223372036854775808).", "Q(X) :- p(X, -9223372036854775809)."}) {
+    Result<ConjunctiveQuery> q = ParseQuery(text);
+    ASSERT_FALSE(q.ok()) << text;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(q.status().message(), "integer literal out of range near offset 13");
+  }
+  Result<std::vector<Dependency>> dep =
+      ParseDependency("r(X) -> s(X, 99999999999999999999)", "d");
+  ASSERT_FALSE(dep.ok());
+  EXPECT_EQ(dep.status().message(), "integer literal out of range near offset 13");
 }
 
 TEST(ParseQuery, UnderscoreStartsVariable) {

@@ -1160,6 +1160,114 @@ TEST(ServiceRetry, TransportDropRedialsAndResends) {
   server.Stop();
 }
 
+/// The verdict string of a check on `client`.
+std::string VerdictOf(Connection& client, const std::string& line) {
+  JsonValue response = Unwrap(client.Call(line));
+  EXPECT_TRUE(Field(response, "ok")->boolean);
+  const JsonValue* verdict = response.Find("verdict");
+  return verdict == nullptr ? "" : verdict->string;
+}
+
+TEST(Service, CatalogChangesReachTheSessionsHeldContext) {
+  // A session resolves its chase context once per catalog version; each of
+  // dep, relation and ddl starts a new version, so the next check of the
+  // same pair is decided under the new catalog. One session per verb: the
+  // relation and ddl pairs are first checked on an empty schema, where
+  // Σ-lint lets an undeclared relation through.
+  Server server;
+  ASSERT_TRUE(server.Start().ok());
+
+  // dep: r ⊆ s makes the join with s redundant.
+  Connection dep_client = Dial(server);
+  for (const char* name : {"r", "s"}) {
+    Unwrap(dep_client.Call(
+        JsonObject().Str("cmd", "relation").Str("name", name).Int("arity", 1).Build()));
+  }
+  const std::string dep_pair = CheckLine("Q(X) :- r(X), s(X).", "Q(X) :- r(X).");
+  EXPECT_EQ(VerdictOf(dep_client, dep_pair), "not-equivalent");
+  Unwrap(dep_client.Call(
+      JsonObject().Str("cmd", "dep").Str("text", "r(X) -> s(X).").Build()));
+  EXPECT_EQ(VerdictOf(dep_client, dep_pair), "equivalent");
+
+  // relation: under B a duplicated atom of a set-valued relation is
+  // redundant (Thm 6.1), of an undeclared (bag-valued) one it is not.
+  Connection relation_client = Dial(server);
+  const std::string relation_pair =
+      CheckLine("Q(X) :- m(X, Y), m(X, Y).", "Q(X) :- m(X, Y).", "bag");
+  EXPECT_EQ(VerdictOf(relation_client, relation_pair), "not-equivalent");
+  Unwrap(relation_client.Call(JsonObject()
+                                  .Str("cmd", "relation")
+                                  .Str("name", "m")
+                                  .Int("arity", 2)
+                                  .Bool("set_valued", true)
+                                  .Build()));
+  EXPECT_EQ(VerdictOf(relation_client, relation_pair), "equivalent");
+
+  // ddl: a key on k's first column equates the two k atoms' second columns.
+  Connection ddl_client = Dial(server);
+  const std::string ddl_pair =
+      CheckLine("Q(Y, Z) :- k(X, Y), k(X, Z).", "Q(Y, Y) :- k(X, Y).");
+  EXPECT_EQ(VerdictOf(ddl_client, ddl_pair), "not-equivalent");
+  Unwrap(ddl_client.Call(JsonObject()
+                             .Str("cmd", "ddl")
+                             .Str("script", "CREATE TABLE k (a INT PRIMARY KEY, b INT)")
+                             .Build()));
+  EXPECT_EQ(VerdictOf(ddl_client, ddl_pair), "equivalent");
+  server.Stop();
+}
+
+TEST(Service, CheckAfterResetMemoLandsInTheFreshEngine) {
+  Server server;
+  ASSERT_TRUE(server.Start().ok());
+  Connection client = Dial(server);
+  UploadCatalog(client);
+  const std::string line = CheckLine("Q(X) :- r(X, Y), s(X).", "Q(X) :- r(X, Y).");
+  auto contexts = [&client]() {
+    JsonValue stats = Unwrap(client.Call(JsonObject().Str("cmd", "stats").Build()));
+    return Field(*Field(stats, "memo"), "contexts")->number;
+  };
+  EXPECT_EQ(VerdictOf(client, line), "equivalent");
+  EXPECT_EQ(contexts(), 1.0);
+  server.ResetMemo();
+  EXPECT_EQ(contexts(), 0.0);
+  // The session's held context belongs to the replaced engine; the check
+  // re-resolves in the fresh one.
+  EXPECT_EQ(VerdictOf(client, line), "equivalent");
+  EXPECT_EQ(contexts(), 1.0);
+  server.Stop();
+}
+
+TEST(Service, OutOfRangeIntegerLiteralIsAnErrorNotACrash) {
+  Server server;
+  ASSERT_TRUE(server.Start().ok());
+  Connection client = Dial(server);
+  Unwrap(client.Call(JsonObject()
+                         .Str("cmd", "ddl")
+                         .Str("script", "CREATE TABLE r (a INT, b INT)")
+                         .Build()));
+  std::string raw;
+  JsonValue check = Unwrap(client.Call(
+      CheckLine("SELECT r.a FROM r WHERE r.b = 99999999999999999999",
+                "SELECT r.a FROM r"),
+      &raw));
+  EXPECT_FALSE(Field(check, "ok")->boolean);
+  EXPECT_NE(raw.find("integer literal out of range"), std::string::npos) << raw;
+  JsonValue dep = Unwrap(
+      client.Call(JsonObject()
+                      .Str("cmd", "dep")
+                      .Str("text", "r(X, Y) -> r(X, 99999999999999999999).")
+                      .Build(),
+                  &raw));
+  EXPECT_FALSE(Field(dep, "ok")->boolean);
+  EXPECT_NE(raw.find("integer literal out of range"), std::string::npos) << raw;
+  // The connection and the daemon are still up.
+  const std::string in_range =
+      CheckLine("SELECT r.a FROM r WHERE r.b = 9223372036854775807",
+                "SELECT x.a FROM r x WHERE x.b = 9223372036854775807");
+  EXPECT_EQ(VerdictOf(client, in_range), "equivalent");
+  server.Stop();
+}
+
 TEST(Service, DrainingRejectsNewExpensiveWork) {
   Server server;
   ASSERT_TRUE(server.Start().ok());

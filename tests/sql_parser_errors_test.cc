@@ -3,6 +3,8 @@
 // Runs under the asan/ubsan presets (see tests/CMakeLists.txt labels).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include <string>
 #include <vector>
 
@@ -118,6 +120,29 @@ TEST(SqlParserErrors, TranslateRejectsSemanticNonsense) {
   EXPECT_FALSE(sql::TranslateSql("SELECT zz FROM r", catalog, "q").ok());
   EXPECT_FALSE(
       sql::TranslateSql("SELECT t9.a FROM r t0", catalog, "q").ok());
+}
+
+TEST(SqlParserErrors, IntegerLiteralsAtTheInt64Bounds) {
+  sql::Catalog catalog = TestCatalog();
+  Result<sql::TranslatedQuery> max = sql::TranslateSql(
+      "SELECT t0.c0 FROM r t0 WHERE t0.c1 = 9223372036854775807", catalog);
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->cq->body()[0].args()[1], Term::Int(INT64_MAX));
+  Result<sql::TranslatedQuery> min = sql::TranslateSql(
+      "SELECT t0.c0 FROM r t0 WHERE t0.c1 = -9223372036854775808", catalog);
+  ASSERT_TRUE(min.ok()) << min.status().ToString();
+  EXPECT_EQ(min->cq->body()[0].args()[1], Term::Int(INT64_MIN));
+  // One past either bound, in WHERE, in the SELECT list and in INSERT.
+  for (const char* text : {"SELECT t0.c0 FROM r t0 WHERE t0.c1 = 9223372036854775808",
+                           "SELECT t0.c0 FROM r t0 WHERE t0.c1 = -9223372036854775809"}) {
+    Result<sql::SelectStatement> stmt = sql::ParseSelect(text);
+    ASSERT_FALSE(stmt.ok()) << text;
+    EXPECT_EQ(stmt.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(stmt.status().message(), "integer literal out of range near offset 37");
+  }
+  EXPECT_EQ(sql::ParseSelect("SELECT 99999999999999999999 FROM r").status().message(),
+            "integer literal out of range near offset 7");
+  EXPECT_FALSE(sql::ParseInsert("INSERT INTO r VALUES (1, 99999999999999999999)").ok());
 }
 
 TEST(SqlParserErrors, DeepNestingDoesNotOverflow) {
