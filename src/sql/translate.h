@@ -105,12 +105,6 @@ Result<TranslatedQuery> TranslateSql(std::string_view select_text, const Catalog
                                      const std::string& name = "Q",
                                      ColumnTermCache* cache = nullptr);
 
-/// The translator TranslateSelect replaced, kept only for the differential
-/// test that pins the two to byte-identical output.
-Result<TranslatedQuery> TranslateSelectLegacy(const SelectStatement& stmt,
-                                              const Catalog& catalog,
-                                              const std::string& name = "Q");
-
 }  // namespace sql
 }  // namespace sqleq
 
