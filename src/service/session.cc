@@ -46,14 +46,14 @@ Result<size_t> Session::AddDependency(std::string_view text, std::string label) 
 
 void Session::CatalogChanged() {
   columns_.Clear();
-  for (std::shared_ptr<ChaseContext>& context : contexts_) context.reset();
+  contexts_ = {};
 }
 
 ChaseContext& Session::ContextIn(const std::shared_ptr<EquivalenceEngine>& engine,
                                  Semantics semantics) {
   if (engine_.owner_before(engine) || engine.owner_before(engine_)) {
     engine_ = engine;
-    for (std::shared_ptr<ChaseContext>& context : contexts_) context.reset();
+    contexts_ = {};
   }
   std::shared_ptr<ChaseContext>& context = contexts_[static_cast<size_t>(semantics)];
   if (context == nullptr) {

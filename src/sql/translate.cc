@@ -186,11 +186,12 @@ void ColumnTermCache::AppendColumnTerms(std::string_view alias,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = terms_.find(key);
   if (it == terms_.end()) {
-    std::vector<Term> terms;
-    sql::AppendColumnTerms(alias, relation, &terms);
-    out->insert(out->end(), terms.begin(), terms.end());
-    if (terms_.size() < kMaxEntries) terms_.emplace(std::move(key), std::move(terms));
-    return;
+    if (terms_.size() >= kMaxEntries) {
+      sql::AppendColumnTerms(alias, relation, out);
+      return;
+    }
+    it = terms_.emplace(std::move(key), std::vector<Term>()).first;
+    sql::AppendColumnTerms(alias, relation, &it->second);
   }
   out->insert(out->end(), it->second.begin(), it->second.end());
 }

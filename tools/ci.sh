@@ -30,8 +30,9 @@
 #
 # service-smoke builds sqleqd + sqleq-client, boots the daemon on an
 # ephemeral port, drives a catalog upload, check, reformulate, and stats
-# through the client, then SIGTERMs the daemon and asserts a clean drain
-# and a valid Prometheus export (docs/service.md). Between the two it runs
+# through the client (checking one pair before and after the dep that makes
+# it equivalent, so the verdict must flip), then SIGTERMs the daemon and
+# asserts a clean drain and a valid Prometheus export (docs/service.md). Between the two it runs
 # 100 sequential one-request clients and fails if the daemon's VmSize
 # (/proc/<pid>/status) grew by 100 MiB or more: each closed connection's
 # thread, with its stack mapping, must be joined while the daemon runs.
@@ -167,6 +168,7 @@ service_smoke() {
 {"id":"1","cmd":"hello"}
 {"id":"2","cmd":"relation","name":"r","arity":2}
 {"id":"3","cmd":"relation","name":"s","arity":1}
+{"id":"4a","cmd":"check","q1":"Q(X) :- r(X, Y), s(X).","q2":"Q(X) :- r(X, Y).","semantics":"set"}
 {"id":"4","cmd":"dep","text":"r(X, Y) -> s(X).","label":"fk"}
 {"id":"5","cmd":"check","q1":"Q(X) :- r(X, Y), s(X).","q2":"Q(X) :- r(X, Y).","semantics":"set"}
 {"id":"6","cmd":"reformulate","query":"Q(X) :- r(X, Y), s(X).","semantics":"set"}
@@ -178,8 +180,12 @@ EOF
       --file "${workdir}/requests.jsonl" --print-prometheus \
       > "${responses}" 2> "${prometheus}"
 
-  grep -Fq '"verdict":"equivalent"' "${responses}" \
-      || { echo "check did not come back equivalent:"; cat "${responses}"; exit 1; }
+  # The same pair before and after the dep: the session's held chase
+  # context must follow the catalog change.
+  grep -F '"id":"4a"' "${responses}" | grep -Fq '"verdict":"not-equivalent"' \
+      || { echo "check without Σ did not come back not-equivalent:"; cat "${responses}"; exit 1; }
+  grep -F '"id":"5"' "${responses}" | grep -Fq '"verdict":"equivalent"' \
+      || { echo "check after the dep did not flip to equivalent:"; cat "${responses}"; exit 1; }
   grep -Fq '"reformulations":["Q(X) :- r(X, Y)."]' "${responses}" \
       || { echo "reformulate missing the minimized query:"; cat "${responses}"; exit 1; }
   grep -Fq 'sqleq_service_requests' "${prometheus}" \
