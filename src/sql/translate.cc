@@ -223,7 +223,6 @@ class NodeUnionFind {
     for (size_t i = 0; i < parent_.size(); ++i) parent_[i] = i;
   }
 
-  Term term(size_t node) const { return terms_[node]; }
   size_t num_vars() const { return num_vars_; }
 
   size_t ConstantNode(Term c) {
