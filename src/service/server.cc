@@ -382,8 +382,8 @@ std::string Server::HandleCheck(Session& session, const Request& request,
 
   // The session holds the catalog's context: no copy of Σ or the schema.
   std::shared_ptr<EquivalenceEngine> shared = engine();
-  Result<EquivVerdict> verdict =
-      shared->Equivalent(*q1, *q2, session.ContextIn(shared, semantics), equiv);
+  std::shared_ptr<ChaseContext> context = session.ContextIn(*shared, semantics);
+  Result<EquivVerdict> verdict = shared->Equivalent(*q1, *q2, *context, equiv);
   if (!verdict.ok()) return ErrorResponse(request.id, verdict.status());
 
   JsonObject out;
@@ -435,8 +435,8 @@ std::string Server::HandleReformulate(Session& session, const Request& request,
     options.resume = &*resume;
   }
 
-  Result<CandBResult> result =
-      ChaseAndBackchase(session.ContextIn(engine(), semantics), *q, options);
+  std::shared_ptr<ChaseContext> context = session.ContextIn(*engine(), semantics);
+  Result<CandBResult> result = ChaseAndBackchase(*context, *q, options);
   if (!result.ok()) return ErrorResponse(request.id, result.status());
 
   std::vector<std::string> reformulations;

@@ -44,22 +44,17 @@ Result<size_t> Session::AddDependency(std::string_view text, std::string label) 
   return deps.size();
 }
 
-void Session::CatalogChanged() {
-  columns_.Clear();
-  contexts_ = {};
-}
+void Session::CatalogChanged() { contexts_ = {}; }
 
-ChaseContext& Session::ContextIn(const std::shared_ptr<EquivalenceEngine>& engine,
-                                 Semantics semantics) {
-  if (engine_.owner_before(engine) || engine.owner_before(engine_)) {
-    engine_ = engine;
-    contexts_ = {};
-  }
-  std::shared_ptr<ChaseContext>& context = contexts_[static_cast<size_t>(semantics)];
+std::shared_ptr<ChaseContext> Session::ContextIn(EquivalenceEngine& engine,
+                                                Semantics semantics) {
+  std::weak_ptr<ChaseContext>& held = contexts_[static_cast<size_t>(semantics)];
+  std::shared_ptr<ChaseContext> context = held.lock();
   if (context == nullptr) {
-    context = engine->ContextFor(semantics, catalog_.sigma, catalog_.schema);
+    context = engine.ContextFor(semantics, catalog_.sigma, catalog_.schema);
+    held = context;
   }
-  return *context;
+  return context;
 }
 
 Result<ConjunctiveQuery> Session::ResolveQuery(std::string_view text,
@@ -67,7 +62,7 @@ Result<ConjunctiveQuery> Session::ResolveQuery(std::string_view text,
   std::string_view trimmed = Trim(text);
   if (StartsWithIgnoreCase(trimmed, "SELECT")) {
     SQLEQ_ASSIGN_OR_RETURN(sql::TranslatedQuery translated,
-                           sql::TranslateSql(trimmed, catalog_, name, &columns_));
+                           sql::TranslateSql(trimmed, catalog_, name));
     if (translated.is_aggregate) {
       return Status::Unsupported(
           "aggregate queries are outside the service protocol (CQ-only)");

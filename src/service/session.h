@@ -1,11 +1,10 @@
 // Per-connection state of a sqleqd session: the catalog (schema + Σ) the
 // client has uploaded, mirroring what the shell's CREATE TABLE / DEP
 // statements build locally, plus what the session builds once per catalog
-// version: the column variables of the SQL table references it has
-// translated, and one chase context per semantics. Queries in requests
-// resolve against the catalog — SQL text translates through sql/translate,
-// Datalog text parses directly. Sessions are confined to their connection
-// thread; ResolveQuery alone may also be called concurrently.
+// version: one chase context per semantics. Queries in requests resolve
+// against the catalog — SQL text translates through sql/translate, Datalog
+// text parses directly. Sessions are confined to their connection thread;
+// no locking.
 #ifndef SQLEQ_SERVICE_SESSION_H_
 #define SQLEQ_SERVICE_SESSION_H_
 
@@ -42,19 +41,16 @@ class Session {
   /// Resolves query text: SQL (leading SELECT, translated against the
   /// session catalog — aggregates are rejected, the equivalence protocol is
   /// CQ-only) or Datalog ("name(head) :- body"). `name` renames the result.
-  /// SQL translates through the session's column-variable cache.
-  /// Thread-safe.
   Result<ConjunctiveQuery> ResolveQuery(std::string_view text, const std::string& name) const;
 
   /// The chase context of (semantics, the session's Σ and schema) in
   /// `engine`. It is resolved through EquivalenceEngine::ContextFor on first
-  /// use after each catalog change, or when `engine` is not the engine the
-  /// held contexts came from (Server::ResetMemo swaps in a fresh one), and
-  /// held otherwise, so a check neither copies nor hashes the catalog. Held
-  /// contexts of a replaced engine stay alive until the session next
-  /// resolves or closes.
-  ChaseContext& ContextIn(const std::shared_ptr<EquivalenceEngine>& engine,
-                          Semantics semantics);
+  /// use after each catalog change, or after the engine that owned the held
+  /// context was released (Server::ResetMemo swaps in a fresh one), and
+  /// held otherwise, so a check neither copies nor hashes the catalog. The
+  /// session holds it weakly, so a replaced engine's contexts are freed with
+  /// the engine; the caller keeps the returned pointer for the call.
+  std::shared_ptr<ChaseContext> ContextIn(EquivalenceEngine& engine, Semantics semantics);
 
   const sql::Catalog& catalog() const { return catalog_; }
 
@@ -70,12 +66,8 @@ class Session {
   void CatalogChanged();
 
   sql::Catalog catalog_;
-  mutable sql::ColumnTermCache columns_;
-  /// The engine `contexts_` came from; identity only, so a reset engine is
-  /// not kept alive by its sessions.
-  std::weak_ptr<EquivalenceEngine> engine_;
-  /// Indexed by Semantics.
-  std::array<std::shared_ptr<ChaseContext>, 3> contexts_;
+  /// Indexed by Semantics. The engine owns the contexts.
+  std::array<std::weak_ptr<ChaseContext>, 3> contexts_;
   int dep_counter_ = 0;
   ProtocolVersion protocol_ = ProtocolVersion::kV1;
 };

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <semaphore>
 #include <string>
@@ -1230,11 +1231,29 @@ TEST(Service, CheckAfterResetMemoLandsInTheFreshEngine) {
   EXPECT_EQ(contexts(), 1.0);
   server.ResetMemo();
   EXPECT_EQ(contexts(), 0.0);
-  // The session's held context belongs to the replaced engine; the check
+  // The replaced engine went with the context the session held; the check
   // re-resolves in the fresh one.
   EXPECT_EQ(VerdictOf(client, line), "equivalent");
   EXPECT_EQ(contexts(), 1.0);
   server.Stop();
+}
+
+TEST(Service, SessionHoldsItsContextsWeakly) {
+  // The engine owns its contexts; a session only names them, so an engine
+  // replaced by ResetMemo frees them although an idle session still held
+  // them, and the session resolves afresh in the next engine.
+  Session session;
+  ASSERT_TRUE(session.AddRelation("r", 1, /*set_valued=*/false).ok());
+  auto engine = std::make_shared<EquivalenceEngine>();
+  std::shared_ptr<ChaseContext> context = session.ContextIn(*engine, Semantics::kSet);
+  EXPECT_EQ(session.ContextIn(*engine, Semantics::kSet), context);
+  std::weak_ptr<ChaseContext> held = context;
+  context.reset();
+  engine.reset();
+  EXPECT_TRUE(held.expired());
+  EquivalenceEngine fresh;
+  session.ContextIn(fresh, Semantics::kSet);
+  EXPECT_EQ(fresh.cache_stats().contexts, 1u);
 }
 
 TEST(Service, OutOfRangeIntegerLiteralIsAnErrorNotACrash) {
