@@ -164,38 +164,10 @@ std::string TranslatedQuery::ToString() const {
   return out;
 }
 
-void ColumnTermCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  terms_.clear();
-}
+namespace {
 
-size_t ColumnTermCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return terms_.size();
-}
-
-void ColumnTermCache::AppendColumnTerms(std::string_view alias,
-                                        const RelationInfo& relation,
-                                        std::vector<Term>* out) {
-  // '.' never occurs in an SQL identifier, so the key is injective.
-  std::string key;
-  key.reserve(alias.size() + 1 + relation.name.size());
-  key += alias;
-  key += '.';
-  key += relation.name;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = terms_.find(key);
-  if (it == terms_.end()) {
-    if (terms_.size() >= kMaxEntries) {
-      sql::AppendColumnTerms(alias, relation, out);
-      return;
-    }
-    it = terms_.emplace(std::move(key), std::vector<Term>()).first;
-    sql::AppendColumnTerms(alias, relation, &it->second);
-  }
-  out->insert(out->end(), it->second.begin(), it->second.end());
-}
-
+/// Appends the variables `V_<alias>#<col>` of `relation`'s columns, in
+/// column order, to `out`, interning each.
 void AppendColumnTerms(std::string_view alias, const RelationInfo& relation,
                        std::vector<Term>* out) {
   std::string name = "V_";
@@ -208,8 +180,6 @@ void AppendColumnTerms(std::string_view alias, const RelationInfo& relation,
     out->push_back(Term::Var(name));
   }
 }
-
-namespace {
 
 /// Union-find over one SELECT's terms for WHERE-equality resolution. Nodes
 /// [0, n) are the FROM columns' variables; the constants the WHERE clause
@@ -276,8 +246,7 @@ struct FromRef {
 }  // namespace
 
 Result<TranslatedQuery> TranslateSelect(const SelectStatement& stmt,
-                                        const Catalog& catalog, const std::string& name,
-                                        ColumnTermCache* cache) {
+                                        const Catalog& catalog, const std::string& name) {
   if (stmt.from.empty()) {
     return Status::InvalidArgument("SELECT without FROM is outside the CQ class");
   }
@@ -299,11 +268,7 @@ Result<TranslatedQuery> TranslateSelect(const SelectStatement& stmt,
       }
     }
     from.push_back({ref.alias, relation, vars.size()});
-    if (cache != nullptr) {
-      cache->AppendColumnTerms(ref.alias, *relation, &vars);
-    } else {
-      AppendColumnTerms(ref.alias, *relation, &vars);
-    }
+    AppendColumnTerms(ref.alias, *relation, &vars);
   }
   NodeUnionFind uf(std::move(vars));
 
@@ -460,9 +425,9 @@ Result<TranslatedQuery> TranslateSelect(const SelectStatement& stmt,
 }
 
 Result<TranslatedQuery> TranslateSql(std::string_view select_text, const Catalog& catalog,
-                                     const std::string& name, ColumnTermCache* cache) {
+                                     const std::string& name) {
   SQLEQ_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSelect(select_text));
-  return TranslateSelect(stmt, catalog, name, cache);
+  return TranslateSelect(stmt, catalog, name);
 }
 
 }  // namespace sql

@@ -8,11 +8,9 @@
 #ifndef SQLEQ_SQL_TRANSLATE_H_
 #define SQLEQ_SQL_TRANSLATE_H_
 
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "constraints/dependency.h"
@@ -60,50 +58,19 @@ struct TranslatedQuery {
   std::string ToString() const;
 };
 
-/// Appends the variables `V_<alias>#<col>` of `relation`'s columns, in
-/// column order, to `out`, interning each.
-void AppendColumnTerms(std::string_view alias, const RelationInfo& relation,
-                       std::vector<Term>* out);
-
-/// The column variables of (alias, relation) pairs, interned once and kept
-/// across translations, so a repeated table reference takes no lock on the
-/// term table. Valid for one catalog version: whoever changes the catalog
-/// clears the cache. Holds at most kMaxEntries pairs; later pairs translate
-/// uncached. Thread-safe.
-class ColumnTermCache {
- public:
-  static constexpr size_t kMaxEntries = 1024;
-
-  /// AppendColumnTerms through the cache.
-  void AppendColumnTerms(std::string_view alias, const RelationInfo& relation,
-                         std::vector<Term>* out);
-
-  void Clear();
-  size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  /// Keyed by "<alias>.<relation>".
-  std::unordered_map<std::string, std::vector<Term>> terms_;
-};
-
 /// Translates a SELECT against `catalog.schema`. `name` names the resulting
 /// query. GROUP BY queries must select exactly the grouping columns plus
 /// one aggregate; non-grouped aggregates are 0-ary-grouping aggregates.
 /// Column `col` of the table reference `alias` becomes the variable
 /// `V_<alias>#<col>`: query-local and injective in (alias, column), not
-/// fresh, so translating the same text twice yields the same names. A
-/// non-null `cache` (kept for `catalog`'s current version) supplies those
-/// variables; the result is the same with or without it.
+/// fresh, so translating the same text twice yields the same names.
 Result<TranslatedQuery> TranslateSelect(const SelectStatement& stmt,
                                         const Catalog& catalog,
-                                        const std::string& name = "Q",
-                                        ColumnTermCache* cache = nullptr);
+                                        const std::string& name = "Q");
 
 /// Convenience: parse + translate.
 Result<TranslatedQuery> TranslateSql(std::string_view select_text, const Catalog& catalog,
-                                     const std::string& name = "Q",
-                                     ColumnTermCache* cache = nullptr);
+                                     const std::string& name = "Q");
 
 }  // namespace sql
 }  // namespace sqleq
