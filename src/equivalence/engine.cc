@@ -71,13 +71,18 @@ bool ChaseContext::Matches(Semantics semantics, const DependencySet& sigma,
          plan.schema() == schema;
 }
 
+AnalysisReport ChaseContext::Lint(std::span<const ConjunctiveQuery* const> queries,
+                                  const AnalyzeOptions& options) const {
+  return sigma_lint_.Analyze(queries, options);
+}
+
 Status ChaseContext::Preflight(const RunOptions& options,
                                std::span<const ConjunctiveQuery* const> queries) const {
   if (!options.analyze.enabled) return Status::OK();
   AnalyzeOptions analyze = options.analyze;
   if (analyze.budget == ResourceBudget{}) analyze.budget = options.context.budget;
   if (analyze.metrics == nullptr) analyze.metrics = options.context.metrics;
-  return ReportToStatus(sigma_lint_.Analyze(queries, analyze));
+  return ReportToStatus(Lint(queries, analyze));
 }
 
 std::shared_ptr<ChaseContext> EquivalenceEngine::ContextFor(Semantics semantics,

@@ -148,14 +148,17 @@ class ChaseContext {
   bool Matches(Semantics semantics, const DependencySet& sigma,
                const Schema& schema) const;
 
-  /// The Σ-lint pre-flight of one engine call over `queries`; a no-op when
-  /// options.analyze.enabled is false. The same Status, and the same
-  /// analysis.diag.<code> counts, as a fresh
-  /// ReportToStatus(AnalyzeProgram(schema, Σ, queries, analyze)): the Σ
-  /// findings are replayed (filtered by the call's switches, escalated
-  /// under warnings_as_errors, counted) and only the queries are analyzed.
-  /// An analyze budget left at its default takes options.context.budget,
-  /// and a null analyze.metrics takes options.context.metrics.
+  /// AnalyzeProgram(schema, Σ, queries, options), computed by the
+  /// context's SigmaPreflight: its Σ findings are replayed and only the
+  /// queries and the chase-based checks are analyzed afresh.
+  AnalysisReport Lint(std::span<const ConjunctiveQuery* const> queries,
+                      const AnalyzeOptions& options) const;
+
+  /// The Σ-lint pre-flight of one engine call: the Status of
+  /// Lint(queries, options.analyze), or OK when options.analyze.enabled is
+  /// false. An analyze budget left at its default takes
+  /// options.context.budget, and a null analyze.metrics takes
+  /// options.context.metrics.
   Status Preflight(const RunOptions& options,
                    std::span<const ConjunctiveQuery* const> queries) const;
 

@@ -84,10 +84,9 @@ class Connection {
   /// Call() wrapped in the retry loop: a transport failure (dropped
   /// connection, read deadline) redials and resends; an overloaded or
   /// draining response backs off per RetryBackoffMs and resends. The same
-  /// line is resent verbatim, so a request carrying an id is idempotent on
-  /// the server (memo + idempotency cache) even if the original response
-  /// was lost. Returns the last response (or transport error) when the
-  /// attempt budget runs out.
+  /// line is resent verbatim; requests are pure, so the server dispatches a
+  /// resend again and the chase memo answers it. Returns the last response
+  /// (or transport error) when the attempt budget runs out.
   Result<JsonValue> CallWithRetry(const std::string& request_line,
                                   const RetryPolicy& policy,
                                   std::string* raw_response = nullptr,

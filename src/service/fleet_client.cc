@@ -169,7 +169,7 @@ Result<JsonValue> FleetClient::CallOnShard(size_t shard,
       } else {
         // Transport failure: the connection is dead. Evict it; the next
         // attempt redials through Checkout (catalog replay included) and
-        // resends the same line — ids stay idempotent server-side.
+        // resends the same line, which the server dispatches again.
         held.reset();
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.pool_evictions;

@@ -11,7 +11,7 @@
 //  - connection pooling: up to pool_size_per_shard idle connections per
 //    shard are kept and reused; dead connections are evicted and redialed,
 //    and the request is resent through the fresh connection (the catalog
-//    replays first), reusing the PR-8 RetryPolicy/idempotent-id machinery;
+//    replays first) under the RetryPolicy of Connection::CallWithRetry;
 //  - redirect following: a v2 not_owner response is followed transparently
 //    (bounded by max_redirects), so a client with a stale routing choice
 //    still lands on the owner;

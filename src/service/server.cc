@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -32,6 +33,37 @@ std::string RenderStringArray(const std::vector<std::string>& items) {
   out += "]";
   return out;
 }
+
+/// The number `key` of `body`, nullopt when absent, InvalidArgument naming
+/// the field when it is a fraction. 1e400 reads as infinity, an integer
+/// larger than any cap.
+Result<std::optional<double>> OptionalIntegral(const JsonValue& body, const char* key) {
+  std::optional<double> v = OptionalNumber(body, key);
+  if (v.has_value() && std::trunc(*v) != *v) {
+    return Status::InvalidArgument(std::string("\"") + key + "\" must be an integer");
+  }
+  return v;
+}
+
+/// Lowers `cap` to the request's `key` when that is a positive integer
+/// below it. The comparison is made on the double, before any conversion:
+/// a value at or above the cap (the shell sends its whole size_t budget)
+/// leaves the cap, and one <= 0 means "not set".
+Status NarrowCap(const JsonValue& body, const char* key, size_t& cap) {
+  SQLEQ_ASSIGN_OR_RETURN(std::optional<double> v, OptionalIntegral(body, key));
+  if (v.has_value() && *v > 0 && *v < static_cast<double>(cap)) {
+    cap = static_cast<size_t>(*v);
+  }
+  return Status::OK();
+}
+
+/// The longest deadline_ms a request may set: 2^40 ms, about 35 years, so
+/// now() plus the deadline cannot overflow steady_clock.
+constexpr double kMaxDeadlineMs = 1099511627776.0;
+
+/// The widest relation a `relation` request may declare (the schema names
+/// every column, so the arity is also an allocation size).
+constexpr size_t kMaxArity = 4096;
 
 }  // namespace
 
@@ -216,11 +248,6 @@ void Server::ServeConnection(TcpConn conn) {
       } else if (draining()) {
         metrics_.counter(metric::kServiceDrainingRejected).Add();
         response = DrainingResponse(request->id, options_.retry_after_ms);
-      } else if (std::optional<std::string> replay = IdempotentReplay(request->id);
-                 replay.has_value()) {
-        // A retried id whose original response was already settled: replay
-        // it instead of re-dispatching (the retry raced a lost response).
-        response = *std::move(replay);
       } else {
         // Admission control once queued-or-running hits the cap: either
         // shed, or (degraded_admission) answer inline under the narrowed
@@ -235,7 +262,6 @@ void Server::ServeConnection(TcpConn conn) {
             metrics_.counter(metric::kServiceDegraded).Add();
             response = Dispatch(session, *request, /*degraded=*/true);
             inflight_.fetch_sub(1, std::memory_order_acq_rel);
-            RememberResponse(request->id, response);
           } else {
             inflight_.fetch_sub(1, std::memory_order_acq_rel);
             metrics_.counter(metric::kServiceOverloaded).Add();
@@ -253,7 +279,6 @@ void Server::ServeConnection(TcpConn conn) {
           }
           slots_->release();
           inflight_.fetch_sub(1, std::memory_order_acq_rel);
-          RememberResponse(request->id, response);
         }
       }
     }
@@ -320,14 +345,15 @@ std::string Server::HandleDdl(Session& session, const Request& request) {
 std::string Server::HandleRelation(Session& session, const Request& request) {
   Result<std::string> name = RequireString(request.body, "name");
   if (!name.ok()) return ErrorResponse(request.id, name.status());
-  std::optional<double> arity = OptionalNumber(request.body, "arity");
-  if (!arity.has_value() || *arity < 1) {
-    return ErrorResponse(request.id,
-                         Status::InvalidArgument("relation requires a numeric arity >= 1"));
+  Result<std::optional<double>> arity = OptionalIntegral(request.body, "arity");
+  if (!arity.ok()) return ErrorResponse(request.id, arity.status());
+  if (!arity->has_value() || **arity < 1 || **arity > kMaxArity) {
+    return ErrorResponse(request.id, Status::InvalidArgument(
+        "relation requires a numeric \"arity\" from 1 to " + std::to_string(kMaxArity)));
   }
   bool set_valued = OptionalBool(request.body, "set_valued", false);
   Status status =
-      session.AddRelation(*name, static_cast<size_t>(*arity), set_valued);
+      session.AddRelation(*name, static_cast<size_t>(**arity), set_valued);
   if (!status.ok()) return ErrorResponse(request.id, status);
   return JsonObject()
       .Str("id", request.id)
@@ -369,8 +395,10 @@ std::string Server::HandleCheck(Session& session, const Request& request,
   if (!q2.ok()) return ErrorResponse(request.id, q2.status());
 
   MetricsRegistry local;
+  Result<EngineContext> ctx = ContextFor(request.body, &local, degraded);
+  if (!ctx.ok()) return ErrorResponse(request.id, ctx.status());
   EquivOptions equiv;
-  equiv.context = ContextFor(request.body, &local, degraded);
+  equiv.context = *std::move(ctx);
 
   std::optional<ChaseCheckpoint> resume;
   if (std::optional<std::string> text = OptionalString(request.body, "resume")) {
@@ -424,8 +452,10 @@ std::string Server::HandleReformulate(Session& session, const Request& request,
   if (!q.ok()) return ErrorResponse(request.id, q.status());
 
   MetricsRegistry local;
+  Result<EngineContext> ctx = ContextFor(request.body, &local, degraded);
+  if (!ctx.ok()) return ErrorResponse(request.id, ctx.status());
   CandBOptions options;
-  options.context = ContextFor(request.body, &local, degraded);
+  options.context = *std::move(ctx);
 
   std::optional<CandBCheckpoint> resume;
   if (std::optional<std::string> text = OptionalString(request.body, "resume")) {
@@ -471,9 +501,11 @@ std::string Server::HandleReformulate(Session& session, const Request& request,
 
 std::string Server::HandleLint(Session& session, const Request& request,
                                bool degraded) {
+  Result<EngineContext> ctx = ContextFor(request.body, /*local=*/nullptr, degraded);
+  if (!ctx.ok()) return ErrorResponse(request.id, ctx.status());
   AnalyzeOptions opts = AnalyzeOptions::Full();
   opts.warnings_as_errors = OptionalBool(request.body, "strict", false);
-  opts.budget = ContextFor(request.body, /*local=*/nullptr, degraded).budget;
+  opts.budget = ctx->budget;
 
   std::vector<ConjunctiveQuery> queries;
   if (const JsonValue* list = request.body.Find("queries");
@@ -491,8 +523,12 @@ std::string Server::HandleLint(Session& session, const Request& request,
     }
   }
 
-  AnalysisReport report = AnalyzeProgram(session.catalog().schema,
-                                         session.catalog().sigma, queries, opts);
+  // The held context replays its Σ findings; only the queries are new.
+  std::vector<const ConjunctiveQuery*> query_ptrs;
+  query_ptrs.reserve(queries.size());
+  for (const ConjunctiveQuery& q : queries) query_ptrs.push_back(&q);
+  AnalysisReport report =
+      session.ContextIn(*engine(), Semantics::kSet)->Lint(query_ptrs, opts);
   std::string diagnostics = "[";
   for (size_t i = 0; i < report.diagnostics.size(); ++i) {
     const Diagnostic& d = report.diagnostics[i];
@@ -563,41 +599,8 @@ size_t Server::OwnerShardFor(const Request& request) const {
   return ring_->OwnerIndex(CanonicalRequestSignature(request.cmd, request.body));
 }
 
-std::optional<std::string> Server::IdempotentReplay(const std::string& id) {
-  if (id.empty() || options_.idempotency_cache == 0) return std::nullopt;
-  std::lock_guard<std::mutex> lock(idem_mu_);
-  auto it = idem_cache_.find(id);
-  if (it == idem_cache_.end()) return std::nullopt;
-  idem_lru_.splice(idem_lru_.begin(), idem_lru_, it->second.lru_pos);
-  metrics_.counter(metric::kServiceIdempotentReplays).Add();
-  return it->second.response;
-}
-
-void Server::RememberResponse(const std::string& id, const std::string& response) {
-  if (id.empty() || options_.idempotency_cache == 0) return;
-  // Only settled responses replay. A failure, an anytime kUnknown, or a
-  // partial reformulation must re-dispatch on retry so the work can finish
-  // (typically as a memo hit the second time around).
-  if (response.find("\"ok\":false") != std::string::npos) return;
-  if (response.find("\"verdict\":\"unknown\"") != std::string::npos) return;
-  if (response.find("\"complete\":false") != std::string::npos) return;
-  std::lock_guard<std::mutex> lock(idem_mu_);
-  auto it = idem_cache_.find(id);
-  if (it != idem_cache_.end()) {
-    idem_lru_.splice(idem_lru_.begin(), idem_lru_, it->second.lru_pos);
-    it->second.response = response;
-    return;
-  }
-  idem_lru_.push_front(id);
-  idem_cache_.emplace(id, IdemEntry{response, idem_lru_.begin()});
-  while (idem_cache_.size() > options_.idempotency_cache) {
-    idem_cache_.erase(idem_lru_.back());
-    idem_lru_.pop_back();
-  }
-}
-
-EngineContext Server::ContextFor(const JsonValue& body, MetricsRegistry* local,
-                                 bool degraded) {
+Result<EngineContext> Server::ContextFor(const JsonValue& body, MetricsRegistry* local,
+                                         bool degraded) {
   EngineContext ctx;
   ctx.budget = options_.default_budget;
   if (degraded) {
@@ -610,19 +613,17 @@ EngineContext Server::ContextFor(const JsonValue& body, MetricsRegistry* local,
         std::min(ctx.budget.max_candidates, options_.degraded_candidates);
   }
   // Requests narrow the server's caps; they cannot raise them.
-  if (std::optional<double> v = OptionalNumber(body, "max_chase_steps"); v && *v > 0) {
-    ctx.budget.max_chase_steps =
-        std::min(ctx.budget.max_chase_steps, static_cast<size_t>(*v));
+  SQLEQ_RETURN_IF_ERROR(NarrowCap(body, "max_chase_steps", ctx.budget.max_chase_steps));
+  SQLEQ_RETURN_IF_ERROR(NarrowCap(body, "max_candidates", ctx.budget.max_candidates));
+  SQLEQ_ASSIGN_OR_RETURN(std::optional<double> deadline_ms,
+                         OptionalIntegral(body, "deadline_ms"));
+  if (deadline_ms.has_value() && *deadline_ms > kMaxDeadlineMs) {
+    return Status::InvalidArgument("\"deadline_ms\" must be at most 2^40");
   }
-  if (std::optional<double> v = OptionalNumber(body, "max_candidates"); v && *v > 0) {
-    ctx.budget.max_candidates =
-        std::min(ctx.budget.max_candidates, static_cast<size_t>(*v));
-  }
-  if (std::optional<double> v = OptionalNumber(body, "deadline_ms"); v && *v > 0) {
+  if (deadline_ms.has_value() && *deadline_ms > 0) {
     ctx.budget.deadline_origin = std::chrono::steady_clock::now();
-    ctx.budget.deadline =
-        *ctx.budget.deadline_origin +
-        std::chrono::milliseconds(static_cast<int64_t>(*v));
+    ctx.budget.deadline = *ctx.budget.deadline_origin +
+                          std::chrono::milliseconds(static_cast<int64_t>(*deadline_ms));
   }
   ctx.metrics = local;
   ctx.faults = options_.faults;

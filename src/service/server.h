@@ -20,14 +20,12 @@
 #define SQLEQ_SERVICE_SERVER_H_
 
 #include <atomic>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <semaphore>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "chase/memo_store.h"
@@ -82,11 +80,6 @@ struct ServerOptions {
   size_t degraded_candidates = 64;
   /// Backoff hint stamped on overloaded / draining / degraded responses.
   uint64_t retry_after_ms = 100;
-  /// Idempotent request ids: settled responses of expensive requests that
-  /// carried a non-empty id are cached (LRU, this many entries) and a
-  /// repeated id replays the response instead of re-dispatching — a client
-  /// retry after a lost response lands here, or on the memo. 0 disables.
-  size_t idempotency_cache = 128;
   /// Fleet mode (docs/fleet.md): the full shard topology, including this
   /// process. Empty = single node (v1 behavior unchanged, v2 extras only).
   /// When set, shard_name must name one entry; if port is 0 the topology
@@ -172,17 +165,10 @@ class Server {
   /// The per-request context: default budget narrowed by request fields,
   /// a caller-supplied local metrics registry, the server's fault injector,
   /// and the drain cancellation token. `degraded` additionally clamps
-  /// chase steps / candidates to the degraded_* caps.
-  EngineContext ContextFor(const JsonValue& body, MetricsRegistry* local,
-                           bool degraded);
-
-  /// The idempotency cache: a settled response previously remembered under
-  /// this non-empty request id, if any. Counts service.idempotent_replays.
-  std::optional<std::string> IdempotentReplay(const std::string& id);
-  /// Remembers a settled expensive response under its id (LRU-bounded).
-  /// Unsettled responses (errors, overload/degraded kUnknown, partial
-  /// results) are skipped so a retry re-dispatches and can finish the work.
-  void RememberResponse(const std::string& id, const std::string& response);
+  /// chase steps / candidates to the degraded_* caps. A fractional budget
+  /// field, or a deadline_ms past 2^40, is InvalidArgument.
+  Result<EngineContext> ContextFor(const JsonValue& body, MetricsRegistry* local,
+                                   bool degraded);
 
   /// Folds a finished request's local counter deltas into the server
   /// registry and renders them as the response's "metrics" object.
@@ -207,14 +193,6 @@ class Server {
   /// Owned here (not by the engine) so ResetMemo() keeps the disk tier and
   /// a fresh engine re-warms from it.
   std::shared_ptr<MemoStore> memo_store_;
-
-  std::mutex idem_mu_;
-  std::list<std::string> idem_lru_;  // front = most recent
-  struct IdemEntry {
-    std::string response;
-    std::list<std::string>::iterator lru_pos;
-  };
-  std::unordered_map<std::string, IdemEntry> idem_cache_;
 
   std::atomic<bool> draining_{false};
   std::atomic<size_t> active_sessions_{0};

@@ -88,7 +88,6 @@ inline constexpr char kServiceOverloaded[] = "service.overloaded";
 inline constexpr char kServiceDrained[] = "service.drained";
 inline constexpr char kServiceDrainingRejected[] = "service.draining_rejected";
 inline constexpr char kServiceDegraded[] = "service.degraded";
-inline constexpr char kServiceIdempotentReplays[] = "service.idempotent_replays";
 inline constexpr char kServiceRedirects[] = "service.redirects";
 inline constexpr char kServiceRequestUs[] = "service.request_us";
 // Semantic query cache (src/cache/semantic_cache.h). hits.exact counts

@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/analyzer.h"
 #include "chase/checkpoint.h"
 #include "equivalence/engine.h"
 #include "service/connection.h"
@@ -757,6 +758,59 @@ TEST(Service, LintHonorsTheRequestsNarrowedChaseBudget) {
   server.Stop();
 }
 
+TEST(Service, LintAnswersAsAnalyzeProgramOnTheHeldContext) {
+  // lint reads its Σ findings from the session's held context; its
+  // diagnostics are still AnalyzeProgram's over the session's catalog, in
+  // order, strict or not, on a first and on a repeated request. Σ has a
+  // non-terminating tgd, an undeclared relation, an arity drift, a
+  // duplicated dependency and an egd clash; the narrowed step budget cuts
+  // the implication check short, which is a finding too.
+  Server server;
+  ASSERT_TRUE(server.Start().ok());
+  Connection client = Dial(server);
+  UploadCatalog(client);
+  const std::vector<std::string> extra = {
+      "r(X, Y) -> r(Y, Z).", "t(X) -> s(X).", "s(X, Y) -> r(X, Y).",
+      "r(X, Y) -> s(X).",    "s(X) -> X = 1.", "s(X) -> X = 2."};
+  for (const std::string& dep : extra) {
+    JsonValue added =
+        Unwrap(client.Call(JsonObject().Str("cmd", "dep").Str("text", dep).Build()));
+    ASSERT_TRUE(Field(added, "ok")->boolean) << dep;
+  }
+  DependencySet sigma = TestSigma();
+  sigma[0] = sigma[0].WithLabel("fk");
+  for (Dependency& dep : Sigma(extra)) sigma.push_back(std::move(dep));
+  const std::vector<std::string> query_texts = {"Q(X) :- r(X, Y).", "P(X) :- u(X, X)."};
+  std::vector<ConjunctiveQuery> queries;
+  for (size_t i = 0; i < query_texts.size(); ++i) {
+    queries.push_back(Q(query_texts[i]).WithName("L" + std::to_string(i + 1)));
+  }
+
+  for (bool strict : {false, true, false}) {
+    JsonObject request;
+    request.Str("cmd", "lint").Bool("strict", strict).Int("max_chase_steps", 50);
+    request.Raw("queries", "[\"" + query_texts[0] + "\",\"" + query_texts[1] + "\"]");
+    JsonValue response = Unwrap(client.Call(request.Build()));
+    ASSERT_TRUE(Field(response, "ok")->boolean);
+
+    AnalyzeOptions opts = AnalyzeOptions::Full();
+    opts.warnings_as_errors = strict;
+    opts.budget.max_chase_steps = 50;
+    AnalysisReport expected = AnalyzeProgram(TestSchema(), sigma, queries, opts);
+    EXPECT_EQ(Field(response, "errors")->boolean, expected.HasErrors());
+    const std::vector<JsonValue>& got = Field(response, "diagnostics")->array;
+    ASSERT_EQ(got.size(), expected.diagnostics.size()) << strict;
+    for (size_t i = 0; i < got.size(); ++i) {
+      const Diagnostic& d = expected.diagnostics[i];
+      EXPECT_EQ(got[i].Find("code")->string, d.code) << i;
+      EXPECT_EQ(got[i].Find("severity")->string, SeverityToString(d.severity)) << i;
+      EXPECT_EQ(got[i].Find("subject")->string, d.subject) << i;
+      EXPECT_EQ(got[i].Find("message")->string, d.message) << i;
+    }
+  }
+  server.Stop();
+}
+
 TEST(Service, ShellConnectForwardsEquivAndMinimize) {
   Server server;
   ASSERT_TRUE(server.Start().ok());
@@ -969,63 +1023,6 @@ TEST(Service, DegradedAdmissionAnswersInsteadOfShedding) {
   EXPECT_EQ(server.metrics().counter(metric::kServiceOverloaded).value(), 0u);
 
   slow_request.join();
-  server.Stop();
-}
-
-TEST(Service, IdempotentRequestIdReplaysSettledResponseBytes) {
-  Server server;
-  ASSERT_TRUE(server.Start().ok());
-  Connection client = Dial(server);
-  UploadCatalog(client);
-
-  const std::string line = JsonObject()
-                               .Str("id", "idem-1")
-                               .Str("cmd", "check")
-                               .Str("q1", "Q(X) :- r(X, Y), s(X).")
-                               .Str("q2", "Q(X) :- r(X, Y).")
-                               .Str("semantics", "set")
-                               .Build();
-  std::string first_raw;
-  JsonValue first = Unwrap(client.Call(line, &first_raw));
-  ASSERT_TRUE(Field(first, "ok")->boolean);
-  EXPECT_EQ(Field(first, "id")->string, "idem-1");
-
-  // The retried id replays the settled response byte-for-byte instead of
-  // re-dispatching (the metrics object inside is the original's too).
-  std::string second_raw;
-  JsonValue second = Unwrap(client.Call(line, &second_raw));
-  EXPECT_EQ(second_raw, first_raw);
-  EXPECT_TRUE(Field(second, "ok")->boolean);
-  EXPECT_EQ(server.metrics().counter(metric::kServiceIdempotentReplays).value(),
-            1u);
-
-  // A different id is fresh work, not a replay.
-  const std::string other = JsonObject()
-                                .Str("id", "idem-2")
-                                .Str("cmd", "check")
-                                .Str("q1", "Q(X) :- r(X, Y), s(X).")
-                                .Str("q2", "Q(X) :- r(X, Y).")
-                                .Str("semantics", "set")
-                                .Build();
-  JsonValue fresh = Unwrap(client.Call(other));
-  EXPECT_TRUE(Field(fresh, "ok")->boolean);
-  EXPECT_EQ(server.metrics().counter(metric::kServiceIdempotentReplays).value(),
-            1u);
-
-  // Error responses are not settled: the same bad id re-dispatches (a fixed
-  // client must not be stuck replaying its own typo).
-  const std::string bad = JsonObject()
-                              .Str("id", "idem-bad")
-                              .Str("cmd", "check")
-                              .Str("q1", "this does not parse")
-                              .Str("q2", "Q(X) :- r(X, Y).")
-                              .Build();
-  JsonValue bad1 = Unwrap(client.Call(bad));
-  EXPECT_FALSE(Field(bad1, "ok")->boolean);
-  JsonValue bad2 = Unwrap(client.Call(bad));
-  EXPECT_FALSE(Field(bad2, "ok")->boolean);
-  EXPECT_EQ(server.metrics().counter(metric::kServiceIdempotentReplays).value(),
-            1u);
   server.Stop();
 }
 
@@ -1284,6 +1281,139 @@ TEST(Service, OutOfRangeIntegerLiteralIsAnErrorNotACrash) {
       CheckLine("SELECT r.a FROM r WHERE r.b = 9223372036854775807",
                 "SELECT x.a FROM r x WHERE x.b = 9223372036854775807");
   EXPECT_EQ(VerdictOf(client, in_range), "equivalent");
+  server.Stop();
+}
+
+/// A check of the pair UploadCatalog's dependency makes equivalent, sent
+/// under request id `id`.
+std::string IdCheckLine(const std::string& id) {
+  return JsonObject()
+      .Str("id", id)
+      .Str("cmd", "check")
+      .Str("q1", "Q(X) :- r(X, Y), s(X).")
+      .Str("q2", "Q(X) :- r(X, Y).")
+      .Str("semantics", "set")
+      .Build();
+}
+
+TEST(Service, RequestIdsDoNotCarryAnswersAcrossSessionsOrCatalogs) {
+  // An answer depends on the session's catalog and the request, never on
+  // the request id: a session that reuses another's id under another Σ,
+  // and a session that resends an id after changing its Σ, each get the
+  // verdict of their own catalog.
+  Server server;
+  ASSERT_TRUE(server.Start().ok());
+  auto declare_relations = [](Connection& client) {
+    Unwrap(client.Call(
+        JsonObject().Str("cmd", "relation").Str("name", "r").Int("arity", 2).Build()));
+    Unwrap(client.Call(
+        JsonObject().Str("cmd", "relation").Str("name", "s").Int("arity", 1).Build()));
+  };
+
+  Connection with_dep = Dial(server);
+  UploadCatalog(with_dep);
+  EXPECT_EQ(VerdictOf(with_dep, IdCheckLine("auto-1")), "equivalent");
+
+  Connection without_dep = Dial(server);
+  declare_relations(without_dep);
+  JsonValue reused = Unwrap(without_dep.Call(IdCheckLine("auto-1")));
+  EXPECT_EQ(Field(reused, "id")->string, "auto-1");
+  EXPECT_EQ(Field(reused, "verdict")->string, "not-equivalent");
+
+  Connection changing = Dial(server);
+  declare_relations(changing);
+  EXPECT_EQ(VerdictOf(changing, IdCheckLine("c-1")), "not-equivalent");
+  Unwrap(changing.Call(
+      JsonObject().Str("cmd", "dep").Str("text", "r(X, Y) -> s(X).").Build()));
+  EXPECT_EQ(VerdictOf(changing, IdCheckLine("c-1")), "equivalent");
+  server.Stop();
+}
+
+TEST(Service, ResentRequestIsAnsweredFromTheMemo) {
+  // A resent line (a client retry after a lost response) is dispatched
+  // again, and the chase memo answers it.
+  Server server;
+  ASSERT_TRUE(server.Start().ok());
+  Connection client = Dial(server);
+  UploadCatalog(client);
+  auto memo_hits = [&client] {
+    JsonValue stats = Unwrap(client.Call(JsonObject().Str("cmd", "stats").Build()));
+    return Field(*Field(stats, "memo"), "hits")->number;
+  };
+  const std::string line = IdCheckLine("retry-1");
+  EXPECT_EQ(VerdictOf(client, line), "equivalent");
+  const double hits_after_first = memo_hits();
+  JsonValue second = Unwrap(client.Call(line));
+  EXPECT_EQ(Field(second, "id")->string, "retry-1");
+  EXPECT_EQ(Field(second, "verdict")->string, "equivalent");
+  EXPECT_GT(memo_hits(), hits_after_first);
+  server.Stop();
+}
+
+TEST(Service, RequestNumbersAreCheckedBeforeConversion) {
+  // JSON numbers are doubles; a request's counts and milliseconds must be
+  // integral, and a value no integer type holds is refused or capped, not
+  // converted.
+  Server server;
+  ASSERT_TRUE(server.Start().ok());
+  Connection client = Dial(server);
+  UploadCatalog(client);
+  auto error_of = [&client](const std::string& line) {
+    std::string raw;
+    JsonValue response = Unwrap(client.Call(line, &raw));
+    EXPECT_FALSE(Field(response, "ok")->boolean) << raw;
+    const JsonValue* error = response.Find("error");
+    if (error == nullptr || error->Find("message") == nullptr) return std::string();
+    EXPECT_EQ(error->Find("code")->string, "InvalidArgument") << raw;
+    return error->Find("message")->string;
+  };
+  auto check_with = [](const char* field, const char* number) {
+    // Spliced as text, so the wire carries exactly `number`.
+    const std::string line = IdCheckLine("n");
+    return line.substr(0, line.size() - 1) + ",\"" + field + "\":" + number + "}";
+  };
+  auto relation_with = [](const char* name, const char* arity) {
+    return std::string("{\"cmd\":\"relation\",\"name\":\"") + name +
+           "\",\"arity\":" + arity + "}";
+  };
+
+  // Fractions are refused, naming the field.
+  EXPECT_NE(error_of(check_with("max_chase_steps", "0.5")).find("max_chase_steps"),
+            std::string::npos);
+  EXPECT_NE(error_of(check_with("max_candidates", "2.5")).find("max_candidates"),
+            std::string::npos);
+  EXPECT_NE(error_of(check_with("deadline_ms", "10.25")).find("deadline_ms"),
+            std::string::npos);
+  EXPECT_NE(error_of(relation_with("t", "2.7")).find("arity"), std::string::npos);
+  // So are values past what the field can mean.
+  EXPECT_NE(error_of(check_with("deadline_ms", "1e300")).find("deadline_ms"),
+            std::string::npos);
+  EXPECT_NE(error_of(check_with("deadline_ms", "1099511627777")).find("deadline_ms"),
+            std::string::npos);
+  const std::string huge_arity = error_of(relation_with("t", "1e300"));
+  EXPECT_NE(huge_arity.find("arity"), std::string::npos);
+  EXPECT_EQ(huge_arity.find("must have arity >= 1"), std::string::npos) << huge_arity;
+
+  // A step or candidate count at or above the server's cap leaves the cap,
+  // as does any value <= 0; so does a deadline <= 0, and a deadline of
+  // 2^40 ms is in range.
+  for (const char* steps :
+       {"1e300", "1e400", "18446744073709551615", "5000", "0", "-3"}) {
+    EXPECT_EQ(VerdictOf(client, check_with("max_chase_steps", steps)), "equivalent")
+        << steps;
+  }
+  for (const char* candidates : {"1e300", "18446744073709551615", "0"}) {
+    EXPECT_EQ(VerdictOf(client, check_with("max_candidates", candidates)), "equivalent")
+        << candidates;
+  }
+  for (const char* deadline : {"1099511627776", "0", "-1e300"}) {
+    EXPECT_EQ(VerdictOf(client, check_with("deadline_ms", deadline)), "equivalent")
+        << deadline;
+  }
+  // A refused relation declares nothing; an integral arity still declares.
+  JsonValue declared = Unwrap(client.Call(relation_with("t", "2.0")));
+  EXPECT_TRUE(Field(declared, "ok")->boolean);
+  EXPECT_EQ(Field(declared, "relations")->number, 3.0);
   server.Stop();
 }
 

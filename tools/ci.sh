@@ -32,8 +32,10 @@
 # ephemeral port, drives a catalog upload, check, reformulate, and stats
 # through the client (checking one pair before and after the dep that makes
 # it equivalent, so the verdict must flip), then SIGTERMs the daemon and
-# asserts a clean drain and a valid Prometheus export (docs/service.md). Between the two it runs
-# 100 sequential one-request clients and fails if the daemon's VmSize
+# asserts a clean drain and a valid Prometheus export (docs/service.md).
+# Between the two it reruns the script without the dep, whose reused check
+# id must get its own catalog's verdict, and it runs 100 sequential
+# one-request clients and fails if the daemon's VmSize
 # (/proc/<pid>/status) grew by 100 MiB or more: each closed connection's
 # thread, with its stack mapping, must be joined while the daemon runs.
 #
@@ -192,6 +194,15 @@ EOF
       || { echo "stats export missing service counters:"; cat "${prometheus}"; exit 1; }
   grep -Fq 'sqleq_pool_queue_wait_us' "${prometheus}" \
       || { echo "stats export missing the slot-wait histogram:"; cat "${prometheus}"; exit 1; }
+
+  echo "-- request ids carry no answers across sessions"
+  # The same script without the dep, on a new connection: check "5" reuses
+  # the first run's id under a catalog without the dep.
+  grep -vF '"cmd":"dep"' "${workdir}/requests.jsonl" > "${workdir}/no-dep.jsonl"
+  "${build_dir}/tools/sqleq-client" --port "${port}" --retries 2 \
+      --file "${workdir}/no-dep.jsonl" > "${workdir}/no-dep.out"
+  grep -F '"id":"5"' "${workdir}/no-dep.out" | grep -Fq '"verdict":"not-equivalent"' \
+      || { echo "a reused id got another catalog's verdict:"; cat "${workdir}/no-dep.out"; exit 1; }
 
   echo "-- connection churn (100 sequential clients)"
   echo '{"id":"churn","cmd":"hello"}' > "${workdir}/hello.jsonl"

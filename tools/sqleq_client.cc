@@ -18,9 +18,8 @@
 // failures (dead connections are evicted, redialed, and the catalog is
 // replayed before the resend); --timeout-ms / --connect-timeout-ms bound
 // each read and each (re)dial; --retry-seed fixes the deterministic jitter.
-// When retries are on, a request line without an "id" gets one spliced in
-// ("auto-<n>") so a resend after a lost response is idempotent on the
-// server.
+// A resend is the same line, dispatched again by the server and answered
+// from its chase memo.
 //
 // Usage:
 //   sqleq-client (--port N [--host H] | --shards SPEC) [--file PATH]
@@ -31,7 +30,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "service/fleet_client.h"
@@ -48,17 +46,6 @@ int Usage(const char* argv0) {
                "       [--max-protocol N] [--retries N] [--backoff-ms N]\n"
                "       [--timeout-ms N] [--connect-timeout-ms N] [--retry-seed N]\n";
   return 2;
-}
-
-/// Splices "id":"auto-<n>" into a request line that parses as a JSON object
-/// without an id, so retried sends are idempotent. Lines that already carry
-/// an id (or do not parse — the server will reject them) pass through.
-std::string EnsureRequestId(const std::string& line, uint64_t n) {
-  sqleq::Result<sqleq::JsonValue> doc = sqleq::ParseJson(line);
-  if (!doc.ok() || !doc->is_object() || doc->Find("id") != nullptr) return line;
-  std::string trimmed(sqleq::Trim(line));
-  if (trimmed.empty() || trimmed.front() != '{') return line;
-  return "{\"id\":\"auto-" + std::to_string(n) + "\"," + trimmed.substr(1);
 }
 
 }  // namespace
@@ -146,7 +133,6 @@ int main(int argc, char** argv) {
     std::cerr << "--shards and --port are mutually exclusive\n";
     return Usage(argv[0]);
   }
-  const bool retries_on = options.retry.max_attempts > 1;
 
   std::istream* in = &std::cin;
   std::ifstream file_in;
@@ -176,11 +162,8 @@ int main(int argc, char** argv) {
 
   bool saw_error = false;
   std::string line;
-  uint64_t line_no = 0;
   while (std::getline(*in, line)) {
     if (sqleq::Trim(line).empty()) continue;
-    ++line_no;
-    if (retries_on) line = EnsureRequestId(line, line_no);
     std::string raw;
     auto response = (*client)->Call(line, &raw);
     if (!response.ok()) {
