@@ -88,7 +88,7 @@ Result<CanonicalDatabase> BuildCanonicalDatabase(const ConjunctiveQuery& q,
   CanonicalDatabase out;
   // Drop set-valued flags during construction: D(Q) is set valued by
   // definition and duplicate atoms in Q map to a single tuple anyway, but a
-  // schema flag must not reject the (idempotent) repeat insert.
+  // schema flag must not reject inserting the same tuple twice.
   Schema relaxed = schema;
   for (const std::string& name : schema.RelationNames()) {
     SQLEQ_RETURN_IF_ERROR(relaxed.SetSetValued(name, false));
